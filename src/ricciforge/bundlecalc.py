@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import positivity
+from .exprs import frac
 
 __all__ = [
     "CurvatureBound",
@@ -50,16 +51,6 @@ __all__ = [
 ]
 
 FractionLike = Union[Fraction, int, str]
-
-
-def frac(x: FractionLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float) and x == int(x):
-        return Fraction(int(x))
-    raise TypeError(f"exponents must be exact rationals, got {x!r}")
 
 
 class CertificateError(ValueError):

@@ -34,7 +34,6 @@ __all__ = [
     "Pow",
     "Sin",
     "Cos",
-    "Sqrt",
     "Exp",
     "ExprError",
     "ParseError",
@@ -132,11 +131,6 @@ class Cos(Expr):
 
 
 @dataclass(frozen=True)
-class Sqrt(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
 class Exp(Expr):
     arg: Expr
 
@@ -158,6 +152,19 @@ def _is_const(e: Expr, v) -> bool:
 # Smart constructors. They fold literal subtrees and neutral elements so
 # derivative trees stay a manageable size; they never fold a division by
 # a zero constant (left to evaluation, which reports the node).
+
+
+def frac(x: Union[Fraction, int, str, float]) -> Fraction:
+    """The exact-rational coercion: a Fraction, an int, a string such as
+    "3/4", or a float with an integral value. Any other float raises
+    TypeError, since its binary value is rarely the rational meant."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    if isinstance(x, float) and x.is_integer():
+        return Fraction(int(x))
+    raise TypeError(f"exponents must be exact rationals, got {x!r}")
 
 
 def const(v: Scalar) -> Const:
@@ -245,7 +252,7 @@ def cos(a: Expr) -> Expr:
 
 
 def sqrt(a: Expr) -> Expr:
-    return Sqrt(a)
+    return pow_(a, Fraction(1, 2))
 
 
 def exp(a: Expr) -> Expr:
@@ -258,9 +265,10 @@ def exp(a: Expr) -> Expr:
 def evaluate(e: Expr, r: float) -> float:
     """Evaluate the tree at a scalar r in IEEE double precision.
 
-    Raises DomainError naming the offending node on division by zero,
-    an even root of a negative number, a negative power of zero, or
-    overflow.
+    A negative base b with exponent n/d in lowest terms and d odd takes
+    the real root: b^(n/d) = (-1)^n |b|^(n/d). Raises DomainError naming
+    the offending node on division by zero, an even root of a negative
+    number, a negative power of zero, or overflow.
     """
     if isinstance(e, Const):
         return float(e.value)
@@ -285,11 +293,6 @@ def evaluate(e: Expr, r: float) -> float:
         return math.sin(evaluate(e.arg, r))
     if isinstance(e, Cos):
         return math.cos(evaluate(e.arg, r))
-    if isinstance(e, Sqrt):
-        v = evaluate(e.arg, r)
-        if v < 0.0:
-            raise DomainError("square root of a negative number", e)
-        return math.sqrt(v)
     if isinstance(e, Exp):
         v = evaluate(e.arg, r)
         try:
@@ -323,8 +326,9 @@ def _eval_pow(node: Pow, b: float) -> float:
 def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of r values.
 
-    Intended for positive-domain sweep grids; domain violations anywhere
-    on the grid raise DomainError for the offending node.
+    Follows the rules of evaluate, including real odd roots of negative
+    bases; a domain violation anywhere on the grid raises DomainError for
+    the offending node.
     """
     rs = np.asarray(rs, dtype=float)
 
@@ -349,24 +353,20 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
         if isinstance(node, Pow):
             b = ev(node.base)
             q = node.exponent
-            if q.denominator == 1:
-                if q < 0 and np.any(b == 0.0):
-                    raise DomainError("zero raised to a negative power", node)
-                return b ** int(q)
-            if np.any(b < 0.0):
-                raise DomainError("negative base with a fractional exponent", node)
             if q < 0 and np.any(b == 0.0):
                 raise DomainError("zero raised to a negative power", node)
-            return b ** float(q)
+            if q.denominator == 1:
+                return b ** int(q)
+            if not np.any(b < 0.0):
+                return b ** float(q)
+            if q.denominator % 2 == 0:
+                raise DomainError("even root of a negative number", node)
+            out = np.abs(b) ** float(q)
+            return np.where(b < 0.0, -out, out) if q.numerator % 2 else out
         if isinstance(node, Sin):
             return np.sin(ev(node.arg))
         if isinstance(node, Cos):
             return np.cos(ev(node.arg))
-        if isinstance(node, Sqrt):
-            v = ev(node.arg)
-            if np.any(v < 0.0):
-                raise DomainError("square root of a negative number", node)
-            return np.sqrt(v)
         if isinstance(node, Exp):
             with np.errstate(over="raise"):
                 try:
@@ -418,8 +418,6 @@ def _d(e: Expr) -> Expr:
         return mul(cos(e.arg), _d(e.arg))
     if isinstance(e, Cos):
         return mul(neg(sin(e.arg)), _d(e.arg))
-    if isinstance(e, Sqrt):
-        return div(_d(e.arg), mul(const(2), sqrt(e.arg)))
     if isinstance(e, Exp):
         return mul(exp(e.arg), _d(e.arg))
     raise TypeError(f"unknown node {type(e).__name__}")
@@ -489,8 +487,6 @@ def to_text(e: Expr) -> str:
         return f"sin({to_text(e.arg)})"
     if isinstance(e, Cos):
         return f"cos({to_text(e.arg)})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({to_text(e.arg)})"
     if isinstance(e, Exp):
         return f"exp({to_text(e.arg)})"
     raise TypeError(f"unknown node {type(e).__name__}")

@@ -17,7 +17,6 @@ form threshold from the derived coefficients (k_bound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,18 +51,6 @@ def reference_profiles() -> tuple[Expr, Expr]:
     return exprs.parse(_F_TEXT), exprs.parse(_H_TEXT)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 @dataclass(frozen=True)
 class DirectionCoefficients:
     """One direction's bound Ric >= h^2 (r^2 (pK - L) + pR - S)."""
@@ -79,19 +66,6 @@ class PositivityCoefficients:
     """Per-direction coefficient quadruples, keyed 'r', 'u', 'y0'.. 'y(n-1)'."""
 
     directions: dict
-
-    def threshold(self, gershgorin_extra: float = 0.0) -> float:
-        """Smallest real k with every direction positive for all p > k.
-
-        gershgorin_extra is added to the S coefficient of the E-block
-        directions; the worst-case search uses (n-1) c to absorb the
-        unknown off-diagonal entries into the diagonal requirement.
-        """
-        worst = 0.0
-        for name, cf in self.directions.items():
-            s = cf.S + (gershgorin_extra if name.startswith("y") else 0.0)
-            worst = max(worst, cf.L / cf.K, s / cf.R)
-        return worst
 
 
 def derive_coefficients(n: int, c: float, mi: Sequence) -> PositivityCoefficients:
@@ -222,18 +196,15 @@ def _grid_diagonals(n: int, c: float, mi, grid: np.ndarray):
     fv = exprs.evaluate_grid(f, grid)
     fp = exprs.evaluate_grid(exprs.diff(f, 1), grid)
     fpp = exprs.evaluate_grid(exprs.diff(f, 2), grid)
-    h_list = [exprs.pow_(h, _as_fraction(m)) for m in mi]
-    hv = np.stack([exprs.evaluate_grid(e, grid) for e in h_list]) if mi else np.zeros((0, grid.size))
-    hp = (
-        np.stack([exprs.evaluate_grid(exprs.diff(e, 1), grid) for e in h_list])
-        if mi
-        else np.zeros((0, grid.size))
-    )
-    hpp = (
-        np.stack([exprs.evaluate_grid(exprs.diff(e, 2), grid) for e in h_list])
-        if mi
-        else np.zeros((0, grid.size))
-    )
+    h_list = [exprs.pow_(h, exprs.frac(m)) for m in mi]
+
+    def stacked(order: int) -> np.ndarray:
+        if not h_list:
+            return np.zeros((0, grid.size))
+        trees = [exprs.diff(e, order) if order else e for e in h_list]
+        return np.stack([exprs.evaluate_grid(e, grid) for e in trees])
+
+    hv, hp, hpp = stacked(0), stacked(1), stacked(2)
     h2 = hv_scalar**2
     slack = (n - 1) * c * h2 if n else 0.0
 
@@ -245,6 +216,15 @@ def _grid_diagonals(n: int, c: float, mi, grid: np.ndarray):
     at2 = stack_at(2)
     at3 = stack_at(3)
     return at2, at3 - at2
+
+
+def _margins(base2: np.ndarray, slope: np.ndarray, p: int) -> np.ndarray:
+    return base2 + (p - 2) * slope
+
+
+def _positive(base2: np.ndarray, slope: np.ndarray, p: int) -> bool:
+    """The search predicate: every worst-case diagonal margin is positive."""
+    return bool(np.all(_margins(base2, slope, p) > 0.0))
 
 
 def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> MinPResult:
@@ -267,32 +247,18 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
         raise ValueError("mi must have length n")
     if c < 0.0:
         raise ValueError("c must be nonnegative")
-    mi = tuple(_as_fraction(m) for m in mi)
+    mi = tuple(exprs.frac(m) for m in mi)
     if any(m < 0 for m in mi):
         raise ValueError("exponents must be nonnegative")
     rs = grid.values()
     base2, slope = _grid_diagonals(n, float(c), mi, rs)
 
-    def margins(p: int) -> np.ndarray:
-        return base2 + (p - 2) * slope
-
-    def passes(p: int) -> bool:
-        return bool(np.all(margins(p) > 0.0))
-
-    # Rows whose slope never helps and whose value is already nonpositive
-    # somewhere can never pass; detect to avoid a futile search.
-    hopeless = np.any((slope <= 0.0) & (base2 <= 0.0), axis=1)
-    if np.any(hopeless):
-        which = int(np.argmax(hopeless))
-        names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
+    def result(reason, p_star=None, margin=None, margin_r=None) -> MinPResult:
         return MinPResult(
-            p_star=None,
-            margin=None,
-            margin_r=None,
-            reason=(
-                f"direction {names[which]} has a nonpositive diagonal bound with "
-                "nonpositive p-slope at some radius; no p can make it positive"
-            ),
+            p_star=p_star,
+            margin=margin,
+            margin_r=margin_r,
+            reason=reason,
             n=n,
             c=float(c),
             mi=tuple(float(m) for m in mi),
@@ -300,42 +266,32 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
             grid_points=grid.points,
         )
 
+    # Rows whose slope never helps and whose value is already nonpositive
+    # somewhere can never pass; detect to avoid a futile search.
+    hopeless = np.any((slope <= 0.0) & (base2 <= 0.0), axis=1)
+    if np.any(hopeless):
+        which = int(np.argmax(hopeless))
+        names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
+        return result(
+            f"direction {names[which]} has a nonpositive diagonal bound with "
+            "nonpositive p-slope at some radius; no p can make it positive"
+        )
+
     hi = 2
-    while not passes(hi):
+    while not _positive(base2, slope, hi):
         hi *= 2
         if hi > P_SEARCH_CAP:
-            return MinPResult(
-                p_star=None,
-                margin=None,
-                margin_r=None,
-                reason=f"no p up to {P_SEARCH_CAP} satisfies the grid sweep",
-                n=n,
-                c=float(c),
-                mi=tuple(float(m) for m in mi),
-                r_max=grid.r_max,
-                grid_points=grid.points,
-            )
+            return result(f"no p up to {P_SEARCH_CAP} satisfies the grid sweep")
     lo = max(2, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if passes(mid):
+        if _positive(base2, slope, mid):
             hi = mid
         else:
             lo = mid + 1
-    marg = margins(lo)
-    flat = int(np.argmin(marg))
-    row, col = divmod(flat, rs.size)
-    return MinPResult(
-        p_star=int(lo),
-        margin=float(marg.min()),
-        margin_r=float(rs[col]),
-        reason="ok",
-        n=n,
-        c=float(c),
-        mi=tuple(float(m) for m in mi),
-        r_max=grid.r_max,
-        grid_points=grid.points,
-    )
+    marg = _margins(base2, slope, lo)
+    col = int(np.argmin(marg)) % rs.size
+    return result("ok", p_star=int(lo), margin=float(marg.min()), margin_r=float(rs[col]))
 
 
 def grid_positive(
@@ -345,9 +301,7 @@ def grid_positive(
     radius for this p; the same predicate min_p searches over."""
     if grid is None:
         grid = RadialGrid()
-    mi = tuple(_as_fraction(m) for m in mi)
-    base2, slope = _grid_diagonals(n, float(c), mi, grid.values())
-    return bool(np.all(base2 + (p - 2) * slope > 0.0))
+    return _positive(*_grid_diagonals(n, float(c), mi, grid.values()), p)
 
 
 # --- auxiliary profile inequality ------------------------------------------

@@ -5,15 +5,11 @@ The metric lives on ``E x S^(p-1) x (0, inf)`` and has the block form
 metrics on E diagonalized by a fixed basis of vector fields X_i with
 ``h_i(r)^2 = g_r(X_i, X_i)``. In the orthonormal frame
 ``{d_r, U_1..U_(p-1), Y_1..Y_n}`` (sphere directions normalized by f,
-E-directions by h_i) the Ricci tensor is block diagonal up to the mixed
-radial/E entries, and every block has a closed form in f, h_i, their
-first two derivatives, and the Ricci tensor of g_r.
-
-The mixed radial/E row (``ry``) is computed from the classical published
-formula, which a later correction note declared incorrect; it is kept as
-a quarantined diagnostic (``ry_trusted``) and never gates verification.
-All positivity conclusions drawn elsewhere in the package are restricted
-to specs where it vanishes on both the closed-form and the oracle side.
+E-directions by h_i) the Ricci tensor is block diagonal, and every block
+has a closed form in f, h_i, their first two derivatives, and the Ricci
+tensor of g_r. The mixed radial/E entries Ric(d_r, Y_j) would be sums
+over (i, j, i) structure coefficients, which the frame convention
+forbids, so they vanish for every admissible spec.
 """
 
 from __future__ import annotations
@@ -117,7 +113,10 @@ class WarpedFamilySpec:
         return all(v == 0.0 for v in self.structure.values())
 
     def profile_values(self, r: float):
-        """f, f', f'', and arrays of h_i, h_i', h_i'' at r; checks h_i > 0."""
+        """f, f', f'', and arrays of h_i, h_i', h_i'' at r.
+
+        Raises DomainError naming the h profile when some h_i(r) <= 0.
+        """
         fv = exprs.evaluate(self.f, r)
         fp = exprs.evaluate(exprs.diff(self.f, 1), r)
         fpp = exprs.evaluate(exprs.diff(self.f, 2), r)
@@ -126,7 +125,7 @@ class WarpedFamilySpec:
         hpp = np.array([exprs.evaluate(exprs.diff(e, 2), r) for e in self.h])
         if np.any(hv <= 0.0):
             bad = int(np.argmax(hv <= 0.0))
-            raise ValueError(f"h[{bad}]({r}) = {hv[bad]} is not positive")
+            raise exprs.DomainError(f"h[{bad}]({r}) = {hv[bad]} is not positive", self.h[bad])
         return fv, fp, fpp, hv, hp, hpp
 
 
@@ -135,18 +134,15 @@ class RicciBlocks:
     """Block-compressed Ricci tensor in the frame {d_r, U_a, Y_i}.
 
     The sphere block is isotropic, so a single scalar ``uu`` stands for
-    Ric(U_a, U_a); all mixed sphere entries vanish. ``ry`` is the
-    diagnostic mixed radial/E row, trusted only when every structure
-    coefficient vanishes (then it is exactly zero).
+    Ric(U_a, U_a). Every mixed entry other than the E-block
+    off-diagonals vanishes.
     """
 
     rr: float
     uu: float
     yy: np.ndarray
-    ry: np.ndarray
     p: int
     r: float
-    ry_trusted: bool
 
 
 def diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp):
@@ -177,8 +173,7 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
         Ric(d_r, d_r) = -(p-1) f''/f - sum_i h_i''/h_i
 
     off-diagonal E-entries equal the base Ricci, and all sphere-mixed
-    entries vanish. The ry row follows the published (since-corrected)
-    formula and is flagged via ry_trusted.
+    and radial/E entries vanish.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -190,19 +185,7 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     if base.shape != (spec.n, spec.n):
         raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({spec.n}, {spec.n})")
     yy = 0.5 * (base + base.T) + np.diag(yy_corr) if spec.n else np.zeros((0, 0))
-
-    lh = hp / hv if spec.n else np.zeros(0)
-    ry = np.zeros(spec.n)
-    for (i, j, k), b in spec.structure.items():
-        # <[Y_i, Y_j], Y_i> = b_iji / h_j; only (i,j,i) entries contribute
-        # and the frame convention forces them to zero, so this loop is a
-        # faithful transcription that sums exact zeros for valid specs.
-        if k == i and i != j:
-            ry[j] += (b / hv[j]) * (lh[i] + lh[j])
-    trusted = spec.structure_vanishes
-    return RicciBlocks(
-        rr=float(rr), uu=float(uu), yy=yy, ry=ry, p=int(p), r=float(r), ry_trusted=trusted
-    )
+    return RicciBlocks(rr=float(rr), uu=float(uu), yy=yy, p=int(p), r=float(r))
 
 
 def assemble_full(blocks: RicciBlocks) -> np.ndarray:
@@ -215,8 +198,6 @@ def assemble_full(blocks: RicciBlocks) -> np.ndarray:
     for a in range(1, p):
         out[a, a] = blocks.uu
     out[p:, p:] = blocks.yy
-    out[0, p:] = blocks.ry
-    out[p:, 0] = blocks.ry
     return out
 
 
@@ -242,22 +223,14 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
     reduced = np.zeros((n + 1, n + 1))
     reduced[0, 0] = blocks.rr
     reduced[1:, 1:] = blocks.yy
-    reduced[0, 1:] = blocks.ry
-    reduced[1:, 0] = blocks.ry
     if off_diag_slack == 0.0:
         eigs = np.linalg.eigvalsh(reduced)
         min_eigen = float(min(eigs.min(), blocks.uu))
     else:
-        lower_r = blocks.rr - float(np.sum(np.abs(blocks.ry)))
-        lowers = [lower_r]
+        lowers = [blocks.rr]
         for i in range(n):
             known_off = float(np.sum(np.abs(blocks.yy[i]))) - abs(float(blocks.yy[i, i]))
-            lowers.append(
-                blocks.yy[i, i]
-                - known_off
-                - abs(float(blocks.ry[i]))
-                - (n - 1) * off_diag_slack
-            )
+            lowers.append(blocks.yy[i, i] - known_off - (n - 1) * off_diag_slack)
         min_eigen = float(min(min(lowers), blocks.uu))
     min_eigen += 0.0  # normalize -0.0
     return PdResult(positive_definite=bool(min_eigen > 0.0), min_eigen=min_eigen)
@@ -364,12 +337,10 @@ def frame_at(
 class WarpedVerifyReport:
     passed: bool
     rows: list
-    erratum_rows: list
     tol: float
 
     def max_gating_deviation(self) -> float:
-        devs = [row["deviation"] for row in self.rows if row["gating"]]
-        return max(devs) if devs else 0.0
+        return max((row["deviation"] for row in self.rows), default=0.0)
 
 
 def verify_against_oracle(
@@ -381,36 +352,29 @@ def verify_against_oracle(
 ) -> WarpedVerifyReport:
     """Compare the closed-form blocks with the chart oracle at each radius.
 
-    The rr, uu (including every vanishing sphere-mixed entry) and yy
-    comparisons gate the PASS verdict at the given tolerance. The mixed
-    radial/E row never gates: with vanishing structure coefficients both
-    sides must simply be below tol, while with nonzero coefficients the
-    deviation is reported under the known-erratum section, since the
-    published formula for that row is declared incorrect by its
-    correction note.
+    Every row gates the PASS verdict at the given tolerance: rr, each
+    uu, each upper-triangular yy entry, and one ``mixed-zero`` row
+    holding the largest oracle entry among those the closed form says
+    vanish (sphere-mixed, sphere/E and radial/E).
     """
     if p not in (3, 4, 5):
         raise ValueError("oracle verification supports p in {3, 4, 5}")
     metric = chart_metric(spec, p)
     rows: list = []
-    erratum: list = []
     n, ps = spec.n, p - 1
     for r in rs:
         blocks = ricci_warped(spec, float(r), p)
         fr = frame_at(spec, p, float(r))
         full = oracle.frame_ricci(metric, fr, step=step)
         # frame order: [d_r | U_1..U_ps | Y_1..Y_n]
-        o_rr = full[0, 0]
         o_uu = np.diag(full)[1 : 1 + ps]
         o_yy = full[1 + ps :, 1 + ps :]
-        o_ry = full[0, 1 + ps :]
         mixed = [abs(full[0, 1 + a]) for a in range(ps)]
         mixed += [abs(full[1 + a, 1 + b]) for a in range(ps) for b in range(a + 1, ps)]
-        mixed += [
-            abs(full[1 + a, 1 + ps + i]) for a in range(ps) for i in range(n)
-        ]
+        mixed += [abs(full[1 + a, 1 + ps + i]) for a in range(ps) for i in range(n)]
+        mixed += [abs(full[0, 1 + ps + i]) for i in range(n)]
 
-        def row(entry, closed, oracle_value, gating=True):
+        def row(entry, closed, oracle_value):
             dev = abs(closed - oracle_value)
             rows.append(
                 {
@@ -419,57 +383,19 @@ def verify_against_oracle(
                     "closed": float(closed),
                     "oracle": float(oracle_value),
                     "deviation": float(dev),
-                    "gating": gating,
+                    "gating": True,
                     "pass": bool(dev <= tol),
                 }
             )
 
-        row("rr", blocks.rr, o_rr)
+        row("rr", blocks.rr, full[0, 0])
         for a in range(ps):
             row(f"uu[{a}]", blocks.uu, o_uu[a])
-        rows.append(
-            {
-                "r": float(r),
-                "entry": "sphere-mixed-zero",
-                "closed": 0.0,
-                "oracle": float(max(mixed) if mixed else 0.0),
-                "deviation": float(max(mixed) if mixed else 0.0),
-                "gating": True,
-                "pass": bool((max(mixed) if mixed else 0.0) <= tol),
-            }
-        )
+        row("mixed-zero", 0.0, max(mixed))
         for i in range(n):
             for j in range(i, n):
                 row(f"yy[{i},{j}]", blocks.yy[i, j], o_yy[i, j])
-        for j in range(n):
-            dev = abs(blocks.ry[j] - o_ry[j])
-            if spec.structure_vanishes:
-                ok = abs(blocks.ry[j]) <= tol and abs(o_ry[j]) <= tol
-                rows.append(
-                    {
-                        "r": float(r),
-                        "entry": f"ry[{j}]",
-                        "closed": float(blocks.ry[j]),
-                        "oracle": float(o_ry[j]),
-                        "deviation": float(dev),
-                        "gating": True,
-                        "pass": bool(ok),
-                    }
-                )
-            else:
-                erratum.append(
-                    {
-                        "r": float(r),
-                        "entry": f"ry[{j}]",
-                        "closed": float(blocks.ry[j]),
-                        "oracle": float(o_ry[j]),
-                        "deviation": float(dev),
-                        "category": "known-erratum mixed term",
-                        "gating": False,
-                    }
-                )
-    passed = all(row["pass"] for row in rows if row["gating"])
-    return WarpedVerifyReport(passed=passed, rows=rows, erratum_rows=erratum, tol=tol)
+    return WarpedVerifyReport(passed=all(row["pass"] for row in rows), rows=rows, tol=tol)
 
 
 # --- smoothness at the axis ------------------------------------------------

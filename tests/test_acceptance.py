@@ -65,20 +65,18 @@ def test_criterion_2_warped_closed_forms_vs_oracle():
     )
 
 
-def test_criterion_3_mixed_term_erratum_diagnostic():
-    rep = warped.verify_against_oracle(warped.left_invariant_s3_spec(), 3, [0.5, 1.0, 2.0], 1e-5)
-    nongating = rep.erratum_rows and all(not row["gating"] for row in rep.erratum_rows)
-    labeled = all(row["category"] == "known-erratum mixed term" for row in rep.erratum_rows)
-    torus = warped.verify_against_oracle(warped.reference_torus_spec(), 3, [0.5, 1.0, 2.0], 1e-5)
-    ry_rows = [row for row in torus.rows if row["entry"].startswith("ry")]
-    both_tiny = ry_rows and all(
-        abs(row["closed"]) <= 1e-8 and abs(row["oracle"]) <= 1e-8 for row in ry_rows
-    )
+def test_criterion_3_mixed_entries_vanish():
+    worst, ok = 0.0, True
+    for spec in (warped.left_invariant_s3_spec(), warped.reference_torus_spec()):
+        rep = warped.verify_against_oracle(spec, 3, [0.5, 1.0, 2.0], 1e-5)
+        zero_rows = [row for row in rep.rows if row["entry"] == "mixed-zero"]
+        ok = ok and rep.passed and len(zero_rows) == 3
+        ok = ok and all(row["gating"] and row["closed"] == 0.0 for row in zero_rows)
+        worst = max([worst] + [row["oracle"] for row in zero_rows])
     _report(
-        "criterion 3 (erratum diagnostic: blocks pass, mixed row non-gating)",
-        rep.passed and nongating and labeled and both_tiny,
-        f"gating dev {rep.max_gating_deviation():.3e}, "
-        f"erratum rows {len(rep.erratum_rows)}, zero-structure ry rows all <= 1e-8",
+        "criterion 3 (mixed entries vanish: every mixed-zero row gates, oracle <= 1e-8)",
+        ok and worst <= 1e-8,
+        f"largest oracle mixed entry {worst:.3e} over both realizable specs",
     )
 
 

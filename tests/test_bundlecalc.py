@@ -287,6 +287,8 @@ def test_params_json_shape():
 def test_exponent_type_discipline():
     with pytest.raises(TypeError):
         bc.frac(0.3)
+    with pytest.raises(TypeError):
+        bc.frac(float("inf"))
     assert bc.frac(2.0) == 2
     assert bc.frac("5/3") == F(5, 3)
 

@@ -45,12 +45,10 @@ def test_warped_verify_torus(capsys, torus_file):
         capsys, ["warped-verify", "--spec", torus_file, "--p", "3", "--tol", "1e-5"]
     )
     assert code == 0
-    assert "erratum_section" in report["results"]
-    assert report["results"]["erratum_section"]["rows"] == []
     assert report["results"]["max_gating_deviation"] <= 1e-5
 
 
-def test_warped_verify_erratum_rows_nongating(capsys):
+def test_warped_verify_mixed_zero_rows_gate(capsys):
     code, report = run_json(
         capsys,
         [
@@ -66,8 +64,23 @@ def test_warped_verify_erratum_rows_nongating(capsys):
         ],
     )
     assert code == 0
-    rows = report["results"]["erratum_section"]["rows"]
-    assert rows and all(row["gating"] is False for row in rows)
+    zero = [c for c in report["checks"] if c["name"].startswith("mixed-zero@")]
+    assert [c["name"] for c in zero] == ["mixed-zero@r=0.5", "mixed-zero@r=1"]
+    assert all(c["pass"] and c["value"] <= 1e-8 for c in zero)
+
+
+def test_warped_report_shapes(capsys):
+    s3 = ["--preset", "s3-unequal", "--p", "5"]
+    code, report = run_json(capsys, ["warped-verify", *s3, "--rs", "0.5,1", "--tol", "1e-5"])
+    assert code == 0
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == 24  # rr, 4 uu, mixed-zero, 6 yy per radius
+    zero = [n for n in names if n.startswith("mixed-zero@")]
+    assert zero == ["mixed-zero@r=0.5", "mixed-zero@r=1"]
+    assert set(report["results"]) == {"gating_rows", "max_gating_deviation"}
+    code, report = run_json(capsys, ["warped-eval", *s3, "--r", "1"])
+    assert code == 0
+    assert set(report["results"]) == {"rr", "uu", "yy", "positive_definite", "min_eigen"}
 
 
 def test_warped_verify_tight_tolerance_fails(capsys, torus_file):
@@ -166,6 +179,13 @@ def test_domain_errors_exit_four(capsys, tmp_path):
     spec = tmp_path / "sqrtspec.json"
     spec.write_text(json.dumps({**TORUS_SPEC, "f": "sqrt(r-2)", "h": ["1"]}))
     assert cli.run(["warped-eval", "--spec", str(spec), "--r", "1", "--p", "3"]) == 4
+
+
+def test_nonpositive_h_profile_exits_four(capsys, tmp_path):
+    spec = tmp_path / "badh.json"
+    spec.write_text(json.dumps({**TORUS_SPEC, "h": ["r - 2"]}))
+    assert cli.run(["warped-eval", "--spec", str(spec), "--r", "1", "--p", "3"]) == 4
+    assert "r - 2" in capsys.readouterr().err
 
 
 def test_json_output_byte_identical(capsys, torus_file):

@@ -66,6 +66,34 @@ def test_eval_odd_root_of_negative():
     assert evaluate(parse("(r-2)^(1/3)"), 1.0) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("text", ["(r-2)^(1/3)", "(r-2)^(2/3)", "(r-2)^(1/2)"])
+def test_scalar_and_grid_agree_on_negative_bases(text):
+    # odd denominators take the real root with sign (-1)^numerator; even
+    # denominators of a negative base raise on both paths
+    tree = parse(text)
+    rs = [0.5, 1.0, 3.0]
+    for r in rs:
+        try:
+            want = evaluate(tree, r)
+        except DomainError:
+            with pytest.raises(DomainError):
+                evaluate_grid(tree, np.array([r]))
+            continue
+        assert evaluate_grid(tree, np.array([r]))[0] == pytest.approx(want, rel=1e-15)
+    if text.endswith("(1/2)"):
+        with pytest.raises(DomainError):
+            evaluate_grid(tree, np.array(rs))
+    else:
+        want = np.array([evaluate(tree, r) for r in rs])
+        assert np.allclose(evaluate_grid(tree, np.array(rs)), want, rtol=1e-15, atol=0.0)
+
+
+def test_sqrt_is_half_power():
+    assert parse("sqrt(1+r^2)") == parse("(1+r^2)^(1/2)")
+    assert to_text(parse("sqrt(r)")) == "r^(1/2)"
+    assert evaluate(diff(parse("sqrt(r)"), 1), 4.0) == 0.25
+
+
 def test_diff_power_rule():
     assert to_text(diff(parse("r^2"), 1)) == "2*r"
 

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ricciforge import exprs, oracle, warped
+from ricciforge import exprs, oracle
 from ricciforge.warped import (
     WarpedFamilySpec,
     assemble_full,
@@ -57,7 +58,7 @@ def test_product_with_flat_factor_degenerates():
         assert blocks.rr == 0.0
         assert blocks.uu == 0.0
         assert np.array_equal(blocks.yy, base)
-        assert np.array_equal(blocks.ry, np.zeros(2))
+        assert not assemble_full(blocks)[0, 1:].any()  # radial row is diagonal
 
 
 def test_assembled_matrix_is_exactly_symmetric():
@@ -76,8 +77,9 @@ def test_ricci_warped_validates_inputs():
     with pytest.raises(ValueError):
         ricci_warped(spec, 0.0, 3)
     bad = WarpedFamilySpec(n=1, f=exprs.parse("r"), h=(exprs.parse("r - 2"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(exprs.DomainError) as err:
         ricci_warped(bad, 1.0, 3)  # h(1) <= 0
+    assert err.value.node == bad.h[0]
 
 
 def test_structure_coefficient_invariants():
@@ -98,10 +100,10 @@ def test_torus_spec_verifies_against_oracle():
     rep = verify_against_oracle(reference_torus_spec(), 3, RS, 1e-5)
     assert rep.passed
     assert rep.max_gating_deviation() <= 1e-5
-    assert rep.erratum_rows == []
-    ry_rows = [row for row in rep.rows if row["entry"].startswith("ry")]
-    assert ry_rows and all(row["gating"] for row in ry_rows)
-    assert all(abs(row["closed"]) <= 1e-8 and abs(row["oracle"]) <= 1e-8 for row in ry_rows)
+    zero_rows = [row for row in rep.rows if row["entry"] == "mixed-zero"]
+    assert [row["r"] for row in zero_rows] == RS
+    assert all(row["gating"] and row["closed"] == 0.0 for row in zero_rows)
+    assert all(row["oracle"] <= 1e-8 for row in zero_rows)
 
 
 @pytest.mark.parametrize("p", [4, 5])
@@ -126,14 +128,31 @@ def test_left_invariant_spec_at_dimension_cap():
     assert rep.passed
 
 
-def test_left_invariant_spec_erratum_reporting():
+def test_left_invariant_spec_mixed_zero_gates():
+    # nonzero structure coefficients: the radial/E entries still vanish
+    # and gate through the one mixed-zero row per radius
     rep = verify_against_oracle(left_invariant_s3_spec(), 3, [0.5, 1.0, 2.0], 1e-5)
-    assert rep.passed  # rr, uu, yy and the vanishing sphere-mixed entries
-    assert rep.erratum_rows, "mixed radial/E rows must be reported"
-    assert all(not row["gating"] for row in rep.erratum_rows)
-    assert all(row["category"] == "known-erratum mixed term" for row in rep.erratum_rows)
-    # no gating ry rows for a spec with nonzero structure coefficients
-    assert not any(row["entry"].startswith("ry") for row in rep.rows)
+    assert rep.passed
+    assert all(row["gating"] for row in rep.rows)
+    zero_rows = [row for row in rep.rows if row["entry"] == "mixed-zero"]
+    assert [row["r"] for row in zero_rows] == [0.5, 1.0, 2.0]
+    assert all(row["oracle"] <= 1e-8 for row in zero_rows)
+    assert len(rep.rows) == 3 * 10  # rr, 2 uu, mixed-zero, 6 yy per radius
+
+
+@pytest.mark.parametrize("spec_fn", [left_invariant_s3_spec, reference_torus_spec])
+def test_mixed_zero_row_covers_radial_e_entries(spec_fn):
+    spec, p, r = spec_fn(), 3, 1.0
+    full = oracle.frame_ricci(chart_metric(spec, p), frame_at(spec, p, r))
+    rows = verify_against_oracle(spec, p, [r], 1e-5).rows
+    (zero_row,) = [row for row in rows if row["entry"] == "mixed-zero"]
+    ps = p - 1
+    radial_e = np.abs(full[0, 1 + ps :])
+    assert radial_e.size == spec.n
+    assert zero_row["oracle"] >= radial_e.max()
+    off = np.abs(full - np.diag(np.diag(full)))
+    off[1 + ps :, 1 + ps :] = 0.0  # E-block off-diagonals have their own yy rows
+    assert zero_row["oracle"] == off.max()
 
 
 def test_sphere_block_isotropy():
@@ -221,9 +240,7 @@ def test_pd_gershgorin_slack():
     )
     blocks = ricci_warped(spec, 1.0, 3)
     # uu = 0 for the flat product, so fudge a strictly positive copy
-    blocks = warped.RicciBlocks(
-        rr=1.0, uu=1.0, yy=blocks.yy, ry=blocks.ry, p=3, r=1.0, ry_trusted=True
-    )
+    blocks = dataclasses.replace(blocks, rr=1.0, uu=1.0)
     assert check_positive_definite(blocks, off_diag_slack=0.4).positive_definite
     assert not check_positive_definite(blocks, off_diag_slack=1.1).positive_definite
     with pytest.raises(ValueError):
