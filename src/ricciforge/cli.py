@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -168,15 +166,15 @@ def _preset_points(name: str, count: int, seed: int):
         d = int(parts[1])
         base = np.full(d, 0.3)
         pts.append(base)
-        for _ in range(max(0, count - 1)):
+        for _ in range(count - 1):
             pts.append(rng.uniform(-0.8, 0.8, size=d))
     elif parts[0] == "hyperbolic2":
         pts.append(np.array([0.0, 1.0]))
-        for _ in range(max(0, count - 1)):
+        for _ in range(count - 1):
             pts.append(np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)]))
     elif parts[0] == "s3-left-invariant":
         pts.append(np.array([1.1, 0.4, 0.8]))
-        for _ in range(max(0, count - 1)):
+        for _ in range(count - 1):
             pts.append(np.array([rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)]))
     else:
         raise UsageError(f"unknown preset {name!r}")
@@ -194,6 +192,8 @@ def _orthonormal_frame(chart: oracle.ChartMetric, x: np.ndarray) -> oracle.Frame
 
 
 def cmd_oracle_check(args) -> int:
+    if args.points < 1:
+        raise UsageError("--points must be at least 1")
     chart = oracle.preset(args.preset)
     pts = _preset_points(args.preset, args.points, args.seed)
     checks = []
@@ -257,26 +257,14 @@ def cmd_warped_eval(args) -> int:
 def cmd_warped_verify(args) -> int:
     spec = _load_spec(args)
     rs = _parse_floats(args.rs)
-    workers = int(os.environ.get("RICCI_FORGE_THREADS", "0") or 0)
-    if workers <= 0:
-        workers = min(4, len(rs)) or 1
-    reports = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(warped.verify_against_oracle, spec, args.p, [r], args.tol, args.step)
-            for r in rs
-        ]
-        for fut in futures:  # input order keeps output deterministic
-            reports.append(fut.result())
-    rows = [row for rep in reports for row in rep.rows]
+    if not rs:
+        raise UsageError("--rs names no radius")
+    rep = warped.verify_against_oracle(spec, args.p, rs, args.tol, args.step)
     checks = [
         _check(f"{row['entry']}@r={row['r']:g}", row["pass"], row["deviation"], args.tol)
-        for row in rows
+        for row in rep.rows
     ]
-    results = {
-        "gating_rows": len(rows),
-        "max_gating_deviation": max((r["deviation"] for r in rows), default=0.0),
-    }
+    results = {"gating_rows": len(rep.rows), "max_gating_deviation": rep.max_gating_deviation()}
     report = _report(
         "warped-verify",
         {

@@ -15,7 +15,7 @@ mu nu} d_rho`` and the Ricci tensor is the contraction ``Ric_{sigma nu}
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,6 +54,10 @@ class SingularMetricError(OracleError):
     """Metric is numerically singular at the evaluation point."""
 
 
+def _symmetrize(g: np.ndarray) -> np.ndarray:
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
 @dataclass(frozen=True)
 class ChartMetric:
     """A coordinate-patch metric.
@@ -62,9 +66,10 @@ class ChartMetric:
     ----------
     dim : positive chart dimension (capped at MAX_DIM; finite differencing
         cost grows like dim**4).
-    components : x -> symmetric (dim, dim) array of metric components.
-        Only the symmetrized matrix is ever used.
-    domain : predicate deciding whether a point is inside the chart.
+    components : (N, dim) array of points -> (N, dim, dim) array of metric
+        components, one matrix per row. Only the symmetrized matrices are
+        ever used.
+    domain : predicate deciding whether a single point is inside the chart.
     label : human-readable name for reports.
     """
 
@@ -78,15 +83,16 @@ class ChartMetric:
             raise ValueError(f"chart dimension must be in 1..{MAX_DIM}")
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.components(np.asarray(x, dtype=float)), dtype=float)
-        return 0.5 * (g + g.T)
+        """Symmetrized metric components at the single point x."""
+        batch = np.asarray(x, dtype=float)[None, :]
+        return _symmetrize(np.asarray(self.components(batch), dtype=float))[0]
 
     def check_point(self, x: np.ndarray) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
         if not self.domain(x):
-            raise ValueError(f"point {x} outside chart domain of {self.label or 'metric'}")
+            raise OracleError(f"point {x} outside chart domain of {self.label or 'metric'}")
         g = self.at(x)
         w = np.linalg.eigvalsh(g)
         if w.min() <= 1e-12:
@@ -119,55 +125,52 @@ def _steps(x: np.ndarray, step: float) -> np.ndarray:
     return step * np.maximum(1.0, np.abs(x))
 
 
+@functools.lru_cache(maxsize=None)
+def _stencil(d: int):
+    """Stencil tables for dimension d.
+
+    Returns the offsets, in steps, of the 1 + 4d + 8d(d-1) distinct points
+    (the centre, four points on each axis, sixteen in each coordinate
+    plane) and index tables into them: ``axis[k, i]`` is the point
+    ``_D1_OFFSETS[k]`` steps along axis i, and ``cross[a, b, q]`` the point
+    ``_D1_OFFSETS[a]`` steps along ``iu[q]`` and ``_D1_OFFSETS[b]`` along
+    ``ju[q]``, for the pairs iu < ju.
+    """
+    iu, ju = np.triu_indices(d, 1)
+    on_axis = np.array(_D1_OFFSETS, dtype=float)[:, None, None] * np.eye(d)
+    in_plane = on_axis[:, None, iu] + on_axis[None, :, ju]
+    offsets = np.concatenate([np.zeros((1, d)), on_axis.reshape(-1, d), in_plane.reshape(-1, d)])
+    axis = 1 + np.arange(4 * d).reshape(4, d)
+    cross = 1 + 4 * d + np.arange(16 * len(iu)).reshape(4, 4, len(iu))
+    return offsets, axis, cross, iu, ju
+
+
 def _metric_derivatives(m: ChartMetric, x: np.ndarray, step: float):
-    """Return g, dg[i] = d_i g, and d2g[i][j] = d_i d_j g by 4th-order stencils."""
+    """Return g, dg[i] = d_i g, and d2g[i][j] = d_i d_j g by 4th-order stencils,
+    from one chart evaluation at all stencil points."""
     d = m.dim
     h = _steps(x, step)
-    g0 = m.at(x)
+    offsets, axis, cross, iu, ju = _stencil(d)
+    g = _symmetrize(np.asarray(m.components(x + h * offsets), dtype=float))
+    g0 = g[0]
 
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def gat(offsets: tuple[int, ...]) -> np.ndarray:
-        if offsets in cache:
-            return cache[offsets]
-        p = x + h * np.array(offsets, dtype=float)
-        val = m.at(p)
-        cache[offsets] = val
-        return val
-
-    zero = (0,) * d
-
-    def shifted(i: int, k: int, base: tuple[int, ...] = zero) -> tuple[int, ...]:
-        lst = list(base)
-        lst[i] += k
-        return tuple(lst)
-
-    dg = np.empty((d, d, d))
-    for i in range(d):
-        acc = np.zeros((d, d))
-        for k, w in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            acc += w * gat(shifted(i, k))
-        dg[i] = acc / h[i]
+    acc = np.zeros((d, d, d))
+    for k, w in enumerate(_D1_WEIGHTS):
+        acc += w * g[axis[k]]
+    dg = acc / h[:, None, None]
 
     d2g = np.empty((d, d, d, d))
-    for i in range(d):
-        # pure second derivative, 4th order
-        acc = (
-            -gat(shifted(i, 2))
-            + 16.0 * gat(shifted(i, 1))
-            - 30.0 * g0
-            + 16.0 * gat(shifted(i, -1))
-            - gat(shifted(i, -2))
-        )
-        d2g[i, i] = acc / (12.0 * h[i] ** 2)
-        for j in range(i + 1, d):
-            acc = np.zeros((d, d))
-            for ki, wi in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                base = shifted(i, ki)
-                for kj, wj in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                    acc += wi * wj * gat(shifted(j, kj, base))
-            d2g[i, j] = acc / (h[i] * h[j])
-            d2g[j, i] = d2g[i, j]
+    # pure second derivative, 4th order; axis[3], axis[2], axis[1], axis[0]
+    # are the offsets +2, +1, -1, -2
+    acc = -g[axis[3]] + 16.0 * g[axis[2]] - 30.0 * g0 + 16.0 * g[axis[1]] - g[axis[0]]
+    diag = np.arange(d)
+    d2g[diag, diag] = acc / (12.0 * h**2)[:, None, None]
+    acc = np.zeros((len(iu), d, d))
+    for a, wi in enumerate(_D1_WEIGHTS):
+        for b, wj in enumerate(_D1_WEIGHTS):
+            acc += wi * wj * g[cross[a, b]]
+    d2g[iu, ju] = acc / (h[iu] * h[ju])[:, None, None]
+    d2g[ju, iu] = d2g[iu, ju]
     return g0, dg, d2g
 
 
@@ -176,21 +179,13 @@ def _christoffel_and_derivative(m: ChartMetric, x: np.ndarray, step: float):
     if np.linalg.cond(g0) > 1e12:
         raise SingularMetricError(f"metric condition number exceeds 1e12 at {x}")
     ginv = np.linalg.inv(g0)
-    d = m.dim
     # comb[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    comb = np.empty((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            comb[:, i, j] = dg[i, j, :] + dg[j, i, :] - dg[:, i, j]
+    comb = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
     gamma = 0.5 * np.einsum("kl,lij->kij", ginv, comb)
 
     # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}; d_m (d_i g_jl) = d2g[m, i, j, l]
     dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    dcomb = np.empty((d, d, d, d))  # dcomb[m, l, i, j]
-    for mm in range(d):
-        for i in range(d):
-            for j in range(d):
-                dcomb[mm, :, i, j] = d2g[mm, i, j, :] + d2g[mm, j, i, :] - d2g[mm, :, i, j]
+    dcomb = d2g.transpose(0, 3, 1, 2) + d2g.transpose(0, 3, 2, 1) - d2g  # dcomb[m, l, i, j]
     dgamma = 0.5 * (
         np.einsum("mkl,lij->mkij", dginv, comb) + np.einsum("kl,mlij->mkij", ginv, dcomb)
     )
@@ -314,7 +309,7 @@ def sectional(
 
 def euclidean_chart(d: int) -> ChartMetric:
     eye = np.eye(d)
-    return ChartMetric(d, lambda x: eye, label=f"euclidean:{d}")
+    return ChartMetric(d, lambda x: np.broadcast_to(eye, (len(x), d, d)), label=f"euclidean:{d}")
 
 
 def sphere_chart(d: int, radius: float = 1.0) -> ChartMetric:
@@ -327,32 +322,37 @@ def sphere_chart(d: int, radius: float = 1.0) -> ChartMetric:
     a2 = float(radius) ** 2
 
     def comps(x: np.ndarray) -> np.ndarray:
-        conf = 4.0 * a2 / (1.0 + float(x @ x)) ** 2
-        return conf * np.eye(d)
+        conf = 4.0 * a2 / (1.0 + np.sum(x * x, axis=1)) ** 2
+        return conf[:, None, None] * np.eye(d)
 
     return ChartMetric(d, comps, label=f"sphere:{d}:{radius}")
 
 
 def hyperbolic_plane_chart() -> ChartMetric:
     def comps(x: np.ndarray) -> np.ndarray:
-        y = x[1]
-        return np.diag([1.0 / y**2, 1.0 / y**2])
+        g = np.zeros((len(x), 2, 2))
+        g[:, [0, 1], [0, 1]] = (1.0 / x[:, 1] ** 2)[:, None]
+        return g
 
     return ChartMetric(2, comps, domain=lambda x: x[1] > 1e-3, label="hyperbolic2")
 
 
 def su2_frame_matrix(point: np.ndarray) -> np.ndarray:
-    """Coframe matrix M of the standard left-invariant one-forms on the
-    3-sphere group in Euler-angle coordinates (theta, phi, psi); row i
-    holds the components of the i-th one-form."""
-    theta, _, psi = point
-    return np.array(
-        [
-            [math.cos(psi), math.sin(psi) * math.sin(theta), 0.0],
-            [math.sin(psi), -math.cos(psi) * math.sin(theta), 0.0],
-            [0.0, math.cos(theta), 1.0],
-        ]
-    )
+    """Coframe matrices M of the standard left-invariant one-forms on the
+    3-sphere group in Euler-angle coordinates (theta, phi, psi); row i of
+    M holds the components of the i-th one-form. Points of shape (..., 3)
+    give matrices of shape (..., 3, 3)."""
+    point = np.asarray(point, dtype=float)
+    theta, psi = point[..., 0], point[..., 2]
+    sin_theta = np.sin(theta)
+    mm = np.zeros(point.shape[:-1] + (3, 3))
+    mm[..., 0, 0] = np.cos(psi)
+    mm[..., 0, 1] = np.sin(psi) * sin_theta
+    mm[..., 1, 0] = np.sin(psi)
+    mm[..., 1, 1] = -np.cos(psi) * sin_theta
+    mm[..., 2, 1] = np.cos(theta)
+    mm[..., 2, 2] = 1.0
+    return mm
 
 
 def s3_left_invariant_chart(l1: float, l2: float, l3: float) -> ChartMetric:
@@ -367,12 +367,12 @@ def s3_left_invariant_chart(l1: float, l2: float, l3: float) -> ChartMetric:
 
     def comps(x: np.ndarray) -> np.ndarray:
         mm = su2_frame_matrix(x)
-        return 0.25 * mm.T @ lam2 @ mm
+        return 0.25 * np.swapaxes(mm, -1, -2) @ lam2 @ mm
 
     return ChartMetric(
         3,
         comps,
-        domain=lambda x: 0.05 < x[0] % (2 * math.pi) < math.pi - 0.05,
+        domain=lambda x: 0.05 < x[0] % (2 * np.pi) < np.pi - 0.05,
         label=f"s3-left-invariant:{l1}:{l2}:{l3}",
     )
 

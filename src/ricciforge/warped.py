@@ -273,21 +273,18 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     h_exprs = spec.h
 
     def comps(x: np.ndarray) -> np.ndarray:
-        r = x[-1]
-        y = x[n : n + ps]
-        g = np.zeros((d, d))
-        fv = exprs.evaluate(f_expr, r)
-        hv = [exprs.evaluate(e, r) for e in h_exprs]
-        if kind == "torus":
-            for i in range(n):
-                g[i, i] = hv[i] ** 2
-        else:
-            mm = oracle.su2_frame_matrix(x[:3])
-            g[:3, :3] = 0.25 * mm.T @ np.diag(np.square(hv)) @ mm
-        conf = 4.0 * fv**2 / (1.0 + float(y @ y)) ** 2
-        for a in range(ps):
-            g[n + a, n + a] = conf
-        g[-1, -1] = 1.0
+        r = x[:, -1]
+        y = x[:, n : n + ps]
+        fv = exprs.evaluate_grid(f_expr, r)
+        h2 = np.square([exprs.evaluate_grid(e, r) for e in h_exprs]).reshape(n, len(x)).T
+        conf = 4.0 * fv**2 / (1.0 + np.sum(y * y, axis=1)) ** 2
+        g = np.zeros((len(x), d, d))
+        g[:, np.arange(n), np.arange(n)] = h2
+        g[:, np.arange(n, n + ps), np.arange(n, n + ps)] = conf[:, None]
+        g[:, -1, -1] = 1.0
+        if kind == "s3":
+            mm = oracle.su2_frame_matrix(x[:, :3])
+            g[:, :3, :3] = 0.25 * np.swapaxes(mm, -1, -2) * h2[:, None, :] @ mm
         return g
 
     def domain(x: np.ndarray) -> bool:

@@ -188,6 +188,27 @@ def test_nonpositive_h_profile_exits_four(capsys, tmp_path):
     assert "r - 2" in capsys.readouterr().err
 
 
+def test_point_outside_chart_domain_exits_four(capsys):
+    argv = ["warped-verify", "--preset", "reference-torus", "--p", "3", "--tol", "1e-5"]
+    assert cli.run(argv + ["--rs", "0.0005"]) == 4
+    assert "outside chart domain" in capsys.readouterr().err
+
+
+def test_warped_verify_without_radii_is_usage_error(capsys):
+    argv = ["warped-verify", "--preset", "s3-unequal", "--p", "3", "--tol", "1e-5", "--rs", ""]
+    assert cli.run(argv + ["--json"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_oracle_check_point_count(capsys):
+    code, report = run_json(capsys, ["oracle-check", "--preset", "sphere:2:1", "--points", "2"])
+    assert code == 0
+    assert report["results"]["points"] == len(report["checks"]) == 2
+    for bad in ("0", "-1"):
+        assert cli.run(["oracle-check", "--preset", "sphere:2:1", "--points", bad, "--json"]) == 3
+        assert capsys.readouterr().out == ""
+
+
 def test_json_output_byte_identical(capsys, torus_file):
     argv = ["warped-verify", "--spec", torus_file, "--p", "3", "--tol", "1e-5", "--json"]
     cli.run(argv)
@@ -220,12 +241,3 @@ def test_out_file(capsys, tmp_path, torus_file):
     assert code == 0
     on_disk = target.read_text().strip()
     assert on_disk == capsys.readouterr().out.strip()
-
-
-def test_thread_cap_respected(capsys, torus_file, monkeypatch):
-    monkeypatch.setenv("RICCI_FORGE_THREADS", "1")
-    code, report = run_json(
-        capsys, ["warped-verify", "--spec", torus_file, "--p", "3", "--tol", "1e-5"]
-    )
-    assert code == 0
-    assert report["results"]["max_gating_deviation"] <= 1e-5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,12 +52,17 @@ def test_christoffel_half_plane():
     assert np.max(np.abs(rest)) < 1e-8
 
 
-def test_christoffel_round_sphere_polar_chart():
-    # g = diag(1, sin^2 theta): Gamma^theta_{phi phi} = -sin(theta) cos(theta)
-    def comps(x):
-        return np.diag([1.0, math.sin(x[0]) ** 2])
+def polar_unit_sphere_comps(x):
+    # g = diag(1, sin^2 theta) at each row (theta, phi)
+    g = np.zeros((len(x), 2, 2))
+    g[:, 0, 0] = 1.0
+    g[:, 1, 1] = np.sin(x[:, 0]) ** 2
+    return g
 
-    m = ChartMetric(2, comps, domain=lambda x: 0.1 < x[0] < math.pi - 0.1)
+
+def test_christoffel_round_sphere_polar_chart():
+    # Gamma^theta_{phi phi} = -sin(theta) cos(theta)
+    m = ChartMetric(2, polar_unit_sphere_comps, domain=lambda x: 0.1 < x[0] < math.pi - 0.1)
     gamma = christoffel(m, np.array([math.pi / 3, 0.5]))
     assert gamma[0, 1, 1] == pytest.approx(-math.sqrt(3) / 4, abs=1e-9)
 
@@ -127,10 +133,7 @@ def test_frame_ricci_constant_curvature():
 
 def test_frame_ricci_unit_sphere_polar_chart():
     # frame {d_theta, d_phi / sin(theta)} on the unit 2-sphere
-    def comps(x):
-        return np.diag([1.0, math.sin(x[0]) ** 2])
-
-    m = ChartMetric(2, comps, domain=lambda x: 0.1 < x[0] < math.pi - 0.1)
+    m = ChartMetric(2, polar_unit_sphere_comps, domain=lambda x: 0.1 < x[0] < math.pi - 0.1)
     x = np.array([math.pi / 3, 0.5])
     fr = FrameAtPoint(x, np.diag([1.0, 1.0 / math.sin(x[0])]))
     got = frame_ricci(m, fr)
@@ -185,15 +188,50 @@ def test_dimension_cap():
 
 
 def test_singular_metric_rejected():
-    m = ChartMetric(2, lambda x: np.diag([1.0, 1e-13]))
+    m = ChartMetric(2, lambda x: np.broadcast_to(np.diag([1.0, 1e-13]), (len(x), 2, 2)))
     with pytest.raises(SingularMetricError):
         ricci(m, np.zeros(2))
 
 
 def test_domain_enforced():
     m = preset("hyperbolic2")
-    with pytest.raises(ValueError):
+    with pytest.raises(OracleError):
         ricci(m, np.array([0.0, -1.0]))
+    with pytest.raises(ValueError):
+        ricci(m, np.zeros(3))
+
+
+PRESET_BATCHES = [
+    ("euclidean:3", lambda rng, n: rng.uniform(-2, 2, (n, 3))),
+    ("sphere:4:2", lambda rng, n: rng.uniform(-2, 2, (n, 4))),
+    ("hyperbolic2", lambda rng, n: rng.uniform([-1, 0.01], [1, 3], (n, 2))),
+    ("s3-left-invariant:1:0.8:0.6", lambda rng, n: rng.uniform([0.1, 0, 0], [3.0, 6, 6], (n, 3))),
+]
+
+
+@pytest.mark.parametrize("name,draw", PRESET_BATCHES, ids=[name for name, _ in PRESET_BATCHES])
+def test_components_batch_matches_single_rows(name, draw):
+    m = preset(name)
+    pts = draw(np.random.default_rng(7), 9)
+    batch = m.components(pts)
+    assert batch.shape == (9, m.dim, m.dim)
+    rows = np.stack([m.components(pts[i : i + 1])[0] for i in range(len(pts))])
+    np.testing.assert_array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("name", ["euclidean:2", "sphere:8:1"])
+def test_ricci_evaluates_chart_once_per_level(name):
+    m = preset(name)
+    sizes = []
+
+    def counting(x):
+        sizes.append(len(x))
+        return m.components(x)
+
+    d = m.dim
+    ricci(dataclasses.replace(m, components=counting), np.full(d, 0.3))
+    stencil = 1 + 4 * d + 8 * d * (d - 1)
+    assert sizes == [1, stencil, stencil]
 
 
 def test_preset_registry_errors():

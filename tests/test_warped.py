@@ -184,6 +184,20 @@ def test_gauss_equation_spot_check():
     assert k == pytest.approx(want, abs=1e-5)
 
 
+@pytest.mark.parametrize("spec_fn", [reference_torus_spec, left_invariant_s3_spec])
+@pytest.mark.parametrize("p", [3, 5])
+def test_chart_components_batch_matches_single_rows(spec_fn, p):
+    chart = chart_metric(spec_fn(), p)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, (9, chart.dim))
+    pts[:, 0] = rng.uniform(0.1, 3.0, 9)  # inside the Euler-angle chart of the 3-sphere
+    pts[:, -1] = rng.uniform(0.01, 4.0, 9)  # r > 0
+    batch = chart.components(pts)
+    assert batch.shape == (9, chart.dim, chart.dim)
+    rows = np.stack([chart.components(pts[i : i + 1])[0] for i in range(len(pts))])
+    np.testing.assert_array_equal(batch, rows)
+
+
 def test_verify_rejects_unrealizable_spec():
     spec = WarpedFamilySpec(
         n=3,
