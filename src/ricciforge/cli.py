@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -136,8 +137,20 @@ def _emit(report: dict, args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _parse_floats(text: str) -> list:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _finite_float(text: str) -> float:
+    """The one parser of float inputs: a value that is not a finite number,
+    such as nan or inf, is a usage error (exit 3), named by its option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list:
+    return [_finite_float(t) for t in text.split(",") if t.strip()]
 
 
 # --- subcommands -------------------------------------------------------------
@@ -256,10 +269,9 @@ def cmd_warped_eval(args) -> int:
 
 def cmd_warped_verify(args) -> int:
     spec = _load_spec(args)
-    rs = _parse_floats(args.rs)
-    if not rs:
+    if not args.rs:
         raise UsageError("--rs names no radius")
-    rep = warped.verify_against_oracle(spec, args.p, rs, args.tol, args.step)
+    rep = warped.verify_against_oracle(spec, args.p, args.rs, args.tol, args.step)
     checks = [
         _check(f"{row['entry']}@r={row['r']:g}", row["pass"], row["deviation"], args.tol)
         for row in rep.rows
@@ -270,7 +282,7 @@ def cmd_warped_verify(args) -> int:
         {
             "spec": args.spec or args.preset,
             "p": args.p,
-            "rs": rs,
+            "rs": args.rs,
             "tol": args.tol,
         },
         results,
@@ -312,14 +324,13 @@ def cmd_smoothness(args) -> int:
 
 
 def cmd_variation_eval(args) -> int:
-    ts = _parse_floats(args.t)
-    rep = variation.verify_hopf_against_oracle(ts, args.tol, step=args.step)
+    rep = variation.verify_hopf_against_oracle(args.t, args.tol, step=args.step)
     data = variation.hopf_preset(step=args.step)
     checks = [
         _check(f"scaled-blocks-vs-oracle@t={row['t']:g}", row["pass"], row["deviation"], args.tol)
         for row in rep["rows"]
     ]
-    if 1.0 in ts:
+    if 1.0 in args.t:
         s = variation.canonical_variation_ricci(data, 1.0)
         full = np.zeros((3, 3))
         full[0, 0] = s.vv[0, 0]
@@ -337,7 +348,7 @@ def cmd_variation_eval(args) -> int:
         },
     }
     report = _report(
-        "variation-eval", {"preset": "hopf", "t": ts, "tol": args.tol}, results, checks
+        "variation-eval", {"preset": "hopf", "t": args.t, "tol": args.tol}, results, checks
     )
     return _emit(report, args)
 
@@ -345,8 +356,7 @@ def cmd_variation_eval(args) -> int:
 def cmd_error_bounds(args) -> int:
     data = variation.hopf_preset()
     c = args.C if args.C is not None else variation.bounded_error_constant(data)
-    ts = _parse_floats(args.ts)
-    rep = variation.error_bound_check(data, c, ts)
+    rep = variation.error_bound_check(data, c, args.ts)
     checks = [
         _check(f"{row['inequality']}@t={row['t']:g}", row["pass"], row["lhs"] - row["rhs"], 0.0)
         for row in rep.rows
@@ -358,7 +368,7 @@ def cmd_error_bounds(args) -> int:
         "per_tensor_slack": rep.per_tensor_slack,
         "violations": rep.violations,
     }
-    report = _report("error-bounds", {"preset": "hopf", "C": c, "ts": ts}, results, checks)
+    report = _report("error-bounds", {"preset": "hopf", "C": c, "ts": args.ts}, results, checks)
     return _emit(report, args)
 
 
@@ -370,6 +380,7 @@ def cmd_minp(args) -> int:
         "pStar": res.p_star,
         "margin": res.margin,
         "margin_r": res.margin_r,
+        "margin_direction": res.margin_direction,
         "reason": res.reason,
         "certificate": {
             "n": res.n,
@@ -436,19 +447,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-check", help="closed-form fixtures vs the chart oracle")
     p.add_argument("--preset", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=1e-6)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=_finite_float, default=None)
     common(p)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("warped-eval", help="closed-form Ricci blocks at one radius")
     p.add_argument("--spec")
     p.add_argument("--preset")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--slack", type=float, default=0.0)
+    p.add_argument("--slack", type=_finite_float, default=0.0)
     common(p)
     p.set_defaults(func=cmd_warped_eval)
 
@@ -456,47 +467,47 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec")
     p.add_argument("--preset")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--rs", default="0.25,0.5,1,2,4")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, required=True)
+    p.add_argument("--rs", type=_float_list, default="0.25,0.5,1,2,4")
+    p.add_argument("--step", type=_finite_float, default=None)
     common(p)
     p.set_defaults(func=cmd_warped_verify)
 
     p = sub.add_parser("smoothness", help="smooth-extension conditions at the axis")
     p.add_argument("--spec")
     p.add_argument("--preset")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_finite_float, default=1e-4)
     common(p)
     p.set_defaults(func=cmd_smoothness)
 
     p = sub.add_parser("variation-eval", help="fiber-scaling blocks vs the oracle")
     p.add_argument("--preset", default="hopf", choices=["hopf"])
-    p.add_argument("--t", default="1,0.5,0.25")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--t", type=_float_list, default="1,0.5,0.25")
+    p.add_argument("--tol", type=_finite_float, default=1e-5)
+    p.add_argument("--step", type=_finite_float, default=None)
     common(p)
     p.set_defaults(func=cmd_variation_eval)
 
     p = sub.add_parser("error-bounds", help="scaled-Ricci inequality suite")
     p.add_argument("--preset", default="hopf", choices=["hopf"])
-    p.add_argument("--ts", default="1,0.5,0.1,0.01")
-    p.add_argument("--C", type=float, default=None)
+    p.add_argument("--ts", type=_float_list, default="1,0.5,0.1,0.01")
+    p.add_argument("--C", type=_finite_float, default=None)
     common(p)
     p.set_defaults(func=cmd_error_bounds)
 
     p = sub.add_parser("minp", help="minimal sphere dimension by grid sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_finite_float, required=True)
     p.add_argument("--m", required=True, help="comma-separated exponents m_i")
-    p.add_argument("--rmax", type=float, default=50.0)
+    p.add_argument("--rmax", type=_finite_float, default=50.0)
     p.add_argument("--grid", type=int, default=1500)
     common(p)
     p.set_defaults(func=cmd_minp)
 
     p = sub.add_parser("kbound", help="closed-form sufficient threshold")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
+    p.add_argument("--c", type=_finite_float, required=True)
+    p.add_argument("--m", type=_finite_float, required=True)
     common(p)
     p.set_defaults(func=cmd_kbound)
 

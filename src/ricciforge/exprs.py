@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "parse",
     "diff",
     "evaluate",
+    "compile_scalar",
     "evaluate_grid",
     "to_text",
 ]
@@ -263,62 +264,83 @@ def exp(a: Expr) -> Expr:
 
 
 def evaluate(e: Expr, r: float) -> float:
-    """Evaluate the tree at a scalar r in IEEE double precision.
+    """Evaluate the tree once at a scalar r, by the rules of compile_scalar.
+    To evaluate one tree at several radii, hold its compiled closure."""
+    return compile_scalar(e)(r)
 
-    A negative base b with exponent n/d in lowest terms and d odd takes
-    the real root: b^(n/d) = (-1)^n |b|^(n/d). Raises DomainError naming
-    the offending node on division by zero, an even root of a negative
+
+def compile_scalar(e: Expr) -> Callable[[float], float]:
+    """Compile the tree into a closure r -> float in IEEE double precision.
+
+    Constants are converted to float once, here. A call evaluates children
+    left to right, except that a quotient evaluates its denominator first;
+    the first domain violation met is the one raised. A negative base b
+    with exponent n/d in lowest terms and d odd takes the real root:
+    b^(n/d) = (-1)^n |b|^(n/d). The closure raises DomainError naming the
+    offending node on division by zero, an even root of a negative
     number, a negative power of zero, or overflow.
     """
     if isinstance(e, Const):
-        return float(e.value)
+        v = float(e.value)
+        return lambda r: v
     if isinstance(e, Var):
-        return float(r)
-    if isinstance(e, Add):
-        return evaluate(e.left, r) + evaluate(e.right, r)
-    if isinstance(e, Sub):
-        return evaluate(e.left, r) - evaluate(e.right, r)
+        return float
     if isinstance(e, Neg):
-        return -evaluate(e.arg, r)
+        a = compile_scalar(e.arg)
+        return lambda r: -a(r)
+    if isinstance(e, Pow):
+        a, qf = compile_scalar(e.base), float(e.exponent)
+        return lambda r: _eval_pow(e, a(r), qf)
+    if isinstance(e, (Sin, Cos)):
+        a, fn = compile_scalar(e.arg), math.sin if isinstance(e, Sin) else math.cos
+        return lambda r: fn(a(r))
+    if isinstance(e, Exp):
+        a = compile_scalar(e.arg)
+
+        def exp_(r: float) -> float:
+            v = a(r)
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise DomainError("overflow in exp", e) from None
+
+        return exp_
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        raise TypeError(f"unknown node {type(e).__name__}")
+    a, b = compile_scalar(e.left), compile_scalar(e.right)
+    if isinstance(e, Add):
+        return lambda r: a(r) + b(r)
+    if isinstance(e, Sub):
+        return lambda r: a(r) - b(r)
     if isinstance(e, Mul):
-        return evaluate(e.left, r) * evaluate(e.right, r)
-    if isinstance(e, Div):
-        den = evaluate(e.right, r)
+        return lambda r: a(r) * b(r)
+
+    def div_(r: float) -> float:
+        den = b(r)
         if den == 0.0:
             raise DomainError("division by zero", e)
-        return evaluate(e.left, r) / den
-    if isinstance(e, Pow):
-        return _eval_pow(e, evaluate(e.base, r))
-    if isinstance(e, Sin):
-        return math.sin(evaluate(e.arg, r))
-    if isinstance(e, Cos):
-        return math.cos(evaluate(e.arg, r))
-    if isinstance(e, Exp):
-        v = evaluate(e.arg, r)
-        try:
-            return math.exp(v)
-        except OverflowError:
-            raise DomainError("overflow in exp", e) from None
-    raise TypeError(f"unknown node {type(e).__name__}")
+        return a(r) / den
+
+    return div_
 
 
-def _eval_pow(node: Pow, b: float) -> float:
-    q = node.exponent
+def _eval_pow(node: Pow, b: float, qf: float) -> float:
+    """b raised to the node's exponent q, given qf = float(q). An integral
+    q is exact as a float, so math.pow(b, qf) equals math.pow(b, int(q))."""
     try:
-        if q.denominator == 1:
-            if b == 0.0 and q < 0:
-                raise DomainError("zero raised to a negative power", node)
-            return math.pow(b, int(q))
         if b > 0.0:
-            return math.pow(b, float(q))
+            return math.pow(b, qf)
+        q = node.exponent
+        if b == 0.0 and q < 0:
+            raise DomainError("zero raised to a negative power", node)
+        if q.denominator == 1:
+            return math.pow(b, qf)
         if b == 0.0:
-            if q < 0:
-                raise DomainError("zero raised to a negative power", node)
             return 0.0
         if q.denominator % 2 == 0:
             raise DomainError("even root of a negative number", node)
         sign = -1.0 if q.numerator % 2 else 1.0
-        return sign * math.pow(-b, float(q))
+        return sign * math.pow(-b, qf)
     except OverflowError:
         raise DomainError("overflow in power", node) from None
 

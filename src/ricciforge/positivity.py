@@ -51,6 +51,12 @@ def reference_profiles() -> tuple[Expr, Expr]:
     return exprs.parse(_F_TEXT), exprs.parse(_H_TEXT)
 
 
+# The reference trees and the f-derivatives min_p needs, derived once.
+_F, _H = reference_profiles()
+_FP = exprs.diff(_F, 1)
+_FPP = exprs.diff(_FP, 1)
+
+
 @dataclass(frozen=True)
 class DirectionCoefficients:
     """One direction's bound Ric >= h^2 (r^2 (pK - L) + pR - S)."""
@@ -171,9 +177,13 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class MinPResult:
+    """At p_star: the smallest worst-case diagonal margin on the grid, its
+    radius, and its direction ("radial", "sphere" or "y<i>"); else None."""
+
     p_star: Optional[int]
     margin: Optional[float]
     margin_r: Optional[float]
+    margin_direction: Optional[str]
     reason: str
     n: int
     c: float
@@ -191,20 +201,18 @@ def _grid_diagonals(n: int, c: float, mi, grid: np.ndarray):
     subtracted. Entry value at p is base2 + (p-2) * slope, exact because
     each diagonal formula is affine in p.
     """
-    f, h = reference_profiles()
-    hv_scalar = exprs.evaluate_grid(h, grid)
-    fv = exprs.evaluate_grid(f, grid)
-    fp = exprs.evaluate_grid(exprs.diff(f, 1), grid)
-    fpp = exprs.evaluate_grid(exprs.diff(f, 2), grid)
-    h_list = [exprs.pow_(h, exprs.frac(m)) for m in mi]
-
-    def stacked(order: int) -> np.ndarray:
-        if not h_list:
-            return np.zeros((0, grid.size))
-        trees = [exprs.diff(e, order) if order else e for e in h_list]
-        return np.stack([exprs.evaluate_grid(e, grid) for e in trees])
-
-    hv, hp, hpp = stacked(0), stacked(1), stacked(2)
+    hv_scalar = exprs.evaluate_grid(_H, grid)
+    fv = exprs.evaluate_grid(_F, grid)
+    fp = exprs.evaluate_grid(_FP, grid)
+    fpp = exprs.evaluate_grid(_FPP, grid)
+    mi = [exprs.frac(m) for m in mi]
+    rows = {}  # each distinct exponent m -> grid values of h^m, (h^m)', (h^m)''
+    for m in mi:
+        if m not in rows:
+            e = exprs.pow_(_H, m)
+            d1 = exprs.diff(e, 1)
+            rows[m] = [exprs.evaluate_grid(t, grid) for t in (e, d1, exprs.diff(d1, 1))]
+    hv, hp, hpp = (np.array([rows[m][k] for m in mi]).reshape(-1, grid.size) for k in range(3))
     h2 = hv_scalar**2
     slack = (n - 1) * c * h2 if n else 0.0
 
@@ -252,12 +260,14 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
         raise ValueError("exponents must be nonnegative")
     rs = grid.values()
     base2, slope = _grid_diagonals(n, float(c), mi, rs)
+    names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
 
-    def result(reason, p_star=None, margin=None, margin_r=None) -> MinPResult:
+    def result(reason, p_star=None, margin=None, margin_r=None, direction=None) -> MinPResult:
         return MinPResult(
             p_star=p_star,
             margin=margin,
             margin_r=margin_r,
+            margin_direction=direction,
             reason=reason,
             n=n,
             c=float(c),
@@ -271,7 +281,6 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
     hopeless = np.any((slope <= 0.0) & (base2 <= 0.0), axis=1)
     if np.any(hopeless):
         which = int(np.argmax(hopeless))
-        names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
         return result(
             f"direction {names[which]} has a nonpositive diagonal bound with "
             "nonpositive p-slope at some radius; no p can make it positive"
@@ -290,8 +299,8 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
         else:
             lo = mid + 1
     marg = _margins(base2, slope, lo)
-    col = int(np.argmin(marg)) % rs.size
-    return result("ok", p_star=int(lo), margin=float(marg.min()), margin_r=float(rs[col]))
+    row, col = divmod(int(np.argmin(marg)), rs.size)
+    return result("ok", int(lo), float(marg.min()), float(rs[col]), names[row])
 
 
 def grid_positive(

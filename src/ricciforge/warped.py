@@ -70,6 +70,10 @@ class WarpedFamilySpec:
         every (i, j, i) entry to vanish.
     base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
         the normalized frame Y_i = X_i / h_i at the working point.
+
+    Construction derives, once and outside the fields, ``derivatives``:
+    the trees (e, e', e'') of f and of each h_i, and ``compiled``: their
+    closures. Build a spec once and evaluate it at many radii.
     """
 
     n: int
@@ -107,6 +111,13 @@ class WarpedFamilySpec:
         object.__setattr__(self, "structure", full)
         if self.base_ricci is None:
             object.__setattr__(self, "base_ricci", zero_base_ricci(self.n))
+        derivatives = []
+        for e in (self.f, *self.h):
+            d1 = exprs.diff(e, 1)
+            derivatives.append((e, d1, exprs.diff(d1, 1)))
+        compiled = tuple(tuple(exprs.compile_scalar(t) for t in trees) for trees in derivatives)
+        object.__setattr__(self, "derivatives", tuple(derivatives))
+        object.__setattr__(self, "compiled", compiled)
 
     @property
     def structure_vanishes(self) -> bool:
@@ -117,12 +128,9 @@ class WarpedFamilySpec:
 
         Raises DomainError naming the h profile when some h_i(r) <= 0.
         """
-        fv = exprs.evaluate(self.f, r)
-        fp = exprs.evaluate(exprs.diff(self.f, 1), r)
-        fpp = exprs.evaluate(exprs.diff(self.f, 2), r)
-        hv = np.array([exprs.evaluate(e, r) for e in self.h])
-        hp = np.array([exprs.evaluate(exprs.diff(e, 1), r) for e in self.h])
-        hpp = np.array([exprs.evaluate(exprs.diff(e, 2), r) for e in self.h])
+        (f0, f1, f2), *hs = self.compiled
+        fv, fp, fpp = f0(r), f1(r), f2(r)
+        hv, hp, hpp = (np.array([h[k](r) for h in hs]) for k in range(3))
         if np.any(hv <= 0.0):
             bad = int(np.argmax(hv <= 0.0))
             raise exprs.DomainError(f"h[{bad}]({r}) = {hv[bad]} is not positive", self.h[bad])
@@ -313,8 +321,9 @@ def frame_at(
     if sphere_point is None:
         sphere_point = np.linspace(0.2, 0.4, ps)
     x = np.concatenate([np.asarray(e_point, float), np.asarray(sphere_point, float), [r]])
-    fv = exprs.evaluate(spec.f, r)
-    hv = [exprs.evaluate(e, r) for e in spec.h]
+    (f0, _, _), *hs = spec.compiled
+    fv = f0(r)
+    hv = [h0(r) for h0, _, _ in hs]
     cols = np.zeros((d, d))
     cols[-1, 0] = 1.0  # d_r
     conf = (1.0 + float(sphere_point @ sphere_point)) / (2.0 * fv)
@@ -429,15 +438,14 @@ def smoothness_check(
     f(0) = 0, f'(0) = 1, f''(0) = 0, f > 0 away from the axis, and
     h_i'(0) = 0, each within tol, with axis values read at r = 1e-6."""
     eps = AXIS_EPS
-    f0 = exprs.evaluate(spec.f, eps)
-    f1 = exprs.evaluate(exprs.diff(spec.f, 1), eps)
-    f2 = exprs.evaluate(exprs.diff(spec.f, 2), eps)
+    (c0, c1, c2), *hs = spec.compiled
+    f0, f1, f2 = c0(eps), c1(eps), c2(eps)
     grid = np.linspace(eps, r_max, grid_points)
     fgrid = exprs.evaluate_grid(spec.f, grid)
     hprimes = []
     hpos = []
-    for e in spec.h:
-        hprimes.append(bool(abs(exprs.evaluate(exprs.diff(e, 1), eps)) <= tol))
+    for e, (_, h1, _) in zip(spec.h, hs):
+        hprimes.append(bool(abs(h1(eps)) <= tol))
         hpos.append(bool(np.all(exprs.evaluate_grid(e, grid) > 0.0)))
     return SmoothnessReport(
         f_zero_at_axis=bool(abs(f0) <= tol),
@@ -485,10 +493,10 @@ def spec_from_json(data) -> WarpedFamilySpec:
             return _m
 
     elif base_text.startswith("scaledIdentity:"):
-        scale = exprs.parse(base_text[len("scaledIdentity:") :])
+        scale = exprs.compile_scalar(exprs.parse(base_text[len("scaledIdentity:") :]))
 
         def base(r: float, _s=scale) -> np.ndarray:
-            return exprs.evaluate(_s, r) * np.eye(n)
+            return _s(r) * np.eye(n)
 
     else:
         raise ValueError(f"unknown baseRicci form {base_text!r}")
@@ -531,9 +539,10 @@ def left_invariant_s3_spec(
 
     f, _ = reference_profiles()
     h = tuple(exprs.parse(t) for t in h_texts)
+    h_at = [exprs.compile_scalar(e) for e in h]
 
     def base(r: float) -> np.ndarray:
-        scales = [exprs.evaluate(e, r) for e in h]
+        scales = [c(r) for c in h_at]
         return np.diag(oracle.left_invariant_s3_ricci(scales))
 
     b = QUATERNIONIC_BRACKET

@@ -241,3 +241,30 @@ def test_out_file(capsys, tmp_path, torus_file):
     assert code == 0
     on_disk = target.read_text().strip()
     assert on_disk == capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["warped-eval", "--preset", "round-sphere", "--p", "3", "--r", "nan"], "--r"),
+        (["warped-eval", "--preset", "round-sphere", "--p", "3", "--r", "inf"], "--r"),
+        (["warped-verify", "--preset", "reference-torus", "--p", "3", "--tol", "1e-5", "--rs", "1,nan"], "--rs"),
+        (["warped-verify", "--preset", "reference-torus", "--p", "3", "--tol", "nan", "--rs", "1"], "--tol"),
+        (["kbound", "--n", "1", "--c", "inf", "--m", "1"], "--c"),
+        (["minp", "--n", "1", "--c=-inf", "--m", "1"], "--c"),
+        (["error-bounds", "--ts", "1,0.5,nan"], "--ts"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv, option):
+    assert cli.run(argv + ["--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: not a finite number" in err
+
+
+def test_minp_reports_margin_direction(capsys):
+    code, report = run_json(capsys, ["minp", "--n", "1", "--c", "2", "--m", "1/4"])
+    assert code == 0
+    assert report["results"]["margin_direction"] == "y0"
+    code, report = run_json(capsys, ["minp", "--n", "1", "--c", "0", "--m", "0"])
+    assert report["results"]["margin_direction"] is None

@@ -14,6 +14,7 @@ from ricciforge.exprs import (
     ParseError,
     Pow,
     Var,
+    compile_scalar,
     diff,
     evaluate,
     evaluate_grid,
@@ -64,6 +65,53 @@ def test_eval_even_root_of_negative():
 
 def test_eval_odd_root_of_negative():
     assert evaluate(parse("(r-2)^(1/3)"), 1.0) == pytest.approx(-1.0)
+
+
+# (text, r, expected value) on the rules of compile_scalar and evaluate
+SCALAR_VALUES = [
+    ("(r-2)^(1/3)", 1.0, -1.0),
+    ("(r-2)^(2/3)", 1.0, 1.0),
+    ("(r-10)^(-1/3)", 2.0, -0.5),
+    ("(r-10)^3", 8.0, -8.0),
+    ("(r-1)^(1/2)", 1.0, 0.0),
+    ("sin(r) + cos(r)", 0.5, math.sin(0.5) + math.cos(0.5)),
+    ("-cos(2*r)/r", 0.25, -math.cos(0.5) / 0.25),
+    ("exp(-r^2)*(1+r^2)^(-5/4)", 0.7, math.exp(-0.49) * math.pow(1.49, -1.25)),
+]
+
+# (text, r, message, the subtree the error must name)
+SCALAR_ERRORS = [
+    ("1/r", 0.0, "division by zero", "1/r"),
+    ("1 + 1/(r-r)", 1.0, "division by zero", "1/(r - r)"),
+    # the denominator is evaluated first, so its error wins
+    ("(r-2)^(1/2)/(r-1)", 1.0, "division by zero", "(r - 2)^(1/2)/(r - 1)"),
+    ("r^(-2)", 0.0, "zero raised to a negative power", "r^(-2)"),
+    ("2*(r-1)^(-1/2)", 1.0, "zero raised to a negative power", "(r - 1)^(-1/2)"),
+    ("(r-2)^(1/2) + 1", 1.0, "even root of a negative number", "(r - 2)^(1/2)"),
+    ("exp(r^2) - 1", 100.0, "overflow in exp", "exp(r^2)"),
+    ("r^3", 1e200, "overflow in power", "r^3"),
+    ("(r+1)^(5/2)", 1e300, "overflow in power", "(r + 1)^(5/2)"),
+]
+
+
+@pytest.mark.parametrize("text,r,want", SCALAR_VALUES)
+def test_compiled_and_one_shot_values(text, r, want):
+    tree = parse(text)
+    at = compile_scalar(tree)
+    assert at(r) == evaluate(tree, r) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert at(r) == at(r)
+
+
+@pytest.mark.parametrize("text,r,message,node", SCALAR_ERRORS)
+def test_compiled_and_one_shot_errors_name_the_node(text, r, message, node):
+    tree = parse(text)
+    with pytest.raises(DomainError, match=message) as compiled:
+        compile_scalar(tree)(r)
+    with pytest.raises(DomainError, match=message) as one_shot:
+        evaluate(tree, r)
+    assert to_text(compiled.value.node) == to_text(one_shot.value.node) == node
+    assert compiled.value.node == one_shot.value.node
+    assert str(compiled.value) == str(one_shot.value)
 
 
 @pytest.mark.parametrize("text", ["(r-2)^(1/3)", "(r-2)^(2/3)", "(r-2)^(1/2)"])
@@ -213,14 +261,16 @@ def test_derivative_matches_central_differences():
             d3 = exprs._d(d2)
         except Exception:
             continue
+        # each tree is evaluated at many radii, so hold its compiled closure
+        at, d1_at, d3_at = (compile_scalar(e) for e in (tree, d1, d3))
         used = False
         for _ in range(20):
             r = rng.uniform(0.1, 10.0)
             step = 1e-5
             try:
-                vals = [evaluate(tree, r + s) for s in (-step, 0.0, step)]
-                dv = evaluate(d1, r)
-                d3v = evaluate(d3, r)
+                vals = [at(r + s) for s in (-step, 0.0, step)]
+                dv = d1_at(r)
+                d3v = d3_at(r)
             except DomainError:
                 continue
             if any(not math.isfinite(v) or abs(v) > 1e3 for v in vals):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,41 @@ def test_grid_validation():
     values = RadialGrid().values()
     assert values.min() >= 1e-4 and values.max() == 50.0
     assert values.size >= 1000
+
+
+def test_min_p_derives_each_exponent_once(monkeypatch):
+    derived = []
+    inner = exprs.diff
+
+    def counting(e, order=1):
+        derived.append(e)
+        return inner(e, order)
+
+    monkeypatch.setattr(exprs, "diff", counting)
+    h = reference_profiles()[1]
+    hm = exprs.pow_(h, Fraction(1, 2))
+    assert min_p(3, 1.0, ["1/2"] * 3).p_star is not None
+    assert derived == [hm, inner(hm, 1)]
+    derived.clear()
+    assert min_p(3, 1.0, ["1/2", 1, "1/2"]).p_star is not None
+    assert derived == [hm, inner(hm, 1), h, inner(h, 1)]
+
+
+@pytest.mark.parametrize(
+    "n,c,mi,direction",
+    [(1, 1.0, [1], "radial"), (2, 0.5, ["1/4", "3/2"], "radial"), (1, 2.0, ["1/4"], "y0")],
+)
+def test_min_p_margin_direction_names_the_binding_row(n, c, mi, direction):
+    res = min_p(n, c, mi)
+    assert res.margin_direction == direction
+    rs = RadialGrid().values()
+    base2, slope = positivity._grid_diagonals(n, c, [Fraction(m) for m in mi], rs)
+    names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
+    row = positivity._margins(base2, slope, res.p_star)[names.index(direction)]
+    assert row[int(np.flatnonzero(rs == res.margin_r)[0])] == res.margin == row.min()
+
+
+def test_min_p_without_p_star_has_no_direction():
+    res = min_p(1, 0.0, [0])
+    assert res.p_star is None
+    assert res.margin is res.margin_r is res.margin_direction is None

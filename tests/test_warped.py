@@ -302,3 +302,67 @@ def test_spec_json_structure_rows():
     spec = spec_from_json(json.dumps(data))
     assert spec.structure[(0, 1, 2)] == 2.0
     assert spec.structure[(1, 0, 2)] == -2.0
+
+
+CERTIFY_SPEC = {
+    "n": 2,
+    "f": "r*(1+r^2)^(-3/4)",
+    "h": ["(1+r^2)^(-1/3)", "(1+r^2)^(-5/4)"],
+    "structure": [],
+    "baseRicci": "scaledIdentity:-1/2*(1+r^2)^(-2)",
+}
+
+
+def _built_specs():
+    return [
+        reference_torus_spec(),
+        left_invariant_s3_spec(),
+        round_sphere_spec(),
+        spec_from_json(CERTIFY_SPEC),
+    ]
+
+
+def test_built_spec_derives_and_compiles_nothing(monkeypatch):
+    specs = _built_specs()
+    calls = []
+
+    def counting(name):
+        inner = getattr(exprs, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("diff", "evaluate", "compile_scalar"):
+        monkeypatch.setattr(exprs, name, counting(name))
+    for spec in specs:
+        for r in (0.3, 1.7):
+            ricci_warped(spec, r, 4)
+        smoothness_check(spec, 1e-4, r_max=3.0)
+        frame_at(spec, 3, 1.2)
+    assert calls == []
+
+
+def test_profile_values_equal_one_shot_derivatives():
+    rng = np.random.default_rng(20261018)
+    for spec in _built_specs():
+        for r in rng.uniform(0.05, 5.0, size=6):
+            fv, fp, fpp, hv, hp, hpp = spec.profile_values(float(r))
+            for e, values in [(spec.f, (fv, fp, fpp))] + [
+                (h, (hv[i], hp[i], hpp[i])) for i, h in enumerate(spec.h)
+            ]:
+                want = [exprs.evaluate(e, r)] + [exprs.evaluate(exprs.diff(e, k), r) for k in (1, 2)]
+                assert list(values) == want
+
+
+def test_derived_attributes_are_not_fields():
+    spec = spec_from_json(CERTIFY_SPEC)
+    assert [e for e, _, _ in spec.derivatives] == [spec.f, *spec.h]
+    assert spec.derivatives[0][2] == exprs.diff(spec.f, 2)
+    assert "compiled" not in repr(spec) and "derivatives" not in repr(spec)
+    assert spec == dataclasses.replace(spec)
+    flat = dataclasses.replace(spec, f=exprs.parse("r"))
+    assert flat.derivatives[0] == (flat.f, exprs.parse("1"), exprs.parse("0"))
+    assert flat.compiled[0][1](2.0) == 1.0
