@@ -13,6 +13,7 @@ spec error, 4 numeric or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -137,16 +138,23 @@ def _emit(report: dict, args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _finite_float(text: str) -> float:
+def _finite_float(text: str, low: float = -math.inf, strict: bool = False) -> float:
     """The one parser of float inputs: a value that is not a finite number,
-    such as nan or inf, is a usage error (exit 3), named by its option."""
+    such as nan or inf, is a usage error (exit 3), named by its option; so
+    is one below ``low``, or equal to it when ``strict``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if value < low or (strict and value == low):
+        raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low:g}: {text!r}")
     return value
+
+
+_tolerance = functools.partial(_finite_float, low=0.0)
+_step = functools.partial(_finite_float, low=0.0, strict=True)
 
 
 def _float_list(text: str) -> list:
@@ -294,26 +302,15 @@ def cmd_warped_verify(args) -> int:
 def cmd_smoothness(args) -> int:
     spec = _load_spec(args)
     rep = warped.smoothness_check(spec, args.tol)
-    checks = [
-        _check("f-vanishes-at-axis", rep.f_zero_at_axis, 0.0 if rep.f_zero_at_axis else 1.0, args.tol),
-        _check(
-            "f-slope-one-at-axis",
-            rep.f_prime_one_at_axis,
-            0.0 if rep.f_prime_one_at_axis else 1.0,
-            args.tol,
-        ),
-        _check(
-            "f-second-derivative-zero-at-axis",
-            rep.f_second_zero_at_axis,
-            0.0 if rep.f_second_zero_at_axis else 1.0,
-            args.tol,
-        ),
-        _check("f-positive", rep.f_positive, 0.0 if rep.f_positive else 1.0, 0.0),
+    flags = [
+        ("f-vanishes-at-axis", rep.f_zero_at_axis, args.tol),
+        ("f-slope-one-at-axis", rep.f_prime_one_at_axis, args.tol),
+        ("f-second-derivative-zero-at-axis", rep.f_second_zero_at_axis, args.tol),
+        ("f-positive", rep.f_positive, 0.0),
     ]
-    for i, ok in enumerate(rep.h_prime_zero_at_axis):
-        checks.append(_check(f"h[{i}]-even-at-axis", ok, 0.0 if ok else 1.0, args.tol))
-    for i, ok in enumerate(rep.h_positive):
-        checks.append(_check(f"h[{i}]-positive", ok, 0.0 if ok else 1.0, 0.0))
+    flags += [(f"h[{i}]-even-at-axis", ok, args.tol) for i, ok in enumerate(rep.h_prime_zero_at_axis)]
+    flags += [(f"h[{i}]-positive", ok, 0.0) for i, ok in enumerate(rep.h_positive)]
+    checks = [_check(name, ok, 0.0 if ok else 1.0, tol) for name, ok, tol in flags]
     report = _report(
         "smoothness",
         {"spec": args.spec or args.preset, "tol": args.tol},
@@ -447,10 +444,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-check", help="closed-form fixtures vs the chart oracle")
     p.add_argument("--preset", required=True)
-    p.add_argument("--tol", type=_finite_float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=_finite_float, default=None)
+    p.add_argument("--step", type=_step, default=None)
     common(p)
     p.set_defaults(func=cmd_oracle_check)
 
@@ -467,24 +464,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec")
     p.add_argument("--preset")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tol", type=_finite_float, required=True)
+    p.add_argument("--tol", type=_tolerance, required=True)
     p.add_argument("--rs", type=_float_list, default="0.25,0.5,1,2,4")
-    p.add_argument("--step", type=_finite_float, default=None)
+    p.add_argument("--step", type=_step, default=None)
     common(p)
     p.set_defaults(func=cmd_warped_verify)
 
     p = sub.add_parser("smoothness", help="smooth-extension conditions at the axis")
     p.add_argument("--spec")
     p.add_argument("--preset")
-    p.add_argument("--tol", type=_finite_float, default=1e-4)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
     common(p)
     p.set_defaults(func=cmd_smoothness)
 
     p = sub.add_parser("variation-eval", help="fiber-scaling blocks vs the oracle")
     p.add_argument("--preset", default="hopf", choices=["hopf"])
     p.add_argument("--t", type=_float_list, default="1,0.5,0.25")
-    p.add_argument("--tol", type=_finite_float, default=1e-5)
-    p.add_argument("--step", type=_finite_float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-5)
+    p.add_argument("--step", type=_step, default=None)
     common(p)
     p.set_defaults(func=cmd_variation_eval)
 

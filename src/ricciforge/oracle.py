@@ -67,8 +67,8 @@ class ChartMetric:
     dim : positive chart dimension (capped at MAX_DIM; finite differencing
         cost grows like dim**4).
     components : (N, dim) array of points -> (N, dim, dim) array of metric
-        components, one matrix per row. Only the symmetrized matrices are
-        ever used.
+        components, one matrix per row from that row's point alone. Only
+        the symmetrized matrices are ever used.
     domain : predicate deciding whether a single point is inside the chart.
     label : human-readable name for reports.
     """
@@ -93,12 +93,6 @@ class ChartMetric:
             raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
         if not self.domain(x):
             raise OracleError(f"point {x} outside chart domain of {self.label or 'metric'}")
-        g = self.at(x)
-        w = np.linalg.eigvalsh(g)
-        if w.min() <= 1e-12:
-            raise SingularMetricError(
-                f"metric not positive definite at {x} (min eigenvalue {w.min():.3e})"
-            )
 
 
 @dataclass(frozen=True)
@@ -108,11 +102,6 @@ class FrameAtPoint:
     x: np.ndarray
     vectors: np.ndarray  # (dim, dim), columns are the frame vectors
 
-    def orthonormality_defect(self, metric: ChartMetric) -> float:
-        g = metric.at(self.x)
-        gram = self.vectors.T @ g @ self.vectors
-        return float(np.max(np.abs(gram - np.eye(metric.dim))))
-
 
 # --- finite differences ---------------------------------------------------
 
@@ -121,63 +110,68 @@ _D1_OFFSETS = (-2, -1, 1, 2)
 _D1_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 
 
-def _steps(x: np.ndarray, step: float) -> np.ndarray:
-    return step * np.maximum(1.0, np.abs(x))
-
-
 @functools.lru_cache(maxsize=None)
 def _stencil(d: int):
-    """Stencil tables for dimension d.
-
-    Returns the offsets, in steps, of the 1 + 4d + 8d(d-1) distinct points
-    (the centre, four points on each axis, sixteen in each coordinate
-    plane) and index tables into them: ``axis[k, i]`` is the point
-    ``_D1_OFFSETS[k]`` steps along axis i, and ``cross[a, b, q]`` the point
-    ``_D1_OFFSETS[a]`` steps along ``iu[q]`` and ``_D1_OFFSETS[b]`` along
-    ``ju[q]``, for the pairs iu < ju.
-    """
+    """Offsets, in steps, of the 1 + 4d + 8d(d-1) distinct stencil points,
+    and the pairs iu < ju. Row 0 is the centre; row 1 + k*d + i is
+    _D1_OFFSETS[k] along axis i; row 1 + 4d + (4a + b)*len(iu) + q is
+    _D1_OFFSETS[a] along iu[q] plus _D1_OFFSETS[b] along ju[q]."""
     iu, ju = np.triu_indices(d, 1)
     on_axis = np.array(_D1_OFFSETS, dtype=float)[:, None, None] * np.eye(d)
     in_plane = on_axis[:, None, iu] + on_axis[None, :, ju]
     offsets = np.concatenate([np.zeros((1, d)), on_axis.reshape(-1, d), in_plane.reshape(-1, d)])
-    axis = 1 + np.arange(4 * d).reshape(4, d)
-    cross = 1 + 4 * d + np.arange(16 * len(iu)).reshape(4, 4, len(iu))
-    return offsets, axis, cross, iu, ju
+    return offsets, iu, ju
 
 
 def _metric_derivatives(m: ChartMetric, x: np.ndarray, step: float):
     """Return g, dg[i] = d_i g, and d2g[i][j] = d_i d_j g by 4th-order stencils,
-    from one chart evaluation at all stencil points."""
+    from one chart evaluation at all stencil points. Row 0 of the stencil
+    is x itself, so g is the symmetrized metric at x."""
     d = m.dim
-    h = _steps(x, step)
-    offsets, axis, cross, iu, ju = _stencil(d)
+    h = step * np.maximum(1.0, np.abs(x))
+    offsets, iu, ju = _stencil(d)
     g = _symmetrize(np.asarray(m.components(x + h * offsets), dtype=float))
-    g0 = g[0]
+    g0 = g[0].copy()  # a copy, so the stencil array is freed with this level
+    axis = g[1 : 1 + 4 * d].reshape(4, d, d, d)  # axis[k][i]: _D1_OFFSETS[k] along i
+    cross = g[1 + 4 * d :].reshape(4, 4, len(iu), d, d)
 
     acc = np.zeros((d, d, d))
     for k, w in enumerate(_D1_WEIGHTS):
-        acc += w * g[axis[k]]
+        acc += w * axis[k]
     dg = acc / h[:, None, None]
 
     d2g = np.empty((d, d, d, d))
     # pure second derivative, 4th order; axis[3], axis[2], axis[1], axis[0]
     # are the offsets +2, +1, -1, -2
-    acc = -g[axis[3]] + 16.0 * g[axis[2]] - 30.0 * g0 + 16.0 * g[axis[1]] - g[axis[0]]
+    acc = -axis[3] + 16.0 * axis[2] - 30.0 * g0 + 16.0 * axis[1] - axis[0]
     diag = np.arange(d)
     d2g[diag, diag] = acc / (12.0 * h**2)[:, None, None]
     acc = np.zeros((len(iu), d, d))
     for a, wi in enumerate(_D1_WEIGHTS):
         for b, wj in enumerate(_D1_WEIGHTS):
-            acc += wi * wj * g[cross[a, b]]
+            acc += wi * wj * cross[a, b]
     d2g[iu, ju] = acc / (h[iu] * h[ju])[:, None, None]
     d2g[ju, iu] = d2g[iu, ju]
     return g0, dg, d2g
 
 
-def _christoffel_and_derivative(m: ChartMetric, x: np.ndarray, step: float):
+def _coarse_level(m: ChartMetric, x: np.ndarray, step: float):
+    """Check x and step, take _metric_derivatives, check g at x (the same at every level)."""
+    m.check_point(x)
+    if step <= 0:
+        raise ValueError("step must be positive")
     g0, dg, d2g = _metric_derivatives(m, x, step)
+    w = np.linalg.eigvalsh(g0)
+    if w.min() <= 1e-12:
+        raise SingularMetricError(
+            f"metric not positive definite at {x} (min eigenvalue {w.min():.3e})"
+        )
     if np.linalg.cond(g0) > 1e12:
         raise SingularMetricError(f"metric condition number exceeds 1e12 at {x}")
+    return g0, dg, d2g
+
+
+def _christoffel_and_derivative(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
     ginv = np.linalg.inv(g0)
     # comb[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     comb = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
@@ -189,7 +183,7 @@ def _christoffel_and_derivative(m: ChartMetric, x: np.ndarray, step: float):
     dgamma = 0.5 * (
         np.einsum("mkl,lij->mkij", dginv, comb) + np.einsum("kl,mlij->mkij", ginv, dcomb)
     )
-    return g0, gamma, dgamma
+    return gamma, dgamma
 
 
 def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -199,15 +193,12 @@ def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np
     per-coordinate steps scaled by the local coordinate magnitude. The
     point must lie inside the chart with margin at least 2*step.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    m.check_point(x)
-    _, gamma, _ = _christoffel_and_derivative(m, np.asarray(x, dtype=float), step)
-    return gamma
+    x = np.asarray(x, dtype=float)
+    return _christoffel_and_derivative(*_coarse_level(m, x, step))[0]
 
 
-def _riemann_once(m: ChartMetric, x: np.ndarray, step: float) -> np.ndarray:
-    _, gamma, dgamma = _christoffel_and_derivative(m, x, step)
+def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
+    gamma, dgamma = _christoffel_and_derivative(g0, dg, d2g)
     # R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
     #                      + Gamma^rho_{mu lam} Gamma^lam_{nu sigma}
     #                      - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}
@@ -216,6 +207,18 @@ def _riemann_once(m: ChartMetric, x: np.ndarray, step: float) -> np.ndarray:
     term3 = np.einsum("rml,lns->rsmn", gamma, gamma)
     term4 = np.einsum("rnl,lms->rsmn", gamma, gamma)
     return term1 - term2 + term3 - term4
+
+
+def _riemann(m: ChartMetric, x: np.ndarray, step: Optional[float], richardson: bool):
+    """(g at x, Riemann at x) from one chart call per Richardson level; the
+    fine level is evaluated only once the coarse one has passed its checks."""
+    x = np.asarray(x, dtype=float)
+    s = DEFAULT_STEP if step is None else float(step)
+    g0, dg, d2g = _coarse_level(m, x, s)
+    riem = _riemann_once(g0, dg, d2g)
+    if richardson:
+        riem = (16.0 * _riemann_once(*_metric_derivatives(m, x, s / 2.0)) - riem) / 15.0
+    return g0, riem
 
 
 def riemann(
@@ -230,16 +233,12 @@ def riemann(
     (evaluations at step and step/2), which recovers most of the digits
     lost to differencing second derivatives of the metric.
     """
-    x = np.asarray(x, dtype=float)
-    m.check_point(x)
-    s = DEFAULT_STEP if step is None else float(step)
-    if s <= 0:
-        raise ValueError("step must be positive")
-    coarse = _riemann_once(m, x, s)
-    if not richardson:
-        return coarse
-    fine = _riemann_once(m, x, s / 2.0)
-    return (16.0 * fine - coarse) / 15.0
+    return _riemann(m, x, step, richardson)[1]
+
+
+def _ricci_of(riem: np.ndarray) -> tuple[np.ndarray, float]:
+    ric = np.einsum("rsrn->sn", riem)
+    return 0.5 * (ric + ric.T), float(np.max(np.abs(ric - ric.T)))
 
 
 def ricci_with_asymmetry(
@@ -249,10 +248,7 @@ def ricci_with_asymmetry(
     richardson: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Coordinate Ricci tensor and the max |R_ij - R_ji| before symmetrization."""
-    riem = riemann(m, x, step=step, richardson=richardson)
-    ric = np.einsum("rsrn->sn", riem)
-    asym = float(np.max(np.abs(ric - ric.T)))
-    return 0.5 * (ric + ric.T), asym
+    return _ricci_of(_riemann(m, x, step, richardson)[1])
 
 
 def ricci(
@@ -272,11 +268,11 @@ def frame_ricci(
     richardson: bool = True,
 ) -> np.ndarray:
     """Ricci tensor expressed in a g-orthonormal frame, Ric(e_a, e_b)."""
-    defect = fr.orthonormality_defect(m)
+    g0, riem = _riemann(m, fr.x, step, richardson)
+    defect = float(np.max(np.abs(fr.vectors.T @ g0 @ fr.vectors - np.eye(m.dim))))
     if defect > 1e-8:
         raise OracleError(f"frame is not orthonormal (defect {defect:.3e} > 1e-8)")
-    ric = ricci(m, fr.x, step=step, richardson=richardson)
-    return fr.vectors.T @ ric @ fr.vectors
+    return fr.vectors.T @ _ricci_of(riem)[0] @ fr.vectors
 
 
 def sectional(
@@ -288,17 +284,15 @@ def sectional(
     richardson: bool = True,
 ) -> float:
     """Sectional curvature of the plane spanned by u and v at x."""
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g = m.at(x)
+    g, riem = _riemann(m, x, step, richardson)
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)
     denom = uu * vv - uv * uv
     if denom < 1e-12:
         raise OracleError("degenerate plane: |u|^2 |v|^2 - <u,v>^2 < 1e-12")
-    riem = riemann(m, x, step=step, richardson=richardson)
     # <R(u,v)v, u> = g_{ra} R^r_{smn} u^m v^n v^s u^a
     num = float(np.einsum("ra,rsmn,m,n,s,a->", g, riem, u, v, v, u))
     return num / denom

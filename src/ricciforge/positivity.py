@@ -177,8 +177,10 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class MinPResult:
-    """At p_star: the smallest worst-case diagonal margin on the grid, its
-    radius, and its direction ("radial", "sphere" or "y<i>"); else None."""
+    """At p_star: the smallest raw worst-case diagonal margin on the grid,
+    its radius, and its direction ("radial", "sphere" or "y<i>"); else
+    None. The raw margin decays like h^2 r^2, so margin_r is usually the
+    grid's end r_max, not the radius where positivity is tightest."""
 
     p_star: Optional[int]
     margin: Optional[float]
@@ -230,6 +232,18 @@ def _margins(base2: np.ndarray, slope: np.ndarray, p: int) -> np.ndarray:
     return base2 + (p - 2) * slope
 
 
+def _checked_exponents(n: int, c: float, mi: Sequence) -> tuple:
+    """min_p's and grid_positive's rule: n exponents, each a nonnegative exact rational; c >= 0."""
+    if n < 0 or len(mi) != n:
+        raise ValueError("mi must have length n")
+    if c < 0.0:
+        raise ValueError("c must be nonnegative")
+    mi = tuple(exprs.frac(m) for m in mi)
+    if any(m < 0 for m in mi):
+        raise ValueError("exponents must be nonnegative")
+    return mi
+
+
 def _positive(base2: np.ndarray, slope: np.ndarray, p: int) -> bool:
     """The search predicate: every worst-case diagonal margin is positive."""
     return bool(np.all(_margins(base2, slope, p) > 0.0))
@@ -251,13 +265,7 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
     """
     if grid is None:
         grid = RadialGrid()
-    if n < 0 or len(mi) != n:
-        raise ValueError("mi must have length n")
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
-    mi = tuple(exprs.frac(m) for m in mi)
-    if any(m < 0 for m in mi):
-        raise ValueError("exponents must be nonnegative")
+    mi = _checked_exponents(n, c, mi)
     rs = grid.values()
     base2, slope = _grid_diagonals(n, float(c), mi, rs)
     names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
@@ -310,6 +318,7 @@ def grid_positive(
     radius for this p; the same predicate min_p searches over."""
     if grid is None:
         grid = RadialGrid()
+    mi = _checked_exponents(n, c, mi)
     return _positive(*_grid_diagonals(n, float(c), mi, grid.values()), p)
 
 

@@ -262,6 +262,36 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, option):
     assert f"argument {option}: not a finite number" in err
 
 
+NEGATIVE_TOL = "--tol: must be >= 0"
+NONPOSITIVE_STEP = "--step: must be > 0"
+TORUS_P3 = ["--preset", "reference-torus", "--p", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle-check", "--preset", "sphere:2:1", "--tol", "-1"], NEGATIVE_TOL),
+        (["warped-verify", *TORUS_P3, "--tol", "-1", "--rs", "1"], NEGATIVE_TOL),
+        (["smoothness", "--preset", "reference-torus", "--tol", "-1"], NEGATIVE_TOL),
+        (["variation-eval", "--tol", "-1"], NEGATIVE_TOL),
+        (["oracle-check", "--preset", "sphere:2:1", "--step", "0"], NONPOSITIVE_STEP),
+        (["warped-verify", *TORUS_P3, "--tol", "1e-5", "--step=-1e-3"], NONPOSITIVE_STEP),
+        (["variation-eval", "--step", "0"], NONPOSITIVE_STEP),
+    ],
+)
+def test_out_of_range_tol_and_step_are_usage_errors(capsys, argv, message):
+    assert cli.run(argv + ["--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: argument {message}" in err
+
+
+def test_zero_tolerance_is_legal(capsys):
+    code, report = run_json(capsys, ["oracle-check", "--preset", "sphere:2:1", "--tol", "0"])
+    assert code == 2
+    assert report["inputs"]["tol"] == 0.0
+
+
 def test_minp_reports_margin_direction(capsys):
     code, report = run_json(capsys, ["minp", "--n", "1", "--c", "2", "--m", "1/4"])
     assert code == 0

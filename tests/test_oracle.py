@@ -201,6 +201,17 @@ def test_domain_enforced():
         ricci(m, np.zeros(3))
 
 
+def test_domain_reported_before_frame_and_plane():
+    # the metric at x comes from the stencil, so x is checked first
+    m = preset("hyperbolic2")
+    x = np.array([0.0, -2.0])
+    with pytest.raises(OracleError, match="outside chart domain"):
+        frame_ricci(m, FrameAtPoint(x, np.eye(2)))
+    v = np.array([1.0, 1.0])
+    with pytest.raises(OracleError, match="outside chart domain"):
+        sectional(m, x, v, 2.0 * v)
+
+
 PRESET_BATCHES = [
     ("euclidean:3", lambda rng, n: rng.uniform(-2, 2, (n, 3))),
     ("sphere:4:2", lambda rng, n: rng.uniform(-2, 2, (n, 4))),
@@ -221,6 +232,8 @@ def test_components_batch_matches_single_rows(name, draw):
 
 @pytest.mark.parametrize("name", ["euclidean:2", "sphere:8:1"])
 def test_ricci_evaluates_chart_once_per_level(name):
+    # one chart call per Richardson level and none at the single point x:
+    # the metric at x is the stencil's centre row
     m = preset(name)
     sizes = []
 
@@ -229,9 +242,22 @@ def test_ricci_evaluates_chart_once_per_level(name):
         return m.components(x)
 
     d = m.dim
-    ricci(dataclasses.replace(m, components=counting), np.full(d, 0.3))
+    counted = dataclasses.replace(m, components=counting)
+    x = np.full(d, 0.3)
+    u, v = np.eye(d)[0], np.eye(d)[1]
+    frame = coordinate_frame(m, x)
     stencil = 1 + 4 * d + 8 * d * (d - 1)
-    assert sizes == [1, stencil, stencil]
+    calls = [
+        (lambda: ricci(counted, x), [stencil, stencil]),
+        (lambda: frame_ricci(counted, frame), [stencil, stencil]),
+        (lambda: sectional(counted, x, u, v), [stencil, stencil]),
+        (lambda: christoffel(counted, x), [stencil]),
+        (lambda: ricci(counted, x, richardson=False), [stencil]),
+    ]
+    for call, want in calls:
+        sizes.clear()
+        call()
+        assert sizes == want
 
 
 def test_preset_registry_errors():

@@ -209,6 +209,18 @@ def test_min_p_validation():
         min_p(1, -1.0, [1])
 
 
+@pytest.mark.parametrize(
+    "n,c,mi",
+    [(2, 0.0, [1]), (1, 0.0, [1, 1]), (1, -1.0, [1]), (1, 0.0, [-1])],
+    ids=["too-few-exponents", "too-many-exponents", "negative-c", "negative-exponent"],
+)
+def test_grid_positive_validates_like_min_p(n, c, mi):
+    with pytest.raises(ValueError):
+        grid_positive(n, c, mi, 50)
+    with pytest.raises(ValueError):
+        min_p(n, c, mi)
+
+
 def test_k_bound_values_and_monotonicity():
     assert k_bound(1, 0.0, 1.0) == 25.0
     assert k_bound(2, 0.0, 1.0) == 49.0
