@@ -321,8 +321,8 @@ def cmd_smoothness(args) -> int:
 
 
 def cmd_variation_eval(args) -> int:
-    rep = variation.verify_hopf_against_oracle(args.t, args.tol, step=args.step)
     data = variation.hopf_preset(step=args.step)
+    rep = variation.verify_hopf_against_oracle(args.t, args.tol, step=args.step, data=data)
     checks = [
         _check(f"scaled-blocks-vs-oracle@t={row['t']:g}", row["pass"], row["deviation"], args.tol)
         for row in rep["rows"]
@@ -432,6 +432,7 @@ def cmd_plan(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
+@functools.cache  # built on the first run() and reused; never mutated after
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ricciforge", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -517,10 +518,11 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as done:  # --help and --version print their text, then exit
+        return done.code
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -171,19 +171,12 @@ def _coarse_level(m: ChartMetric, x: np.ndarray, step: float):
     return g0, dg, d2g
 
 
-def _christoffel_and_derivative(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
+def _christoffel(g0: np.ndarray, dg: np.ndarray):
+    """(g^{-1}, comb, Gamma) at a point from g and its first derivatives."""
     ginv = np.linalg.inv(g0)
     # comb[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     comb = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, comb)
-
-    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}; d_m (d_i g_jl) = d2g[m, i, j, l]
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    dcomb = d2g.transpose(0, 3, 1, 2) + d2g.transpose(0, 3, 2, 1) - d2g  # dcomb[m, l, i, j]
-    dgamma = 0.5 * (
-        np.einsum("mkl,lij->mkij", dginv, comb) + np.einsum("kl,mlij->mkij", ginv, dcomb)
-    )
-    return gamma, dgamma
+    return ginv, comb, 0.5 * np.einsum("kl,lij->kij", ginv, comb)
 
 
 def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -194,11 +187,18 @@ def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np
     point must lie inside the chart with margin at least 2*step.
     """
     x = np.asarray(x, dtype=float)
-    return _christoffel_and_derivative(*_coarse_level(m, x, step))[0]
+    g0, dg, _ = _coarse_level(m, x, step)
+    return _christoffel(g0, dg)[2]
 
 
 def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
-    gamma, dgamma = _christoffel_and_derivative(g0, dg, d2g)
+    ginv, comb, gamma = _christoffel(g0, dg)
+    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}; d_m (d_i g_jl) = d2g[m, i, j, l]
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+    dcomb = d2g.transpose(0, 3, 1, 2) + d2g.transpose(0, 3, 2, 1) - d2g  # dcomb[m, l, i, j]
+    dgamma = 0.5 * (
+        np.einsum("mkl,lij->mkij", dginv, comb) + np.einsum("kl,mlij->mkij", ginv, dcomb)
+    )
     # R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
     #                      + Gamma^rho_{mu lam} Gamma^lam_{nu sigma}
     #                      - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}

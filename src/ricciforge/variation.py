@@ -272,12 +272,16 @@ def hopf_preset(step: Optional[float] = None) -> SubmersionData:
 
 
 def verify_hopf_against_oracle(
-    ts: Sequence[float], tol: float, step: Optional[float] = None
+    ts: Sequence[float],
+    tol: float,
+    step: Optional[float] = None,
+    data: Optional[SubmersionData] = None,
 ) -> dict:
     """Compare the closed-form scaled blocks of the Hopf preset with the
     oracle on the squashed-sphere chart for each t; scaling the circle
-    fibers of the round sphere is exactly that family."""
-    data = hopf_preset(step=step)
+    fibers of the round sphere is exactly that family. Pass the preset as
+    data when the caller has already built it with the same step."""
+    data = hopf_preset(step=step) if data is None else data
     rows = []
     for t in ts:
         s = canonical_variation_ricci(data, float(t))

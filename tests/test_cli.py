@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from ricciforge import cli
+from ricciforge import __version__, cli, oracle
 
 TORUS_SPEC = {
     "n": 1,
@@ -129,6 +130,22 @@ def test_variation_eval(capsys):
     code, report = run_json(capsys, ["variation-eval", "--t", "1,0.5,0.25", "--tol", "1e-5"])
     assert code == 0
     assert any(c["name"] == "round-sphere-ricci-at-t1" for c in report["checks"])
+
+
+def test_variation_eval_builds_hopf_preset_once(capsys, monkeypatch):
+    calls = []
+    frame_ricci = oracle.frame_ricci
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].label)
+        return frame_ricci(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "frame_ricci", counting)
+    code = cli.run(["variation-eval", "--t", "1,0.5,0.25", "--json"])
+    capsys.readouterr()
+    assert code == 0
+    # two for the preset (S^3 and the base S^2), then one per t
+    assert len(calls) == 5
 
 
 def test_error_bounds_default_constant(capsys):
@@ -298,3 +315,61 @@ def test_minp_reports_margin_direction(capsys):
     assert report["results"]["margin_direction"] == "y0"
     code, report = run_json(capsys, ["minp", "--n", "1", "--c", "0", "--m", "0"])
     assert report["results"]["margin_direction"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["--version"], __version__),
+        (["--help"], "usage: ricciforge "),
+        (["kbound", "--help"], "usage: ricciforge kbound "),
+    ],
+    ids=["version", "help", "kbound-help"],
+)
+def test_help_and_version_return_exit_code(capsys, monkeypatch, argv, head):
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(head)
+    assert err == ""
+    monkeypatch.setattr(sys, "argv", ["ricciforge"] + argv)
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == out
+
+
+def test_reused_parser_output_unchanged_after_other_runs(capsys):
+    first = ["warped-verify", "--preset", "reference-torus", "--p", "3", "--tol", "1e-5", "--json"]
+    runs = []
+    for argv in (
+        first,
+        ["oracle-check", "--preset", "sphere:2:1", "--points", "0"],
+        ["oracle-check", "--preset", "sphere:2:1", "--points", "2", "--csv"],
+        first,
+    ):
+        code = cli.run(argv)
+        runs.append((code, capsys.readouterr()))
+    assert runs[1][0] == 3 and runs[1][1].err.startswith("usage error:")
+    assert runs[2][0] == 0 and runs[2][1].out.startswith("name,pass,value,tolerance")
+    assert runs[0][0] == runs[3][0] == 0
+    assert runs[0][1] == runs[3][1]
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    cli.run(["kbound", "--n", "1", "--c", "0", "--m", "1"])
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    for argv in (
+        ["kbound", "--n", "1", "--c", "0", "--m", "1", "--json"],
+        ["oracle-check", "--preset", "sphere:2:1", "--points", "0"],
+        ["minp", "--n", "1", "--c", "0", "--m", "1", "--csv"],
+    ):
+        cli.run(argv)
+    capsys.readouterr()
+    assert built == []
