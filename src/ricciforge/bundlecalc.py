@@ -148,11 +148,9 @@ class FamilyParams:
                 f"certificate is fixed at q = {self.q}; cannot instantiate at {q}"
             )
         rho = q / self.q_ref
-        curv = self.curvature
+        curv = _scale_e(self.curvature, rho)
         if self.curvature_rate is not None:
             curv = self.curvature_rate.at(q)
-        elif curv is not None:
-            curv = CurvatureBound(L=curv.L, e=curv.e * rho)
         return FamilyParams(
             q=q,
             c=self.c,
@@ -163,6 +161,11 @@ class FamilyParams:
             m_lower=self.m_lower * rho,
             derived=self.derived,
         )
+
+
+def _scale_e(curv: Optional[CurvatureBound], rho: Fraction) -> Optional[CurvatureBound]:
+    # substituting t -> t^rho (up to constants) scales a curvature exponent e to rho * e
+    return None if curv is None else CurvatureBound(L=curv.L, e=curv.e * rho)
 
 
 def reparametrize(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
@@ -180,9 +183,6 @@ def reparametrize(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
         if rho == 1:
             return fp
         raise CertificateError("instantiate an every-exponent certificate before reparametrizing")
-    curv = fp.curvature
-    if curv is not None:
-        curv = CurvatureBound(L=curv.L, e=curv.e * rho)
     # the exact substitution divides every exponent by rho; any smaller
     # value stays a valid lower bound, and the clamp keeps the record
     # consistent with the conservative upper bound rho * m
@@ -192,7 +192,7 @@ def reparametrize(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
         q=fp.q / rho,
         m=fp.m * rho,
         m_lower=lower,
-        curvature=curv,
+        curvature=_scale_e(fp.curvature, rho),
     )
 
 
@@ -207,12 +207,8 @@ def reparametrize_exact(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
         raise CertificateError("rho must be positive")
     if fp.for_all_q:
         raise CertificateError("instantiate an every-exponent certificate before reparametrizing")
-    curv = fp.curvature
-    if curv is not None:
-        curv = CurvatureBound(L=curv.L, e=curv.e * rho)
-    return replace(
-        fp, q=fp.q * rho, m=fp.m * rho, m_lower=fp.m_lower * rho, curvature=curv
-    )
+    curv = _scale_e(fp.curvature, rho)
+    return replace(fp, q=fp.q * rho, m=fp.m * rho, m_lower=fp.m_lower * rho, curvature=curv)
 
 
 def rescale(fp: FamilyParams, r: FractionLike) -> FamilyParams:
@@ -248,13 +244,6 @@ def weaken(fp: FamilyParams, s: FractionLike) -> FamilyParams:
 # --- bundle constructions ---------------------------------------------------
 
 VARIANTS = ("general", "flat-fiber", "flat-bundle")
-
-
-def _q2(dim_total: int, dim_fiber: int) -> float:
-    # Ricci entries are sums of at most dim-1 sectional curvatures on each
-    # side of the recovery identities, so this factor converts a sectional
-    # bound into an error-term bound.
-    return float(dim_total + dim_fiber - 2)
 
 
 def bundle_certificate(
@@ -295,16 +284,17 @@ def bundle_certificate(
         raise CertificateError("a_bound must be nonnegative")
     l_b, b = base.curvature.L, base.curvature.e
     l_f, f = fiber.curvature.L, fiber.curvature.e
-    dim_e = base.dim + fiber.dim
-    q2 = _q2(dim_e, fiber.dim)
+    # Ricci entries are sums of at most dim-1 sectional curvatures on each
+    # side of the recovery identities, so this factor converts a sectional
+    # bound into an error-term bound.
+    q2 = float(base.dim + 2 * fiber.dim - 2)
     # t = 1 curvature of the squashed family through the horizontal
-    # distribution: base part + integrability part + fiber part.
-    l_mix = l_b + 4.0 * base.dim**2 * float(a_bound) + l_f
+    # distribution: base part + integrability part (l_ba) + fiber part.
+    l_ba = l_b + 4.0 * base.dim**2 * float(a_bound)
+    l_mix = l_ba + l_f
 
     if variant == "general":
-        m_hat = max(b, 2 * base.m, f)
-        q = base.q
-        need = 2 * m_hat + 3 * q
+        m_hat, need = _general_need(base, f)
         if fiber.q < need:
             raise CertificateError(
                 "variant 'general' requires fiber.q >= 2*m_hat + 3*base.q: "
@@ -312,16 +302,13 @@ def bundle_certificate(
                 f"(m_hat = {m_hat} = max(base e {b}, 2*base m {2 * base.m}, fiber e {f}))"
             )
         q3 = q2 * l_mix
-        return FamilyParams(
-            q=q,
+        return _total_space(
+            base,
+            fiber,
+            f"c from error constant {q3} = {q2} * (L_b + 4 dimB^2 L_a + L_f)",
+            q=base.q,
             c=max(base.c + q3, fiber.c),
-            m=max(base.m, fiber.m),
-            dim=dim_e,
-            curvature=CurvatureBound(L=l_mix, e=2 * m_hat + 2 * q + f),
-            m_lower=min(base.m_lower, fiber.m_lower),
-            derived=base.derived
-            + fiber.derived
-            + (f"c from error constant {q3} = {q2} * (L_b + 4 dimB^2 L_a + L_f)",),
+            curvature=CurvatureBound(L=l_mix, e=2 * m_hat + 2 * base.q + f),
         )
 
     if variant == "flat-fiber":
@@ -333,18 +320,14 @@ def bundle_certificate(
             raise CertificateError(
                 f"variant 'flat-fiber' requires base curvature exponent 0: e = {b} != 0"
             )
-        q5 = l_b + 4.0 * base.dim**2 * float(a_bound)
-        q6 = q2 * q5
-        k = min(Fraction(1), base.q)
-        return FamilyParams(
+        return _total_space(
+            base,
+            fiber,
+            f"constant curvature bound {l_ba} derived",
             q=None,
-            c=base.c + q6,
-            m=max(base.m, fiber.m),
-            dim=dim_e,
-            curvature=CurvatureBound(L=q5, e=Fraction(0)),
-            m_lower=min(base.m_lower, fiber.m_lower),
-            q_ref=k,
-            derived=base.derived + fiber.derived + (f"constant curvature bound {q5} derived",),
+            c=base.c + q2 * l_ba,
+            curvature=CurvatureBound(L=l_ba, e=Fraction(0)),
+            q_ref=min(Fraction(1), base.q),
         )
 
     if a_bound != 0.0:
@@ -352,16 +335,34 @@ def bundle_certificate(
             f"variant 'flat-bundle' requires a vanishing integrability tensor: a_bound = {a_bound}"
         )
     k = min(base.q, fiber.q)
-    return FamilyParams(
+    rate = CurvatureRate(l_b=l_b, b=b, l_f=l_f, f=f, k=k)
+    return _total_space(
+        base,
+        fiber,
         q=None,
         c=max(base.c, fiber.c),
-        m=max(base.m, fiber.m),
-        dim=dim_e,
-        curvature=CurvatureRate(l_b=l_b, b=b, l_f=l_f, f=f, k=k).at(k),
-        curvature_rate=CurvatureRate(l_b=l_b, b=b, l_f=l_f, f=f, k=k),
-        m_lower=min(base.m_lower, fiber.m_lower),
+        curvature=rate.at(k),
+        curvature_rate=rate,
         q_ref=k,
-        derived=base.derived + fiber.derived,
+    )
+
+
+def _general_need(base: FamilyParams, fiber_e: Fraction) -> tuple:
+    """(m_hat, least fiber decay exponent) of the general variant; see
+    bundle_certificate."""
+    m_hat = max(base.curvature.e, 2 * base.m, fiber_e)
+    return m_hat, 2 * m_hat + 3 * base.q
+
+
+def _total_space(base: FamilyParams, fiber: FamilyParams, *notes: str, **fields) -> FamilyParams:
+    """Total-space certificate: the larger m, the smaller m_lower, the
+    summed dimension and both inputs' provenance notes, then `notes`."""
+    return FamilyParams(
+        m=max(base.m, fiber.m),
+        dim=base.dim + fiber.dim,
+        m_lower=min(base.m_lower, fiber.m_lower),
+        derived=base.derived + fiber.derived + notes,
+        **fields,
     )
 
 
@@ -396,11 +397,9 @@ def vector_bundle_certificate(
         m=Fraction(0),
         dim=rank,
         curvature=CurvatureBound(L=float(fiber_curv_bound), e=Fraction(0)),
-        m_lower=Fraction(0),
         derived=(f"fiber curvature bound {fiber_curv_bound} derived",),
     )
-    m_hat = max(base.curvature.e, 2 * base.m, Fraction(0))
-    fiber = fiber_orbit.instantiate(2 * m_hat + 3 * base.q)
+    fiber = fiber_orbit.instantiate(_general_need(base, Fraction(0))[1])
     return bundle_certificate(base, fiber, a_bound=a_bound, variant="general")
 
 
@@ -421,7 +420,6 @@ def nilmanifold_certificate(n: int, q: FractionLike, c: float = 1.0) -> FamilyPa
         m=m,
         dim=n,
         curvature=CurvatureBound(L=1.0, e=2 * m),
-        m_lower=Fraction(0),
         derived=("nilmanifold curvature bound (L=1, e=2m) derived",),
     )
 
@@ -436,7 +434,6 @@ def nonneg_ricci_certificate(dim: int) -> FamilyParams:
         m=Fraction(0),
         dim=dim,
         curvature=CurvatureBound(L=1.0, e=Fraction(0)),
-        m_lower=Fraction(0),
         derived=("compact curvature bound L=1 derived",),
     )
 
@@ -456,6 +453,12 @@ class PlanResult:
     reason: str
 
 
+def _step(trace: list, rule: str, node: str, fp: FamilyParams, tag: str = "") -> FamilyParams:
+    """Record one derivation step in the trace and return its certificate."""
+    trace.append({"rule": rule, "node": node, "result": _summary(fp) + tag})
+    return fp
+
+
 def _fold(node, path: str, trace: list) -> FamilyParams:
     if not isinstance(node, dict) or "kind" not in node:
         raise PlanError(f"node {path}: expected an object with a 'kind' field")
@@ -463,14 +466,10 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
     tag = f" [symmetry: {node['symmetry']}]" if "symmetry" in node else ""
     if kind == "ricNonneg":
         fp = nonneg_ricci_certificate(int(node["dim"]))
-        trace.append(
-            {"rule": "nonneg-ricci-leaf", "node": path, "result": _summary(fp) + tag}
-        )
-        return fp
+        return _step(trace, "nonneg-ricci-leaf", path, fp, tag)
     if kind == "nilmanifold":
         fp = nilmanifold_certificate(int(node["dim"]), node.get("q", WORK_Q), float(node.get("c", 1.0)))
-        trace.append({"rule": "nilmanifold-leaf", "node": path, "result": _summary(fp) + tag})
-        return fp
+        return _step(trace, "nilmanifold-leaf", path, fp, tag)
     if kind == "custom":
         curv = None
         if "curvature" in node:
@@ -484,55 +483,35 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
             a_bound=node.get("aBound"),
             m_lower=frac(node.get("mLower", 0)),
         )
-        trace.append({"rule": "custom-leaf", "node": path, "result": _summary(fp) + tag})
-        return fp
-    if kind in ("fiberBundle", "flatBundle", "vectorBundle"):
-        base = _fold(node["base"], path + ".base", trace)
-        base = _concretize(base, path + ".base", trace)
-        if kind == "vectorBundle":
-            fp = vector_bundle_certificate(
-                base,
-                int(node["rank"]),
-                a_bound=float(node.get("La", 1.0)),
-                fiber_curv_bound=float(node.get("fiberCurvBound", DEFAULT_FIBER_CURV)),
-            )
-            trace.append(
-                {
-                    "rule": "vector-bundle-lift",
-                    "node": path,
-                    "result": _summary(fp) + tag,
-                }
-            )
-            return fp
-        fiber = _fold(node["fiber"], path + ".fiber", trace)
-        if kind == "flatBundle":
-            if fiber.for_all_q:
-                fiber = fiber.instantiate(base.q)
-                trace.append(
-                    {"rule": "instantiate-fiber", "node": path + ".fiber", "result": _summary(fiber)}
-                )
-            fp = bundle_certificate(base, fiber, a_bound=0.0, variant="flat-bundle")
-            trace.append({"rule": "flat-bundle", "node": path, "result": _summary(fp) + tag})
-            return fp
-        a_bound = float(node.get("La", 1.0))
-        if fiber.curvature is not None and fiber.curvature.L == 0.0 and (
-            base.curvature is not None and base.curvature.e == 0
-        ):
-            if fiber.for_all_q:
-                fiber = fiber.instantiate(base.q)
-            fp = bundle_certificate(base, fiber, a_bound=a_bound, variant="flat-fiber")
-            trace.append({"rule": "flat-fiber-bundle", "node": path, "result": _summary(fp) + tag})
-            return fp
-        if base.curvature is None:
-            raise PlanError(f"node {path}: base certificate lacks a curvature bound")
-        m_hat = max(base.curvature.e, 2 * base.m, fiber.curvature.e if fiber.curvature else Fraction(0))
-        need = 2 * m_hat + 3 * base.q
-        if fiber.for_all_q:
-            fiber = fiber.instantiate(need)
-            trace.append(
-                {"rule": "instantiate-fiber", "node": path + ".fiber", "result": _summary(fiber)}
-            )
-        elif fiber.q < need:
+        return _step(trace, "custom-leaf", path, fp, tag)
+    if kind not in ("fiberBundle", "flatBundle", "vectorBundle"):
+        raise PlanError(f"node {path}: no certificate constructor exists for kind {kind!r}")
+    base = _fold(node["base"], path + ".base", trace)
+    if base.for_all_q:
+        base = _step(trace, "instantiate-base", path + ".base", base.instantiate(WORK_Q))
+    if kind == "vectorBundle":
+        fp = vector_bundle_certificate(
+            base,
+            int(node["rank"]),
+            a_bound=float(node.get("La", 1.0)),
+            fiber_curv_bound=float(node.get("fiberCurvBound", DEFAULT_FIBER_CURV)),
+        )
+        return _step(trace, "vector-bundle-lift", path, fp, tag)
+    fiber = _fold(node["fiber"], path + ".fiber", trace)
+    # each branch picks the variant, its trace rule and where an every-exponent fiber is instantiated
+    a_bound = 0.0 if kind == "flatBundle" else float(node.get("La", 1.0))
+    if kind == "flatBundle":
+        variant, rule, fiber_q = "flat-bundle", "flat-bundle", base.q
+    elif fiber.curvature is not None and fiber.curvature.L == 0.0 and (
+        base.curvature is not None and base.curvature.e == 0
+    ):
+        variant, rule, fiber_q = "flat-fiber", "flat-fiber-bundle", base.q
+    elif base.curvature is None:
+        raise PlanError(f"node {path}: base certificate lacks a curvature bound")
+    else:
+        m_hat, need = _general_need(base, fiber.curvature.e if fiber.curvature else Fraction(0))
+        variant, rule, fiber_q = "general", "general-bundle", need
+        if not fiber.for_all_q and fiber.q < need:
             # a smaller base exponent lowers the requirement; spend budget
             new_q = (fiber.q - 2 * m_hat) / 3
             if new_q <= 0:
@@ -541,19 +520,11 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
                     f"requirement 2*m_hat + 3*q = {need}; even q -> 0 needs more than "
                     f"{2 * m_hat}"
                 )
-            base = weaken(base, new_q)
-            trace.append({"rule": "weaken-base", "node": path + ".base", "result": _summary(base)})
-        fp = bundle_certificate(base, fiber, a_bound=a_bound, variant="general")
-        trace.append({"rule": "general-bundle", "node": path, "result": _summary(fp) + tag})
-        return fp
-    raise PlanError(f"node {path}: no certificate constructor exists for kind {kind!r}")
-
-
-def _concretize(fp: FamilyParams, path: str, trace: list) -> FamilyParams:
-    if fp.for_all_q:
-        fp = fp.instantiate(WORK_Q)
-        trace.append({"rule": "instantiate-base", "node": path, "result": _summary(fp)})
-    return fp
+            base = _step(trace, "weaken-base", path + ".base", weaken(base, new_q))
+    if fiber.for_all_q:
+        fiber = _step(trace, "instantiate-fiber", path + ".fiber", fiber.instantiate(fiber_q))
+    fp = bundle_certificate(base, fiber, a_bound=a_bound, variant=variant)
+    return _step(trace, rule, path, fp, tag)
 
 
 def _summary(fp: FamilyParams) -> str:
@@ -575,19 +546,13 @@ def normalize_for_positivity(fp: FamilyParams, trace: Optional[list] = None) -> 
     exact reparametrization up, then a rescale by t^(1/2)."""
     steps = trace if trace is not None else []
     if fp.for_all_q:
-        fp = fp.instantiate(WORK_Q)
-        steps.append({"rule": "instantiate", "node": "normalize", "result": _summary(fp)})
+        fp = _step(steps, "instantiate", "normalize", fp.instantiate(WORK_Q))
     if fp.q > WORK_Q:
-        fp = weaken(fp, WORK_Q)
-        steps.append({"rule": "weaken", "node": "normalize", "result": _summary(fp)})
+        fp = _step(steps, "weaken", "normalize", weaken(fp, WORK_Q))
     elif fp.q < WORK_Q:
         fp = reparametrize_exact(fp, WORK_Q / fp.q)
-        steps.append(
-            {"rule": "reparametrize-exact", "node": "normalize", "result": _summary(fp)}
-        )
-    fp = rescale(fp, Fraction(1, 2))
-    steps.append({"rule": "rescale", "node": "normalize", "result": _summary(fp)})
-    return fp
+        fp = _step(steps, "reparametrize-exact", "normalize", fp)
+    return _step(steps, "rescale", "normalize", rescale(fp, Fraction(1, 2)))
 
 
 def evaluate_plan(plan, grid: Optional[positivity.RadialGrid] = None) -> PlanResult:

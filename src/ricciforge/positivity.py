@@ -150,6 +150,9 @@ def k_bound(n: int, c: float, m, m_lower=None) -> float:
     return worst
 
 
+GRID_LOG_MIN = 1e-4  # innermost radius of the log-spaced half of a RadialGrid
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Sweep grid on (0, r_max]: half the points log spaced near the axis,
@@ -158,19 +161,16 @@ class RadialGrid:
 
     r_max: float = 50.0
     points: int = 1500
-    log_min: float = 1e-4
 
     def __post_init__(self):
         if self.r_max < 50.0:
             raise ValueError("r_max must be at least 50")
         if self.points < 1000:
             raise ValueError("need at least 1000 grid points")
-        if not 0.0 < self.log_min < 1.0:
-            raise ValueError("log_min must lie in (0, 1)")
 
     def values(self) -> np.ndarray:
         half = self.points // 2
-        low = np.geomspace(self.log_min, 1.0, half)
+        low = np.geomspace(GRID_LOG_MIN, 1.0, half)
         high = np.linspace(1.0, self.r_max, self.points - half + 1)[1:]
         return np.concatenate([low, high])
 

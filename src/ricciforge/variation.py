@@ -217,13 +217,16 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
 _S3_POINT = np.array([1.1, 0.4, 0.8])
 
 
-def _drop_dust(matrix: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+DUST_TOL = 1e-6  # off-diagonal oracle noise below this is dropped, above it is an error
+
+
+def _drop_dust(matrix: np.ndarray) -> np.ndarray:
     """Zero the off-diagonal numerical dust of an oracle-computed Ricci
-    matrix that is diagonal in exact arithmetic; anything above tol is a
-    real violation and raises."""
+    matrix that is diagonal in exact arithmetic; anything above DUST_TOL
+    is a real violation and raises."""
     off = matrix - np.diag(np.diag(matrix))
     worst = float(np.max(np.abs(off), initial=0.0))
-    if worst > tol:
+    if worst > DUST_TOL:
         raise ValueError(f"matrix is not diagonal up to dust (off-diagonal {worst:.3e})")
     return np.diag(np.diag(matrix))
 

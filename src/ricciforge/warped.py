@@ -247,22 +247,20 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
 # --- chart realization and oracle verification ---------------------------
 
 
+# The stored (antisymmetrized) structure of the unit 3-sphere frame: all
+# three brackets [X_i, X_j] = 2 X_k, cyclic, with their (j, i, k) partners.
+_S3_STRUCTURE = {
+    key: sign * QUATERNIONIC_BRACKET
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    for key, sign in (((i, j, k), 1.0), ((j, i, k), -1.0))
+}
+
+
 def _classify(spec: WarpedFamilySpec) -> str:
     if spec.structure_vanishes:
         return "torus"
-    if spec.n == 3:
-        want = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0}
-        ok = True
-        for (i, j, k), v in spec.structure.items():
-            expected = want.get((i, j, k), -want.get((j, i, k), 0.0) if (j, i, k) in want else None)
-            if expected is None:
-                ok = False
-                break
-            if v != expected * QUATERNIONIC_BRACKET:
-                ok = False
-                break
-        if ok:
-            return "s3"
+    if spec.n == 3 and spec.structure == _S3_STRUCTURE:
+        return "s3"
     raise ValueError(
         "spec is not realizable as a preset chart (need vanishing structure "
         "coefficients, or the quaternionic 3-sphere pattern with bracket 2)"
@@ -305,22 +303,16 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     return oracle.ChartMetric(d, comps, domain=domain, label=spec.label or f"warped:{kind}:p={p}")
 
 
-def frame_at(
-    spec: WarpedFamilySpec,
-    p: int,
-    r: float,
-    e_point: Optional[np.ndarray] = None,
-    sphere_point: Optional[np.ndarray] = None,
-) -> oracle.FrameAtPoint:
-    """The orthonormal frame {d_r, U_a, Y_i} at a chart point."""
+def frame_at(spec: WarpedFamilySpec, p: int, r: float) -> oracle.FrameAtPoint:
+    """The orthonormal frame {d_r, U_a, Y_i} at the chart point with radius
+    r, E-coordinates 1.1 (S^3, inside its chart domain) or 0 (torus) and
+    sphere coordinates spread over [0.2, 0.4]."""
     kind = _classify(spec)
     n, ps = spec.n, p - 1
     d = n + ps + 1
-    if e_point is None:
-        e_point = np.full(n, 1.1) if kind == "s3" else np.zeros(n)
-    if sphere_point is None:
-        sphere_point = np.linspace(0.2, 0.4, ps)
-    x = np.concatenate([np.asarray(e_point, float), np.asarray(sphere_point, float), [r]])
+    e_point = np.full(n, 1.1) if kind == "s3" else np.zeros(n)
+    sphere_point = np.linspace(0.2, 0.4, ps)
+    x = np.concatenate([e_point, sphere_point, [r]])
     (f0, _, _), *hs = spec.compiled
     fv = f0(r)
     hv = [h0(r) for h0, _, _ in hs]
@@ -431,16 +423,17 @@ class SmoothnessReport:
         )
 
 
-def smoothness_check(
-    spec: WarpedFamilySpec, tol: float, r_max: float = 10.0, grid_points: int = 200
-) -> SmoothnessReport:
+SMOOTHNESS_GRID_POINTS = 200  # positivity of f and h_i is sampled here on [AXIS_EPS, r_max]
+
+
+def smoothness_check(spec: WarpedFamilySpec, tol: float, r_max: float = 10.0) -> SmoothnessReport:
     """Check the smooth-extension conditions at the degenerate axis r = 0:
     f(0) = 0, f'(0) = 1, f''(0) = 0, f > 0 away from the axis, and
     h_i'(0) = 0, each within tol, with axis values read at r = 1e-6."""
     eps = AXIS_EPS
     (c0, c1, c2), *hs = spec.compiled
     f0, f1, f2 = c0(eps), c1(eps), c2(eps)
-    grid = np.linspace(eps, r_max, grid_points)
+    grid = np.linspace(eps, r_max, SMOOTHNESS_GRID_POINTS)
     fgrid = exprs.evaluate_grid(spec.f, grid)
     hprimes = []
     hpos = []

@@ -208,6 +208,56 @@ def test_plan_vector_bundle_over_nonneg_base():
     assert again == res
 
 
+def steps(res):
+    return [(t["rule"], t["node"]) for t in res.trace]
+
+
+def test_plan_flat_fiber_records_fiber_instantiation():
+    # the every-exponent fiber is instantiated at the base exponent, and the
+    # trace cites that step as the flatBundle and general branches do
+    plan = {
+        "kind": "fiberBundle",
+        "base": {"kind": "ricNonneg", "dim": 2},
+        "fiber": {"kind": "custom", "q": "any", "dim": 1, "curvature": {"L": 0.0, "e": "0"}},
+        "La": 0.5,
+    }
+    res = evaluate_plan(plan)
+    assert steps(res) == [
+        ("nonneg-ricci-leaf", "plan.base"),
+        ("instantiate-base", "plan.base"),
+        ("custom-leaf", "plan.fiber"),
+        ("instantiate-fiber", "plan.fiber"),
+        ("flat-fiber-bundle", "plan"),
+        ("instantiate", "normalize"),
+        ("rescale", "normalize"),
+        ("positivity-threshold", "normalize"),
+    ]
+    assert res.trace[3]["result"].startswith("(q=3,")
+    assert res.p_bound is not None
+
+
+def test_plan_weakens_base_to_meet_fiber_budget():
+    # m_hat = max(1, 2*1, 0) = 2 needs fiber q >= 2*2 + 3*2 = 10 > 8, so the
+    # base drops to q = (8 - 2*2) / 3 = 4/3
+    plan = {
+        "kind": "fiberBundle",
+        "base": {"kind": "custom", "q": 2, "m": 1, "dim": 2, "curvature": {"L": 1.0, "e": "1"}},
+        "fiber": {"kind": "custom", "q": 8, "dim": 1, "curvature": {"L": 1.0, "e": "0"}},
+    }
+    res = evaluate_plan(plan)
+    assert steps(res) == [
+        ("custom-leaf", "plan.base"),
+        ("custom-leaf", "plan.fiber"),
+        ("weaken-base", "plan.base"),
+        ("general-bundle", "plan"),
+        ("reparametrize-exact", "normalize"),
+        ("rescale", "normalize"),
+        ("positivity-threshold", "normalize"),
+    ]
+    assert res.trace[2]["result"].startswith("(q=4/3,")
+    assert res.params.q == F(4, 3)
+
+
 def test_plan_nilmanifold_leaf():
     res = evaluate_plan({"kind": "nilmanifold", "dim": 3, "c": 1.0})
     assert res.p_bound is not None

@@ -190,6 +190,11 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     bad_expr = tmp_path / "badexpr.json"
     bad_expr.write_text(json.dumps({**TORUS_SPEC, "f": "r*."}))
     assert cli.run(["warped-eval", "--spec", str(bad_expr), "--r", "1", "--p", "3"]) == 3
+    one_bracket = tmp_path / "one-bracket.json"
+    one_bracket.write_text(json.dumps({**TORUS_SPEC, "n": 3, "h": ["1"] * 3, "structure": [[0, 1, 2, 2.0]]}))
+    argv = ["warped-verify", "--spec", str(one_bracket), "--p", "3", "--tol", "1e-5", "--rs", "0.5,1"]
+    assert cli.run(argv) == 3
+    assert "not realizable" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_four(capsys, tmp_path):

@@ -209,6 +209,13 @@ def test_verify_rejects_unrealizable_spec():
         verify_against_oracle(spec, 3, [1.0], 1e-5)
     with pytest.raises(ValueError):
         verify_against_oracle(reference_torus_spec(), 6, [1.0], 1e-5)
+    # one bracket of the S^3 pattern (a Heisenberg-type algebra) is not S^3:
+    # all three brackets are required
+    partial = dataclasses.replace(left_invariant_s3_spec(), structure={(0, 1, 2): 2.0})
+    with pytest.raises(ValueError):
+        chart_metric(partial, 3)
+    with pytest.raises(ValueError):
+        verify_against_oracle(partial, 3, [0.5, 1.0], 1e-5)
 
 
 def test_smoothness_reference_profiles():
