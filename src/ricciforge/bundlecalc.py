@@ -509,9 +509,12 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
     elif base.curvature is None:
         raise PlanError(f"node {path}: base certificate lacks a curvature bound")
     else:
-        m_hat, need = _general_need(base, fiber.curvature.e if fiber.curvature else Fraction(0))
+        fiber_e = fiber.curvature.e if fiber.curvature else Fraction(0)
+        m_hat, need = _general_need(base, fiber_e)
         variant, rule, fiber_q = "general", "general-bundle", need
-        if not fiber.for_all_q and fiber.q < need:
+        if fiber.for_all_q:
+            fiber_q = _general_fiber_q(path, base, fiber_e, fiber.q_ref, need)
+        elif fiber.q < need:
             # a smaller base exponent lowers the requirement; spend budget
             new_q = (fiber.q - 2 * m_hat) / 3
             if new_q <= 0:
@@ -525,6 +528,22 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
         fiber = _step(trace, "instantiate-fiber", path + ".fiber", fiber.instantiate(fiber_q))
     fp = bundle_certificate(base, fiber, a_bound=a_bound, variant=variant)
     return _step(trace, rule, path, fp, tag)
+
+
+def _general_fiber_q(path: str, base: FamilyParams, e: Fraction, q_ref: Fraction, need: Fraction):
+    """Exponent at which to instantiate an every-exponent fiber for the
+    general variant. Instantiating at q scales the fiber's curvature
+    exponent to e*q/q_ref, which can raise the requirement past q. Once
+    that term sets m_hat, the requirement is q = 2*e*q/q_ref + 3*base.q,
+    met at its fixed point when 2e < q_ref and by no q otherwise."""
+    if 2 * e >= q_ref:
+        raise PlanError(
+            f"node {path}: no fiber exponent q meets the requirement 2*m_hat + 3*q_base: "
+            f"instantiated at q, the fiber curvature exponent is {e / q_ref}*q >= q/2"
+        )
+    if _general_need(base, e * need / q_ref)[1] <= need:
+        return need
+    return 3 * base.q * q_ref / (q_ref - 2 * e)
 
 
 def _summary(fp: FamilyParams) -> str:

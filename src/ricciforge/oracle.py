@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "ricci",
     "ricci_with_asymmetry",
     "frame_ricci",
+    "frame_ricci_many",
     "sectional",
     "preset",
     "left_invariant_s3_ricci",
@@ -64,11 +65,13 @@ class ChartMetric:
 
     Parameters
     ----------
-    dim : positive chart dimension (capped at MAX_DIM; finite differencing
-        cost grows like dim**4).
+    dim : positive chart dimension, at most MAX_DIM: the largest warped
+        chart (n = 3, p = 5) has dimension 8. One point's stencil holds
+        about 64 * dim**4 bytes of components, 240 KiB at dimension 8.
     components : (N, dim) array of points -> (N, dim, dim) array of metric
-        components, one matrix per row from that row's point alone. Only
-        the symmetrized matrices are ever used.
+        components, one matrix per row from that row's point alone; the
+        rows of one call may belong to several points' stencils. Only the
+        symmetrized matrices are ever used.
     domain : predicate deciding whether a single point is inside the chart.
     label : human-readable name for reports.
     """
@@ -123,51 +126,63 @@ def _stencil(d: int):
     return offsets, iu, ju
 
 
-def _metric_derivatives(m: ChartMetric, x: np.ndarray, step: float):
-    """Return g, dg[i] = d_i g, and d2g[i][j] = d_i d_j g by 4th-order stencils,
-    from one chart evaluation at all stencil points. Row 0 of the stencil
-    is x itself, so g is the symmetrized metric at x."""
-    d = m.dim
-    h = step * np.maximum(1.0, np.abs(x))
+def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: float):
+    """Return g, dg[:, i] = d_i g and d2g[:, i, j] = d_i d_j g at each row of
+    the (R, d) array xs by 4th-order stencils, from one chart evaluation at
+    the stencil points of all R points. Row 0 of the stencil is the point
+    itself, so g is the symmetrized metric there. The point axis sits next
+    to the (d, d) matrix axes, so with R = 1 every step indexes exactly as
+    a single-point stencil would. Each point's slice of the results is
+    C-contiguous, because einsum picks its loops from the strides."""
+    r, d = xs.shape
+    h = step * np.maximum(1.0, np.abs(xs))
     offsets, iu, ju = _stencil(d)
-    g = _symmetrize(np.asarray(m.components(x + h * offsets), dtype=float))
+    # chart row j * R + p is stencil offset j of point p
+    pts = (xs + h * offsets[:, None]).reshape(-1, d)
+    g = _symmetrize(np.asarray(m.components(pts), dtype=float)).reshape(-1, r, d, d)
     g0 = g[0].copy()  # a copy, so the stencil array is freed with this level
-    axis = g[1 : 1 + 4 * d].reshape(4, d, d, d)  # axis[k][i]: _D1_OFFSETS[k] along i
-    cross = g[1 + 4 * d :].reshape(4, 4, len(iu), d, d)
+    axis = g[1 : 1 + 4 * d].reshape(4, d, r, d, d)  # axis[k][i]: _D1_OFFSETS[k] along i
+    cross = g[1 + 4 * d :].reshape(4, 4, len(iu), r, d, d)
+    h = h.T
 
-    acc = np.zeros((d, d, d))
+    acc = np.zeros((d, r, d, d))
     for k, w in enumerate(_D1_WEIGHTS):
         acc += w * axis[k]
-    dg = acc / h[:, None, None]
+    dg = acc / h[:, :, None, None]
 
-    d2g = np.empty((d, d, d, d))
+    d2g = np.empty((d, d, r, d, d))
     # pure second derivative, 4th order; axis[3], axis[2], axis[1], axis[0]
     # are the offsets +2, +1, -1, -2
     acc = -axis[3] + 16.0 * axis[2] - 30.0 * g0 + 16.0 * axis[1] - axis[0]
     diag = np.arange(d)
-    d2g[diag, diag] = acc / (12.0 * h**2)[:, None, None]
-    acc = np.zeros((len(iu), d, d))
+    d2g[diag, diag] = acc / (12.0 * h**2)[:, :, None, None]
+    acc = np.zeros((len(iu), r, d, d))
     for a, wi in enumerate(_D1_WEIGHTS):
         for b, wj in enumerate(_D1_WEIGHTS):
             acc += wi * wj * cross[a, b]
-    d2g[iu, ju] = acc / (h[iu] * h[ju])[:, None, None]
+    d2g[iu, ju] = acc / (h[iu] * h[ju])[:, :, None, None]
     d2g[ju, iu] = d2g[iu, ju]
-    return g0, dg, d2g
+    dg, d2g = dg.swapaxes(0, 1), d2g.transpose(2, 0, 1, 3, 4)
+    return g0, np.ascontiguousarray(dg), np.ascontiguousarray(d2g)
 
 
-def _coarse_level(m: ChartMetric, x: np.ndarray, step: float):
-    """Check x and step, take _metric_derivatives, check g at x (the same at every level)."""
-    m.check_point(x)
+def _coarse_level(m: ChartMetric, xs: np.ndarray, step: float):
+    """Check the points and step, take _metric_derivatives, check g at each
+    point (the same at every level)."""
+    for x in xs:
+        m.check_point(x)
     if step <= 0:
         raise ValueError("step must be positive")
-    g0, dg, d2g = _metric_derivatives(m, x, step)
+    g0, dg, d2g = _metric_derivatives(m, xs, step)
+    # ascending eigenvalues; g is symmetric, so its condition number is w[-1] / w[0]
     w = np.linalg.eigvalsh(g0)
-    if w.min() <= 1e-12:
-        raise SingularMetricError(
-            f"metric not positive definite at {x} (min eigenvalue {w.min():.3e})"
-        )
-    if np.linalg.cond(g0) > 1e12:
-        raise SingularMetricError(f"metric condition number exceeds 1e12 at {x}")
+    for i in range(len(xs)):
+        if w[i, 0] <= 1e-12:
+            raise SingularMetricError(
+                f"metric not positive definite at {xs[i]} (min eigenvalue {w[i, 0]:.3e})"
+            )
+        if w[i, -1] / w[i, 0] > 1e12:
+            raise SingularMetricError(f"metric condition number exceeds 1e12 at {xs[i]}")
     return g0, dg, d2g
 
 
@@ -186,9 +201,8 @@ def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np
     per-coordinate steps scaled by the local coordinate magnitude. The
     point must lie inside the chart with margin at least 2*step.
     """
-    x = np.asarray(x, dtype=float)
-    g0, dg, _ = _coarse_level(m, x, step)
-    return _christoffel(g0, dg)[2]
+    g0, dg, _ = _coarse_level(m, np.asarray(x, dtype=float)[None], step)
+    return _christoffel(g0[0], dg[0])[2]
 
 
 def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
@@ -209,16 +223,40 @@ def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray
     return term1 - term2 + term3 - term4
 
 
-def _riemann(m: ChartMetric, x: np.ndarray, step: Optional[float], richardson: bool):
-    """(g at x, Riemann at x) from one chart call per Richardson level; the
-    fine level is evaluated only once the coarse one has passed its checks."""
-    x = np.asarray(x, dtype=float)
+# Bytes of metric components (rows x d^2 x 8) one chart call may build.
+# Larger calls raise glibc's dynamic mmap threshold and the heap keeps the
+# freed arrays, so peak RSS grows with the call size. 600 KiB holds the
+# stencils of 2 points at d = 8 and of 4 at d = 7.
+CHART_CALL_BYTES = 600 * 1024
+
+
+def _riemann(m: ChartMetric, xs, step: Optional[float], richardson: bool) -> list:
+    """(g, Riemann) at each point of the (R, d) array xs. The points go to
+    the chart in chunks of at most CHART_CALL_BYTES, one call per chunk and
+    Richardson level; a chunk's fine level is evaluated only once its
+    coarse one has passed its checks. The contraction runs point by point,
+    so every result is the same for any R."""
+    xs = np.asarray(xs, dtype=float)
     s = DEFAULT_STEP if step is None else float(step)
-    g0, dg, d2g = _coarse_level(m, x, s)
-    riem = _riemann_once(g0, dg, d2g)
-    if richardson:
-        riem = (16.0 * _riemann_once(*_metric_derivatives(m, x, s / 2.0)) - riem) / 15.0
-    return g0, riem
+    d = m.dim
+    per_call = max(1, CHART_CALL_BYTES // (8 * d * d * len(_stencil(d)[0])))
+    out = []
+    for start in range(0, len(xs), per_call):
+        chunk = xs[start : start + per_call]
+        g0, dg, d2g = _coarse_level(m, chunk, s)
+        if richardson:
+            fine = _metric_derivatives(m, chunk, s / 2.0)
+        for i in range(len(chunk)):
+            riem = _riemann_once(g0[i], dg[i], d2g[i])
+            if richardson:
+                riem = (16.0 * _riemann_once(*(level[i] for level in fine)) - riem) / 15.0
+            out.append((g0[i], riem))
+    return out
+
+
+def _riemann_at(m: ChartMetric, x, step: Optional[float], richardson: bool):
+    """(g at x, Riemann at x): _riemann with one point."""
+    return _riemann(m, np.asarray(x, dtype=float)[None], step, richardson)[0]
 
 
 def riemann(
@@ -233,12 +271,12 @@ def riemann(
     (evaluations at step and step/2), which recovers most of the digits
     lost to differencing second derivatives of the metric.
     """
-    return _riemann(m, x, step, richardson)[1]
+    return _riemann_at(m, x, step, richardson)[1]
 
 
-def _ricci_of(riem: np.ndarray) -> tuple[np.ndarray, float]:
-    ric = np.einsum("rsrn->sn", riem)
-    return 0.5 * (ric + ric.T), float(np.max(np.abs(ric - ric.T)))
+def _ricci_of(riem: np.ndarray) -> np.ndarray:
+    """Ric_{sigma nu} = R^mu_{sigma mu nu}, before symmetrization."""
+    return np.einsum("rsrn->sn", riem)
 
 
 def ricci_with_asymmetry(
@@ -248,7 +286,8 @@ def ricci_with_asymmetry(
     richardson: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Coordinate Ricci tensor and the max |R_ij - R_ji| before symmetrization."""
-    return _ricci_of(_riemann(m, x, step, richardson)[1])
+    ric = _ricci_of(_riemann_at(m, x, step, richardson)[1])
+    return _symmetrize(ric), float(np.max(np.abs(ric - ric.T)))
 
 
 def ricci(
@@ -258,7 +297,14 @@ def ricci(
     richardson: bool = True,
 ) -> np.ndarray:
     """Symmetrized coordinate-basis Ricci tensor R_ij at x."""
-    return ricci_with_asymmetry(m, x, step=step, richardson=richardson)[0]
+    return _symmetrize(_ricci_of(_riemann_at(m, x, step, richardson)[1]))
+
+
+def _in_frame(m: ChartMetric, fr: FrameAtPoint, g0: np.ndarray, riem: np.ndarray) -> np.ndarray:
+    defect = float(np.max(np.abs(fr.vectors.T @ g0 @ fr.vectors - np.eye(m.dim))))
+    if defect > 1e-8:
+        raise OracleError(f"frame is not orthonormal (defect {defect:.3e} > 1e-8)")
+    return fr.vectors.T @ _symmetrize(_ricci_of(riem)) @ fr.vectors
 
 
 def frame_ricci(
@@ -268,11 +314,26 @@ def frame_ricci(
     richardson: bool = True,
 ) -> np.ndarray:
     """Ricci tensor expressed in a g-orthonormal frame, Ric(e_a, e_b)."""
-    g0, riem = _riemann(m, fr.x, step, richardson)
-    defect = float(np.max(np.abs(fr.vectors.T @ g0 @ fr.vectors - np.eye(m.dim))))
-    if defect > 1e-8:
-        raise OracleError(f"frame is not orthonormal (defect {defect:.3e} > 1e-8)")
-    return fr.vectors.T @ _ricci_of(riem)[0] @ fr.vectors
+    return _in_frame(m, fr, *_riemann_at(m, fr.x, step, richardson))
+
+
+def frame_ricci_many(
+    m: ChartMetric,
+    frames: Sequence[FrameAtPoint],
+    step: Optional[float] = None,
+    richardson: bool = True,
+) -> list:
+    """frame_ricci at each frame, with the points batched into one chart
+    call per Richardson level and chunk of CHART_CALL_BYTES. Each result
+    equals frame_ricci's bit for bit, and a failure raises what the first
+    failing frame raises on its own."""
+    try:
+        levels = _riemann(m, [fr.x for fr in frames], step, richardson)
+        return [_in_frame(m, fr, g0, riem) for fr, (g0, riem) in zip(frames, levels)]
+    except Exception:
+        for fr in frames:
+            frame_ricci(m, fr, step, richardson)
+        raise
 
 
 def sectional(
@@ -286,7 +347,7 @@ def sectional(
     """Sectional curvature of the plane spanned by u and v at x."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g, riem = _riemann(m, x, step, richardson)
+    g, riem = _riemann_at(m, x, step, richardson)
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)

@@ -258,6 +258,30 @@ def test_plan_weakens_base_to_meet_fiber_budget():
     assert res.params.q == F(4, 3)
 
 
+def every_exponent_fiber_plan(e):
+    fiber = {"kind": "custom", "q": "any", "dim": 1, "curvature": {"L": 1.0, "e": e}}
+    base = {"kind": "ricNonneg", "dim": 2}
+    return {"kind": "fiberBundle", "base": base, "fiber": fiber, "La": 0.5}
+
+
+def test_plan_every_exponent_fiber_without_admissible_exponent():
+    # instantiated at q the fiber's exponent is 1*q/2, so 2*m_hat + 3*3 >= q + 9 > q
+    with pytest.raises(PlanError, match="node plan: no fiber exponent") as err:
+        evaluate_plan(every_exponent_fiber_plan("1"))
+    assert not isinstance(err.value, CertificateError)
+
+
+def test_plan_every_exponent_fiber_at_fixed_point():
+    # e = 1/2 at q_ref = 2: the requirement 2*(q/4) + 3*3 equals q at
+    # q = 3*3*2 / (2 - 1) = 18, above the reference requirement 2*(1/2) + 9 = 10
+    res = evaluate_plan(every_exponent_fiber_plan("1/2"))
+    fiber = res.trace[3]
+    assert (fiber["rule"], fiber["node"]) == ("instantiate-fiber", "plan.fiber")
+    assert fiber["result"].startswith("(q=18,") and fiber["result"].endswith("e=9/2)")
+    assert res.trace[4]["rule"] == "general-bundle"
+    assert res.p_bound is not None
+
+
 def test_plan_nilmanifold_leaf():
     res = evaluate_plan({"kind": "nilmanifold", "dim": 3, "c": 1.0})
     assert res.p_bound is not None

@@ -214,6 +214,13 @@ def test_point_outside_chart_domain_exits_four(capsys):
     argv = ["warped-verify", "--preset", "reference-torus", "--p", "3", "--tol", "1e-5"]
     assert cli.run(argv + ["--rs", "0.0005"]) == 4
     assert "outside chart domain" in capsys.readouterr().err
+    # radii are batched, but the first failing radius still decides the exit code
+    assert cli.run(argv + ["--rs", "1,0.0005"]) == 4
+    assert "outside chart domain" in capsys.readouterr().err
+    assert cli.run(argv + ["--rs", "0.0005,-1"]) == 4
+    assert "outside chart domain" in capsys.readouterr().err
+    assert cli.run(argv + ["--rs=-1,0.0005"]) == 3
+    assert "r must be positive" in capsys.readouterr().err
 
 
 def test_warped_verify_without_radii_is_usage_error(capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ricciforge import oracle
+from ricciforge import oracle, warped
 from ricciforge.oracle import (
     ChartMetric,
     FrameAtPoint,
@@ -12,6 +12,7 @@ from ricciforge.oracle import (
     SingularMetricError,
     christoffel,
     frame_ricci,
+    frame_ricci_many,
     left_invariant_s3_ricci,
     preset,
     ricci,
@@ -233,7 +234,8 @@ def test_components_batch_matches_single_rows(name, draw):
 @pytest.mark.parametrize("name", ["euclidean:2", "sphere:8:1"])
 def test_ricci_evaluates_chart_once_per_level(name):
     # one chart call per Richardson level and none at the single point x:
-    # the metric at x is the stencil's centre row
+    # the metric at x is the stencil's centre row; a batch of points makes
+    # one call per level for each chunk of CHART_CALL_BYTES
     m = preset(name)
     sizes = []
 
@@ -254,10 +256,134 @@ def test_ricci_evaluates_chart_once_per_level(name):
         (lambda: christoffel(counted, x), [stencil]),
         (lambda: ricci(counted, x, richardson=False), [stencil]),
     ]
+    # three points: one call per level for each chunk that fits
+    # CHART_CALL_BYTES (all three at d = 2; two, then one, at d = 8)
+    per_call = oracle.CHART_CALL_BYTES // (stencil * d * d * 8)
+    chunks = [min(per_call, 3 - start) for start in range(0, 3, per_call)]
+    want = [n * stencil for n in chunks for _ in range(2)]
+    calls.append((lambda: frame_ricci_many(counted, [frame] * 3), want))
     for call, want in calls:
         sizes.clear()
         call()
         assert sizes == want
+
+
+def test_verify_sends_radii_through_chunked_chart_calls(monkeypatch):
+    # s3 at p = 5 is an 8-dimensional chart: 2 radii fit one call, so 3
+    # radii take two chunks, each evaluated at both Richardson levels
+    sizes = []
+    real = warped.chart_metric
+
+    def counting_chart(spec, p):
+        m = real(spec, p)
+
+        def counting(x):
+            sizes.append(len(x))
+            return m.components(x)
+
+        return dataclasses.replace(m, components=counting)
+
+    monkeypatch.setattr(warped, "chart_metric", counting_chart)
+    warped.verify_against_oracle(warped.left_invariant_s3_spec(), 5, [0.5, 1.0, 2.0], 1e-5)
+    rows = 1 + 4 * 8 + 8 * 8 * 7
+    assert sizes == [2 * rows, 2 * rows, rows, rows]
+    assert max(sizes) * 8 * 8 * 8 <= oracle.CHART_CALL_BYTES
+
+
+def _preset_frames(name, n, rng):
+    m = preset(name)
+    d = m.dim
+    if name == "hyperbolic2":
+        pts = rng.uniform([-1.0, 0.5], [1.0, 2.0], (n, 2))
+    elif name.startswith("s3-left-invariant"):
+        pts = rng.uniform([0.4, 0.0, 0.0], [2.7, 2.0, 2.0], (n, 3))
+        scales = [float(s) for s in name.split(":")[1:]]
+        return m, [FrameAtPoint(x, s3_frame(x, scales)) for x in pts]
+    else:
+        pts = rng.uniform(-0.8, 0.8, (n, d))
+    return m, [coordinate_frame(m, x) for x in pts]
+
+
+def _warped_frames(spec_fn, p, n):
+    spec = spec_fn()
+    hi = 2.5 if spec.n == 0 else 4.0
+    rs = np.geomspace(0.25, hi, n)
+    return warped.chart_metric(spec, p), [warped.frame_at(spec, p, r) for r in rs]
+
+
+BATCH_CHARTS = [f"euclidean:{d}" for d in range(1, 9)]
+SPHERE_RADII = {2: 1.0, 3: 0.7, 4: 2.0, 5: 1.0, 6: 1.3, 7: 1.0, 8: 0.8}
+BATCH_CHARTS += [f"sphere:{d}:{a}" for d, a in SPHERE_RADII.items()]
+BATCH_CHARTS += ["hyperbolic2", "s3-left-invariant:1:0.8:0.6"]
+BATCH_CHARTS += [
+    f"warped:{kind}:{p}" for kind in ("torus", "s3", "round-sphere") for p in (3, 4, 5)
+]
+WARPED_SPECS = {
+    "torus": warped.reference_torus_spec,
+    "s3": warped.left_invariant_s3_spec,
+    "round-sphere": warped.round_sphere_spec,
+}
+
+
+@pytest.mark.parametrize("name", BATCH_CHARTS)
+def test_frame_ricci_many_is_bit_identical_to_single_points(name):
+    # for R = 1..8 points, one batched call equals R frame_ricci calls
+    # exactly; at d = 7 and 8 the larger batches span several chunks
+    if name.startswith("warped:"):
+        _, kind, p = name.split(":")
+        m, frames = _warped_frames(WARPED_SPECS[kind], int(p), 8)
+    else:
+        m, frames = _preset_frames(name, 8, np.random.default_rng(11))
+    singles = [frame_ricci(m, fr) for fr in frames]
+    for r in range(1, 9):
+        batch = frame_ricci_many(m, frames[:r])
+        assert len(batch) == r
+        for got, want in zip(batch, singles):
+            np.testing.assert_array_equal(got, want)
+    assert frame_ricci_many(m, []) == []
+
+
+def _first_error(call):
+    try:
+        call()
+    except Exception as err:  # any class: the class and the text are compared
+        return type(err), str(err)
+    return None
+
+
+def test_frame_ricci_many_raises_like_the_point_loop():
+    m = preset("hyperbolic2")
+    good = [coordinate_frame(m, np.array([0.1 * i, 1.0 + 0.2 * i])) for i in range(4)]
+    outside = FrameAtPoint(np.array([0.0, -1.0]), np.eye(2))
+    sloppy = FrameAtPoint(np.array([0.3, 1.2]), np.eye(2))  # not g-orthonormal
+    batches = [
+        good[:2] + [outside] + good[2:],
+        [outside] + good,
+        good + [outside],
+        # the loop meets the sloppy frame first; the batch checks the domain first
+        good[:1] + [sloppy, outside] + good[1:],
+    ]
+    for frames in batches:
+        want = _first_error(lambda: [frame_ricci(m, fr) for fr in frames])
+        assert want is not None
+        assert _first_error(lambda: frame_ricci_many(m, frames)) == want
+
+
+def test_verify_reports_the_first_failing_radius_like_the_loop():
+    spec = warped.reference_torus_spec()
+    with pytest.raises(OracleError, match="outside chart domain"):
+        warped.verify_against_oracle(spec, 3, [1.0, 0.0005], 1e-5)
+    # the oracle failure at the earlier radius comes before the closed form's
+    with pytest.raises(OracleError, match="outside chart domain"):
+        warped.verify_against_oracle(spec, 3, [0.0005, -1.0], 1e-5)
+    with pytest.raises(ValueError, match="r must be positive"):
+        warped.verify_against_oracle(spec, 3, [-1.0, 0.0005], 1e-5)
+
+
+def test_ill_conditioned_metric_rejected():
+    m = ChartMetric(2, lambda x: np.broadcast_to(np.diag([1e6, 1e-7]), (len(x), 2, 2)))
+    with pytest.raises(SingularMetricError, match="condition number"):
+        ricci(m, np.zeros(2))
 
 
 def test_preset_registry_errors():
