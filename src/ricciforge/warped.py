@@ -360,10 +360,10 @@ def verify_against_oracle(
     if p not in (3, 4, 5):
         raise ValueError("oracle verification supports p in {3, 4, 5}")
     metric = chart_metric(spec, p)
-    closed, frames = [], []
+    closed_forms, frames = [], []
     for r in rs:
         try:
-            closed.append(ricci_warped(spec, float(r), p))
+            closed_forms.append(ricci_warped(spec, float(r), p))
             frames.append(frame_at(spec, p, float(r)))
         except Exception:
             # an oracle failure at an earlier radius is reported first
@@ -372,7 +372,7 @@ def verify_against_oracle(
     fulls = oracle.frame_ricci_many(metric, frames, step=step)
     rows: list = []
     n, ps = spec.n, p - 1
-    for r, blocks, full in zip(rs, closed, fulls):
+    for blocks, full in zip(closed_forms, fulls):
         # frame order: [d_r | U_1..U_ps | Y_1..Y_n]
         o_uu = np.diag(full)[1 : 1 + ps]
         o_yy = full[1 + ps :, 1 + ps :]
@@ -385,7 +385,7 @@ def verify_against_oracle(
             dev = abs(closed - oracle_value)
             rows.append(
                 {
-                    "r": float(r),
+                    "r": blocks.r,
                     "entry": entry,
                     "closed": float(closed),
                     "oracle": float(oracle_value),
