@@ -106,6 +106,12 @@ def test_torus_spec_verifies_against_oracle():
     assert all(row["oracle"] <= 1e-8 for row in zero_rows)
 
 
+def test_verify_takes_radii_from_any_iterable():
+    # the radii are batched, so they must still be read only once
+    rows = verify_against_oracle(reference_torus_spec(), 3, list(RS), 1e-5).rows
+    assert verify_against_oracle(reference_torus_spec(), 3, iter(RS), 1e-5).rows == rows
+
+
 @pytest.mark.parametrize("p", [4, 5])
 def test_torus_spec_other_sphere_dimensions(p):
     rep = verify_against_oracle(reference_torus_spec(), p, RS, 1e-5)
