@@ -490,6 +490,8 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
     if base.for_all_q:
         base = _step(trace, "instantiate-base", path + ".base", base.instantiate(WORK_Q))
     if kind == "vectorBundle":
+        if int(node["rank"]) > 0 and base.curvature is None:
+            raise PlanError(f"node {path}: base certificate lacks a curvature bound")
         fp = vector_bundle_certificate(
             base,
             int(node["rank"]),
@@ -498,16 +500,14 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
         )
         return _step(trace, "vector-bundle-lift", path, fp, tag)
     fiber = _fold(node["fiber"], path + ".fiber", trace)
+    if base.curvature is None:
+        raise PlanError(f"node {path}: base certificate lacks a curvature bound")
     # each branch picks the variant, its trace rule and where an every-exponent fiber is instantiated
     a_bound = 0.0 if kind == "flatBundle" else float(node.get("La", 1.0))
     if kind == "flatBundle":
         variant, rule, fiber_q = "flat-bundle", "flat-bundle", base.q
-    elif fiber.curvature is not None and fiber.curvature.L == 0.0 and (
-        base.curvature is not None and base.curvature.e == 0
-    ):
+    elif fiber.curvature is not None and fiber.curvature.L == 0.0 and base.curvature.e == 0:
         variant, rule, fiber_q = "flat-fiber", "flat-fiber-bundle", base.q
-    elif base.curvature is None:
-        raise PlanError(f"node {path}: base certificate lacks a curvature bound")
     else:
         fiber_e = fiber.curvature.e if fiber.curvature else Fraction(0)
         m_hat, need = _general_need(base, fiber_e)
@@ -526,6 +526,8 @@ def _fold(node, path: str, trace: list) -> FamilyParams:
             base = _step(trace, "weaken-base", path + ".base", weaken(base, new_q))
     if fiber.for_all_q:
         fiber = _step(trace, "instantiate-fiber", path + ".fiber", fiber.instantiate(fiber_q))
+    if fiber.curvature is None:
+        raise PlanError(f"node {path}: fiber certificate lacks a curvature bound")
     fp = bundle_certificate(base, fiber, a_bound=a_bound, variant=variant)
     return _step(trace, rule, path, fp, tag)
 

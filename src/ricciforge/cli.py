@@ -164,61 +164,33 @@ def _float_list(text: str) -> list:
 # --- subcommands -------------------------------------------------------------
 
 
-def _expected_frame_ricci(name: str, chart: oracle.ChartMetric):
-    parts = name.split(":")
-    if parts[0] == "euclidean":
-        return np.zeros((chart.dim, chart.dim))
-    if parts[0] == "sphere":
-        d, a = int(parts[1]), float(parts[2])
-        return (d - 1) / a**2 * np.eye(d)
-    if parts[0] == "hyperbolic2":
-        return -np.eye(2)
-    if parts[0] == "s3-left-invariant":
-        scales = [float(p) for p in parts[1:]]
-        return np.diag(oracle.left_invariant_s3_ricci(scales))
-    raise UsageError(f"no closed-form expectation for preset {name!r}")
-
-
-def _preset_points(name: str, count: int, seed: int):
-    parts = name.split(":")
+def _preset_fixture(name: str, count: int, seed: int):
+    """A registry preset's chart, orthonormal frames at a fixed point and at
+    count - 1 points drawn from seed, and the closed-form Ricci in those
+    frames; S^3 frames follow the group frame, where that Ricci is diagonal."""
+    chart = oracle.preset(name)
+    kind, *params = name.split(":")
     rng = np.random.default_rng(seed)
-    pts = []
-    if parts[0] in ("euclidean", "sphere"):
-        d = int(parts[1])
-        base = np.full(d, 0.3)
-        pts.append(base)
-        for _ in range(count - 1):
-            pts.append(rng.uniform(-0.8, 0.8, size=d))
-    elif parts[0] == "hyperbolic2":
-        pts.append(np.array([0.0, 1.0]))
-        for _ in range(count - 1):
-            pts.append(np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)]))
-    elif parts[0] == "s3-left-invariant":
-        pts.append(np.array([1.1, 0.4, 0.8]))
-        for _ in range(count - 1):
-            pts.append(np.array([rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)]))
-    else:
-        raise UsageError(f"unknown preset {name!r}")
-    return pts
-
-
-def _orthonormal_frame(chart: oracle.ChartMetric, x: np.ndarray) -> oracle.FrameAtPoint:
-    if chart.label.startswith("s3-left-invariant"):
-        scales = [float(p) for p in chart.label.split(":")[1:]]
-        cols = 2.0 * np.linalg.inv(oracle.su2_frame_matrix(x)) / np.array(scales)[None, :]
-        return oracle.FrameAtPoint(x, cols)
-    g = chart.at(x)
-    vals, vecs = np.linalg.eigh(g)
-    return oracle.FrameAtPoint(x, vecs / np.sqrt(vals))
+    if kind == "s3-left-invariant":
+        scales = [float(p) for p in params]
+        pts = [[1.1, 0.4, 0.8]]
+        pts += [[rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)] for _ in range(count - 1)]
+        frames = [oracle.FrameAtPoint(x, oracle.su2_frame(x, scales)) for x in np.array(pts)]
+        return chart, frames, np.diag(oracle.left_invariant_s3_ricci(scales))
+    if kind == "hyperbolic2":
+        pts = [[0.0, 1.0]] + [[rng.uniform(-1, 1), rng.uniform(0.5, 2.0)] for _ in range(count - 1)]
+        want = -np.eye(2)
+    else:  # euclidean:d or sphere:d:a
+        d = chart.dim
+        pts = [np.full(d, 0.3)] + [rng.uniform(-0.8, 0.8, size=d) for _ in range(count - 1)]
+        want = (d - 1) / float(params[1]) ** 2 * np.eye(d) if kind == "sphere" else np.zeros((d, d))
+    return chart, oracle.orthonormal_frames(chart, pts), want
 
 
 def cmd_oracle_check(args) -> int:
     if args.points < 1:
         raise UsageError("--points must be at least 1")
-    chart = oracle.preset(args.preset)
-    pts = _preset_points(args.preset, args.points, args.seed)
-    frames = [_orthonormal_frame(chart, x) for x in pts]
-    want = _expected_frame_ricci(args.preset, chart)
+    chart, frames, want = _preset_fixture(args.preset, args.points, args.seed)
     checks = []
     worst = 0.0
     for idx, got in enumerate(oracle.frame_ricci_many(chart, frames, step=args.step)):
@@ -227,7 +199,7 @@ def cmd_oracle_check(args) -> int:
         checks.append(_check(f"frame-ricci-closed-form[point {idx}]", dev <= args.tol, dev, args.tol))
     results = {
         "preset": args.preset,
-        "points": len(pts),
+        "points": len(frames),
         "worst_deviation": worst,
         "expected": "constant-curvature or left-invariant closed form",
     }

@@ -40,6 +40,10 @@ __all__ = [
     "hyperbolic_plane_chart",
     "s3_left_invariant_chart",
     "su2_frame_matrix",
+    "su2_metric",
+    "su2_frame",
+    "su2_domain",
+    "orthonormal_frames",
     "MAX_DIM",
 ]
 
@@ -104,6 +108,15 @@ class FrameAtPoint:
 
     x: np.ndarray
     vectors: np.ndarray  # (dim, dim), columns are the frame vectors
+
+
+def orthonormal_frames(m: ChartMetric, xs) -> list:
+    """A g-orthonormal frame at each row of xs: the eigenvectors of g, each
+    divided by the square root of its eigenvalue, from one chart call and
+    one batched eigh."""
+    xs = np.asarray(xs, dtype=float)
+    vals, vecs = np.linalg.eigh(_symmetrize(np.asarray(m.components(xs), dtype=float)))
+    return [FrameAtPoint(x, v / np.sqrt(w)) for x, w, v in zip(xs, vals, vecs)]
 
 
 # --- finite differences ---------------------------------------------------
@@ -362,6 +375,12 @@ def sectional(
 # --- preset charts --------------------------------------------------------
 
 
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if not 0.0 < float(value) < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def euclidean_chart(d: int) -> ChartMetric:
     eye = np.eye(d)
     return ChartMetric(d, lambda x: np.broadcast_to(eye, (len(x), d, d)), label=f"euclidean:{d}")
@@ -374,6 +393,7 @@ def sphere_chart(d: int, radius: float = 1.0) -> ChartMetric:
     covers everything except one point, and test points are kept inside
     |x| <= 2.
     """
+    _require_positive(radius=radius)
     a2 = float(radius) ** 2
 
     def comps(x: np.ndarray) -> np.ndarray:
@@ -410,6 +430,26 @@ def su2_frame_matrix(point: np.ndarray) -> np.ndarray:
     return mm
 
 
+def su2_metric(x: np.ndarray, squares) -> np.ndarray:
+    """Components 0.25 M^T diag(squares) M, M = su2_frame_matrix(x), at points
+    x of shape (..., 3): squares are the squared lengths of the unit-sphere
+    frame fields, one (3,) row for all points or one row per point."""
+    mm = su2_frame_matrix(x)
+    return 0.25 * np.swapaxes(mm, -1, -2) * np.asarray(squares)[..., None, :] @ mm
+
+
+def su2_frame(point: np.ndarray, scales) -> np.ndarray:
+    """Columns 2 M^-1 / scales: the unit-sphere frame fields divided by
+    their scales, a frame orthonormal for su2_metric(point, scales**2)."""
+    return 2.0 * np.linalg.inv(su2_frame_matrix(point)) / np.asarray(scales, dtype=float)
+
+
+def su2_domain(x: np.ndarray) -> bool:
+    """Whether the Euler-angle point x keeps theta (mod 2 pi) 0.05 away
+    from the chart's singular set sin(theta) = 0."""
+    return 0.05 < x[0] % (2 * np.pi) < np.pi - 0.05
+
+
 def s3_left_invariant_chart(l1: float, l2: float, l3: float) -> ChartMetric:
     """Left-invariant metric diag(l1^2, l2^2, l3^2) against the unit frame
     of the round 3-sphere, in an Euler-angle chart (valid for sin(theta) != 0).
@@ -418,18 +458,10 @@ def s3_left_invariant_chart(l1: float, l2: float, l3: float) -> ChartMetric:
     the third direction gives the family obtained by shrinking the circle
     fibers of the Hopf map.
     """
-    lam2 = np.diag([float(l1) ** 2, float(l2) ** 2, float(l3) ** 2])
-
-    def comps(x: np.ndarray) -> np.ndarray:
-        mm = su2_frame_matrix(x)
-        return 0.25 * np.swapaxes(mm, -1, -2) @ lam2 @ mm
-
-    return ChartMetric(
-        3,
-        comps,
-        domain=lambda x: 0.05 < x[0] % (2 * np.pi) < np.pi - 0.05,
-        label=f"s3-left-invariant:{l1}:{l2}:{l3}",
-    )
+    _require_positive(l1=l1, l2=l2, l3=l3)
+    squares = np.array([float(l1) ** 2, float(l2) ** 2, float(l3) ** 2])
+    label = f"s3-left-invariant:{l1}:{l2}:{l3}"
+    return ChartMetric(3, lambda x: su2_metric(x, squares), domain=su2_domain, label=label)
 
 
 def left_invariant_s3_ricci(scales) -> np.ndarray:

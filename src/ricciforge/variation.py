@@ -231,15 +231,10 @@ def _drop_dust(matrix: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(matrix))
 
 
-def _hopf_frame(point: np.ndarray, fiber_scale: float = 1.0) -> np.ndarray:
-    """Orthonormal frame columns [vertical, horizontal, horizontal] for the
-    left-invariant chart, with the circle direction scaled by fiber_scale."""
-    frame = 2.0 * np.linalg.inv(oracle.su2_frame_matrix(point))
-    cols = np.empty((3, 3))
-    cols[:, 0] = frame[:, 2] / fiber_scale
-    cols[:, 1] = frame[:, 0]
-    cols[:, 2] = frame[:, 1]
-    return cols
+def _hopf_frame(t: float) -> oracle.FrameAtPoint:
+    """Orthonormal frame [vertical, horizontal, horizontal] at _S3_POINT of
+    the left-invariant chart with scales (1, 1, t)."""
+    return oracle.FrameAtPoint(_S3_POINT, oracle.su2_frame(_S3_POINT, (1.0, 1.0, t))[:, [2, 0, 1]])
 
 
 def hopf_preset(step: Optional[float] = None) -> SubmersionData:
@@ -253,15 +248,11 @@ def hopf_preset(step: Optional[float] = None) -> SubmersionData:
     honor the eigenframe convention (entries are below 1e-6 and checked).
     """
     s3 = oracle.s3_left_invariant_chart(1.0, 1.0, 1.0)
-    fr = oracle.FrameAtPoint(_S3_POINT, _hopf_frame(_S3_POINT))
-    ric_e = oracle.frame_ricci(s3, fr, step=step)
+    ric_e = oracle.frame_ricci(s3, _hopf_frame(1.0), step=step)
 
     s2 = oracle.sphere_chart(2, 0.5)
-    x2 = np.array([0.3, -0.2])
-    vals, vecs = np.linalg.eigh(s2.at(x2))
-    basis = vecs / np.sqrt(vals)  # g-orthonormal columns
-    ric_b = oracle.frame_ricci(s2, oracle.FrameAtPoint(x2, basis), step=step)
-    ric_b = _drop_dust(ric_b)
+    (fr,) = oracle.orthonormal_frames(s2, [[0.3, -0.2]])
+    ric_b = _drop_dust(oracle.frame_ricci(s2, fr, step=step))
 
     ric_f = np.zeros((1, 1))  # circles are flat
     ric_e_vv = ric_e[:1, :1]
@@ -289,8 +280,7 @@ def verify_hopf_against_oracle(
     for t in ts:
         s = canonical_variation_ricci(data, float(t))
         chart = oracle.s3_left_invariant_chart(1.0, 1.0, float(t))
-        fr = oracle.FrameAtPoint(_S3_POINT, _hopf_frame(_S3_POINT, fiber_scale=float(t)))
-        full = oracle.frame_ricci(chart, fr, step=step)
+        full = oracle.frame_ricci(chart, _hopf_frame(float(t)), step=step)
         dev = max(
             abs(full[0, 0] - s.vv[0, 0]),
             abs(full[1, 1] - s.hh[0, 0]),

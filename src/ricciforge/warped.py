@@ -289,16 +289,11 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
         g[:, np.arange(n, n + ps), np.arange(n, n + ps)] = conf[:, None]
         g[:, -1, -1] = 1.0
         if kind == "s3":
-            mm = oracle.su2_frame_matrix(x[:, :3])
-            g[:, :3, :3] = 0.25 * np.swapaxes(mm, -1, -2) * h2[:, None, :] @ mm
+            g[:, :3, :3] = oracle.su2_metric(x[:, :3], h2)
         return g
 
     def domain(x: np.ndarray) -> bool:
-        if x[-1] <= 1e-3:
-            return False
-        if kind == "s3" and not (0.05 < x[0] < np.pi - 0.05):
-            return False
-        return True
+        return x[-1] > 1e-3 and (kind != "s3" or oracle.su2_domain(x))
 
     return oracle.ChartMetric(d, comps, domain=domain, label=spec.label or f"warped:{kind}:p={p}")
 
@@ -321,13 +316,7 @@ def frame_at(spec: WarpedFamilySpec, p: int, r: float) -> oracle.FrameAtPoint:
     conf = (1.0 + float(sphere_point @ sphere_point)) / (2.0 * fv)
     for a in range(ps):
         cols[n + a, 1 + a] = conf
-    if kind == "torus":
-        for i in range(n):
-            cols[i, 1 + ps + i] = 1.0 / hv[i]
-    else:
-        frame = 2.0 * np.linalg.inv(oracle.su2_frame_matrix(x[:3]))
-        for i in range(3):
-            cols[:3, 1 + ps + i] = frame[:, i] / hv[i]
+    cols[:n, 1 + ps :] = oracle.su2_frame(x[:3], hv) if kind == "s3" else np.diag(1.0 / np.array(hv))
     return oracle.FrameAtPoint(x, cols)
 
 

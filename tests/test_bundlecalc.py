@@ -323,6 +323,26 @@ def test_plan_rejects_unknown_leaf():
     assert "plan.base" in str(err.value)
 
 
+def test_plan_flat_bundle_fiber_without_curvature_names_node():
+    fiber = {"kind": "custom", "q": 3, "dim": 1}
+    plan = {"kind": "flatBundle", "base": {"kind": "ricNonneg", "dim": 2}, "fiber": fiber}
+    with pytest.raises(PlanError, match="node plan: fiber certificate lacks a curvature bound") as err:
+        evaluate_plan(plan)
+    assert not isinstance(err.value, CertificateError)
+    nested = {"kind": "flatBundle", "base": plan, "fiber": {"kind": "ricNonneg", "dim": 1}}
+    with pytest.raises(PlanError, match="node plan.base: fiber certificate"):
+        evaluate_plan(nested)
+
+
+def test_plan_vector_bundle_base_without_curvature_names_node():
+    plan = {"kind": "vectorBundle", "base": {"kind": "custom", "q": 3, "dim": 1}, "rank": 2}
+    with pytest.raises(PlanError, match="node plan: base certificate lacks a curvature bound") as err:
+        evaluate_plan(plan)
+    assert not isinstance(err.value, CertificateError)
+    # a rank-0 vector bundle is its base and needs no curvature bound
+    assert evaluate_plan({**plan, "rank": 0}).params.curvature is None
+
+
 def test_plan_zero_exponents_still_normalize():
     # basis exponents scale multiplicatively under exact reparametrization
     # (zeros stay zero) but the rescale step shifts every exponent up, so

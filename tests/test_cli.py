@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -180,6 +181,13 @@ def test_plan_unknown_kind_is_spec_error(capsys, tmp_path):
     assert cli.run(["plan", "--file", str(path)]) == 3
 
 
+def test_plan_leaf_without_curvature_is_spec_error(capsys, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"kind": "vectorBundle", "base": {"kind": "custom", "q": 3, "dim": 1}, "rank": 2}))
+    assert cli.run(["plan", "--file", str(path), "--json"]) == 3
+    assert capsys.readouterr().err == "spec error: node plan: base certificate lacks a curvature bound\n"
+
+
 def test_usage_errors_exit_three(capsys, tmp_path):
     assert cli.run(["no-such-command"]) == 3
     assert cli.run(["oracle-check", "--preset", "klein-bottle", "--tol", "1e-6"]) == 3
@@ -227,6 +235,41 @@ def test_warped_verify_without_radii_is_usage_error(capsys):
     argv = ["warped-verify", "--preset", "s3-unequal", "--p", "3", "--tol", "1e-5", "--rs", ""]
     assert cli.run(argv + ["--json"]) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere:2:0", "sphere:2:inf", "sphere:2:nan", "sphere:2:-1", "s3-left-invariant:nan:1:1"]
+)
+def test_oracle_check_degenerate_preset_is_spec_error(capsys, name):
+    assert cli.run(["oracle-check", "--preset", name, "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"spec error: bad preset parameters in {name!r}")
+    assert err.count("\n") == 1
+
+
+def test_oracle_check_chart_calls(capsys, monkeypatch):
+    # the frames of all points take one chart call and the oracle one per
+    # Richardson level; S^3 frames come from the group frame, not the chart
+    sizes = []
+    real = oracle.preset
+
+    def counting_preset(name):
+        m = real(name)
+
+        def counting(x):
+            sizes.append(len(x))
+            return m.components(x)
+
+        return dataclasses.replace(m, components=counting)
+
+    monkeypatch.setattr(oracle, "preset", counting_preset)
+    assert cli.run(["oracle-check", "--preset", "sphere:2:1", "--json"]) == 0
+    assert sizes == [3, 3 * 25, 3 * 25]
+    sizes.clear()
+    assert cli.run(["oracle-check", "--preset", "s3-left-invariant:0.8:1:1.2", "--json"]) == 0
+    assert sizes == [3 * 61, 3 * 61]
+    capsys.readouterr()
 
 
 def test_oracle_check_point_count(capsys):

@@ -393,3 +393,29 @@ def test_preset_registry_errors():
         preset("warped")
     with pytest.raises(ValueError):
         preset("sphere:notanumber:1")
+    degenerate = ["sphere:2:0", "sphere:2:-1", "sphere:2:inf", "sphere:2:nan"]
+    degenerate += ["s3-left-invariant:nan:1:1", "s3-left-invariant:-1:1:1", "s3-left-invariant:1:0:1"]
+    degenerate += ["s3-left-invariant:1:1:inf"]
+    for name in degenerate:
+        with pytest.raises(ValueError, match="bad preset parameters .* must be finite and positive"):
+            preset(name)
+    with pytest.raises(ValueError, match="radius"):
+        oracle.sphere_chart(3, -0.5)
+    with pytest.raises(ValueError, match="l3"):
+        oracle.s3_left_invariant_chart(1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["euclidean:3", "sphere:2:1", "sphere:5:0.7", "sphere:8:1", "hyperbolic2"])
+def test_orthonormal_frames_match_single_point_frames(name):
+    # one chart call and one batched eigh give each point's eigenvector frame bit for bit
+    m = preset(name)
+    rng = np.random.default_rng(11)
+    for n in (1, 4, 9):
+        pts = rng.uniform(0.5, 1.5, (n, m.dim)) * rng.choice([-1.0, 1.0], (n, m.dim))
+        pts[:, -1] = np.abs(pts[:, -1])  # inside the half plane
+        frames = oracle.orthonormal_frames(m, pts)
+        assert len(frames) == n
+        for x, fr in zip(pts, frames):
+            want = coordinate_frame(m, x)
+            assert np.array_equal(fr.x, x)
+            assert np.array_equal(fr.vectors, want.vectors)
