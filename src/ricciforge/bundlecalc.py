@@ -460,6 +460,18 @@ def _step(trace: list, rule: str, node: str, fp: FamilyParams, tag: str = "") ->
 
 
 def _fold(node, path: str, trace: list) -> FamilyParams:
+    """Fold the subtree at path. A constructor's or leaf's rejection is
+    re-raised as a PlanError naming the node; a child's PlanError already
+    names its own."""
+    try:
+        return _fold_node(node, path, trace)
+    except PlanError:
+        raise
+    except ValueError as err:  # CertificateError included
+        raise PlanError(f"node {path}: {err}") from None
+
+
+def _fold_node(node, path: str, trace: list) -> FamilyParams:
     if not isinstance(node, dict) or "kind" not in node:
         raise PlanError(f"node {path}: expected an object with a 'kind' field")
     kind = node["kind"]

@@ -376,9 +376,14 @@ def sectional(
 
 
 def _require_positive(**values) -> None:
+    """Each value must be finite and positive, and its square, which the
+    charts and their closed forms divide by or scale with, a normal float."""
     for name, value in values.items():
-        if not 0.0 < float(value) < np.inf:
+        v = float(value)
+        if not 0.0 < v < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not np.finfo(float).tiny <= v * v < np.inf:
+            raise ValueError(f"{name} squared must be a positive normal float, got {value}")
 
 
 def euclidean_chart(d: int) -> ChartMetric:

@@ -16,6 +16,7 @@ form threshold from the derived coefficients (k_bound).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,12 +50,6 @@ def reference_profiles() -> tuple[Expr, Expr]:
     """The profile pair (f, h) used by the positivity construction:
     f(r) = r (1+r^2)^(-1/4) and h(r) = (1+r^2)^(-1)."""
     return exprs.parse(_F_TEXT), exprs.parse(_H_TEXT)
-
-
-# The reference trees and the f-derivatives min_p needs, derived once.
-_F, _H = reference_profiles()
-_FP = exprs.diff(_F, 1)
-_FPP = exprs.diff(_FP, 1)
 
 
 @dataclass(frozen=True)
@@ -194,33 +189,85 @@ class MinPResult:
     grid_points: int
 
 
-def _grid_diagonals(n: int, c: float, mi, grid: np.ndarray):
+# Bound on each grid-row cache below, in entries. On the default 1500-point
+# grid a reference entry holds 60 kB and an exponent entry 36 kB.
+_GRID_CACHE_ENTRIES = 32
+
+
+def _checked_rows(grid: RadialGrid, rs: np.ndarray, trees, positive) -> tuple:
+    """The trees' rows on the grid radii rs, read-only, since every cache
+    hit hands out the same arrays.
+
+    For r > 0 the rows are finite and the arrays positive(*rows) derives
+    from them are positive, so a row or array that breaks this has left
+    float range. That is one ValueError naming r_max, not numpy warnings
+    and a verdict.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            rows = tuple(exprs.evaluate_grid(t, rs) for t in trees)
+        except exprs.DomainError:
+            rows = None
+        ok = rows is not None and all(np.all(np.isfinite(x) & (x > 0.0)) for x in positive(*rows))
+    if not ok:
+        raise ValueError(
+            f"the sweep grid leaves floating-point range on (0, r_max={grid.r_max:g}]: "
+            "profile values underflow or overflow there, so the grid cannot decide positivity"
+        )
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_ENTRIES)
+def _reference_rows(grid: RadialGrid) -> tuple:
+    """The grid's radii rs and the rows of h, f, f' and f'', read-only.
+    For r > 0 the radial p-slope -f''/f and the sphere p-slope
+    (1 - f'^2)/f^2 are positive."""
+    f, h = reference_profiles()
+    fp = exprs.diff(f, 1)
+    rs = grid.values()
+    rs.setflags(write=False)
+
+    def positive(hv, fv, fpv, fppv):
+        return -fppv / fv, (1.0 - fpv**2) / fv**2
+
+    return (rs, *_checked_rows(grid, rs, (h, f, fp, exprs.diff(fp, 1)), positive))
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_ENTRIES)
+def _exponent_rows(grid: RadialGrid, m) -> tuple:
+    """The grid rows of h^m, (h^m)' and (h^m)'', read-only. h^m is
+    positive, and for m > 0 so is the E-direction p-slope
+    -f' (h^m)' / (f h^m)."""
+    rs, _, fv, fp, _ = _reference_rows(grid)
+    e = exprs.pow_(exprs.parse(_H_TEXT), m)
+    d1 = exprs.diff(e, 1)
+
+    def positive(hv, hp, hpp):
+        return (hv, -(fp * hp) / (fv * hv)) if m > 0 else (hv,)
+
+    return _checked_rows(grid, rs, (e, d1, exprs.diff(d1, 1)), positive)
+
+
+def _grid_diagonals(n: int, c: float, mi, grid: RadialGrid):
     """Affine-in-p representation of the worst-case diagonal margins.
 
     Returns (base2, slope) arrays of shape (n+2, G): row 0 the radial
     direction, row 1 the sphere direction, rows 2.. the E directions with
     the worst-case base term and the Gershgorin absorption already
     subtracted. Entry value at p is base2 + (p-2) * slope, exact because
-    each diagonal formula is affine in p.
+    each diagonal formula is affine in p. mi holds exact rationals.
     """
-    hv_scalar = exprs.evaluate_grid(_H, grid)
-    fv = exprs.evaluate_grid(_F, grid)
-    fp = exprs.evaluate_grid(_FP, grid)
-    fpp = exprs.evaluate_grid(_FPP, grid)
-    mi = [exprs.frac(m) for m in mi]
-    rows = {}  # each distinct exponent m -> grid values of h^m, (h^m)', (h^m)''
-    for m in mi:
-        if m not in rows:
-            e = exprs.pow_(_H, m)
-            d1 = exprs.diff(e, 1)
-            rows[m] = [exprs.evaluate_grid(t, grid) for t in (e, d1, exprs.diff(d1, 1))]
-    hv, hp, hpp = (np.array([rows[m][k] for m in mi]).reshape(-1, grid.size) for k in range(3))
+    rs, hv_scalar, fv, fp, fpp = _reference_rows(grid)
+    rows = [_exponent_rows(grid, m) for m in mi]
+    hv, hp, hpp = (np.array([row[k] for row in rows]).reshape(-1, rs.size) for k in range(3))
     h2 = hv_scalar**2
     slack = (n - 1) * c * h2 if n else 0.0
 
     def stack_at(p: int) -> np.ndarray:
         rr, uu, yy_corr = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
-        yy = yy_corr - c * h2 - slack if n else np.zeros((0, grid.size))
+        yy = yy_corr - c * h2 - slack if n else np.zeros((0, rs.size))
         return np.vstack([rr[None, :], uu[None, :], yy])
 
     at2 = stack_at(2)
@@ -261,13 +308,13 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
     so the predicate is monotone and an exponential-then-binary search
     applies. Returns p_star None when no p up to 10^6 works, which is
     forced whenever some m_i = 0 and c = 0 (that E-diagonal is then
-    identically zero).
+    identically zero). Raises ValueError when the profile values leave
+    float range on the grid, where the sweep could give no verdict.
     """
     if grid is None:
         grid = RadialGrid()
     mi = _checked_exponents(n, c, mi)
-    rs = grid.values()
-    base2, slope = _grid_diagonals(n, float(c), mi, rs)
+    base2, slope = _grid_diagonals(n, float(c), mi, grid)
     names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
 
     def result(reason, p_star=None, margin=None, margin_r=None, direction=None) -> MinPResult:
@@ -307,6 +354,7 @@ def min_p(n: int, c: float, mi: Sequence, grid: Optional[RadialGrid] = None) -> 
         else:
             lo = mid + 1
     marg = _margins(base2, slope, lo)
+    rs = _reference_rows(grid)[0]
     row, col = divmod(int(np.argmin(marg)), rs.size)
     return result("ok", int(lo), float(marg.min()), float(rs[col]), names[row])
 
@@ -319,7 +367,7 @@ def grid_positive(
     if grid is None:
         grid = RadialGrid()
     mi = _checked_exponents(n, c, mi)
-    return _positive(*_grid_diagonals(n, float(c), mi, grid.values()), p)
+    return _positive(*_grid_diagonals(n, float(c), mi, grid), p)
 
 
 # --- auxiliary profile inequality ------------------------------------------

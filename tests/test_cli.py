@@ -188,6 +188,51 @@ def test_plan_leaf_without_curvature_is_spec_error(capsys, tmp_path):
     assert capsys.readouterr().err == "spec error: node plan: base certificate lacks a curvature bound\n"
 
 
+_RIC2 = {"kind": "ricNonneg", "dim": 2}
+
+
+@pytest.mark.parametrize(
+    "plan, err",
+    [
+        ({"kind": "vectorBundle", "base": _RIC2, "rank": -1}, "node plan: rank must be nonnegative"),
+        (
+            {"kind": "fiberBundle", "base": _RIC2, "fiber": _RIC2, "La": -1},
+            "node plan: a_bound must be nonnegative",
+        ),
+        (
+            {"kind": "flatBundle", "base": {"kind": "nilmanifold", "dim": 1}, "fiber": _RIC2},
+            "node plan.base: nilmanifold certificates need dimension >= 2",
+        ),
+        (
+            {
+                "kind": "flatBundle",
+                "base": _RIC2,
+                "fiber": {"kind": "custom", "q": 3, "dim": 1, "m": 1, "mLower": 2, "curvature": {"L": 1, "e": 1}},
+            },
+            "node plan.fiber: need 0 <= m_lower <= m",
+        ),
+    ],
+)
+def test_plan_constructor_errors_name_the_node(capsys, tmp_path, plan, err):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert cli.run(["plan", "--file", str(path), "--json"]) == 3
+    assert capsys.readouterr().err == f"spec error: {err}\n"
+
+
+@pytest.mark.parametrize("argv", [["--m", "10", "--rmax", "1e20"], ["--m", "1", "--rmax", "1e150"]])
+def test_minp_grid_past_float_range_is_spec_error(capsys, argv):
+    # h^10 (and for m = 1, h^2) underflows on these grids; no verdict and no numpy warning
+    assert cli.run(["minp", "--n", "1", "--c", "0"] + argv + ["--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    rmax = float(argv[-1])
+    assert captured.err == (
+        f"spec error: the sweep grid leaves floating-point range on (0, r_max={rmax:g}]: "
+        "profile values underflow or overflow there, so the grid cannot decide positivity\n"
+    )
+
+
 def test_usage_errors_exit_three(capsys, tmp_path):
     assert cli.run(["no-such-command"]) == 3
     assert cli.run(["oracle-check", "--preset", "klein-bottle", "--tol", "1e-6"]) == 3

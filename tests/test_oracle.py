@@ -399,6 +399,10 @@ def test_preset_registry_errors():
     for name in degenerate:
         with pytest.raises(ValueError, match="bad preset parameters .* must be finite and positive"):
             preset(name)
+    # radii and scales whose squares overflow, underflow or are subnormal
+    for name in ["sphere:2:1e200", "s3-left-invariant:1e200:1:1", "sphere:2:1e-200", "sphere:2:1e-170"]:
+        with pytest.raises(ValueError, match="bad preset parameters .* squared must be a positive normal float"):
+            preset(name)
     with pytest.raises(ValueError, match="radius"):
         oracle.sphere_chart(3, -0.5)
     with pytest.raises(ValueError, match="l3"):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -257,22 +258,91 @@ def test_grid_validation():
     assert values.size >= 1000
 
 
+def _clear_grid_caches():
+    positivity._reference_rows.cache_clear()
+    positivity._exponent_rows.cache_clear()
+
+
 def test_min_p_derives_each_exponent_once(monkeypatch):
-    derived = []
-    inner = exprs.diff
+    _clear_grid_caches()
+    derived, grid_calls = [], []
+    inner_diff, inner_grid = exprs.diff, exprs.evaluate_grid
 
-    def counting(e, order=1):
+    def counting_diff(e, order=1):
         derived.append(e)
-        return inner(e, order)
+        return inner_diff(e, order)
 
-    monkeypatch.setattr(exprs, "diff", counting)
-    h = reference_profiles()[1]
+    def counting_grid(e, rs):
+        grid_calls.append(e)
+        return inner_grid(e, rs)
+
+    monkeypatch.setattr(exprs, "diff", counting_diff)
+    monkeypatch.setattr(exprs, "evaluate_grid", counting_grid)
+    f, h = reference_profiles()
     hm = exprs.pow_(h, Fraction(1, 2))
     assert min_p(3, 1.0, ["1/2"] * 3).p_star is not None
-    assert derived == [hm, inner(hm, 1)]
+    # the first call derives f' and f'' for the reference rows, then h^(1/2)
+    assert derived == [f, inner_diff(f, 1), hm, inner_diff(hm, 1)]
     derived.clear()
     assert min_p(3, 1.0, ["1/2", 1, "1/2"]).p_star is not None
-    assert derived == [hm, inner(hm, 1), h, inner(h, 1)]
+    assert derived == [h, inner_diff(h, 1)]
+    derived.clear()
+    grid_calls.clear()
+    assert min_p(3, 1.0, ["1/2", 1, "1/2"]).p_star is not None
+    assert grid_positive(3, 1.0, [1, "1/2", 1], 60)
+    assert derived == [] and grid_calls == []
+
+
+def test_cached_grid_rows_are_read_only():
+    min_p(2, 0.5, [1, "1/2"])
+    grid = RadialGrid()
+    rows = positivity._reference_rows(grid) + positivity._exponent_rows(grid, Fraction(1, 2))
+    assert len(rows) == 8
+    # every flag is checked before any write, so a failure cannot corrupt the shared rows
+    assert not any(row.flags.writeable for row in rows)
+    for row in rows:
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+
+
+def test_min_p_warm_cache_equals_cold_cache():
+    cases = [
+        (0, 0.0, [], RadialGrid()),
+        (1, 0.0, [1], RadialGrid()),
+        (2, 0.5, ["1/4", "3/2"], RadialGrid(r_max=500.0)),
+        (3, 1.0, ["1/3", "1/2", "1/3"], RadialGrid(r_max=80.0, points=2000)),
+        (1, 2.0, ["5/4"], RadialGrid(points=1001)),
+        (2, 0.0, [0, 1], RadialGrid()),
+    ]
+
+    def sweep():
+        return [
+            (min_p(n, c, mi, grid=grid), grid_positive(n, c, mi, 40, grid=grid))
+            for n, c, mi, grid in cases
+        ]
+
+    warm = sweep()
+    warmer = sweep()
+    _clear_grid_caches()
+    cold = sweep()
+    for got in (warmer, cold):
+        for (a, pa), (b, pb) in zip(warm, got):
+            assert pa == pb
+            # repr spells each float in full, so equal reprs are equal bits
+            assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize(
+    "n,mi,r_max",
+    [(1, [10], 1e20), (1, [1], 1e150), (0, [], 1e150), (1, [1], 1e200), (1, [200], 50.0)],
+)
+def test_min_p_rejects_a_grid_past_float_range(n, mi, r_max):
+    grid = RadialGrid(r_max=r_max)
+    named = re.escape(f"r_max={r_max:g}]")
+    with pytest.raises(ValueError, match=named):
+        min_p(n, 0.0, mi, grid=grid)
+    with pytest.raises(ValueError, match=named):
+        grid_positive(n, 0.0, mi, 50, grid=grid)
 
 
 @pytest.mark.parametrize(
@@ -282,8 +352,9 @@ def test_min_p_derives_each_exponent_once(monkeypatch):
 def test_min_p_margin_direction_names_the_binding_row(n, c, mi, direction):
     res = min_p(n, c, mi)
     assert res.margin_direction == direction
-    rs = RadialGrid().values()
-    base2, slope = positivity._grid_diagonals(n, c, [Fraction(m) for m in mi], rs)
+    grid = RadialGrid()
+    rs = grid.values()
+    base2, slope = positivity._grid_diagonals(n, c, [Fraction(m) for m in mi], grid)
     names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
     row = positivity._margins(base2, slope, res.p_star)[names.index(direction)]
     assert row[int(np.flatnonzero(rs == res.margin_r)[0])] == res.margin == row.min()
