@@ -588,7 +588,7 @@ def normalize_for_positivity(fp: FamilyParams, trace: Optional[list] = None) -> 
     return _step(steps, "rescale", "normalize", rescale(fp, Fraction(1, 2)))
 
 
-def evaluate_plan(plan, grid: Optional[positivity.RadialGrid] = None) -> PlanResult:
+def evaluate_plan(plan) -> PlanResult:
     """Fold a bundle plan into a certificate and a sphere-dimension bound.
 
     The plan is a tree of leaf certificates (ricNonneg, nilmanifold,
@@ -596,7 +596,7 @@ def evaluate_plan(plan, grid: Optional[positivity.RadialGrid] = None) -> PlanRes
     The folded certificate is normalized to decay exponent 2 with
     strictly positive basis exponents and fed to the positivity module:
     p_bound is the ceiling of the closed-form threshold (worst case over
-    admissible exponent profiles), and the grid search result for the
+    admissible exponent profiles), and the exact min_p result for the
     uniform profile is attached as a replay check. When the basis
     exponents cannot be made positive (fixed q = 2 with m_lower = 0),
     p_bound is None with the reason recorded.
@@ -624,9 +624,7 @@ def evaluate_plan(plan, grid: Optional[positivity.RadialGrid] = None) -> PlanRes
                 norm.dim, norm.c, float(norm.m), m_lower=float(norm.m_lower)
             )
             p_bound = int(kb) + 1
-            replay = positivity.min_p(
-                norm.dim, norm.c, [norm.m] * norm.dim, grid=grid
-            )
+            replay = positivity.min_p(norm.dim, norm.c, [norm.m] * norm.dim)
             trace.append(
                 {
                     "rule": "positivity-threshold",

@@ -342,30 +342,18 @@ def cmd_error_bounds(args) -> int:
 
 def cmd_minp(args) -> int:
     mi = [s.strip() for s in args.m.split(",") if s.strip()]
-    grid = positivity.RadialGrid(r_max=args.rmax, points=args.grid)
-    res = positivity.min_p(args.n, args.c, mi, grid=grid)
+    res = positivity.min_p(args.n, args.c, mi)
     results = {
         "pStar": res.p_star,
-        "margin": res.margin,
-        "margin_r": res.margin_r,
-        "margin_direction": res.margin_direction,
+        "binding_direction": res.binding,
+        "binding_pK_minus_L": None if res.pk_minus_l is None else str(res.pk_minus_l),
+        "binding_pR_minus_S": None if res.pr_minus_s is None else str(res.pr_minus_s),
         "reason": res.reason,
-        "certificate": {
-            "n": res.n,
-            "c": res.c,
-            "mi": list(res.mi),
-            "r_max": res.r_max,
-            "grid_points": res.grid_points,
-        },
+        "certificate": {"n": res.n, "c": res.c, "mi": list(res.mi)},
         "threshold_note": "the closed-form threshold is one sound derivation of the "
         "advertised explicit bound; the source leaves the function unspecified",
     }
-    report = _report(
-        "minp",
-        {"n": args.n, "c": args.c, "m": args.m, "rmax": args.rmax, "grid": args.grid},
-        results,
-        [],
-    )
+    report = _report("minp", {"n": args.n, "c": args.c, "m": args.m}, results, [])
     return _emit(report, args)
 
 
@@ -464,12 +452,10 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_error_bounds)
 
-    p = sub.add_parser("minp", help="minimal sphere dimension by grid sweep")
+    p = sub.add_parser("minp", help="minimal sphere dimension, decided exactly")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_finite_float, required=True)
     p.add_argument("--m", required=True, help="comma-separated exponents m_i")
-    p.add_argument("--rmax", type=_finite_float, default=50.0)
-    p.add_argument("--grid", type=int, default=1500)
     common(p)
     p.set_defaults(func=cmd_minp)
 

@@ -400,6 +400,8 @@ def sphere_chart(d: int, radius: float = 1.0) -> ChartMetric:
     """
     _require_positive(radius=radius)
     a2 = float(radius) ** 2
+    if not 4.0 * a2 < np.inf:
+        raise ValueError(f"radius {radius}: the chart scale 4 radius^2 is not a normal float")
 
     def comps(x: np.ndarray) -> np.ndarray:
         conf = 4.0 * a2 / (1.0 + np.sum(x * x, axis=1)) ** 2
@@ -480,8 +482,10 @@ def left_invariant_s3_ricci(scales) -> np.ndarray:
     gives c_i = 2 and Ricci 2 in every direction.
     """
     h1, h2, h3 = (float(s) for s in scales)
-    c = np.array([2.0 * h1 / (h2 * h3), 2.0 * h2 / (h1 * h3), 2.0 * h3 / (h1 * h2)])
-    mu = c.sum() / 2.0 - c
+    # Python floats overflow to inf without a warning; the oracle rejects
+    # such extreme scale ratios by the metric's condition number.
+    c = [2.0 * h1 / (h2 * h3), 2.0 * h2 / (h1 * h3), 2.0 * h3 / (h1 * h2)]
+    mu = [sum(c) / 2.0 - ci for ci in c]
     return np.array([2.0 * mu[1] * mu[2], 2.0 * mu[0] * mu[2], 2.0 * mu[0] * mu[1]])
 
 

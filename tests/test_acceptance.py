@@ -12,6 +12,7 @@ import numpy as np
 
 from ricciforge import bundlecalc as bc
 from ricciforge import cli, oracle, positivity, variation, warped
+from test_positivity import _all_positive
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -129,25 +130,33 @@ def test_criterion_6_auxiliary_profile_inequality():
 def test_criterion_7_positivity_search():
     lines = []
     ok = True
-    long_grid = positivity.RadialGrid(r_max=500.0)
     for n in (1, 2, 3):
         for c in (0.0, 1.0):
             start = time.time()
-            res = positivity.min_p(n, c, [1] * n)
+            mi = [1] * n
+            res = positivity.min_p(n, c, mi)
             kb = positivity.k_bound(n, c, 1.0)
-            stable = positivity.min_p(n, c, [1] * n, grid=long_grid)
+            # at p_star - 1 the radial margin h^2 (a + b t^2), b = pK - L < 0,
+            # crosses zero at t^2 = -a/b; the radii reach four times past it
+            cf = positivity.derive_coefficients(n, c, mi).directions["r"]
+            b = res.pk_minus_l - F(cf.K)
+            a = res.pr_minus_s - F(cf.R) - b
+            r_cross = float(-a / b - 1) ** 0.5 if b < 0 else float("nan")
+            rs = np.geomspace(1e-3, 4.0 * r_cross, 4000)
             elapsed = time.time() - start
             case_ok = (
-                res.p_star is not None
-                and positivity.grid_positive(n, c, [1] * n, res.p_star)
-                and not positivity.grid_positive(n, c, [1] * n, res.p_star - 1)
+                res.binding == "radial"
+                and b < 0
+                and _all_positive(n, c, mi, rs, res.p_star)
+                and not _all_positive(n, c, mi, rs, res.p_star - 1)
                 and res.p_star <= kb
-                and stable.p_star == res.p_star
                 and elapsed < 60.0
             )
+            if (n, c) == (1, 0.0):
+                case_ok = case_ok and res.p_star == 25 and a / b == -147
             ok = ok and case_ok
-            lines.append(f"n={n},c={c:g}: pStar={res.p_star}, k={kb:g}, {elapsed:.2f}s")
-    _report("criterion 7 (minimal-p search, 6 cases)", ok, "; ".join(lines))
+            lines.append(f"n={n},c={c:g}: pStar={res.p_star}, k={kb:g}, crossing r={r_cross:.4g}")
+    _report("criterion 7 (exact minimal-p decision, 6 cases)", ok, "; ".join(lines))
 
 
 def test_criterion_8_degenerate_exponent_returns_none():

@@ -220,17 +220,38 @@ def test_plan_constructor_errors_name_the_node(capsys, tmp_path, plan, err):
     assert capsys.readouterr().err == f"spec error: {err}\n"
 
 
-@pytest.mark.parametrize("argv", [["--m", "10", "--rmax", "1e20"], ["--m", "1", "--rmax", "1e150"]])
-def test_minp_grid_past_float_range_is_spec_error(capsys, argv):
-    # h^10 (and for m = 1, h^2) underflows on these grids; no verdict and no numpy warning
-    assert cli.run(["minp", "--n", "1", "--c", "0"] + argv + ["--json"]) == 3
+def test_minp_rmax_is_usage_error(capsys):
+    # min_p samples no radii, so there is no grid end to set
+    assert cli.run(["minp", "--n", "1", "--c", "0", "--m", "10", "--rmax", "1e20", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    rmax = float(argv[-1])
+    assert captured.err == "usage error: unrecognized arguments: --rmax 1e20\n"
+
+
+def test_minp_large_exponent_is_exact(capsys):
+    # a 50-radius sweep answered 1677; the margin at p = 1680 turns negative past r = 50
+    code, report = run_json(capsys, ["minp", "--n", "1", "--c", "0", "--m", "10"])
+    assert code == 0
+    assert report["results"]["pStar"] == 1681
+
+
+def test_oracle_check_sphere_chart_scale_past_float_range(capsys):
+    # 1e154^2 is a normal float, but the chart scale 4 a^2 is not
+    assert cli.run(["oracle-check", "--preset", "sphere:2:1e154", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err == (
-        f"spec error: the sweep grid leaves floating-point range on (0, r_max={rmax:g}]: "
-        "profile values underflow or overflow there, so the grid cannot decide positivity\n"
+        "spec error: bad preset parameters in 'sphere:2:1e154': "
+        "radius 1e+154: the chart scale 4 radius^2 is not a normal float\n"
     )
+
+
+def test_oracle_check_extreme_s3_scales_warn_nothing(capsys):
+    # the closed-form Ricci overflows to inf silently; the oracle rejects the metric
+    assert cli.run(["oracle-check", "--preset", "s3-left-invariant:1e150:1e-150:1", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: metric condition number exceeds 1e12 at [1.1 0.4 0.8]\n"
 
 
 def test_usage_errors_exit_three(capsys, tmp_path):
@@ -336,10 +357,11 @@ def test_json_output_byte_identical(capsys, torus_file):
 
 
 def test_json_floats_full_precision(capsys):
-    code, report = run_json(capsys, ["minp", "--n", "1", "--c", "0", "--m", "1"])
+    code, report = run_json(capsys, ["warped-eval", "--preset", "reference-torus", "--r", "1", "--p", "200"])
     rendered = cli.render_json(report)
-    margin = report["results"]["margin"]
-    assert format(margin, ".17g") in rendered
+    rr = report["results"]["rr"]
+    assert rr != round(rr, 6)
+    assert format(rr, ".17g") in rendered
 
 
 def test_csv_output(capsys):
@@ -409,12 +431,18 @@ def test_zero_tolerance_is_legal(capsys):
     assert report["inputs"]["tol"] == 0.0
 
 
-def test_minp_reports_margin_direction(capsys):
+def test_minp_reports_binding_direction(capsys):
     code, report = run_json(capsys, ["minp", "--n", "1", "--c", "2", "--m", "1/4"])
     assert code == 0
-    assert report["results"]["margin_direction"] == "y0"
+    results = report["results"]
+    assert results["pStar"] == 5
+    assert results["binding_direction"] == "y0"
+    # at p = 4 both y0 numbers are 0, so the y0 margin vanishes identically
+    assert (results["binding_pK_minus_L"], results["binding_pR_minus_S"]) == ("1/4", "1/2")
     code, report = run_json(capsys, ["minp", "--n", "1", "--c", "0", "--m", "0"])
-    assert report["results"]["margin_direction"] is None
+    results = report["results"]
+    assert results["binding_direction"] is results["binding_pK_minus_L"] is None
+    assert results["binding_pR_minus_S"] is None
 
 
 @pytest.mark.parametrize(

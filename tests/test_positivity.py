@@ -1,4 +1,6 @@
-import re
+import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +8,7 @@ import pytest
 
 from ricciforge import exprs, positivity
 from ricciforge.positivity import (
-    RadialGrid,
     derive_coefficients,
-    grid_positive,
     k_bound,
     min_p,
     profile_gap,
@@ -72,6 +72,9 @@ def test_sphere_direction_dominates_early():
 
 
 def _exact_margins(n, c, mi, rs, p):
+    """The worst-case diagonal margins min_p decides on, through
+    diagonal_blocks: the E rows carry the base term -c h^2 and the
+    Gershgorin absorption -(n-1) c h^2."""
     f, h = reference_profiles()
     fv = exprs.evaluate_grid(f, rs)
     fp = exprs.evaluate_grid(exprs.diff(f, 1), rs)
@@ -90,7 +93,12 @@ def _exact_margins(n, c, mi, rs, p):
     )
     rr, uu, yy = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
     h2 = exprs.evaluate_grid(h, rs) ** 2
-    return rr, uu, yy - c * h2
+    return rr, uu, yy - n * c * h2
+
+
+def _all_positive(n, c, mi, rs, p):
+    rr, uu, yy = _exact_margins(n, c, mi, rs, p)
+    return bool(np.all(rr > 0) and np.all(uu > 0) and np.all(yy > 0))
 
 
 def test_bound_soundness_sampled():
@@ -105,6 +113,7 @@ def test_bound_soundness_sampled():
         p = int(rng.integers(2, 1000))
         rr, uu, yy = _exact_margins(n, c, mi, rs, p)
         h2 = exprs.evaluate_grid(h, rs) ** 2
+        yy = yy + (n - 1) * c * h2  # the bound's S = c leaves out the Gershgorin term
 
         def bound(cf):
             return h2 * (rs**2 * (p * cf.K - cf.L) + p * cf.R - cf.S)
@@ -161,28 +170,50 @@ def test_profile_gap_branches_agree():
     assert np.allclose(profile_gap(rs), direct, rtol=1e-11, atol=1e-15)
 
 
+def _decimal_gap(r: float) -> Decimal:
+    """f^(-2)(1 - f'^2) - h^2 (3/2 + r^2) in 60-digit decimals, from the
+    unfactored form f'^2 = (1 + u/2)^2 / (1 + u)^(5/2), f^2 = u (1 + u)^(-1/2)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u = Decimal(r) ** 2
+        root = (1 + u).sqrt()
+        fp2 = (1 + u / 2) ** 2 / ((1 + u) ** 2 * root)
+        return (1 - fp2) * root / u - (Decimal(3) / 2 + u) / (1 + u) ** 2
+
+
+def test_profile_gap_matches_decimal_reference():
+    rs = np.geomspace(1e-6, 1e3, 100)
+    got = profile_gap(rs)
+    for r, value in zip(rs, got):
+        want = _decimal_gap(float(r))
+        assert abs(Decimal(float(value)) - want) <= Decimal("1e-14") * want, r
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("c", [0.0, 1.0])
 def test_min_p_reference_cases(n, c):
     res = min_p(n, c, [1] * n)
     assert res.p_star == EXPECTED_PSTAR[n]
-    assert res.margin is not None and res.margin > 0.0
-    assert grid_positive(n, c, [1] * n, res.p_star)
-    assert not grid_positive(n, c, [1] * n, res.p_star - 1)
+    assert res.reason == "ok"
+    rs = np.geomspace(1e-3, 1e3, 2000)
+    assert _all_positive(n, c, [1] * n, rs, res.p_star)
+    assert not _all_positive(n, c, [1] * n, rs, res.p_star - 1)
     assert res.p_star <= k_bound(n, c, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_min_p_stable_under_longer_grid(n):
-    near = min_p(n, 1.0, [1] * n)
-    far = min_p(n, 1.0, [1] * n, grid=RadialGrid(r_max=500.0))
-    assert near.p_star == far.p_star
+    # no radius cut-off: the margins at p_star stay positive far past the
+    # 50 or 500 where a sampled sweep would stop
+    res = min_p(n, 1.0, [1] * n)
+    assert _all_positive(n, 1.0, [1] * n, np.geomspace(1e-3, 1e6, 3000), res.p_star)
 
 
 def test_min_p_monotone_in_p():
     res = min_p(2, 0.0, [1, 1])
+    rs = np.geomspace(1e-3, 1e3, 2000)
     for extra in (1, 5, 100):
-        assert grid_positive(2, 0.0, [1, 1], res.p_star + extra)
+        assert _all_positive(2, 0.0, [1, 1], rs, res.p_star + extra)
 
 
 def test_min_p_zero_exponent_returns_none():
@@ -192,9 +223,10 @@ def test_min_p_zero_exponent_returns_none():
 
 
 def test_min_p_mixed_exponents():
-    res = min_p(2, 0.5, [1, "1/2"])
+    mi = [1, Fraction(1, 2)]
+    res = min_p(2, 0.5, mi)
     assert res.p_star is not None
-    assert grid_positive(2, 0.5, [1, "1/2"], res.p_star)
+    assert _all_positive(2, 0.5, mi, np.geomspace(1e-3, 1e3, 2000), res.p_star)
 
 
 def test_min_p_determinism():
@@ -215,9 +247,7 @@ def test_min_p_validation():
     [(2, 0.0, [1]), (1, 0.0, [1, 1]), (1, -1.0, [1]), (1, 0.0, [-1])],
     ids=["too-few-exponents", "too-many-exponents", "negative-c", "negative-exponent"],
 )
-def test_grid_positive_validates_like_min_p(n, c, mi):
-    with pytest.raises(ValueError):
-        grid_positive(n, c, mi, 50)
+def test_min_p_rejects_bad_inputs(n, c, mi):
     with pytest.raises(ValueError):
         min_p(n, c, mi)
 
@@ -236,10 +266,10 @@ def test_k_bound_values_and_monotonicity():
 
 
 def test_k_bound_brute_force_cross_check():
-    # a ten-thousand-point sweep passes one step above the threshold
+    # ten thousand radii pass one step above the threshold
     k = k_bound(1, 0.0, 1.0)
-    grid = RadialGrid(points=10000)
-    assert grid_positive(1, 0.0, [1], int(np.ceil(k)) + 1, grid=grid)
+    rs = np.concatenate([np.geomspace(1e-4, 1.0, 5000), np.linspace(1.0, 1e3, 5001)[1:]])
+    assert _all_positive(1, 0.0, [1], rs, int(np.ceil(k)) + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -248,101 +278,85 @@ def test_p_star_within_one_of_threshold(n):
     assert res.p_star <= int(np.ceil(k_bound(n, 0.0, 1.0))) + 1
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        RadialGrid(r_max=10.0)
-    with pytest.raises(ValueError):
-        RadialGrid(points=100)
-    values = RadialGrid().values()
-    assert values.min() >= 1e-4 and values.max() == 50.0
-    assert values.size >= 1000
-
-
-def _clear_grid_caches():
-    positivity._reference_rows.cache_clear()
-    positivity._exponent_rows.cache_clear()
-
-
-def test_min_p_derives_each_exponent_once(monkeypatch):
-    _clear_grid_caches()
-    derived, grid_calls = [], []
-    inner_diff, inner_grid = exprs.diff, exprs.evaluate_grid
-
-    def counting_diff(e, order=1):
-        derived.append(e)
-        return inner_diff(e, order)
-
-    def counting_grid(e, rs):
-        grid_calls.append(e)
-        return inner_grid(e, rs)
-
-    monkeypatch.setattr(exprs, "diff", counting_diff)
-    monkeypatch.setattr(exprs, "evaluate_grid", counting_grid)
-    f, h = reference_profiles()
-    hm = exprs.pow_(h, Fraction(1, 2))
-    assert min_p(3, 1.0, ["1/2"] * 3).p_star is not None
-    # the first call derives f' and f'' for the reference rows, then h^(1/2)
-    assert derived == [f, inner_diff(f, 1), hm, inner_diff(hm, 1)]
-    derived.clear()
-    assert min_p(3, 1.0, ["1/2", 1, "1/2"]).p_star is not None
-    assert derived == [h, inner_diff(h, 1)]
-    derived.clear()
-    grid_calls.clear()
-    assert min_p(3, 1.0, ["1/2", 1, "1/2"]).p_star is not None
-    assert grid_positive(3, 1.0, [1, "1/2", 1], 60)
-    assert derived == [] and grid_calls == []
-
-
-def test_cached_grid_rows_are_read_only():
-    min_p(2, 0.5, [1, "1/2"])
-    grid = RadialGrid()
-    rows = positivity._reference_rows(grid) + positivity._exponent_rows(grid, Fraction(1, 2))
-    assert len(rows) == 8
-    # every flag is checked before any write, so a failure cannot corrupt the shared rows
-    assert not any(row.flags.writeable for row in rows)
-    for row in rows:
-        with pytest.raises(ValueError, match="read-only"):
-            row[0] = 1.0
-
-
-def test_min_p_warm_cache_equals_cold_cache():
-    cases = [
-        (0, 0.0, [], RadialGrid()),
-        (1, 0.0, [1], RadialGrid()),
-        (2, 0.5, ["1/4", "3/2"], RadialGrid(r_max=500.0)),
-        (3, 1.0, ["1/3", "1/2", "1/3"], RadialGrid(r_max=80.0, points=2000)),
-        (1, 2.0, ["5/4"], RadialGrid(points=1001)),
-        (2, 0.0, [0, 1], RadialGrid()),
-    ]
-
-    def sweep():
-        return [
-            (min_p(n, c, mi, grid=grid), grid_positive(n, c, mi, 40, grid=grid))
-            for n, c, mi, grid in cases
-        ]
-
-    warm = sweep()
-    warmer = sweep()
-    _clear_grid_caches()
-    cold = sweep()
-    for got in (warmer, cold):
-        for (a, pa), (b, pb) in zip(warm, got):
-            assert pa == pb
-            # repr spells each float in full, so equal reprs are equal bits
-            assert repr(a) == repr(b)
-
-
 @pytest.mark.parametrize(
-    "n,mi,r_max",
-    [(1, [10], 1e20), (1, [1], 1e150), (0, [], 1e150), (1, [1], 1e200), (1, [200], 50.0)],
+    "n,c,mi,p_star",
+    [
+        (1, 0.0, [5], 441),
+        (1, 0.0, [10], 1681),
+        (3, 0.5, ["1/2", "3/4", "1"], 48),
+        (1, 2.0, ["1/4"], 5),
+        (1, 0.0, [1], 25),
+        (0, 0.0, [], 2),
+        (1, 0.0, [200], 641601),
+        (1, 0.0, [0], None),
+        (2, 0.5, [0, 1], None),
+    ],
 )
-def test_min_p_rejects_a_grid_past_float_range(n, mi, r_max):
-    grid = RadialGrid(r_max=r_max)
-    named = re.escape(f"r_max={r_max:g}]")
-    with pytest.raises(ValueError, match=named):
-        min_p(n, 0.0, mi, grid=grid)
-    with pytest.raises(ValueError, match=named):
-        grid_positive(n, 0.0, mi, 50, grid=grid)
+def test_min_p_exact_answers(n, c, mi, p_star):
+    assert min_p(n, c, mi).p_star == p_star
+
+
+def _polynomial_margins(n, c, mi, rs, p):
+    """min_p's rows h^2 (a + b t^2), b = pK - L and a + b = pR - S, and the
+    sphere polynomial of its docstring, in floats at the radii rs."""
+    rows = positivity._quadruples(Fraction(c) * n, [Fraction(m) for m in mi])
+    t2 = 1.0 + rs**2
+    t = np.sqrt(t2)
+    h2 = 1.0 / t2**2
+
+    def row(cf):
+        b = p * cf.K - cf.L
+        return h2 * (float(p * cf.R - cf.S - b) + float(b) * t2)
+
+    s = float(sum(Fraction(m) for m in mi))
+    sphere = ((p + 3 + 4 * s) * (1 + t) + (3 * p - 5 + 4 * s) * (t2 + t2 * t) + (4 * p - 8) * t2**2)
+    sphere = h2 * sphere / (4 * (1 + t))
+    yy = np.array([row(rows[f"y{i}"]) for i in range(n)]).reshape(n, rs.size)
+    return row(rows["r"]), sphere, yy
+
+
+def test_margin_polynomials_match_diagonal_blocks():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(0, 3)
+        c = rng.choice([0.0, 0.5, 1.0, 2.0])
+        mi = [Fraction(rng.randint(1, 12), rng.randint(1, 8)) for _ in range(n)]
+        p = rng.randint(2, 500)
+        # nearer the axis, 1 - f'^2 in the float blocks loses digits
+        rs = np.array([10 ** rng.uniform(-1, 2) for _ in range(5)])
+        want = _exact_margins(n, c, mi, rs, p)
+        got = _polynomial_margins(n, c, mi, rs, p)
+        # relative 1e-12 of the margin, or of its p term (about p h^2 t^2)
+        # where the margin is a small difference of large terms
+        for w, g in zip(want, got):
+            assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * p / (1.0 + rs**2)), (n, c, mi, p)
+
+
+def test_sphere_row_never_binds():
+    # every coefficient of the sphere polynomial is nonnegative for p >= 2
+    # and s >= 0, and the t^0 and t^1 ones are positive; at p = 2, where all
+    # are smallest, the sphere margins are positive on dense radii
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randint(0, 3)
+        mi = [Fraction(rng.randint(0, 12), rng.randint(1, 8)) for _ in range(n)]
+        s = sum(mi)
+        for p in (2, 3, 10):
+            assert p + 3 + 4 * s > 0 and 3 * p - 5 + 4 * s > 0 and 4 * p - 8 >= 0
+        if all(m > 0 for m in mi):
+            _, uu, _ = _exact_margins(n, 0.0, mi, np.geomspace(1e-3, 1e3, 500), 2)
+            assert np.all(uu > 0)
+
+
+def test_p_star_within_k_bound_on_random_specs():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        c = rng.choice([0.0, 0.5, 1.0, 2.0, 7 / 3])
+        mi = [Fraction(rng.randint(1, 12), rng.randint(1, 8)) for _ in range(n)]
+        kb = k_bound(n, c, float(max(mi)), m_lower=float(min(mi)))
+        p_star = min_p(n, c, mi).p_star
+        assert 2 <= p_star <= math.floor(kb) + 1, (n, c, mi)
 
 
 @pytest.mark.parametrize(
@@ -351,16 +365,18 @@ def test_min_p_rejects_a_grid_past_float_range(n, mi, r_max):
 )
 def test_min_p_margin_direction_names_the_binding_row(n, c, mi, direction):
     res = min_p(n, c, mi)
-    assert res.margin_direction == direction
-    grid = RadialGrid()
-    rs = grid.values()
-    base2, slope = positivity._grid_diagonals(n, c, [Fraction(m) for m in mi], grid)
+    assert res.binding == direction
+    assert res.pk_minus_l >= 0 and res.pr_minus_s >= 0
+    # one step lower, the binding row alone turns negative somewhere
     names = ["radial", "sphere"] + [f"y{i}" for i in range(n)]
-    row = positivity._margins(base2, slope, res.p_star)[names.index(direction)]
-    assert row[int(np.flatnonzero(rs == res.margin_r)[0])] == res.margin == row.min()
+    rs = np.geomspace(1e-3, 1e3, 2000)
+    rr, uu, yy = _exact_margins(n, c, [Fraction(m) for m in mi], rs, res.p_star - 1)
+    failing = [name for name, row in zip(names, [rr, uu, *yy]) if np.any(row <= 0)]
+    assert failing == [direction]
 
 
 def test_min_p_without_p_star_has_no_direction():
     res = min_p(1, 0.0, [0])
     assert res.p_star is None
-    assert res.margin is res.margin_r is res.margin_direction is None
+    assert res.binding is res.pk_minus_l is res.pr_minus_s is None
+    assert res.grid_points == 0
