@@ -296,6 +296,23 @@ def test_min_p_exact_answers(n, c, mi, p_star):
     assert min_p(n, c, mi).p_star == p_star
 
 
+@pytest.mark.parametrize("r", [10**150, 10**200], ids=["1e+150", "1e+200"])
+def test_min_p_answer_holds_past_float_range(r):
+    # at radii whose t^2 = 1 + r^2 overflows a float, the rows a + b t^2
+    # (h^2 > 0 dropped) are positive at p_star, and the radial row, whose
+    # b = pK - L is 0 there, is negative one step lower
+    p_star = min_p(1, 0.0, [1]).p_star
+    rows = positivity._quadruples(Fraction(0), [Fraction(1)])
+    t2 = Fraction(1 + r * r)
+
+    def margin(cf, p):
+        b = p * cf.K - cf.L
+        return p * cf.R - cf.S - b + b * t2
+
+    assert all(margin(rows[name], p_star) > 0 for name in ("r", "y0"))
+    assert margin(rows["r"], p_star - 1) < 0
+
+
 def _polynomial_margins(n, c, mi, rs, p):
     """min_p's rows h^2 (a + b t^2), b = pK - L and a + b = pR - S, and the
     sphere polynomial of its docstring, in floats at the radii rs."""
