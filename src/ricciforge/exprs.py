@@ -350,13 +350,15 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
 
     Follows the rules of evaluate, including real odd roots of negative
     bases; a domain violation anywhere on the grid raises DomainError for
-    the offending node.
+    the offending node. A complex grid, such as the oracle's complex-step
+    points, is evaluated by the holomorphic extension of each rule: the
+    root branch and every domain check go by the real part of r.
     """
-    rs = np.asarray(rs, dtype=float)
+    rs = np.asarray(rs, dtype=complex if np.iscomplexobj(rs) else float)
 
     def ev(node: Expr) -> np.ndarray:
         if isinstance(node, Const):
-            return np.full(rs.shape, float(node.value))
+            return np.full(rs.shape, float(node.value), dtype=rs.dtype)
         if isinstance(node, Var):
             return rs
         if isinstance(node, Add):
@@ -369,22 +371,23 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
             return ev(node.left) * ev(node.right)
         if isinstance(node, Div):
             den = ev(node.right)
-            if np.any(den == 0.0):
+            if np.any(den.real == 0.0):
                 raise DomainError("division by zero", node)
             return ev(node.left) / den
         if isinstance(node, Pow):
             b = ev(node.base)
             q = node.exponent
-            if q < 0 and np.any(b == 0.0):
+            if q < 0 and np.any(b.real == 0.0):
                 raise DomainError("zero raised to a negative power", node)
             if q.denominator == 1:
                 return b ** int(q)
-            if not np.any(b < 0.0):
+            negative = b.real < 0.0
+            if not np.any(negative):
                 return b ** float(q)
             if q.denominator % 2 == 0:
                 raise DomainError("even root of a negative number", node)
-            out = np.abs(b) ** float(q)
-            return np.where(b < 0.0, -out, out) if q.numerator % 2 else out
+            out = np.where(negative, -b, b) ** float(q)
+            return np.where(negative, -out, out) if q.numerator % 2 else out
         if isinstance(node, Sin):
             return np.sin(ev(node.arg))
         if isinstance(node, Cos):
@@ -399,7 +402,7 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
 
     out = ev(e)
     if not np.all(np.isfinite(out)):
-        bad = rs[~np.isfinite(out)][0] if out.shape == rs.shape else None
+        bad = rs.real[~np.isfinite(out)][0] if out.shape == rs.shape else None
         raise DomainError(f"non-finite value on grid (first bad r={bad})", e)
     return out
 

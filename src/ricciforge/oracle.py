@@ -1,10 +1,12 @@
 """Independent numerical curvature oracle for coordinate-chart metrics.
 
 Christoffel symbols, the Riemann and Ricci tensors, and sectional
-curvature are computed from metric components alone, by fourth-order
-central differences with one level of Richardson extrapolation. Every
-closed-form module in this package is tested against these routines;
-nothing here shares code with the closed forms.
+curvature are computed from metric components alone. First derivatives
+are complex-step derivatives, Im g(x + i eta e_k) / eta with eta = 1e-30,
+which subtract nothing; second derivatives are fourth-order central
+differences of those in a real step. Every closed-form module in this
+package is tested against these routines; nothing here shares code with
+the closed forms.
 
 Conventions
 -----------
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 MAX_DIM = 8
-DEFAULT_STEP = 1e-3
+DEFAULT_STEP = 3e-4  # the real step, scaled by max(1, |x_l|) along axis l
 
 
 class OracleError(Exception):
@@ -70,12 +72,18 @@ class ChartMetric:
     Parameters
     ----------
     dim : positive chart dimension, at most MAX_DIM: the largest warped
-        chart (n = 3, p = 5) has dimension 8. One point's stencil holds
-        about 64 * dim**4 bytes of components, 240 KiB at dimension 8.
+        chart (n = 3, p = 5) has dimension 8. One point's stencil has
+        1 + dim + 2 dim (dim + 1) rows, 153 at dimension 8, and holds
+        16 * dim**2 bytes of components per row, 153 KiB at dimension 8.
     components : (N, dim) array of points -> (N, dim, dim) array of metric
         components, one matrix per row from that row's point alone; the
         rows of one call may belong to several points' stencils. Only the
-        symmetrized matrices are ever used.
+        symmetrized matrices are ever used. The oracle passes complex
+        points and reads derivatives from the imaginary parts, so
+        components must return an array of the input dtype, built only
+        from operations that extend holomorphically: no abs, comparisons
+        or float casts on coordinate values. A real array returned for
+        complex points raises OracleError.
     domain : predicate deciding whether a single point is inside the chart.
     label : human-readable name for reports.
     """
@@ -124,79 +132,77 @@ def orthonormal_frames(m: ChartMetric, xs) -> list:
 # Fourth-order first-derivative stencil on offsets (-2, -1, 1, 2).
 _D1_OFFSETS = (-2, -1, 1, 2)
 _D1_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+# The imaginary step: Im g(x + i eta e_k) / eta is d_k g up to O(eta^2)
+# and subtracts nothing, so eta sits far below any real step.
+_ETA = 1e-30
 
 
 @functools.lru_cache(maxsize=None)
 def _stencil(d: int):
-    """Offsets, in steps, of the 1 + 4d + 8d(d-1) distinct stencil points,
-    and the pairs iu < ju. Row 0 is the centre; row 1 + k*d + i is
-    _D1_OFFSETS[k] along axis i; row 1 + 4d + (4a + b)*len(iu) + q is
-    _D1_OFFSETS[a] along iu[q] plus _D1_OFFSETS[b] along ju[q]."""
-    iu, ju = np.triu_indices(d, 1)
-    on_axis = np.array(_D1_OFFSETS, dtype=float)[:, None, None] * np.eye(d)
-    in_plane = on_axis[:, None, iu] + on_axis[None, :, ju]
-    offsets = np.concatenate([np.zeros((1, d)), on_axis.reshape(-1, d), in_plane.reshape(-1, d)])
-    return offsets, iu, ju
+    """Real offsets, in steps, and imaginary directions of the
+    1 + d + 4 d(d+1)/2 stencil rows, and the pairs kk <= ll. Row 0 is the
+    centre; row 1 + k takes the imaginary step along k; row
+    1 + d + a * len(kk) + q adds _D1_OFFSETS[a] real steps along ll[q] to
+    the imaginary step along kk[q]."""
+    kk, ll = np.triu_indices(d)
+    eye = np.eye(d)
+    along = np.array(_D1_OFFSETS, dtype=float)[:, None, None] * eye[ll]
+    shift = np.concatenate([np.zeros((1 + d, d)), along.reshape(-1, d)])
+    imag = np.concatenate([np.zeros((1, d)), eye, np.tile(eye[kk], (len(_D1_OFFSETS), 1))])
+    return shift, imag, kk, ll
 
 
-def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: float):
-    """Return g, dg[:, i] = d_i g and d2g[:, i, j] = d_i d_j g at each row of
-    the (R, d) array xs by 4th-order stencils, from one chart evaluation at
-    the stencil points of all R points. Row 0 of the stencil is the point
-    itself, so g is the symmetrized metric there. The point axis sits next
-    to the (d, d) matrix axes, so with R = 1 every step indexes exactly as
-    a single-point stencil would. Each point's slice of the results is
-    C-contiguous, because einsum picks its loops from the strides."""
-    r, d = xs.shape
-    h = step * np.maximum(1.0, np.abs(xs))
-    offsets, iu, ju = _stencil(d)
-    # chart row j * R + p is stencil offset j of point p
-    pts = (xs + h * offsets[:, None]).reshape(-1, d)
-    g = _symmetrize(np.asarray(m.components(pts), dtype=float)).reshape(-1, r, d, d)
-    g0 = g[0].copy()  # a copy, so the stencil array is freed with this level
-    axis = g[1 : 1 + 4 * d].reshape(4, d, r, d, d)  # axis[k][i]: _D1_OFFSETS[k] along i
-    cross = g[1 + 4 * d :].reshape(4, 4, len(iu), r, d, d)
-    h = h.T
-
-    acc = np.zeros((d, r, d, d))
-    for k, w in enumerate(_D1_WEIGHTS):
-        acc += w * axis[k]
-    dg = acc / h[:, :, None, None]
-
-    d2g = np.empty((d, d, r, d, d))
-    # pure second derivative, 4th order; axis[3], axis[2], axis[1], axis[0]
-    # are the offsets +2, +1, -1, -2
-    acc = -axis[3] + 16.0 * axis[2] - 30.0 * g0 + 16.0 * axis[1] - axis[0]
-    diag = np.arange(d)
-    d2g[diag, diag] = acc / (12.0 * h**2)[:, :, None, None]
-    acc = np.zeros((len(iu), r, d, d))
-    for a, wi in enumerate(_D1_WEIGHTS):
-        for b, wj in enumerate(_D1_WEIGHTS):
-            acc += wi * wj * cross[a, b]
-    d2g[iu, ju] = acc / (h[iu] * h[ju])[:, :, None, None]
-    d2g[ju, iu] = d2g[iu, ju]
-    dg, d2g = dg.swapaxes(0, 1), d2g.transpose(2, 0, 1, 3, 4)
-    return g0, np.ascontiguousarray(dg), np.ascontiguousarray(d2g)
-
-
-def _coarse_level(m: ChartMetric, xs: np.ndarray, step: float):
-    """Check the points and step, take _metric_derivatives, check g at each
-    point (the same at every level)."""
+def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], second: bool = True):
+    """Check the points, then return g, dg[:, k] = d_k g and, with second,
+    d2g[:, k, l] = d_k d_l g at each row of the (R, d) array xs, from one
+    chart evaluation at the stencil rows of all R points: the first 1 + d
+    rows without second. d_k g is the complex-step derivative; d_k d_l g
+    is its 4th-order central difference in l, with step * max(1, |x_l|).
+    The point axis sits next to the (d, d) matrix axes, so with R = 1
+    every step indexes exactly as a single-point stencil would. Each
+    point's slice of the results is C-contiguous, because einsum picks
+    its loops from the strides."""
     for x in xs:
         m.check_point(x)
+    step = DEFAULT_STEP if step is None else float(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    g0, dg, d2g = _metric_derivatives(m, xs, step)
+    r, d = xs.shape
+    h = step * np.maximum(1.0, np.abs(xs))
+    shift, imag, kk, ll = _stencil(d)
+    rows = len(shift) if second else 1 + d
+    # chart row j * R + p is stencil row j of point p
+    pts = xs + h * shift[:rows, None] + 1j * _ETA * imag[:rows, None]
+    # an overflow anywhere shows up as a non-finite entry, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _symmetrize(np.asarray(m.components(pts.reshape(-1, d)))).reshape(rows, r, d, d)
+        g0 = g[0].real.copy()  # a copy, so the stencil array is freed with this call
+        der = g[1:].imag / _ETA
+        dg = der[:d].swapaxes(0, 1)
+        d2g = np.zeros((r, d, d, d, d))
+        if second:
+            cross = der[d:].reshape(len(_D1_OFFSETS), len(kk), r, d, d)
+            acc = sum(w * cross[a] for a, w in enumerate(_D1_WEIGHTS))
+            d2g[:, kk, ll] = (acc / h.T[ll][:, :, None, None]).swapaxes(0, 1)
+            d2g[:, ll, kk] = d2g[:, kk, ll]
+    for i, x in enumerate(xs):
+        if not all(np.isfinite(a[i]).all() for a in (g0, dg, d2g)):
+            raise OracleError(f"metric derivatives are not finite at {x}")
     # ascending eigenvalues; g is symmetric, so its condition number is w[-1] / w[0]
     w = np.linalg.eigvalsh(g0)
-    for i in range(len(xs)):
+    for i in range(r):
         if w[i, 0] <= 1e-12:
             raise SingularMetricError(
                 f"metric not positive definite at {xs[i]} (min eigenvalue {w[i, 0]:.3e})"
             )
         if w[i, -1] / w[i, 0] > 1e12:
             raise SingularMetricError(f"metric condition number exceeds 1e12 at {xs[i]}")
-    return g0, dg, d2g
+    if not np.iscomplexobj(g):
+        raise OracleError(
+            f"chart {m.label or 'metric'} returned real components at complex points, "
+            "so every derivative would read 0; build them holomorphically in x.dtype"
+        )
+    return g0, np.ascontiguousarray(dg), d2g
 
 
 def _christoffel(g0: np.ndarray, dg: np.ndarray):
@@ -207,15 +213,23 @@ def _christoffel(g0: np.ndarray, dg: np.ndarray):
     return ginv, comb, 0.5 * np.einsum("kl,lij->kij", ginv, comb)
 
 
-def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij of the Levi-Civita connection at x.
+def _finite(what: str, x: np.ndarray, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """compute() from finite derivatives at x; an overflow in it raises
+    OracleError naming x instead of a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if not np.isfinite(out).all():
+        raise OracleError(f"{what} not finite at {x}")
+    return out
 
-    Metric derivatives are taken by fourth-order central differences with
-    per-coordinate steps scaled by the local coordinate magnitude. The
-    point must lie inside the chart with margin at least 2*step.
-    """
-    g0, dg, _ = _coarse_level(m, np.asarray(x, dtype=float)[None], step)
-    return _christoffel(g0[0], dg[0])[2]
+
+def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Christoffel symbols Gamma^k_ij of the Levi-Civita connection at x,
+    from complex-step first derivatives of the metric: one chart call of
+    1 + dim rows, which take no real step."""
+    x = np.asarray(x, dtype=float)
+    g0, dg, _ = _metric_derivatives(m, x[None], step, second=False)
+    return _finite("Christoffel symbols are", x, lambda: _christoffel(g0[0], dg[0])[2])
 
 
 def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
@@ -236,55 +250,39 @@ def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray
     return term1 - term2 + term3 - term4
 
 
-# Bytes of metric components (rows x d^2 x 8) one chart call may build.
-# Larger calls raise glibc's dynamic mmap threshold and the heap keeps the
-# freed arrays, so peak RSS grows with the call size. 600 KiB holds the
-# stencils of 2 points at d = 8 and of 4 at d = 7.
+# Bytes of metric components (rows x d^2 x 16, complex) one chart call may
+# build. Larger calls raise glibc's dynamic mmap threshold and the heap
+# keeps the freed arrays, so peak RSS grows with the call size. 600 KiB
+# holds the stencils of 3 points at d = 8 and of 6 at d = 7.
 CHART_CALL_BYTES = 600 * 1024
 
 
-def _riemann(m: ChartMetric, xs, step: Optional[float], richardson: bool) -> list:
+def _riemann(m: ChartMetric, xs, step: Optional[float]) -> list:
     """(g, Riemann) at each point of the (R, d) array xs. The points go to
-    the chart in chunks of at most CHART_CALL_BYTES, one call per chunk and
-    Richardson level; a chunk's fine level is evaluated only once its
-    coarse one has passed its checks. The contraction runs point by point,
-    so every result is the same for any R."""
+    the chart in chunks of at most CHART_CALL_BYTES, one call per chunk.
+    The contraction runs point by point, so every result is the same for
+    any R."""
     xs = np.asarray(xs, dtype=float)
-    s = DEFAULT_STEP if step is None else float(step)
     d = m.dim
-    per_call = max(1, CHART_CALL_BYTES // (8 * d * d * len(_stencil(d)[0])))
+    per_call = max(1, CHART_CALL_BYTES // (16 * d * d * len(_stencil(d)[0])))
     out = []
     for start in range(0, len(xs), per_call):
         chunk = xs[start : start + per_call]
-        g0, dg, d2g = _coarse_level(m, chunk, s)
-        if richardson:
-            fine = _metric_derivatives(m, chunk, s / 2.0)
-        for i in range(len(chunk)):
-            riem = _riemann_once(g0[i], dg[i], d2g[i])
-            if richardson:
-                riem = (16.0 * _riemann_once(*(level[i] for level in fine)) - riem) / 15.0
+        g0, dg, d2g = _metric_derivatives(m, chunk, step)
+        for i, x in enumerate(chunk):
+            riem = _finite("curvature is", x, lambda: _riemann_once(g0[i], dg[i], d2g[i]))
             out.append((g0[i], riem))
     return out
 
 
-def _riemann_at(m: ChartMetric, x, step: Optional[float], richardson: bool):
+def _riemann_at(m: ChartMetric, x, step: Optional[float]):
     """(g at x, Riemann at x): _riemann with one point."""
-    return _riemann(m, np.asarray(x, dtype=float)[None], step, richardson)[0]
+    return _riemann(m, np.asarray(x, dtype=float)[None], step)[0]
 
 
-def riemann(
-    m: ChartMetric,
-    x: np.ndarray,
-    step: Optional[float] = None,
-    richardson: bool = True,
-) -> np.ndarray:
-    """Riemann tensor R^rho_{sigma mu nu} at x.
-
-    With richardson=True the fourth-order result is extrapolated once
-    (evaluations at step and step/2), which recovers most of the digits
-    lost to differencing second derivatives of the metric.
-    """
-    return _riemann_at(m, x, step, richardson)[1]
+def riemann(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+    """Riemann tensor R^rho_{sigma mu nu} at x."""
+    return _riemann_at(m, x, step)[1]
 
 
 def _ricci_of(riem: np.ndarray) -> np.ndarray:
@@ -293,24 +291,16 @@ def _ricci_of(riem: np.ndarray) -> np.ndarray:
 
 
 def ricci_with_asymmetry(
-    m: ChartMetric,
-    x: np.ndarray,
-    step: Optional[float] = None,
-    richardson: bool = True,
+    m: ChartMetric, x: np.ndarray, step: Optional[float] = None
 ) -> tuple[np.ndarray, float]:
     """Coordinate Ricci tensor and the max |R_ij - R_ji| before symmetrization."""
-    ric = _ricci_of(_riemann_at(m, x, step, richardson)[1])
+    ric = _ricci_of(_riemann_at(m, x, step)[1])
     return _symmetrize(ric), float(np.max(np.abs(ric - ric.T)))
 
 
-def ricci(
-    m: ChartMetric,
-    x: np.ndarray,
-    step: Optional[float] = None,
-    richardson: bool = True,
-) -> np.ndarray:
+def ricci(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
     """Symmetrized coordinate-basis Ricci tensor R_ij at x."""
-    return _symmetrize(_ricci_of(_riemann_at(m, x, step, richardson)[1]))
+    return _symmetrize(_ricci_of(_riemann_at(m, x, step)[1]))
 
 
 def _in_frame(m: ChartMetric, fr: FrameAtPoint, g0: np.ndarray, riem: np.ndarray) -> np.ndarray:
@@ -320,32 +310,24 @@ def _in_frame(m: ChartMetric, fr: FrameAtPoint, g0: np.ndarray, riem: np.ndarray
     return fr.vectors.T @ _symmetrize(_ricci_of(riem)) @ fr.vectors
 
 
-def frame_ricci(
-    m: ChartMetric,
-    fr: FrameAtPoint,
-    step: Optional[float] = None,
-    richardson: bool = True,
-) -> np.ndarray:
+def frame_ricci(m: ChartMetric, fr: FrameAtPoint, step: Optional[float] = None) -> np.ndarray:
     """Ricci tensor expressed in a g-orthonormal frame, Ric(e_a, e_b)."""
-    return _in_frame(m, fr, *_riemann_at(m, fr.x, step, richardson))
+    return _in_frame(m, fr, *_riemann_at(m, fr.x, step))
 
 
 def frame_ricci_many(
-    m: ChartMetric,
-    frames: Sequence[FrameAtPoint],
-    step: Optional[float] = None,
-    richardson: bool = True,
+    m: ChartMetric, frames: Sequence[FrameAtPoint], step: Optional[float] = None
 ) -> list:
     """frame_ricci at each frame, with the points batched into one chart
-    call per Richardson level and chunk of CHART_CALL_BYTES. Each result
-    equals frame_ricci's bit for bit, and a failure raises what the first
-    failing frame raises on its own."""
+    call per chunk of CHART_CALL_BYTES. Each result equals frame_ricci's
+    bit for bit, and a failure raises what the first failing frame raises
+    on its own."""
     try:
-        levels = _riemann(m, [fr.x for fr in frames], step, richardson)
-        return [_in_frame(m, fr, g0, riem) for fr, (g0, riem) in zip(frames, levels)]
+        results = _riemann(m, [fr.x for fr in frames], step)
+        return [_in_frame(m, fr, g0, riem) for fr, (g0, riem) in zip(frames, results)]
     except Exception:
         for fr in frames:
-            frame_ricci(m, fr, step, richardson)
+            frame_ricci(m, fr, step)
         raise
 
 
@@ -355,12 +337,11 @@ def sectional(
     u: np.ndarray,
     v: np.ndarray,
     step: Optional[float] = None,
-    richardson: bool = True,
 ) -> float:
     """Sectional curvature of the plane spanned by u and v at x."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g, riem = _riemann_at(m, x, step, richardson)
+    g, riem = _riemann_at(m, x, step)
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)
@@ -388,7 +369,9 @@ def _require_positive(**values) -> None:
 
 def euclidean_chart(d: int) -> ChartMetric:
     eye = np.eye(d)
-    return ChartMetric(d, lambda x: np.broadcast_to(eye, (len(x), d, d)), label=f"euclidean:{d}")
+    return ChartMetric(
+        d, lambda x: np.broadcast_to(eye.astype(x.dtype), (len(x), d, d)), label=f"euclidean:{d}"
+    )
 
 
 def sphere_chart(d: int, radius: float = 1.0) -> ChartMetric:
@@ -412,7 +395,7 @@ def sphere_chart(d: int, radius: float = 1.0) -> ChartMetric:
 
 def hyperbolic_plane_chart() -> ChartMetric:
     def comps(x: np.ndarray) -> np.ndarray:
-        g = np.zeros((len(x), 2, 2))
+        g = np.zeros((len(x), 2, 2), dtype=x.dtype)
         g[:, [0, 1], [0, 1]] = (1.0 / x[:, 1] ** 2)[:, None]
         return g
 
@@ -423,11 +406,11 @@ def su2_frame_matrix(point: np.ndarray) -> np.ndarray:
     """Coframe matrices M of the standard left-invariant one-forms on the
     3-sphere group in Euler-angle coordinates (theta, phi, psi); row i of
     M holds the components of the i-th one-form. Points of shape (..., 3)
-    give matrices of shape (..., 3, 3)."""
-    point = np.asarray(point, dtype=float)
+    give matrices of shape (..., 3, 3), complex for complex points."""
+    point = np.asarray(point, dtype=np.result_type(point, float))
     theta, psi = point[..., 0], point[..., 2]
     sin_theta = np.sin(theta)
-    mm = np.zeros(point.shape[:-1] + (3, 3))
+    mm = np.zeros(point.shape[:-1] + (3, 3), dtype=point.dtype)
     mm[..., 0, 0] = np.cos(psi)
     mm[..., 0, 1] = np.sin(psi) * sin_theta
     mm[..., 1, 0] = np.sin(psi)

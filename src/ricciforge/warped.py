@@ -284,7 +284,7 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
         fv = exprs.evaluate_grid(f_expr, r)
         h2 = np.square([exprs.evaluate_grid(e, r) for e in h_exprs]).reshape(n, len(x)).T
         conf = 4.0 * fv**2 / (1.0 + np.sum(y * y, axis=1)) ** 2
-        g = np.zeros((len(x), d, d))
+        g = np.zeros((len(x), d, d), dtype=x.dtype)
         g[:, np.arange(n), np.arange(n)] = h2
         g[:, np.arange(n, n + ps), np.arange(n, n + ps)] = conf[:, None]
         g[:, -1, -1] = 1.0

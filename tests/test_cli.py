@@ -315,8 +315,8 @@ def test_oracle_check_degenerate_preset_is_spec_error(capsys, name):
 
 
 def test_oracle_check_chart_calls(capsys, monkeypatch):
-    # the frames of all points take one chart call and the oracle one per
-    # Richardson level; S^3 frames come from the group frame, not the chart
+    # the frames of all points take one chart call and the oracle one more;
+    # S^3 frames come from the group frame, not the chart
     sizes = []
     real = oracle.preset
 
@@ -331,11 +331,24 @@ def test_oracle_check_chart_calls(capsys, monkeypatch):
 
     monkeypatch.setattr(oracle, "preset", counting_preset)
     assert cli.run(["oracle-check", "--preset", "sphere:2:1", "--json"]) == 0
-    assert sizes == [3, 3 * 25, 3 * 25]
+    assert sizes == [3, 3 * 15]
     sizes.clear()
     assert cli.run(["oracle-check", "--preset", "s3-left-invariant:0.8:1:1.2", "--json"]) == 0
-    assert sizes == [3 * 61, 3 * 61]
+    assert sizes == [3 * 28]
     capsys.readouterr()
+
+
+def test_oracle_overflow_is_a_numeric_error(capsys):
+    # at radius 5e153 the chart scale 4 a^2 is a normal float but the
+    # curvature overflows: one error line naming the point, no numpy warning
+    assert cli.run(["oracle-check", "--preset", "sphere:2:5e153", "--json"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric error: curvature is not finite at [0.3 0.3]")
+    assert err.count("\n") == 1
+    code, report = run_json(capsys, ["oracle-check", "--preset", "sphere:2:1e153"])
+    assert code == 0
+    assert all(check["pass"] for check in report["checks"])
 
 
 def test_oracle_check_point_count(capsys):

@@ -210,6 +210,29 @@ def test_grid_eval_matches_scalar():
     assert np.allclose(grid, scalar, rtol=5e-15, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(r-2)^(1/3)", "(r-2)^(2/3)", "(r-2)^(-5/3)", "r*(1+r^2)^(-1/4)", "exp(-r^2)/(2+sin(r))", "3"],
+)
+def test_grid_eval_complex_step_is_the_derivative(text):
+    # complex r extends each rule holomorphically, odd roots of negative
+    # bases included, so Im f(r + i eta) / eta is f'(r) and the real part is f(r)
+    f = parse(text)
+    rs = np.array([0.5, 1.0, 1.9, 3.0, 7.5])
+    z = evaluate_grid(f, rs + 1e-30j)
+    assert z.dtype == complex
+    np.testing.assert_allclose(z.real, evaluate_grid(f, rs), rtol=1e-15, atol=0.0)
+    want = evaluate_grid(diff(f, 1), rs)
+    np.testing.assert_allclose(z.imag / 1e-30, want, rtol=1e-13, atol=1e-300)
+
+
+def test_grid_eval_complex_domain_checks_read_real_parts():
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate_grid(parse("1/(r-1)"), np.array([1.0 + 1e-30j]))
+    with pytest.raises(DomainError, match="even root"):
+        evaluate_grid(parse("(r-2)^(1/2)"), np.array([1.0 + 1e-30j]))
+
+
 def _random_tree(rng: random.Random, depth: int):
     if depth == 0 or rng.random() < 0.32:
         if rng.random() < 0.6:

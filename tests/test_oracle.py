@@ -55,7 +55,7 @@ def test_christoffel_half_plane():
 
 def polar_unit_sphere_comps(x):
     # g = diag(1, sin^2 theta) at each row (theta, phi)
-    g = np.zeros((len(x), 2, 2))
+    g = np.zeros((len(x), 2, 2), dtype=x.dtype)
     g[:, 0, 0] = 1.0
     g[:, 1, 1] = np.sin(x[:, 0]) ** 2
     return g
@@ -107,15 +107,14 @@ def test_ricci_asymmetry_small_on_presets():
 
 
 def test_mesh_refinement_fourth_order():
-    # without extrapolation, halving the step shrinks the error by >= 4
+    # while truncation dominates, halving the real step divides the error
+    # by about 2^4 = 16; a second-order stencil would divide it by 4
     m = preset("sphere:2:1")
     x = np.array([0.4, -0.2])
     want = 1.0 * m.at(x)
-    err = {}
-    for step in (0.08, 0.04):
-        got = ricci(m, x, step=step, richardson=False)
-        err[step] = np.max(np.abs(got - want))
-    assert err[0.08] / err[0.04] >= 4.0
+    err = [np.max(np.abs(ricci(m, x, step=step) - want)) for step in (0.08, 0.04, 0.02)]
+    for coarse, fine in zip(err, err[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
 
 
 def test_frame_ricci_constant_curvature():
@@ -139,6 +138,36 @@ def test_frame_ricci_unit_sphere_polar_chart():
     fr = FrameAtPoint(x, np.diag([1.0, 1.0 / math.sin(x[0])]))
     got = frame_ricci(m, fr)
     assert np.max(np.abs(got - np.eye(2))) <= 1e-6
+
+
+def test_chart_that_drops_the_imaginary_part_is_rejected():
+    # components read from x.real come back real at the oracle's complex
+    # points, so every derivative would read 0; the oracle names the chart
+    m = ChartMetric(
+        2,
+        lambda x: polar_unit_sphere_comps(x.real),
+        domain=lambda x: 0.1 < x[0] < math.pi - 0.1,
+        label="polar-real",
+    )
+    x = np.array([math.pi / 3, 0.5])
+    fr = FrameAtPoint(x, np.diag([1.0, 1.0 / math.sin(x[0])]))
+    for call in (lambda: christoffel(m, x), lambda: ricci(m, x), lambda: frame_ricci_many(m, [fr])):
+        with pytest.raises(OracleError, match="chart polar-real returned real components"):
+            call()
+
+
+def test_overflow_raises_oracle_error_naming_the_point():
+    # at radius 5e153 the chart scale 4 a^2 is a normal float, but the
+    # derivatives or the contractions overflow, depending on the point
+    m = preset("sphere:2:5e153")
+    cases = [
+        (christoffel, [0.0, 0.0], r"metric derivatives are not finite at \[0. 0.\]"),
+        (christoffel, [0.2, -0.4], r"Christoffel symbols are not finite at \[ 0.2 -0.4\]"),
+        (ricci, [0.3, 0.3], r"curvature is not finite at \[0.3 0.3\]"),
+    ]
+    for call, x, message in cases:
+        with pytest.raises(OracleError, match=message):
+            call(m, np.array(x))
 
 
 def test_frame_ricci_rejects_sloppy_frames():
@@ -232,10 +261,11 @@ def test_components_batch_matches_single_rows(name, draw):
 
 
 @pytest.mark.parametrize("name", ["euclidean:2", "sphere:8:1"])
-def test_ricci_evaluates_chart_once_per_level(name):
-    # one chart call per Richardson level and none at the single point x:
-    # the metric at x is the stencil's centre row; a batch of points makes
-    # one call per level for each chunk of CHART_CALL_BYTES
+def test_ricci_evaluates_chart_once(name):
+    # one chart call of 1 + d + 2d(d+1) rows and none at the single point
+    # x: the metric at x is the stencil's centre row; christoffel takes
+    # only the first 1 + d rows; a batch of points makes one call for each
+    # chunk of CHART_CALL_BYTES
     m = preset(name)
     sizes = []
 
@@ -244,24 +274,24 @@ def test_ricci_evaluates_chart_once_per_level(name):
         return m.components(x)
 
     d = m.dim
+    stencil = 1 + d + 2 * d * (d + 1)
+    assert stencil == {2: 15, 8: 153}[d]
     counted = dataclasses.replace(m, components=counting)
     x = np.full(d, 0.3)
     u, v = np.eye(d)[0], np.eye(d)[1]
     frame = coordinate_frame(m, x)
-    stencil = 1 + 4 * d + 8 * d * (d - 1)
     calls = [
-        (lambda: ricci(counted, x), [stencil, stencil]),
-        (lambda: frame_ricci(counted, frame), [stencil, stencil]),
-        (lambda: sectional(counted, x, u, v), [stencil, stencil]),
-        (lambda: christoffel(counted, x), [stencil]),
-        (lambda: ricci(counted, x, richardson=False), [stencil]),
+        (lambda: ricci(counted, x), [stencil]),
+        (lambda: frame_ricci(counted, frame), [stencil]),
+        (lambda: sectional(counted, x, u, v), [stencil]),
+        (lambda: christoffel(counted, x), [1 + d]),
     ]
-    # three points: one call per level for each chunk that fits
-    # CHART_CALL_BYTES (all three at d = 2; two, then one, at d = 8)
-    per_call = oracle.CHART_CALL_BYTES // (stencil * d * d * 8)
-    chunks = [min(per_call, 3 - start) for start in range(0, 3, per_call)]
-    want = [n * stencil for n in chunks for _ in range(2)]
-    calls.append((lambda: frame_ricci_many(counted, [frame] * 3), want))
+    # five points: one call for each chunk that fits CHART_CALL_BYTES at
+    # 16 bytes per complex entry (all five at d = 2; three, then two, at d = 8)
+    per_call = oracle.CHART_CALL_BYTES // (stencil * d * d * 16)
+    chunks = [min(per_call, 5 - start) for start in range(0, 5, per_call)]
+    assert chunks == ([5] if d == 2 else [3, 2])
+    calls.append((lambda: frame_ricci_many(counted, [frame] * 5), [n * stencil for n in chunks]))
     for call, want in calls:
         sizes.clear()
         call()
@@ -269,8 +299,8 @@ def test_ricci_evaluates_chart_once_per_level(name):
 
 
 def test_verify_sends_radii_through_chunked_chart_calls(monkeypatch):
-    # s3 at p = 5 is an 8-dimensional chart: 2 radii fit one call, so 3
-    # radii take two chunks, each evaluated at both Richardson levels
+    # s3 at p = 5 is an 8-dimensional chart: 3 radii fit one call, so 4
+    # radii take two chunks
     sizes = []
     real = warped.chart_metric
 
@@ -284,10 +314,10 @@ def test_verify_sends_radii_through_chunked_chart_calls(monkeypatch):
         return dataclasses.replace(m, components=counting)
 
     monkeypatch.setattr(warped, "chart_metric", counting_chart)
-    warped.verify_against_oracle(warped.left_invariant_s3_spec(), 5, [0.5, 1.0, 2.0], 1e-5)
-    rows = 1 + 4 * 8 + 8 * 8 * 7
-    assert sizes == [2 * rows, 2 * rows, rows, rows]
-    assert max(sizes) * 8 * 8 * 8 <= oracle.CHART_CALL_BYTES
+    warped.verify_against_oracle(warped.left_invariant_s3_spec(), 5, [0.5, 1.0, 2.0, 3.0], 1e-5)
+    rows = 1 + 8 + 2 * 8 * 9
+    assert sizes == [3 * rows, rows]
+    assert max(sizes) * 8 * 8 * 16 <= oracle.CHART_CALL_BYTES
 
 
 def _preset_frames(name, n, rng):

@@ -106,6 +106,15 @@ def test_torus_spec_verifies_against_oracle():
     assert all(row["oracle"] <= 1e-8 for row in zero_rows)
 
 
+def test_torus_spec_verifies_near_the_axis():
+    # at r = 0.002 the real step is far below r and no difference of
+    # metric values is taken twice, so the oracle resolves the O(1/r^2)
+    # terms to well inside the tolerance
+    rep = verify_against_oracle(reference_torus_spec(), 3, [0.002], 1e-5)
+    assert rep.passed
+    assert rep.max_gating_deviation() <= 1e-7
+
+
 def test_verify_takes_radii_from_any_iterable():
     # the radii are batched, so they must still be read only once
     rows = verify_against_oracle(reference_torus_spec(), 3, list(RS), 1e-5).rows
