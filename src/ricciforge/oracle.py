@@ -31,7 +31,6 @@ __all__ = [
     "christoffel",
     "riemann",
     "ricci",
-    "ricci_with_asymmetry",
     "frame_ricci",
     "frame_ricci_many",
     "sectional",
@@ -153,15 +152,15 @@ def _stencil(d: int):
 
 
 def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], second: bool = True):
-    """Check the points, then return g, dg[:, k] = d_k g and, with second,
-    d2g[:, k, l] = d_k d_l g at each row of the (R, d) array xs, from one
-    chart evaluation at the stencil rows of all R points: the first 1 + d
-    rows without second. d_k g is the complex-step derivative; d_k d_l g
-    is its 4th-order central difference in l, with step * max(1, |x_l|).
-    The point axis sits next to the (d, d) matrix axes, so with R = 1
-    every step indexes exactly as a single-point stencil would. Each
-    point's slice of the results is C-contiguous, because einsum picks
-    its loops from the strides."""
+    """Check the points, then return g, dg[:, k] = d_k g and d2g[:, k, l] =
+    d_k d_l g at each row of the (R, d) array xs, from one chart evaluation
+    at the stencil rows of all R points. Without second, only the first
+    1 + d rows are evaluated and d2g is None. d_k g is the complex-step
+    derivative; d_k d_l g is its 4th-order central difference in l, with
+    step * max(1, |x_l|). The point axis sits next to the (d, d) matrix
+    axes, so with R = 1 every step indexes exactly as a single-point
+    stencil would. Each point's slice of the results is C-contiguous,
+    because einsum picks its loops from the strides."""
     for x in xs:
         m.check_point(x)
     step = DEFAULT_STEP if step is None else float(step)
@@ -179,14 +178,16 @@ def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], s
         g0 = g[0].real.copy()  # a copy, so the stencil array is freed with this call
         der = g[1:].imag / _ETA
         dg = der[:d].swapaxes(0, 1)
-        d2g = np.zeros((r, d, d, d, d))
+        d2g = None
         if second:
             cross = der[d:].reshape(len(_D1_OFFSETS), len(kk), r, d, d)
             acc = sum(w * cross[a] for a, w in enumerate(_D1_WEIGHTS))
+            d2g = np.zeros((r, d, d, d, d))
             d2g[:, kk, ll] = (acc / h.T[ll][:, :, None, None]).swapaxes(0, 1)
             d2g[:, ll, kk] = d2g[:, kk, ll]
+    derivatives = (g0, dg) if d2g is None else (g0, dg, d2g)
     for i, x in enumerate(xs):
-        if not all(np.isfinite(a[i]).all() for a in (g0, dg, d2g)):
+        if not all(np.isfinite(a[i]).all() for a in derivatives):
             raise OracleError(f"metric derivatives are not finite at {x}")
     # ascending eigenvalues; g is symmetric, so its condition number is w[-1] / w[0]
     w = np.linalg.eigvalsh(g0)
@@ -288,14 +289,6 @@ def riemann(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.n
 def _ricci_of(riem: np.ndarray) -> np.ndarray:
     """Ric_{sigma nu} = R^mu_{sigma mu nu}, before symmetrization."""
     return np.einsum("rsrn->sn", riem)
-
-
-def ricci_with_asymmetry(
-    m: ChartMetric, x: np.ndarray, step: Optional[float] = None
-) -> tuple[np.ndarray, float]:
-    """Coordinate Ricci tensor and the max |R_ij - R_ji| before symmetrization."""
-    ric = _ricci_of(_riemann_at(m, x, step)[1])
-    return _symmetrize(ric), float(np.max(np.abs(ric - ric.T)))
 
 
 def ricci(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:

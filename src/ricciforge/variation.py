@@ -19,8 +19,9 @@ base Ricci tensors; everything is stored in the t-orthonormal frame
     hv = -t delta_a
 
 The Hopf preset (circle fibers of the round 3-sphere over the half
-radius 2-sphere) is derived from the numerical oracle, and its scaled
-family is exactly the squashed-sphere family, giving a closed test loop.
+radius 2-sphere) is stated exactly from O'Neill's formulas, and its
+scaled family is exactly the squashed-sphere family, so the oracle checks
+the closed form on that family without supplying any of its data.
 """
 
 from __future__ import annotations
@@ -217,65 +218,40 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
 _S3_POINT = np.array([1.1, 0.4, 0.8])
 
 
-DUST_TOL = 1e-6  # off-diagonal oracle noise below this is dropped, above it is an error
-
-
-def _drop_dust(matrix: np.ndarray) -> np.ndarray:
-    """Zero the off-diagonal numerical dust of an oracle-computed Ricci
-    matrix that is diagonal in exact arithmetic; anything above DUST_TOL
-    is a real violation and raises."""
-    off = matrix - np.diag(np.diag(matrix))
-    worst = float(np.max(np.abs(off), initial=0.0))
-    if worst > DUST_TOL:
-        raise ValueError(f"matrix is not diagonal up to dust (off-diagonal {worst:.3e})")
-    return np.diag(np.diag(matrix))
-
-
 def _hopf_frame(t: float) -> oracle.FrameAtPoint:
     """Orthonormal frame [vertical, horizontal, horizontal] at _S3_POINT of
     the left-invariant chart with scales (1, 1, t)."""
     return oracle.FrameAtPoint(_S3_POINT, oracle.su2_frame(_S3_POINT, (1.0, 1.0, t))[:, [2, 0, 1]])
 
 
-def hopf_preset(step: Optional[float] = None) -> SubmersionData:
-    """Submersion data of the circle fibration of the round 3-sphere over
-    the half-radius 2-sphere, derived from the oracle.
+def hopf_preset() -> SubmersionData:
+    """Exact submersion data of the circle fibration of the round unit
+    3-sphere over the 2-sphere of radius 1/2.
 
-    The fiber is a flat circle (ric_f = 0 exactly); the total-space Ricci
-    in a fibration-adapted frame and the base Ricci come from the chart
-    oracle, and the three invariants follow from the recovery identities.
-    Numerical dust on the off-diagonals of the base Ricci is dropped to
-    honor the eigenframe convention (entries are below 1e-6 and checked).
+    The Ricci tensors are Einstein: 2 on S^3(1), 4 on S^2(1/2) and 0 on
+    the flat circle fiber. O'Neill's formulas for totally geodesic fibers
+    (O'Neill, "The fundamental equations of a submersion", Michigan Math.
+    J. 13, 1966; Besse, Einstein Manifolds, 9.70), inverted as in
+    a_invariants_from_ricci, give a_uv = 2 - 0 = 2, a_xy = (4 - 2)/2 = 1
+    on each horizontal direction and delta_a = 0, since the mixed Ricci of
+    an Einstein metric vanishes.
     """
-    s3 = oracle.s3_left_invariant_chart(1.0, 1.0, 1.0)
-    ric_e = oracle.frame_ricci(s3, _hopf_frame(1.0), step=step)
-
-    s2 = oracle.sphere_chart(2, 0.5)
-    (fr,) = oracle.orthonormal_frames(s2, [[0.3, -0.2]])
-    ric_b = _drop_dust(oracle.frame_ricci(s2, fr, step=step))
-
-    ric_f = np.zeros((1, 1))  # circles are flat
-    ric_e_vv = ric_e[:1, :1]
-    ric_e_hh = _drop_dust(ric_e[1:, 1:])
-    ric_e_hv = ric_e[1:, :1]
-    a_uv, a_xy, delta_a = a_invariants_from_ricci(ric_e_vv, ric_e_hh, ric_e_hv, ric_b, ric_f)
-    a_xy = np.diag(np.diag(a_xy))
     return SubmersionData(
-        dim_b=2, dim_f=1, ric_b=ric_b, ric_f=ric_f, a_uv=a_uv, a_xy=a_xy, delta_a=delta_a
+        dim_b=2,
+        dim_f=1,
+        ric_b=4.0 * np.eye(2),
+        ric_f=np.zeros((1, 1)),
+        a_uv=np.full((1, 1), 2.0),
+        a_xy=np.eye(2),
+        delta_a=np.zeros((2, 1)),
     )
 
 
-def verify_hopf_against_oracle(
-    ts: Sequence[float],
-    tol: float,
-    step: Optional[float] = None,
-    data: Optional[SubmersionData] = None,
-) -> dict:
+def verify_hopf_against_oracle(ts: Sequence[float], tol: float, step: Optional[float] = None) -> dict:
     """Compare the closed-form scaled blocks of the Hopf preset with the
     oracle on the squashed-sphere chart for each t; scaling the circle
-    fibers of the round sphere is exactly that family. Pass the preset as
-    data when the caller has already built it with the same step."""
-    data = hopf_preset(step=step) if data is None else data
+    fibers of the round sphere is exactly that family."""
+    data = hopf_preset()
     rows = []
     for t in ts:
         s = canonical_variation_ricci(data, float(t))

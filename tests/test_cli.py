@@ -130,7 +130,17 @@ def test_smoothness_pass_and_fail(capsys, tmp_path):
 def test_variation_eval(capsys):
     code, report = run_json(capsys, ["variation-eval", "--t", "1,0.5,0.25", "--tol", "1e-5"])
     assert code == 0
-    assert any(c["name"] == "round-sphere-ricci-at-t1" for c in report["checks"])
+    (at_one,) = [c for c in report["checks"] if c["name"] == "scaled-blocks-vs-oracle@t=1"]
+    # the oracle's round S^3 against the exact blocks, not against itself
+    assert at_one["pass"] and 0.0 < at_one["value"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [["variation-eval"], ["error-bounds"]])
+def test_hopf_reports_print_exact_invariants(capsys, argv):
+    assert cli.run(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert '"invariants": {"ric_b": [[4, 0], [0, 4]], "ric_f": [[0]], "a_uv": [[2]], ' in out
+    assert '"a_xy": [[1, 0], [0, 1]], "delta_a": [[0], [0]]}' in out  # no -0
 
 
 def test_variation_eval_builds_hopf_preset_once(capsys, monkeypatch):
@@ -145,14 +155,18 @@ def test_variation_eval_builds_hopf_preset_once(capsys, monkeypatch):
     code = cli.run(["variation-eval", "--t", "1,0.5,0.25", "--json"])
     capsys.readouterr()
     assert code == 0
-    # two for the preset (S^3 and the base S^2), then one per t
-    assert len(calls) == 5
+    # the preset is exact, so one call per t and none for the preset
+    assert len(calls) == 3
+    assert cli.run(["error-bounds", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
 
 
 def test_error_bounds_default_constant(capsys):
     code, report = run_json(capsys, ["error-bounds", "--ts", "1,0.5,0.1,0.01"])
     assert code == 0
-    assert report["results"]["C"] == pytest.approx(2.0, abs=1e-5)
+    assert report["results"]["C"] == report["results"]["derived_C"] == 2
+    assert report["results"]["violations"] == []
 
 
 def test_error_bounds_undersized_constant(capsys):
@@ -297,10 +311,21 @@ def test_point_outside_chart_domain_exits_four(capsys):
     assert "r must be positive" in capsys.readouterr().err
 
 
-def test_warped_verify_without_radii_is_usage_error(capsys):
-    argv = ["warped-verify", "--preset", "s3-unequal", "--p", "3", "--tol", "1e-5", "--rs", ""]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["warped-verify", "--preset", "s3-unequal", "--p", "3", "--tol", "1e-5", "--rs", ""],
+        ["variation-eval", "--t", ""],
+        ["error-bounds", "--ts", " , "],
+    ],
+    ids=["warped-verify", "variation-eval", "error-bounds"],
+)
+def test_warped_verify_without_radii_is_usage_error(capsys, argv):
+    # an empty sweep would pass vacuously with "checks": []
     assert cli.run(argv + ["--json"]) == 3
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: argument {argv[-2]}: lists no number" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from ricciforge import variation
+from ricciforge import oracle, variation
 from ricciforge.variation import (
     SubmersionData,
     a_invariants_from_ricci,
@@ -110,14 +112,47 @@ def test_invariant_recovery_round_trip():
         assert np.allclose(s.hv, ric_e_hv, atol=1e-12)
 
 
+def hopf_invariants_from(ric_e, ric_b, ric_f):
+    """The preset's five arrays from Ricci tensors of S^3 in the Hopf frame
+    [vertical, horizontal, horizontal], of the base and of the fiber."""
+    a_uv, a_xy, delta_a = a_invariants_from_ricci(
+        ric_e[:1, :1], ric_e[1:, 1:], ric_e[1:, :1], ric_b, ric_f
+    )
+    return {"ric_b": ric_b, "ric_f": ric_f, "a_uv": a_uv, "a_xy": a_xy, "delta_a": delta_a}
+
+
 def test_hopf_invariants():
+    # O'Neill's inversion of the exact Ricci tensors of S^3(1), S^2(1/2) and S^1
     d = hopf_preset()
     assert d.dim_b == 2 and d.dim_f == 1
-    assert np.array_equal(d.ric_f, np.zeros((1, 1)))
-    assert np.max(np.abs(d.ric_b - 4.0 * np.eye(2))) <= 1e-5
-    assert abs(d.a_uv[0, 0] - 2.0) <= 1e-5
-    assert np.max(np.abs(d.a_xy - np.eye(2))) <= 1e-5
-    assert np.max(np.abs(d.delta_a)) <= 1e-5
+    want = hopf_invariants_from(2.0 * np.eye(3), 4.0 * np.eye(2), np.zeros((1, 1)))
+    for name, value in want.items():
+        got = getattr(d, name)
+        # bit for bit, once + 0.0 turns the inversion's -0 into the 0 the reports print
+        assert got.dtype == value.dtype and got.tobytes() == (value + 0.0).tobytes(), name
+
+
+def test_hopf_preset_agrees_with_the_oracle_derivation():
+    # the preset's former derivation, kept as a reference: oracle Ricci of the
+    # round S^3 in the Hopf frame and of S^2(1/2) at one point
+    ric_e = oracle.frame_ricci(oracle.preset("s3-left-invariant:1:1:1"), variation._hopf_frame(1.0))
+    s2 = oracle.preset("sphere:2:0.5")
+    (frame,) = oracle.orthonormal_frames(s2, [[0.3, -0.2]])
+    want = hopf_invariants_from(ric_e, oracle.frame_ricci(s2, frame), np.zeros((1, 1)))
+    d = hopf_preset()
+    for name, value in want.items():
+        assert np.max(np.abs(getattr(d, name) - value)) <= 1e-9, name
+
+
+def test_hopf_preset_and_error_bounds_call_no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    for name in [*oracle.__all__, "_metric_derivatives"]:
+        if inspect.isfunction(getattr(oracle, name)):
+            monkeypatch.setattr(oracle, name, refuse)
+    d = hopf_preset()
+    assert error_bound_check(d, bounded_error_constant(d), [1.0, 0.5, 0.1, 0.01]).passed
 
 
 def test_hopf_round_sphere_at_t_one():
@@ -158,7 +193,7 @@ def test_fiber_block_limits():
 def test_error_bounds_pass_with_derived_constant():
     d = hopf_preset()
     c = bounded_error_constant(d)
-    assert c == pytest.approx(2.0, abs=1e-5)
+    assert c == 2.0
     rep = error_bound_check(d, c, [1.0, 0.5, 0.1, 0.01])
     assert rep.passed
     assert rep.violations == []
