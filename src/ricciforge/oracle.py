@@ -157,10 +157,10 @@ def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], s
     at the stencil rows of all R points. Without second, only the first
     1 + d rows are evaluated and d2g is None. d_k g is the complex-step
     derivative; d_k d_l g is its 4th-order central difference in l, with
-    step * max(1, |x_l|). The point axis sits next to the (d, d) matrix
-    axes, so with R = 1 every step indexes exactly as a single-point
-    stencil would. Each point's slice of the results is C-contiguous,
-    because einsum picks its loops from the strides."""
+    step * max(1, |x_l|). Only the real centre row and the imaginary
+    derivative rows are symmetrized; that is elementwise, so no point's
+    values depend on R. The checks run over all R points at once and raise
+    what a loop over the points would raise first."""
     for x in xs:
         m.check_point(x)
     step = DEFAULT_STEP if step is None else float(step)
@@ -174,10 +174,10 @@ def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], s
     pts = xs + h * shift[:rows, None] + 1j * _ETA * imag[:rows, None]
     # an overflow anywhere shows up as a non-finite entry, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _symmetrize(np.asarray(m.components(pts.reshape(-1, d)))).reshape(rows, r, d, d)
-        g0 = g[0].real.copy()  # a copy, so the stencil array is freed with this call
-        der = g[1:].imag / _ETA
-        dg = der[:d].swapaxes(0, 1)
+        g = np.asarray(m.components(pts.reshape(-1, d))).reshape(rows, r, d, d)
+        g0 = _symmetrize(g[0].real)
+        der = _symmetrize(g[1:].imag) / _ETA
+        dg = np.ascontiguousarray(der[:d].swapaxes(0, 1))
         d2g = None
         if second:
             cross = der[d:].reshape(len(_D1_OFFSETS), len(kk), r, d, d)
@@ -185,70 +185,71 @@ def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], s
             d2g = np.zeros((r, d, d, d, d))
             d2g[:, kk, ll] = (acc / h.T[ll][:, :, None, None]).swapaxes(0, 1)
             d2g[:, ll, kk] = d2g[:, kk, ll]
-    derivatives = (g0, dg) if d2g is None else (g0, dg, d2g)
-    for i, x in enumerate(xs):
-        if not all(np.isfinite(a[i]).all() for a in derivatives):
-            raise OracleError(f"metric derivatives are not finite at {x}")
+    _finite("metric derivatives are", xs, *((g0, dg) if d2g is None else (g0, dg, d2g)))
     # ascending eigenvalues; g is symmetric, so its condition number is w[-1] / w[0]
     w = np.linalg.eigvalsh(g0)
-    for i in range(r):
+    with np.errstate(all="ignore"):
+        bad = (w[:, 0] <= 1e-12) | (w[:, -1] / w[:, 0] > 1e12)
+    if bad.any():
+        i = np.argmax(bad)
         if w[i, 0] <= 1e-12:
             raise SingularMetricError(
                 f"metric not positive definite at {xs[i]} (min eigenvalue {w[i, 0]:.3e})"
             )
-        if w[i, -1] / w[i, 0] > 1e12:
-            raise SingularMetricError(f"metric condition number exceeds 1e12 at {xs[i]}")
+        raise SingularMetricError(f"metric condition number exceeds 1e12 at {xs[i]}")
     if not np.iscomplexobj(g):
         raise OracleError(
             f"chart {m.label or 'metric'} returned real components at complex points, "
             "so every derivative would read 0; build them holomorphically in x.dtype"
         )
-    return g0, np.ascontiguousarray(dg), d2g
+    return g0, dg, d2g
+
+
+def _finite(what: str, xs: np.ndarray, *arrays: np.ndarray) -> None:
+    """Raise OracleError naming the first point of the (R, d) array xs at
+    which an entry of the (R, ...) arrays is not finite."""
+    ok = np.logical_and.reduce([np.isfinite(a).reshape(len(xs), -1).all(axis=1) for a in arrays])
+    if not ok.all():
+        raise OracleError(f"{what} not finite at {xs[np.argmin(ok)]}")
 
 
 def _christoffel(g0: np.ndarray, dg: np.ndarray):
-    """(g^{-1}, comb, Gamma) at a point from g and its first derivatives."""
+    """(g^{-1}, comb, Gamma) at each point from the (R, d, d) metric and its
+    (R, d, d, d) first derivatives."""
     ginv = np.linalg.inv(g0)
-    # comb[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    comb = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
-    return ginv, comb, 0.5 * np.einsum("kl,lij->kij", ginv, comb)
-
-
-def _finite(what: str, x: np.ndarray, compute: Callable[[], np.ndarray]) -> np.ndarray:
-    """compute() from finite derivatives at x; an overflow in it raises
-    OracleError naming x instead of a numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = compute()
-    if not np.isfinite(out).all():
-        raise OracleError(f"{what} not finite at {x}")
-    return out
+    # comb[:, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    comb = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
+    return ginv, comb, 0.5 * np.einsum("pkl,plij->pkij", ginv, comb)
 
 
 def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of the Levi-Civita connection at x,
     from complex-step first derivatives of the metric: one chart call of
     1 + dim rows, which take no real step."""
-    x = np.asarray(x, dtype=float)
-    g0, dg, _ = _metric_derivatives(m, x[None], step, second=False)
-    return _finite("Christoffel symbols are", x, lambda: _christoffel(g0[0], dg[0])[2])
+    xs = np.asarray(x, dtype=float)[None]
+    g0, dg, _ = _metric_derivatives(m, xs, step, second=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = _christoffel(g0, dg)[2]
+    _finite("Christoffel symbols are", xs, gamma)
+    return gamma[0]
 
 
-def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
+def _curvature(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
+    """Riemann tensor at each point from g, dg and d2g with a leading point axis."""
     ginv, comb, gamma = _christoffel(g0, dg)
-    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}; d_m (d_i g_jl) = d2g[m, i, j, l]
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    dcomb = d2g.transpose(0, 3, 1, 2) + d2g.transpose(0, 3, 2, 1) - d2g  # dcomb[m, l, i, j]
+    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}; d_m (d_i g_jl) = d2g[:, m, i, j, l]
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    dcomb = d2g.transpose(0, 1, 4, 2, 3) + d2g.transpose(0, 1, 4, 3, 2) - d2g  # [:, m, l, i, j]
     dgamma = 0.5 * (
-        np.einsum("mkl,lij->mkij", dginv, comb) + np.einsum("kl,mlij->mkij", ginv, dcomb)
+        np.einsum("pmkl,plij->pmkij", dginv, comb) + np.einsum("pkl,pmlij->pmkij", ginv, dcomb)
     )
     # R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
     #                      + Gamma^rho_{mu lam} Gamma^lam_{nu sigma}
     #                      - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}
-    term1 = np.einsum("mrns->rsmn", dgamma)
-    term2 = np.einsum("nrms->rsmn", dgamma)
-    term3 = np.einsum("rml,lns->rsmn", gamma, gamma)
-    term4 = np.einsum("rnl,lms->rsmn", gamma, gamma)
-    return term1 - term2 + term3 - term4
+    # and each odd term is the even one before it with mu and nu swapped
+    term1 = dgamma.transpose(0, 2, 4, 1, 3)
+    term3 = np.einsum("prml,plns->prsmn", gamma, gamma)
+    return term1 - term1.swapaxes(-1, -2) + term3 - term3.swapaxes(-1, -2)
 
 
 # Bytes of metric components (rows x d^2 x 16, complex) one chart call may
@@ -258,54 +259,56 @@ def _riemann_once(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray
 CHART_CALL_BYTES = 600 * 1024
 
 
-def _riemann(m: ChartMetric, xs, step: Optional[float]) -> list:
-    """(g, Riemann) at each point of the (R, d) array xs. The points go to
-    the chart in chunks of at most CHART_CALL_BYTES, one call per chunk.
-    The contraction runs point by point, so every result is the same for
-    any R."""
+def _riemann(m: ChartMetric, xs, step: Optional[float]):
+    """(g, Riemann) at the points of the (R, d) array xs, as (R, d, d) and
+    (R, d, d, d, d) arrays. The points go to the chart in chunks of at most
+    CHART_CALL_BYTES, one call per chunk, and each chunk is contracted in
+    one pass over a leading point axis. No step mixes points, so every
+    result is the same for any R."""
     xs = np.asarray(xs, dtype=float)
     d = m.dim
     per_call = max(1, CHART_CALL_BYTES // (16 * d * d * len(_stencil(d)[0])))
-    out = []
+    gs, riems = [], []
     for start in range(0, len(xs), per_call):
         chunk = xs[start : start + per_call]
-        g0, dg, d2g = _metric_derivatives(m, chunk, step)
-        for i, x in enumerate(chunk):
-            riem = _finite("curvature is", x, lambda: _riemann_once(g0[i], dg[i], d2g[i]))
-            out.append((g0[i], riem))
-    return out
-
-
-def _riemann_at(m: ChartMetric, x, step: Optional[float]):
-    """(g at x, Riemann at x): _riemann with one point."""
-    return _riemann(m, np.asarray(x, dtype=float)[None], step)[0]
+        derivatives = _metric_derivatives(m, chunk, step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            riems.append(_curvature(*derivatives))
+        _finite("curvature is", chunk, riems[-1])
+        gs.append(derivatives[0])
+    return np.concatenate(gs), np.concatenate(riems)
 
 
 def riemann(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
     """Riemann tensor R^rho_{sigma mu nu} at x."""
-    return _riemann_at(m, x, step)[1]
+    return _riemann(m, [x], step)[1][0]
 
 
 def _ricci_of(riem: np.ndarray) -> np.ndarray:
-    """Ric_{sigma nu} = R^mu_{sigma mu nu}, before symmetrization."""
-    return np.einsum("rsrn->sn", riem)
+    """Ric_{sigma nu} = R^mu_{sigma mu nu}, before symmetrization, over leading axes."""
+    return np.einsum("...rsrn->...sn", riem)
 
 
 def ricci(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
     """Symmetrized coordinate-basis Ricci tensor R_ij at x."""
-    return _symmetrize(_ricci_of(_riemann_at(m, x, step)[1]))
+    return _symmetrize(_ricci_of(riemann(m, x, step)))
 
 
-def _in_frame(m: ChartMetric, fr: FrameAtPoint, g0: np.ndarray, riem: np.ndarray) -> np.ndarray:
-    defect = float(np.max(np.abs(fr.vectors.T @ g0 @ fr.vectors - np.eye(m.dim))))
-    if defect > 1e-8:
-        raise OracleError(f"frame is not orthonormal (defect {defect:.3e} > 1e-8)")
-    return fr.vectors.T @ _symmetrize(_ricci_of(riem)) @ fr.vectors
+def _in_frame(frames: Sequence[FrameAtPoint], g0: np.ndarray, riem: np.ndarray) -> list:
+    """Ric(e_a, e_b) in each frame, from g and Riemann at the frames'
+    points, once every frame is checked to be orthonormal."""
+    v = np.stack([fr.vectors for fr in frames])
+    vt = v.swapaxes(-1, -2)
+    defect = np.abs(vt @ g0 @ v - np.eye(v.shape[-1])).max(axis=(1, 2))
+    if (defect > 1e-8).any():
+        worst = defect[np.argmax(defect > 1e-8)]
+        raise OracleError(f"frame is not orthonormal (defect {worst:.3e} > 1e-8)")
+    return list(vt @ _symmetrize(_ricci_of(riem)) @ v)
 
 
 def frame_ricci(m: ChartMetric, fr: FrameAtPoint, step: Optional[float] = None) -> np.ndarray:
     """Ricci tensor expressed in a g-orthonormal frame, Ric(e_a, e_b)."""
-    return _in_frame(m, fr, *_riemann_at(m, fr.x, step))
+    return _in_frame([fr], *_riemann(m, [fr.x], step))[0]
 
 
 def frame_ricci_many(
@@ -316,8 +319,7 @@ def frame_ricci_many(
     bit for bit, and a failure raises what the first failing frame raises
     on its own."""
     try:
-        results = _riemann(m, [fr.x for fr in frames], step)
-        return [_in_frame(m, fr, g0, riem) for fr, (g0, riem) in zip(frames, results)]
+        return _in_frame(frames, *_riemann(m, [fr.x for fr in frames], step)) if frames else []
     except Exception:
         for fr in frames:
             frame_ricci(m, fr, step)
@@ -332,18 +334,16 @@ def sectional(
     step: Optional[float] = None,
 ) -> float:
     """Sectional curvature of the plane spanned by u and v at x."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g, riem = _riemann_at(m, x, step)
+    u, v = (np.asarray(a, dtype=float) for a in (u, v))
+    g, riem = (a[0] for a in _riemann(m, [x], step))
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)
     denom = uu * vv - uv * uv
     if denom < 1e-12:
         raise OracleError("degenerate plane: |u|^2 |v|^2 - <u,v>^2 < 1e-12")
-    # <R(u,v)v, u> = g_{ra} R^r_{smn} u^m v^n v^s u^a
-    num = float(np.einsum("ra,rsmn,m,n,s,a->", g, riem, u, v, v, u))
-    return num / denom
+    # <R(u,v)v, u> = g_{ra} R^r_{smn} u^m v^n v^s u^a, one vector at a time
+    return float((u @ g) @ (((riem @ v) @ u) @ v)) / denom
 
 
 # --- preset charts --------------------------------------------------------

@@ -190,6 +190,10 @@ def test_sectional_fixtures():
     h = preset("hyperbolic2")
     k = sectional(h, np.array([0.2, 1.1]), np.array([1.0, 0.0]), np.array([0.3, 1.0]))
     assert k == pytest.approx(-1.0, abs=1e-6)
+    u, v = np.linspace(1.0, 0.3, 8), np.linspace(-0.5, 0.9, 8)
+    for a in (1.0, 2.0, 0.7):
+        s = preset(f"sphere:8:{a}")
+        assert sectional(s, np.linspace(-0.4, 0.3, 8), u, v) == pytest.approx(1.0 / a**2, abs=1e-9)
 
 
 def test_sectional_degenerate_plane():
@@ -355,15 +359,19 @@ WARPED_SPECS = {
 }
 
 
+def _batch_chart(name, n):
+    """The chart named in BATCH_CHARTS and n frames on it."""
+    if name.startswith("warped:"):
+        _, kind, p = name.split(":")
+        return _warped_frames(WARPED_SPECS[kind], int(p), n)
+    return _preset_frames(name, n, np.random.default_rng(11))
+
+
 @pytest.mark.parametrize("name", BATCH_CHARTS)
 def test_frame_ricci_many_is_bit_identical_to_single_points(name):
     # for R = 1..8 points, one batched call equals R frame_ricci calls
     # exactly; at d = 7 and 8 the larger batches span several chunks
-    if name.startswith("warped:"):
-        _, kind, p = name.split(":")
-        m, frames = _warped_frames(WARPED_SPECS[kind], int(p), 8)
-    else:
-        m, frames = _preset_frames(name, 8, np.random.default_rng(11))
+    m, frames = _batch_chart(name, 8)
     singles = [frame_ricci(m, fr) for fr in frames]
     for r in range(1, 9):
         batch = frame_ricci_many(m, frames[:r])
@@ -373,12 +381,64 @@ def test_frame_ricci_many_is_bit_identical_to_single_points(name):
     assert frame_ricci_many(m, []) == []
 
 
+def _reference_riemann(g0, dg, d2g):
+    """Riemann at one point, term by term as the formula reads: d g^{-1}
+    by the three-operand einsum and each of the four curvature terms by an
+    einsum of its own."""
+    ginv = np.linalg.inv(g0)
+    comb = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg  # comb[l, i, j]
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, comb)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+    dcomb = d2g.transpose(0, 3, 1, 2) + d2g.transpose(0, 3, 2, 1) - d2g  # dcomb[m, l, i, j]
+    dgamma = 0.5 * (
+        np.einsum("mkl,lij->mkij", dginv, comb) + np.einsum("kl,mlij->mkij", ginv, dcomb)
+    )
+    return (
+        np.einsum("mrns->rsmn", dgamma)
+        - np.einsum("nrms->rsmn", dgamma)
+        + np.einsum("rml,lns->rsmn", gamma, gamma)
+        - np.einsum("rnl,lms->rsmn", gamma, gamma)
+    )
+
+
+@pytest.mark.parametrize("name", BATCH_CHARTS)
+def test_riemann_matches_the_reference_formula(name):
+    # the batched contraction computes the same tensor as the formula, from
+    # the same metric derivatives, to roundoff
+    m, frames = _batch_chart(name, 3)
+    for fr in frames:
+        g0, dg, d2g = oracle._metric_derivatives(m, fr.x[None], None)
+        want = _reference_riemann(g0[0], dg[0], d2g[0])
+        got = riemann(m, fr.x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def _first_error(call):
     try:
         call()
     except Exception as err:  # any class: the class and the text are compared
         return type(err), str(err)
     return None
+
+
+def _diagonal_chart(x):
+    # g = diag(1e3, x_0): not positive definite for x_0 < 0, and its
+    # condition number 1e3 / x_0 exceeds 1e12 for 0 < x_0 < 1e-9
+    g = np.zeros((len(x), 2, 2), dtype=x.dtype)
+    g[:, 0, 0] = 1e3
+    g[:, 1, 1] = x[:, 0]
+    return g
+
+
+# chart (None for _diagonal_chart), good points, two failing points, the failure
+OVERFLOW_GOOD = [[1, 1], [2, 2], [3, 1]]
+DIAGONAL_GOOD = [[1, 0], [2, 0], [3, 0]]
+BATCH_FAILURES = [
+    ("sphere:2:5e153", OVERFLOW_GOOD, [[0, 0], [0.05, 0]], "metric derivatives are not finite"),
+    (None, DIAGONAL_GOOD, [[-1, 0], [-2, 0]], "metric not positive definite"),
+    (None, DIAGONAL_GOOD, [[1e-10, 0], [2e-10, 0]], "metric condition number exceeds 1e12"),
+    ("sphere:2:5e153", OVERFLOW_GOOD, [[0.3, 0.3], [0.5, 0.5]], "curvature is not finite"),
+]
 
 
 def test_frame_ricci_many_raises_like_the_point_loop():
@@ -397,6 +457,19 @@ def test_frame_ricci_many_raises_like_the_point_loop():
         want = _first_error(lambda: [frame_ricci(m, fr) for fr in frames])
         assert want is not None
         assert _first_error(lambda: frame_ricci_many(m, frames)) == want
+    # each batched check, with a failing point after the first and another
+    # one last, in one chunk: the batch and the batched core raise what the
+    # loop raises, which names the first failing point
+    for name, points, bad, message in BATCH_FAILURES:
+        m = preset(name) if name else ChartMetric(2, _diagonal_chart, label="diagonal")
+        good = [coordinate_frame(m, np.array(x, dtype=float)) for x in points]
+        first, second = (FrameAtPoint(np.array(x, dtype=float), np.eye(2)) for x in bad)
+        for pos in range(1, len(good) + 1):
+            frames = good[:pos] + [first] + good[pos:] + [second]
+            want = _first_error(lambda: [frame_ricci(m, fr) for fr in frames])
+            assert want is not None and want[1].startswith(f"{message} at {first.x}")
+            assert _first_error(lambda: frame_ricci_many(m, frames)) == want
+            assert _first_error(lambda: oracle._riemann(m, [fr.x for fr in frames], None)) == want
 
 
 def test_verify_reports_the_first_failing_radius_like_the_loop():
