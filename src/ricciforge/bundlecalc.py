@@ -573,19 +573,19 @@ def _summary(fp: FamilyParams) -> str:
     )
 
 
-def normalize_for_positivity(fp: FamilyParams, trace: Optional[list] = None) -> FamilyParams:
+def normalize_for_positivity(fp: FamilyParams, trace: list) -> FamilyParams:
     """Bring a certificate to decay exponent 2 with a strictly positive
     lower bound on the basis exponents, via instantiate / weaken /
-    exact reparametrization up, then a rescale by t^(1/2)."""
-    steps = trace if trace is not None else []
+    exact reparametrization up, then a rescale by t^(1/2), recording each
+    step in trace."""
     if fp.for_all_q:
-        fp = _step(steps, "instantiate", "normalize", fp.instantiate(WORK_Q))
+        fp = _step(trace, "instantiate", "normalize", fp.instantiate(WORK_Q))
     if fp.q > WORK_Q:
-        fp = _step(steps, "weaken", "normalize", weaken(fp, WORK_Q))
+        fp = _step(trace, "weaken", "normalize", weaken(fp, WORK_Q))
     elif fp.q < WORK_Q:
         fp = reparametrize_exact(fp, WORK_Q / fp.q)
-        fp = _step(steps, "reparametrize-exact", "normalize", fp)
-    return _step(steps, "rescale", "normalize", rescale(fp, Fraction(1, 2)))
+        fp = _step(trace, "reparametrize-exact", "normalize", fp)
+    return _step(trace, "rescale", "normalize", rescale(fp, Fraction(1, 2)))
 
 
 def evaluate_plan(plan) -> PlanResult:

@@ -138,23 +138,22 @@ def _emit(report: dict, args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _finite_float(text: str, low: float = -math.inf, strict: bool = False) -> float:
+def _finite_float(text: str, low: float = -math.inf) -> float:
     """The one parser of float inputs: a value that is not a finite number,
     such as nan or inf, is a usage error (exit 3), named by its option; so
-    is one below ``low``, or equal to it when ``strict``."""
+    is one below ``low``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    if value < low or (strict and value == low):
-        raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low:g}: {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low:g}: {text!r}")
     return value
 
 
 _tolerance = functools.partial(_finite_float, low=0.0)
-_step = functools.partial(_finite_float, low=0.0, strict=True)
 
 
 def _float_list(text: str) -> list:
@@ -196,12 +195,16 @@ def cmd_oracle_check(args) -> int:
     if args.points < 1:
         raise UsageError("--points must be at least 1")
     chart, frames, want = _preset_fixture(args.preset, args.points, args.seed)
+    # the tolerance shrinks with a closed form below 1 in size, so that a
+    # tiny expected Ricci cannot pass whatever the oracle returns
+    scale = float(np.max(np.abs(want)))
+    tol = args.tol * min(1.0, scale) if scale else args.tol
     checks = []
     worst = 0.0
-    for idx, got in enumerate(oracle.frame_ricci_many(chart, frames, step=args.step)):
+    for idx, got in enumerate(oracle.frame_ricci_many(chart, frames)):
         dev = float(np.max(np.abs(got - want)))
         worst = max(worst, dev)
-        checks.append(_check(f"frame-ricci-closed-form[point {idx}]", dev <= args.tol, dev, args.tol))
+        checks.append(_check(f"frame-ricci-closed-form[point {idx}]", dev <= tol, dev, tol))
     results = {
         "preset": args.preset,
         "points": len(frames),
@@ -253,7 +256,7 @@ def cmd_warped_eval(args) -> int:
 
 def cmd_warped_verify(args) -> int:
     spec = _load_spec(args)
-    rep = warped.verify_against_oracle(spec, args.p, args.rs, args.tol, args.step)
+    rep = warped.verify_against_oracle(spec, args.p, args.rs, args.tol)
     checks = [
         _check(f"{row['entry']}@r={row['r']:g}", row["pass"], row["deviation"], args.tol)
         for row in rep.rows
@@ -302,7 +305,7 @@ def _invariants(data: variation.SubmersionData) -> dict:
 
 def cmd_variation_eval(args) -> int:
     data = variation.hopf_preset()
-    rep = variation.verify_hopf_against_oracle(args.t, args.tol, step=args.step)
+    rep = variation.verify_hopf_against_oracle(args.t, args.tol)
     checks = [
         _check(f"scaled-blocks-vs-oracle@t={row['t']:g}", row["pass"], row["deviation"], args.tol)
         for row in rep["rows"]
@@ -402,7 +405,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=_step, default=None)
     common(p)
     p.set_defaults(func=cmd_oracle_check)
 
@@ -421,7 +423,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--tol", type=_tolerance, required=True)
     p.add_argument("--rs", type=_float_list, default="0.25,0.5,1,2,4")
-    p.add_argument("--step", type=_step, default=None)
     common(p)
     p.set_defaults(func=cmd_warped_verify)
 
@@ -433,15 +434,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_smoothness)
 
     p = sub.add_parser("variation-eval", help="fiber-scaling blocks vs the oracle")
-    p.add_argument("--preset", default="hopf", choices=["hopf"])
     p.add_argument("--t", type=_float_list, default="1,0.5,0.25")
     p.add_argument("--tol", type=_tolerance, default=1e-5)
-    p.add_argument("--step", type=_step, default=None)
     common(p)
     p.set_defaults(func=cmd_variation_eval)
 
     p = sub.add_parser("error-bounds", help="scaled-Ricci inequality suite")
-    p.add_argument("--preset", default="hopf", choices=["hopf"])
     p.add_argument("--ts", type=_float_list, default="1,0.5,0.1,0.01")
     p.add_argument("--C", type=_finite_float, default=None)
     common(p)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class ChartMetric:
 
     def __post_init__(self):
         if not (0 < self.dim <= MAX_DIM):
-            raise ValueError(f"chart dimension must be in 1..{MAX_DIM}")
+            raise ValueError(f"chart dimension {self.dim} is not in 1..{MAX_DIM}")
 
     def at(self, x: np.ndarray) -> np.ndarray:
         """Symmetrized metric components at the single point x."""
@@ -151,7 +151,9 @@ def _stencil(d: int):
     return shift, imag, kk, ll
 
 
-def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], second: bool = True):
+def _metric_derivatives(
+    m: ChartMetric, xs: np.ndarray, step: float = DEFAULT_STEP, second: bool = True
+):
     """Check the points, then return g, dg[:, k] = d_k g and d2g[:, k, l] =
     d_k d_l g at each row of the (R, d) array xs, from one chart evaluation
     at the stencil rows of all R points. Without second, only the first
@@ -163,9 +165,6 @@ def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: Optional[float], s
     what a loop over the points would raise first."""
     for x in xs:
         m.check_point(x)
-    step = DEFAULT_STEP if step is None else float(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
     r, d = xs.shape
     h = step * np.maximum(1.0, np.abs(xs))
     shift, imag, kk, ll = _stencil(d)
@@ -222,12 +221,12 @@ def _christoffel(g0: np.ndarray, dg: np.ndarray):
     return ginv, comb, 0.5 * np.einsum("pkl,plij->pkij", ginv, comb)
 
 
-def christoffel(m: ChartMetric, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+def christoffel(m: ChartMetric, x: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of the Levi-Civita connection at x,
     from complex-step first derivatives of the metric: one chart call of
     1 + dim rows, which take no real step."""
     xs = np.asarray(x, dtype=float)[None]
-    g0, dg, _ = _metric_derivatives(m, xs, step, second=False)
+    g0, dg, _ = _metric_derivatives(m, xs, second=False)
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = _christoffel(g0, dg)[2]
     _finite("Christoffel symbols are", xs, gamma)
@@ -259,12 +258,13 @@ def _curvature(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
 CHART_CALL_BYTES = 600 * 1024
 
 
-def _riemann(m: ChartMetric, xs, step: Optional[float]):
+def _riemann(m: ChartMetric, xs, step: float = DEFAULT_STEP):
     """(g, Riemann) at the points of the (R, d) array xs, as (R, d, d) and
     (R, d, d, d, d) arrays. The points go to the chart in chunks of at most
     CHART_CALL_BYTES, one call per chunk, and each chunk is contracted in
     one pass over a leading point axis. No step mixes points, so every
-    result is the same for any R."""
+    result is the same for any R. step is the real step delta; the public
+    routines all use DEFAULT_STEP."""
     xs = np.asarray(xs, dtype=float)
     d = m.dim
     per_call = max(1, CHART_CALL_BYTES // (16 * d * d * len(_stencil(d)[0])))
@@ -279,9 +279,9 @@ def _riemann(m: ChartMetric, xs, step: Optional[float]):
     return np.concatenate(gs), np.concatenate(riems)
 
 
-def riemann(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+def riemann(m: ChartMetric, x: np.ndarray) -> np.ndarray:
     """Riemann tensor R^rho_{sigma mu nu} at x."""
-    return _riemann(m, [x], step)[1][0]
+    return _riemann(m, [x])[1][0]
 
 
 def _ricci_of(riem: np.ndarray) -> np.ndarray:
@@ -289,9 +289,9 @@ def _ricci_of(riem: np.ndarray) -> np.ndarray:
     return np.einsum("...rsrn->...sn", riem)
 
 
-def ricci(m: ChartMetric, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+def ricci(m: ChartMetric, x: np.ndarray) -> np.ndarray:
     """Symmetrized coordinate-basis Ricci tensor R_ij at x."""
-    return _symmetrize(_ricci_of(riemann(m, x, step)))
+    return _symmetrize(_ricci_of(riemann(m, x)))
 
 
 def _in_frame(frames: Sequence[FrameAtPoint], g0: np.ndarray, riem: np.ndarray) -> list:
@@ -306,36 +306,28 @@ def _in_frame(frames: Sequence[FrameAtPoint], g0: np.ndarray, riem: np.ndarray) 
     return list(vt @ _symmetrize(_ricci_of(riem)) @ v)
 
 
-def frame_ricci(m: ChartMetric, fr: FrameAtPoint, step: Optional[float] = None) -> np.ndarray:
+def frame_ricci(m: ChartMetric, fr: FrameAtPoint) -> np.ndarray:
     """Ricci tensor expressed in a g-orthonormal frame, Ric(e_a, e_b)."""
-    return _in_frame([fr], *_riemann(m, [fr.x], step))[0]
+    return _in_frame([fr], *_riemann(m, [fr.x]))[0]
 
 
-def frame_ricci_many(
-    m: ChartMetric, frames: Sequence[FrameAtPoint], step: Optional[float] = None
-) -> list:
+def frame_ricci_many(m: ChartMetric, frames: Sequence[FrameAtPoint]) -> list:
     """frame_ricci at each frame, with the points batched into one chart
     call per chunk of CHART_CALL_BYTES. Each result equals frame_ricci's
     bit for bit, and a failure raises what the first failing frame raises
     on its own."""
     try:
-        return _in_frame(frames, *_riemann(m, [fr.x for fr in frames], step)) if frames else []
+        return _in_frame(frames, *_riemann(m, [fr.x for fr in frames])) if frames else []
     except Exception:
         for fr in frames:
-            frame_ricci(m, fr, step)
+            frame_ricci(m, fr)
         raise
 
 
-def sectional(
-    m: ChartMetric,
-    x: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    step: Optional[float] = None,
-) -> float:
+def sectional(m: ChartMetric, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """Sectional curvature of the plane spanned by u and v at x."""
     u, v = (np.asarray(a, dtype=float) for a in (u, v))
-    g, riem = (a[0] for a in _riemann(m, [x], step))
+    g, riem = (a[0] for a in _riemann(m, [x]))
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)

@@ -29,7 +29,6 @@ from .exprs import Expr
 __all__ = [
     "reference_profiles",
     "DirectionCoefficients",
-    "PositivityCoefficients",
     "derive_coefficients",
     "MinPResult",
     "min_p",
@@ -57,13 +56,6 @@ class DirectionCoefficients:
     S: float
 
 
-@dataclass(frozen=True)
-class PositivityCoefficients:
-    """Per-direction coefficient quadruples, keyed 'r', 'u', 'y0'.. 'y(n-1)'."""
-
-    directions: dict
-
-
 def _quadruples(c, mi) -> dict:
     """The quadruples of derive_coefficients, in the number type of c and mi:
     exact for rationals, and the same float operations for floats."""
@@ -86,8 +78,9 @@ def _quadruples(c, mi) -> dict:
     return directions
 
 
-def derive_coefficients(n: int, c: float, mi: Sequence) -> PositivityCoefficients:
-    """Coefficient quadruples for the reference profiles with exponents mi.
+def derive_coefficients(n: int, c: float, mi: Sequence) -> dict:
+    """Coefficient quadruples for the reference profiles with exponents mi,
+    keyed 'r', 'u', 'y0' .. 'y(n-1)'.
 
     Substituting h_i = h^(m_i) and the closed-form identities
 
@@ -116,11 +109,10 @@ def derive_coefficients(n: int, c: float, mi: Sequence) -> PositivityCoefficient
         raise ValueError("all direction exponents m_i must be positive")
     if c < 0.0:
         raise ValueError("c must be nonnegative")
-    directions = {
+    return {
         name: DirectionCoefficients(float(cf.K), float(cf.L), float(cf.R), float(cf.S))
         for name, cf in _quadruples(float(c), mi).items()
     }
-    return PositivityCoefficients(directions=directions)
 
 
 def k_bound(n: int, c: float, m, m_lower=None) -> float:
@@ -141,9 +133,9 @@ def k_bound(n: int, c: float, m, m_lower=None) -> float:
     if lower <= 0.0 or lower > m:
         raise ValueError("m_lower must lie in (0, m]")
     coeffs = derive_coefficients(n, c, [m] * n)
-    worst = max(cf.L / cf.K for cf in coeffs.directions.values())
-    worst = max(worst, coeffs.directions["r"].S / coeffs.directions["r"].R)
-    worst = max(worst, coeffs.directions["u"].S / coeffs.directions["u"].R)
+    worst = max(cf.L / cf.K for cf in coeffs.values())
+    worst = max(worst, coeffs["r"].S / coeffs["r"].R)
+    worst = max(worst, coeffs["u"].S / coeffs["u"].R)
     if n:
         worst = max(worst, (c + (n - 1) * c) / (2.0 * lower))
     return worst

@@ -27,7 +27,7 @@ the closed form on that family without supplying any of its data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -128,7 +128,14 @@ def bounded_error_constant(d: SubmersionData) -> float:
     """Smallest constant C for which the three scaled-Ricci inequalities
     hold at every t in (0, 1]: the off-diagonal bounds need C at least the
     off-diagonal magnitudes of a_uv and all of delta_a, and the diagonal
-    base inequality needs C at least twice the a_xy entries."""
+    base inequality needs C at least twice the a_xy entries.
+
+    Each inequality of error_bound_check is then monotone in t, so with
+    c = C it reports no violation at any t in (0, 1], and with any c
+    below C it reports one at t = 1. That needs ric_b and ric_f exactly
+    diagonal: an off-diagonal entry e of ric_f, within the 1e-10 that
+    SubmersionData allows, adds e / t^2 to vv and breaks |vv| <= C t as
+    t -> 0."""
     def off_max(a: np.ndarray) -> float:
         if a.size <= 1:
             return 0.0
@@ -247,7 +254,7 @@ def hopf_preset() -> SubmersionData:
     )
 
 
-def verify_hopf_against_oracle(ts: Sequence[float], tol: float, step: Optional[float] = None) -> dict:
+def verify_hopf_against_oracle(ts: Sequence[float], tol: float) -> dict:
     """Compare the closed-form scaled blocks of the Hopf preset with the
     oracle on the squashed-sphere chart for each t; scaling the circle
     fibers of the round sphere is exactly that family."""
@@ -256,7 +263,7 @@ def verify_hopf_against_oracle(ts: Sequence[float], tol: float, step: Optional[f
     for t in ts:
         s = canonical_variation_ricci(data, float(t))
         chart = oracle.s3_left_invariant_chart(1.0, 1.0, float(t))
-        full = oracle.frame_ricci(chart, _hopf_frame(float(t)), step=step)
+        full = oracle.frame_ricci(chart, _hopf_frame(float(t)))
         dev = max(
             abs(full[0, 0] - s.vv[0, 0]),
             abs(full[1, 1] - s.hh[0, 0]),

@@ -31,7 +31,6 @@ __all__ = [
     "WarpedVerifyReport",
     "ricci_warped",
     "diagonal_blocks",
-    "assemble_full",
     "check_positive_definite",
     "verify_against_oracle",
     "smoothness_check",
@@ -196,19 +195,6 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     return RicciBlocks(rr=float(rr), uu=float(uu), yy=yy, p=int(p), r=float(r))
 
 
-def assemble_full(blocks: RicciBlocks) -> np.ndarray:
-    """Full (n+p) x (n+p) Ricci matrix in the frame order {d_r, U_a, Y_i}."""
-    n = blocks.yy.shape[0]
-    p = blocks.p
-    d = 1 + (p - 1) + n
-    out = np.zeros((d, d))
-    out[0, 0] = blocks.rr
-    for a in range(1, p):
-        out[a, a] = blocks.uu
-    out[p:, p:] = blocks.yy
-    return out
-
-
 @dataclass(frozen=True)
 class PdResult:
     positive_definite: bool
@@ -273,8 +259,6 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     kind = _classify(spec)
     n, ps = spec.n, p - 1
     d = n + ps + 1
-    if d > oracle.MAX_DIM:
-        raise ValueError(f"chart dimension {d} exceeds the oracle cap {oracle.MAX_DIM}")
     f_expr = spec.f
     h_exprs = spec.h
 
@@ -335,7 +319,6 @@ def verify_against_oracle(
     p: int,
     rs: Sequence[float],
     tol: float,
-    step: Optional[float] = None,
 ) -> WarpedVerifyReport:
     """Compare the closed-form blocks with the chart oracle at each radius.
 
@@ -356,9 +339,9 @@ def verify_against_oracle(
             frames.append(frame_at(spec, p, float(r)))
         except Exception:
             # an oracle failure at an earlier radius is reported first
-            oracle.frame_ricci_many(metric, frames, step=step)
+            oracle.frame_ricci_many(metric, frames)
             raise
-    fulls = oracle.frame_ricci_many(metric, frames, step=step)
+    fulls = oracle.frame_ricci_many(metric, frames)
     rows: list = []
     n, ps = spec.n, p - 1
     for blocks, full in zip(closed_forms, fulls):
@@ -421,17 +404,19 @@ class SmoothnessReport:
         )
 
 
-SMOOTHNESS_GRID_POINTS = 200  # positivity of f and h_i is sampled here on [AXIS_EPS, r_max]
+# positivity of f and h_i is sampled at this many radii on [AXIS_EPS, SMOOTHNESS_R_MAX]
+SMOOTHNESS_GRID_POINTS = 200
+SMOOTHNESS_R_MAX = 10.0
 
 
-def smoothness_check(spec: WarpedFamilySpec, tol: float, r_max: float = 10.0) -> SmoothnessReport:
+def smoothness_check(spec: WarpedFamilySpec, tol: float) -> SmoothnessReport:
     """Check the smooth-extension conditions at the degenerate axis r = 0:
     f(0) = 0, f'(0) = 1, f''(0) = 0, f > 0 away from the axis, and
     h_i'(0) = 0, each within tol, with axis values read at r = 1e-6."""
     eps = AXIS_EPS
     (c0, c1, c2), *hs = spec.compiled
     f0, f1, f2 = c0(eps), c1(eps), c2(eps)
-    grid = np.linspace(eps, r_max, SMOOTHNESS_GRID_POINTS)
+    grid = np.linspace(eps, SMOOTHNESS_R_MAX, SMOOTHNESS_GRID_POINTS)
     fgrid = exprs.evaluate_grid(spec.f, grid)
     hprimes = []
     hpos = []
@@ -520,16 +505,15 @@ def reference_torus_spec() -> WarpedFamilySpec:
     return WarpedFamilySpec(n=1, f=f, h=(h,), label="torus-reference")
 
 
-def left_invariant_s3_spec(
-    h_texts: Sequence[str] = ("(1+r^2)^(-1)", "(1+r^2)^(-3/4)", "(1+r^2)^(-1/2)"),
-) -> WarpedFamilySpec:
+def left_invariant_s3_spec() -> WarpedFamilySpec:
     """E = 3-sphere with a left-invariant family: three unequal scales
-    h_i(r) on the quaternionic frame, base Ricci from the closed-form
-    left-invariant formula, nonzero structure coefficients."""
+    h_i(r) = (1+r^2)^(-1), (1+r^2)^(-3/4), (1+r^2)^(-1/2) on the
+    quaternionic frame, base Ricci from the closed-form left-invariant
+    formula, nonzero structure coefficients."""
     from .positivity import reference_profiles
 
     f, _ = reference_profiles()
-    h = tuple(exprs.parse(t) for t in h_texts)
+    h = tuple(exprs.parse(t) for t in ("(1+r^2)^(-1)", "(1+r^2)^(-3/4)", "(1+r^2)^(-1/2)"))
     h_at = [exprs.compile_scalar(e) for e in h]
 
     def base(r: float) -> np.ndarray:

@@ -285,6 +285,14 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     assert "not realizable" in capsys.readouterr().err
 
 
+def test_chart_past_the_dimension_cap_is_spec_error(capsys, tmp_path):
+    # n = 4 and p = 5 make a chart of dimension 4 + 4 + 1 = 9
+    spec = tmp_path / "torus4.json"
+    spec.write_text(json.dumps({**TORUS_SPEC, "n": 4, "h": TORUS_SPEC["h"] * 4}))
+    assert cli.run(["warped-verify", "--spec", str(spec), "--p", "5", "--tol", "1e-5", "--json"]) == 3
+    assert capsys.readouterr() == ("", "spec error: chart dimension 9 is not in 1..8\n")
+
+
 def test_domain_errors_exit_four(capsys, tmp_path):
     spec = tmp_path / "sqrtspec.json"
     spec.write_text(json.dumps({**TORUS_SPEC, "f": "sqrt(r-2)", "h": ["1"]}))
@@ -376,6 +384,23 @@ def test_oracle_overflow_is_a_numeric_error(capsys):
     assert all(check["pass"] for check in report["checks"])
 
 
+def test_oracle_check_tolerance_scales_with_a_small_closed_form(capsys, monkeypatch):
+    # an oracle that returns zeros must fail where the expected Ricci,
+    # 7 / (3e153)^2, is far below --tol; closed forms of size >= 1 or 0
+    # keep --tol itself
+    code, report = run_json(capsys, ["oracle-check", "--preset", "sphere:8:3e153"])
+    assert code == 0
+    assert all(c["tolerance"] == 1e-6 * (7 / 3e153**2) for c in report["checks"])
+    monkeypatch.setattr(oracle, "frame_ricci_many", lambda m, frames: [0.0 * fr.vectors for fr in frames])
+    code, report = run_json(capsys, ["oracle-check", "--preset", "sphere:8:3e153"])
+    assert code == 2
+    assert not any(c["pass"] for c in report["checks"])
+    for name, want_code in (("sphere:2:1", 2), ("hyperbolic2", 2), ("euclidean:4", 0)):
+        code, report = run_json(capsys, ["oracle-check", "--preset", name])
+        assert code == want_code
+        assert all(c["tolerance"] == 1e-6 for c in report["checks"])
+
+
 def test_oracle_check_point_count(capsys):
     code, report = run_json(capsys, ["oracle-check", "--preset", "sphere:2:1", "--points", "2"])
     assert code == 0
@@ -440,7 +465,6 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, option):
 
 
 NEGATIVE_TOL = "--tol: must be >= 0"
-NONPOSITIVE_STEP = "--step: must be > 0"
 TORUS_P3 = ["--preset", "reference-torus", "--p", "3"]
 
 
@@ -451,9 +475,6 @@ TORUS_P3 = ["--preset", "reference-torus", "--p", "3"]
         (["warped-verify", *TORUS_P3, "--tol", "-1", "--rs", "1"], NEGATIVE_TOL),
         (["smoothness", "--preset", "reference-torus", "--tol", "-1"], NEGATIVE_TOL),
         (["variation-eval", "--tol", "-1"], NEGATIVE_TOL),
-        (["oracle-check", "--preset", "sphere:2:1", "--step", "0"], NONPOSITIVE_STEP),
-        (["warped-verify", *TORUS_P3, "--tol", "1e-5", "--step=-1e-3"], NONPOSITIVE_STEP),
-        (["variation-eval", "--step", "0"], NONPOSITIVE_STEP),
     ],
 )
 def test_out_of_range_tol_and_step_are_usage_errors(capsys, argv, message):
@@ -461,6 +482,31 @@ def test_out_of_range_tol_and_step_are_usage_errors(capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"usage error: argument {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--preset", "sphere:2:1", "--step", "1e-3"],
+        ["warped-verify", *TORUS_P3, "--tol", "1e-5", "--step", "1e-3"],
+        ["variation-eval", "--step", "1e-3"],
+        ["variation-eval", "--preset", "hopf"],
+        ["error-bounds", "--preset", "hopf"],
+    ],
+    ids=[
+        "oracle-check-step",
+        "warped-verify-step",
+        "variation-eval-step",
+        "variation-eval-preset",
+        "error-bounds-preset",
+    ],
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    # the oracle's step is fixed at DEFAULT_STEP, and hopf is the only submersion preset
+    assert cli.run(argv + ["--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
 def test_zero_tolerance_is_legal(capsys):

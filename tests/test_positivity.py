@@ -36,9 +36,9 @@ def test_reference_profiles_are_smooth_at_axis():
 
 def test_coefficients_positive_and_validated():
     coeffs = derive_coefficients(2, 1.0, [1, 1])
-    for cf in coeffs.directions.values():
+    for cf in coeffs.values():
         assert cf.K > 0 and cf.R > 0
-    assert set(coeffs.directions) == {"r", "u", "y0", "y1"}
+    assert set(coeffs) == {"r", "u", "y0", "y1"}
 
 
 def test_coefficients_reject_degenerate_exponents():
@@ -53,11 +53,11 @@ def test_coefficients_reject_degenerate_exponents():
 def test_c_enters_only_the_offset_terms():
     base = derive_coefficients(2, 1.0, [1, 1])
     double = derive_coefficients(2, 2.0, [1, 1])
-    for name in base.directions:
-        assert double.directions[name].K == base.directions[name].K
-        assert double.directions[name].R == base.directions[name].R
-        assert double.directions[name].L == base.directions[name].L
-    assert double.directions["y0"].S == 2.0 * base.directions["y0"].S
+    for name in base:
+        assert double[name].K == base[name].K
+        assert double[name].R == base[name].R
+        assert double[name].L == base[name].L
+    assert double["y0"].S == 2.0 * base["y0"].S
 
 
 def test_sphere_direction_dominates_early():
@@ -65,7 +65,7 @@ def test_sphere_direction_dominates_early():
     # every admissible p
     for n in (0, 1, 2, 3, 5):
         coeffs = derive_coefficients(n, 0.0, [1] * n)
-        cf = coeffs.directions["u"]
+        cf = coeffs["u"]
         for p in (2, 3, 10):
             assert p * cf.K - cf.L >= 0.0
             assert p * cf.R - cf.S > 0.0
@@ -118,10 +118,10 @@ def test_bound_soundness_sampled():
         def bound(cf):
             return h2 * (rs**2 * (p * cf.K - cf.L) + p * cf.R - cf.S)
 
-        assert np.all(rr >= bound(coeffs.directions["r"]) - 1e-12)
-        assert np.all(uu >= bound(coeffs.directions["u"]) - 1e-12)
+        assert np.all(rr >= bound(coeffs["r"]) - 1e-12)
+        assert np.all(uu >= bound(coeffs["u"]) - 1e-12)
         for i in range(n):
-            assert np.all(yy[i] >= bound(coeffs.directions[f"y{i}"]) - 1e-12)
+            assert np.all(yy[i] >= bound(coeffs[f"y{i}"]) - 1e-12)
 
 
 def test_sweep_agrees_with_blockwise_pd_check():

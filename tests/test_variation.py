@@ -200,6 +200,29 @@ def test_error_bounds_pass_with_derived_constant():
     assert set(rep.per_tensor_slack) == {"fiber-offdiag", "mixed", "fiber-diag", "base-diag"}
 
 
+def test_derived_constant_is_sharp_on_random_data():
+    # exactly diagonal Ricci tensors and Gram-type a_uv, a_xy: the derived
+    # constant passes at every t in (0, 1], and one just below it fails at t = 1
+    rng = np.random.default_rng(5)
+    ts = [1.0, *rng.uniform(0.0, 1.0, size=20), *np.geomspace(1e-8, 1.0, 17)]
+    for _ in range(60):
+        dim_b, dim_f = (int(k) for k in rng.integers(1, 5, size=2))
+        a_b = rng.normal(size=(dim_b, dim_b))
+        a_f = rng.normal(size=(dim_f, dim_f))
+        d = SubmersionData(
+            dim_b=dim_b,
+            dim_f=dim_f,
+            ric_b=np.diag(rng.normal(size=dim_b)),
+            ric_f=np.diag(rng.normal(size=dim_f)),
+            a_uv=a_f @ a_f.T,
+            a_xy=a_b @ a_b.T,
+            delta_a=rng.normal(size=(dim_b, dim_f)),
+        )
+        c = bounded_error_constant(d)
+        assert error_bound_check(d, c, ts).violations == []
+        assert error_bound_check(d, c * (1.0 - 1e-9), [1.0]).violations
+
+
 def test_error_bounds_flat_bundle_trivial():
     d = flat_bundle_data()
     rep = error_bound_check(d, 0.0, [1.0, 0.25])
