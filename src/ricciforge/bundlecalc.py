@@ -24,6 +24,7 @@ only asserts to exist are given concrete conservative values and carry a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -61,6 +62,14 @@ class PlanError(ValueError):
     """A bundle plan cannot be evaluated; the message names the node."""
 
 
+def _check_constant(name: str, value) -> None:
+    """Reject a certificate constant that is not a finite real number >= 0."""
+    if not (isinstance(value, (int, float, Fraction)) and math.isfinite(value)):
+        raise CertificateError(f"{name} must be a finite number, got {value!r}")
+    if value < 0:
+        raise CertificateError(f"{name} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class CurvatureBound:
     """|K| <= L / t^e for the certified family."""
@@ -70,8 +79,9 @@ class CurvatureBound:
 
     def __post_init__(self):
         object.__setattr__(self, "e", frac(self.e))
-        if self.L < 0 or self.e < 0:
-            raise ValueError("curvature bound needs L >= 0 and e >= 0")
+        _check_constant("curvature bound L", self.L)
+        if self.e < 0:
+            raise ValueError("curvature bound needs e >= 0")
 
 
 @dataclass(frozen=True)
@@ -122,8 +132,9 @@ class FamilyParams:
         object.__setattr__(self, "m", frac(self.m))
         object.__setattr__(self, "m_lower", frac(self.m_lower))
         object.__setattr__(self, "q_ref", frac(self.q_ref))
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
+        _check_constant("c", self.c)
+        if self.a_bound is not None:
+            _check_constant("a_bound", self.a_bound)
         if self.m < 0 or self.m_lower < 0 or self.m_lower > max(self.m, 0):
             raise ValueError("need 0 <= m_lower <= m")
         if self.dim < 0:
@@ -280,8 +291,7 @@ def bundle_certificate(
             raise CertificateError(f"{name} certificate must be instantiated at a concrete q")
     if base.curvature is None or fiber.curvature is None:
         raise CertificateError("both certificates need curvature bound fields")
-    if a_bound < 0:
-        raise CertificateError("a_bound must be nonnegative")
+    _check_constant("a_bound", a_bound)
     l_b, b = base.curvature.L, base.curvature.e
     l_f, f = fiber.curvature.L, fiber.curvature.e
     # Ricci entries are sums of at most dim-1 sectional curvatures on each
@@ -446,11 +456,11 @@ WORK_Q = Fraction(3)  # folding exponent: normalization then rescales 3 -> 2
 @dataclass(frozen=True)
 class PlanResult:
     params: FamilyParams
-    normalized: Optional[FamilyParams]
-    p_bound: Optional[int]
-    replay: Optional[positivity.MinPResult]
+    normalized: FamilyParams
+    p_bound: int
+    replay: positivity.MinPResult
     trace: tuple
-    reason: str
+    reason: str  # always "ok": normalization cannot fail and leaves m_lower >= 1/2
 
 
 def _step(trace: list, rule: str, node: str, fp: FamilyParams, tag: str = "") -> FamilyParams:
@@ -593,54 +603,22 @@ def evaluate_plan(plan) -> PlanResult:
 
     The plan is a tree of leaf certificates (ricNonneg, nilmanifold,
     custom) and constructions (fiberBundle, flatBundle, vectorBundle).
-    The folded certificate is normalized to decay exponent 2 with
-    strictly positive basis exponents and fed to the positivity module:
-    p_bound is the ceiling of the closed-form threshold (worst case over
-    admissible exponent profiles), and the exact min_p result for the
-    uniform profile is attached as a replay check. When the basis
-    exponents cannot be made positive (fixed q = 2 with m_lower = 0),
-    p_bound is None with the reason recorded.
+    The folded certificate is normalized to decay exponent 2, which makes
+    every basis exponent at least 1/2, and fed to the positivity module:
+    p_bound is the exact least p over every exponent profile the
+    certificate admits (positivity.p_bound), and the exact min_p result
+    for the uniform profile is attached as a replay check.
     """
     if isinstance(plan, str):
         plan = json.loads(plan)
     trace: list = []
     fp = _fold(plan, "plan", trace)
-    norm: Optional[FamilyParams] = None
-    reason = "ok"
-    p_bound = None
-    replay = None
-    try:
-        norm = normalize_for_positivity(fp, trace)
-    except CertificateError as err:
-        reason = f"cannot normalize: {err}"
-    if norm is not None:
-        if norm.m_lower <= 0:
-            reason = (
-                "normalized certificate has basis exponents that may vanish "
-                "(m_lower = 0); the E-block diagonal can be identically zero"
-            )
-        else:
-            kb = positivity.k_bound(
-                norm.dim, norm.c, float(norm.m), m_lower=float(norm.m_lower)
-            )
-            p_bound = int(kb) + 1
-            replay = positivity.min_p(norm.dim, norm.c, [norm.m] * norm.dim)
-            trace.append(
-                {
-                    "rule": "positivity-threshold",
-                    "node": "normalize",
-                    "result": f"k_bound={kb:.17g}, p_bound={p_bound}, "
-                    f"uniform-profile replay pStar={replay.p_star}",
-                }
-            )
-    return PlanResult(
-        params=fp,
-        normalized=norm,
-        p_bound=p_bound,
-        replay=replay,
-        trace=tuple(trace),
-        reason=reason,
-    )
+    norm = normalize_for_positivity(fp, trace)
+    p_bound = positivity.p_bound(norm.dim, norm.c, norm.m, norm.m_lower)
+    replay = positivity.min_p(norm.dim, norm.c, [norm.m] * norm.dim)
+    result = f"p_bound={p_bound}, uniform-profile replay pStar={replay.p_star}"
+    trace.append({"rule": "positivity-threshold", "node": "normalize", "result": result})
+    return PlanResult(fp, norm, p_bound, replay, tuple(trace), "ok")
 
 
 def params_to_json(fp: FamilyParams) -> dict:

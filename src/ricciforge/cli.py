@@ -376,9 +376,9 @@ def cmd_plan(args) -> int:
     res = bundlecalc.evaluate_plan(plan)
     results = {
         "certificate": bundlecalc.params_to_json(res.params),
-        "normalized": bundlecalc.params_to_json(res.normalized) if res.normalized else None,
+        "normalized": bundlecalc.params_to_json(res.normalized),
         "pBound": res.p_bound,
-        "replay_pStar": res.replay.p_star if res.replay else None,
+        "replay_pStar": res.replay.p_star,
         "reason": res.reason,
         "trace": list(res.trace),
     }

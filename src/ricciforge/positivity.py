@@ -9,15 +9,17 @@ c h^2 in magnitude) satisfies a bound of the form
     Ric_diag >= h^2 ( r^2 (p K - L) + p R - S )
 
 with K, R > 0, so positivity for all radii holds once p clears the
-coefficient ratios. Two routes are provided and cross checked: the exact
-decision from the coefficient quadruples in rationals (min_p) and the
-closed-form threshold for exponents all equal to one value (k_bound).
+coefficient ratios. min_p decides the least p exactly, in rationals, for
+one exponent profile. A certificate bounds the exponents only to a box
+[m_lower, m]; _box_rows states each row's worst case over that box once.
+p_bound reads it in rationals for the exact least p over the box, and
+k_bound reads it in floats for the ratio every larger p clears.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,10 +31,10 @@ from .exprs import Expr
 __all__ = [
     "reference_profiles",
     "DirectionCoefficients",
-    "derive_coefficients",
     "MinPResult",
     "min_p",
     "k_bound",
+    "p_bound",
     "profile_gap",
 ]
 
@@ -57,30 +59,9 @@ class DirectionCoefficients:
 
 
 def _quadruples(c, mi) -> dict:
-    """The quadruples of derive_coefficients, in the number type of c and mi:
-    exact for rationals, and the same float operations for floats."""
-    s1 = sum(mi)
-    directions = {
-        "r": DirectionCoefficients(
-            K=Fraction(1, 4),
-            L=Fraction(1, 4) + sum(2 * m + 4 * m * m for m in mi),
-            R=Fraction(3, 2),
-            S=Fraction(3, 2) - 2 * s1,
-        ),
-        "u": DirectionCoefficients(
-            K=Fraction(1), L=Fraction(7, 4) - s1, R=Fraction(3, 2), S=Fraction(3, 2) - 2 * s1
-        ),
-    }
-    for i, m in enumerate(mi):
-        directions[f"y{i}"] = DirectionCoefficients(
-            K=m, L=3 * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * m, S=c
-        )
-    return directions
-
-
-def derive_coefficients(n: int, c: float, mi: Sequence) -> dict:
     """Coefficient quadruples for the reference profiles with exponents mi,
-    keyed 'r', 'u', 'y0' .. 'y(n-1)'.
+    keyed 'r', 'u', 'y0' .. 'y(n-1)', in the number type of c and mi:
+    exact for rationals, and the same float operations for floats.
 
     Substituting h_i = h^(m_i) and the closed-form identities
 
@@ -102,43 +83,77 @@ def derive_coefficients(n: int, c: float, mi: Sequence) -> dict:
 
     Every direction needs K, R > 0, which forces every m_i > 0.
     """
-    mi = [float(m) for m in mi]
-    if len(mi) != n:
-        raise ValueError(f"expected {n} exponents, got {len(mi)}")
-    if any(m <= 0.0 for m in mi):
-        raise ValueError("all direction exponents m_i must be positive")
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
-    return {
-        name: DirectionCoefficients(float(cf.K), float(cf.L), float(cf.R), float(cf.S))
-        for name, cf in _quadruples(float(c), mi).items()
+    s1 = sum(mi)
+    directions = {
+        "r": DirectionCoefficients(
+            K=Fraction(1, 4),
+            L=Fraction(1, 4) + sum(2 * m + 4 * m * m for m in mi),
+            R=Fraction(3, 2),
+            S=Fraction(3, 2) - 2 * s1,
+        ),
+        "u": DirectionCoefficients(
+            K=Fraction(1), L=Fraction(7, 4) - s1, R=Fraction(3, 2), S=Fraction(3, 2) - 2 * s1
+        ),
     }
+    for i, m in enumerate(mi):
+        directions[f"y{i}"] = DirectionCoefficients(
+            K=m, L=3 * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * m, S=c
+        )
+    return directions
+
+
+def _box_rows(n: int, c, m, m_lower) -> dict:
+    """Each row's worst case over the exponent profiles with all m_i in
+    [m_lower, m], keyed 'r', 'u' and (n > 0) 'y', in the number type of
+    c, m and m_lower, as _quadruples.
+
+    r and u are _quadruples' rows at every m_i = m, where r's L/K peaks
+    (its S/R <= 1 never binds; u never binds, see min_p). A y_i row's
+    L/K = 3 + 4 sum(m_k) peaks at every m_k = m and its S/R = n c / (2 m_i)
+    at m_i = m_lower, so the y row is K = m, L = m (3 + 4 n m),
+    R = 2 m_lower and S = n c: the diagonal's c plus the Gershgorin sum
+    (n-1) c of the off-diagonal bound.
+    """
+    if m <= 0:
+        raise ValueError("m must be positive")
+    if not 0 < m_lower <= m:
+        raise ValueError("m_lower must lie in (0, m]")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if c < 0:
+        raise ValueError("c must be nonnegative")
+    r, u, *ys = _quadruples(c + (n - 1) * c, [m] * n).values()
+    rows = {"r": r, "u": u}
+    if ys:  # the y_i rows are equal at every m_i = m
+        rows["y"] = replace(ys[0], R=2 * m_lower)
+    return rows
 
 
 def k_bound(n: int, c: float, m, m_lower=None) -> float:
     """Closed-form sufficient threshold: every p > k_bound(n, c, m) makes
-    the worst-case warped Ricci positive definite for all radii.
-
-    Computed from the derived coefficients with all exponents equal to m,
-    taking max(L/K, S/R) over directions, with the E-block S raised by
-    the Gershgorin absorption (n-1) c of the off-diagonal bound. The
-    division by the direction exponent in the S/R ratio uses m_lower when
-    the certificate only guarantees exponents down to some smaller value.
-    Monotone nondecreasing in n, c and m.
+    the worst-case warped Ricci positive definite for all radii and every
+    exponent profile in [m_lower, m] (m_lower defaults to m): the largest
+    L/K and S/R over _box_rows, in floats. Monotone nondecreasing in n, c
+    and m.
     """
     m = float(m)
-    if m <= 0.0:
-        raise ValueError("m must be positive")
-    lower = m if m_lower is None else float(m_lower)
-    if lower <= 0.0 or lower > m:
-        raise ValueError("m_lower must lie in (0, m]")
-    coeffs = derive_coefficients(n, c, [m] * n)
-    worst = max(cf.L / cf.K for cf in coeffs.values())
-    worst = max(worst, coeffs["r"].S / coeffs["r"].R)
-    worst = max(worst, coeffs["u"].S / coeffs["u"].R)
-    if n:
-        worst = max(worst, (c + (n - 1) * c) / (2.0 * lower))
-    return worst
+    rows = _box_rows(n, float(c), m, m if m_lower is None else float(m_lower))
+    return float(max(max(cf.L / cf.K, cf.S / cf.R) for cf in rows.values()))
+
+
+def p_bound(n: int, c: float, m, m_lower) -> int:
+    """Least integer p >= 2 with the worst-case warped Ricci positive
+    definite at every radius for every exponent profile in [m_lower, m],
+    in rationals: the largest _least_p over _box_rows but u.
+
+    Exact, as each row's worst case is attained in the box, except when
+    m_lower < m and the y row's L/K and S/R are one binding integer: its
+    two worst cases then sit at different profiles and p_bound is one
+    above (n = 1, c = 1, m = 1/4, m_lower = 1/8 gives 5, not 4). That
+    needs n m < 1/3; evaluate_plan's certificates have n m >= 1/2.
+    """
+    rows = _box_rows(n, Fraction(c), exprs.frac(m), exprs.frac(m_lower))
+    return max(_least_p(cf) for name, cf in rows.items() if name != "u")
 
 
 @dataclass(frozen=True)
@@ -184,8 +199,8 @@ def min_p(n: int, c: float, mi: Sequence) -> MinPResult:
     remaining diagonal margins is then exactly the positive-definiteness
     test. Put t = sqrt(1 + r^2), so t ranges over (1, inf). The radial and
     y_i margins, divided by h^2, equal a + b t^2 with b = pK - L and
-    a + b = pR - S (derive_coefficients' quadruples, with y_i's S raised
-    to n c), computed here in rationals: c is the exact value of its
+    a + b = pR - S (the rows of _quadruples, with y_i's S raised to
+    n c), computed here in rationals: c is the exact value of its
     float, and each m_i an exact rational >= 0. Such a row is positive on
     t > 1 exactly when b >= 0 and a + b >= 0, not both zero. The sphere
     margin divided by h^2 is

@@ -138,7 +138,7 @@ def test_criterion_7_positivity_search():
             kb = positivity.k_bound(n, c, 1.0)
             # at p_star - 1 the radial margin h^2 (a + b t^2), b = pK - L < 0,
             # crosses zero at t^2 = -a/b; the radii reach four times past it
-            cf = positivity.derive_coefficients(n, c, mi)["r"]
+            cf = positivity._quadruples(F(c), [F(m) for m in mi])["r"]
             b = res.pk_minus_l - F(cf.K)
             a = res.pr_minus_s - F(cf.R) - b
             r_cross = float(-a / b - 1) ** 0.5 if b < 0 else float("nan")

@@ -171,6 +171,19 @@ def test_bundle_certificate_validation():
         bundle_certificate(base, no_curv, a_bound=1.0, variant="general")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "1", None], ids=repr)
+def test_certificate_constants_must_be_finite_nonnegative_numbers(bad):
+    with pytest.raises(CertificateError):
+        cert(3, c=bad)
+    with pytest.raises(CertificateError):
+        cert(3, L=bad)
+    with pytest.raises(CertificateError):
+        bundle_certificate(cert(1), cert(10), a_bound=bad, variant="general")
+    if bad is not None:  # None marks a certificate without an a_bound
+        with pytest.raises(CertificateError):
+            FamilyParams(q=F(3), c=0.0, m=F(0), dim=2, a_bound=bad)
+
+
 def test_vector_bundle_certificate():
     base = nonneg_ricci_certificate(2).instantiate(3)
     out = vector_bundle_certificate(base, 2, a_bound=1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 
 import pytest
@@ -184,7 +185,7 @@ def test_plan_subcommand(capsys, tmp_path):
     )
     code, report = run_json(capsys, ["plan", "--file", str(path)])
     assert code == 0
-    assert report["results"]["pBound"] == 289
+    assert report["results"]["pBound"] == 288
     assert report["results"]["replay_pStar"] == 288
     assert [t["rule"] for t in report["results"]["trace"]][0] == "nonneg-ricci-leaf"
 
@@ -232,6 +233,45 @@ def test_plan_constructor_errors_name_the_node(capsys, tmp_path, plan, err):
     path.write_text(json.dumps(plan))
     assert cli.run(["plan", "--file", str(path), "--json"]) == 3
     assert capsys.readouterr().err == f"spec error: {err}\n"
+
+
+def _custom(**fields):
+    return {"kind": "custom", "q": 3, "dim": 2, "curvature": {"L": 1, "e": 0}, **fields}
+
+
+@pytest.mark.parametrize(
+    "plan, err",
+    [
+        (
+            {"kind": "vectorBundle", "base": _custom(aBound="x"), "rank": 2},
+            "node plan.base: a_bound must be a finite number, got 'x'",
+        ),
+        (
+            {"kind": "vectorBundle", "base": _custom(c=math.nan), "rank": 2},
+            "node plan.base: c must be a finite number, got nan",
+        ),
+        (
+            {"kind": "fiberBundle", "base": _RIC2, "fiber": _RIC2, "La": math.nan},
+            "node plan: a_bound must be a finite number, got nan",
+        ),
+        (_custom(c=math.inf), "node plan: c must be a finite number, got inf"),
+        (
+            {"kind": "vectorBundle", "base": _custom(curvature={"L": math.inf, "e": 0}), "rank": 2},
+            "node plan.base: curvature bound L must be a finite number, got inf",
+        ),
+        (
+            {"kind": "vectorBundle", "base": _custom(curvature={"L": math.nan, "e": 0}), "rank": 2},
+            "node plan.base: curvature bound L must be a finite number, got nan",
+        ),
+    ],
+    ids=["aBound-text", "c-nan", "La-nan", "c-infinity", "L-infinity", "L-nan"],
+)
+def test_plan_rejects_non_finite_constants(capsys, tmp_path, plan, err):
+    # json writes these as NaN and Infinity, which json.load reads back
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert cli.run(["plan", "--file", str(path), "--json"]) == 3
+    assert capsys.readouterr() == ("", f"spec error: {err}\n")
 
 
 def test_minp_rmax_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -8,9 +9,9 @@ import pytest
 
 from ricciforge import exprs, positivity
 from ricciforge.positivity import (
-    derive_coefficients,
     k_bound,
     min_p,
+    p_bound,
     profile_gap,
     reference_profiles,
 )
@@ -34,37 +35,43 @@ def test_reference_profiles_are_smooth_at_axis():
     assert smoothness_check(spec, 1e-4).all_ok
 
 
+def _rows(c, mi):
+    """The exact quadruples at c and exponents mi."""
+    return positivity._quadruples(Fraction(c), [Fraction(m) for m in mi])
+
+
 def test_coefficients_positive_and_validated():
-    coeffs = derive_coefficients(2, 1.0, [1, 1])
+    coeffs = _rows(1, [1, 1])
     for cf in coeffs.values():
         assert cf.K > 0 and cf.R > 0
     assert set(coeffs) == {"r", "u", "y0", "y1"}
+    assert coeffs["y0"] == positivity.DirectionCoefficients(K=1, L=11, R=2, S=1)
 
 
 def test_coefficients_reject_degenerate_exponents():
-    with pytest.raises(ValueError):
-        derive_coefficients(1, 0.0, [0])
-    with pytest.raises(ValueError):
-        derive_coefficients(2, 0.0, [1])  # wrong length
-    with pytest.raises(ValueError):
-        derive_coefficients(1, -1.0, [1])
+    # a zero exponent leaves its y row K = R = 0: no p works
+    assert positivity._least_p(_rows(0, [0])["y0"]) is None
+    assert positivity._least_p(_rows(1, [0])["y0"]) is None
+    for n, c, m, m_lower in [(1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 1, 2), (1, -1, 1, 1), (-1, 0, 1, 1)]:
+        with pytest.raises(ValueError):
+            positivity._box_rows(n, Fraction(c), Fraction(m), Fraction(m_lower))
 
 
 def test_c_enters_only_the_offset_terms():
-    base = derive_coefficients(2, 1.0, [1, 1])
-    double = derive_coefficients(2, 2.0, [1, 1])
+    base = _rows(1, [1, 1])
+    double = _rows(2, [1, 1])
     for name in base:
         assert double[name].K == base[name].K
         assert double[name].R == base[name].R
         assert double[name].L == base[name].L
-    assert double["y0"].S == 2.0 * base["y0"].S
+    assert double["y0"].S == 2 * base["y0"].S
 
 
 def test_sphere_direction_dominates_early():
     # for c = 0 and unit exponents, the sphere direction is positive for
     # every admissible p
     for n in (0, 1, 2, 3, 5):
-        coeffs = derive_coefficients(n, 0.0, [1] * n)
+        coeffs = _rows(0, [1] * n)
         cf = coeffs["u"]
         for p in (2, 3, 10):
             assert p * cf.K - cf.L >= 0.0
@@ -106,7 +113,7 @@ def test_bound_soundness_sampled():
     # thousand sampled (r, p) pairs
     rng = np.random.default_rng(11)
     n, c, mi = 2, 1.0, [1, 1]
-    coeffs = derive_coefficients(n, c, mi)
+    coeffs = _rows(c, mi)
     f, h = reference_profiles()
     for _ in range(25):
         rs = np.sort(rng.uniform(1e-3, 60.0, size=400))
@@ -116,7 +123,7 @@ def test_bound_soundness_sampled():
         yy = yy + (n - 1) * c * h2  # the bound's S = c leaves out the Gershgorin term
 
         def bound(cf):
-            return h2 * (rs**2 * (p * cf.K - cf.L) + p * cf.R - cf.S)
+            return h2 * (rs**2 * float(p * cf.K - cf.L) + float(p * cf.R - cf.S))
 
         assert np.all(rr >= bound(coeffs["r"]) - 1e-12)
         assert np.all(uu >= bound(coeffs["u"]) - 1e-12)
@@ -374,6 +381,31 @@ def test_p_star_within_k_bound_on_random_specs():
         kb = k_bound(n, c, float(max(mi)), m_lower=float(min(mi)))
         p_star = min_p(n, c, mi).p_star
         assert 2 <= p_star <= math.floor(kb) + 1, (n, c, mi)
+
+
+@pytest.mark.parametrize(
+    "n,c,m,m_lower,want",
+    [(1, 0.0, 1, 1, 25), (2, 1.0, 1, "1/2", 49), (3, 0.5, "3/2", "1/4", 145), (0, 0.0, 1, 1, 2)],
+)
+def test_p_bound_exact_values(n, c, m, m_lower, want):
+    # floor(k_bound) + 1 is one higher on the first three
+    assert p_bound(n, c, Fraction(m), Fraction(m_lower)) == want
+
+
+def test_p_bound_between_the_box_grid_and_k_bound():
+    # p_bound covers every exponent profile of the box, so it is at least
+    # min_p on the 3^n grid {m_lower, midpoint, m}, and it never exceeds
+    # the float ratio's floor(k_bound) + 1
+    rng = random.Random(400)
+    for _ in range(400):
+        n = rng.randint(0, 3)
+        c = rng.choice([0.0, 0.25, 0.5, 1.0, 7 / 3, rng.uniform(0, 20)])
+        m = Fraction(rng.randint(1, 12), rng.randint(1, 8))
+        m_lower = m * Fraction(rng.randint(1, 8), 8)
+        levels = (m_lower, (m_lower + m) / 2, m)
+        grid = [min_p(n, c, mi).p_star for mi in itertools.product(levels, repeat=n)]
+        pb = p_bound(n, c, m, m_lower)
+        assert max(grid) <= pb <= math.floor(k_bound(n, c, m, m_lower)) + 1, (n, c, m, m_lower)
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,19 @@ def test_torus_spec_other_sphere_dimensions(p):
     assert rep.passed
 
 
+@pytest.mark.parametrize("spec_fn", [reference_torus_spec, round_sphere_spec])
+@pytest.mark.parametrize("p", [2, 6, 7])
+def test_any_sphere_dimension_under_the_chart_cap_verifies(spec_fn, p):
+    # p = 7 with n = 1 puts the chart at the oracle's 8-dimensional cap
+    rep = verify_against_oracle(spec_fn(), p, [0.002, 0.5, 1.0, 4.0], 1e-5)
+    assert rep.passed
+
+
+def test_chart_dimension_cap_is_the_only_upper_limit_on_p():
+    with pytest.raises(ValueError, match="chart dimension 9 is not in 1..8"):
+        verify_against_oracle(left_invariant_s3_spec(), 6, [1.0], 1e-5)
+
+
 def test_round_sphere_spec_verifies_tightly():
     rep = verify_against_oracle(round_sphere_spec(), 4, [0.25, 0.5, 1.0, 2.0], 1e-8)
     assert rep.passed
@@ -211,8 +224,6 @@ def test_verify_rejects_unrealizable_spec():
     )
     with pytest.raises(ValueError):
         verify_against_oracle(spec, 3, [1.0], 1e-5)
-    with pytest.raises(ValueError):
-        verify_against_oracle(reference_torus_spec(), 6, [1.0], 1e-5)
     # one bracket of the S^3 pattern (a Heisenberg-type algebra) is not S^3:
     # all three brackets are required
     partial = dataclasses.replace(left_invariant_s3_spec(), structure={(0, 1, 2): 2.0})
