@@ -86,19 +86,17 @@ class CurvatureBound:
 
 @dataclass(frozen=True)
 class CurvatureRate:
-    """Deferred curvature bound of a zero-integrability-tensor bundle:
-    instantiated at decay exponent q it reads |K| <= l_b t^(-q b / k) +
-    l_f t^(-q f / k) with k = min of the two input decay exponents."""
+    """Inputs of a zero-integrability-tensor bundle's curvature bound:
+    at decay exponent q it reads |K| <= l_b t^(-q b / k) + l_f t^(-q f / k)
+    with k = min of the two input decay exponents. The certificate stores
+    it as the bound (l_b + l_f, max(b, f)) at q_ref = k, which
+    instantiation scales like any other; this record is what plans print."""
 
     l_b: float
     b: Fraction
     l_f: float
     f: Fraction
     k: Fraction
-
-    def at(self, q: Fraction) -> CurvatureBound:
-        e = max(self.b, self.f) * q / self.k if self.k > 0 else Fraction(0)
-        return CurvatureBound(L=self.l_b + self.l_f, e=e)
 
 
 @dataclass(frozen=True)
@@ -158,20 +156,8 @@ class FamilyParams:
             raise CertificateError(
                 f"certificate is fixed at q = {self.q}; cannot instantiate at {q}"
             )
-        rho = q / self.q_ref
-        curv = _scale_e(self.curvature, rho)
-        if self.curvature_rate is not None:
-            curv = self.curvature_rate.at(q)
-        return FamilyParams(
-            q=q,
-            c=self.c,
-            m=self.m * rho,
-            dim=self.dim,
-            curvature=curv,
-            a_bound=self.a_bound,
-            m_lower=self.m_lower * rho,
-            derived=self.derived,
-        )
+        reference = replace(self, q=self.q_ref, q_ref=Fraction(2), curvature_rate=None)
+        return reparametrize_exact(reference, q / self.q_ref)
 
 
 def _scale_e(curv: Optional[CurvatureBound], rho: Fraction) -> Optional[CurvatureBound]:
@@ -345,14 +331,13 @@ def bundle_certificate(
             f"variant 'flat-bundle' requires a vanishing integrability tensor: a_bound = {a_bound}"
         )
     k = min(base.q, fiber.q)
-    rate = CurvatureRate(l_b=l_b, b=b, l_f=l_f, f=f, k=k)
     return _total_space(
         base,
         fiber,
         q=None,
         c=max(base.c, fiber.c),
-        curvature=rate.at(k),
-        curvature_rate=rate,
+        curvature=CurvatureBound(L=l_b + l_f, e=max(b, f)),
+        curvature_rate=CurvatureRate(l_b=l_b, b=b, l_f=l_f, f=f, k=k),
         q_ref=k,
     )
 
@@ -391,7 +376,7 @@ def vector_bundle_certificate(
     an orthogonal group times the vector space: nonnegative Ricci, a
     constant curvature bound, and basis exponents zero, so it is
     certified at every decay exponent and the general bundle variant
-    applies with the fiber instantiated exactly at its precondition.
+    applies with the fiber taken exactly at its precondition.
     """
     if rank < 0:
         raise CertificateError("rank must be nonnegative")
@@ -401,15 +386,14 @@ def vector_bundle_certificate(
         raise CertificateError("instantiate the base certificate at a concrete q first")
     if base.curvature is None:
         raise CertificateError("base certificate lacks curvature bound fields")
-    fiber_orbit = FamilyParams(
-        q=None,
+    fiber = FamilyParams(
+        q=_general_need(base, Fraction(0))[1],
         c=0.0,
         m=Fraction(0),
         dim=rank,
         curvature=CurvatureBound(L=float(fiber_curv_bound), e=Fraction(0)),
         derived=(f"fiber curvature bound {fiber_curv_bound} derived",),
     )
-    fiber = fiber_orbit.instantiate(_general_need(base, Fraction(0))[1])
     return bundle_certificate(base, fiber, a_bound=a_bound, variant="general")
 
 
@@ -470,14 +454,14 @@ def _step(trace: list, rule: str, node: str, fp: FamilyParams, tag: str = "") ->
 
 
 def _fold(node, path: str, trace: list) -> FamilyParams:
-    """Fold the subtree at path. A constructor's or leaf's rejection is
-    re-raised as a PlanError naming the node; a child's PlanError already
-    names its own."""
+    """Fold the subtree at path. A constructor's or leaf's rejection, or a
+    leaf number past float or integer range, is re-raised as a PlanError
+    naming the node; a child's PlanError already names its own."""
     try:
         return _fold_node(node, path, trace)
     except PlanError:
         raise
-    except ValueError as err:  # CertificateError included
+    except (ValueError, OverflowError) as err:  # CertificateError included
         raise PlanError(f"node {path}: {err}") from None
 
 

@@ -476,24 +476,11 @@ def run(argv: Optional[list] = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        exprs.ParseError,
-        bundlecalc.PlanError,
-        bundlecalc.CertificateError,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as err:
+    # PlanError, CertificateError and JSONDecodeError are ValueErrors
+    except (exprs.ParseError, ValueError, KeyError, OSError) as err:
         print(f"spec error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        exprs.DomainError,
-        oracle.OracleError,
-        FloatingPointError,
-        ZeroDivisionError,
-        OverflowError,
-    ) as err:
+    except (exprs.DomainError, oracle.OracleError, ArithmeticError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

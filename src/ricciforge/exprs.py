@@ -46,9 +46,6 @@ __all__ = [
     "to_text",
 ]
 
-Scalar = Union[int, float, Fraction]
-
-
 class ExprError(Exception):
     """Base class for expression errors."""
 
@@ -76,7 +73,12 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    value: Scalar
+    """An exact rational constant; the value is coerced by frac."""
+
+    value: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", frac(self.value))
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,6 @@ class Exp(Expr):
 
 R = Var()
 
-_ZERO = Const(Fraction(0))
-_ONE = Const(Fraction(1))
-
 
 def _const_value(e: Expr):
     return e.value if isinstance(e, Const) else None
@@ -168,12 +167,8 @@ def frac(x: Union[Fraction, int, str, float]) -> Fraction:
     raise TypeError(f"exponents must be exact rationals, got {x!r}")
 
 
-def const(v: Scalar) -> Const:
-    if isinstance(v, bool):
-        raise TypeError("boolean is not a valid constant")
-    if isinstance(v, int):
-        v = Fraction(v)
-    return Const(v)
+_ZERO = Const(Fraction(0))
+_ONE = Const(Fraction(1))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -223,22 +218,20 @@ def mul(a: Expr, b: Expr) -> Expr:
 def div(a: Expr, b: Expr) -> Expr:
     va, vb = _const_value(a), _const_value(b)
     if va is not None and vb is not None and vb != 0:
-        if isinstance(va, Fraction) and isinstance(vb, Fraction):
-            return Const(va / vb)
-        return Const(float(va) / float(vb))
+        return Const(va / vb)
     if _is_const(b, 1):
         return a
     return Div(a, b)
 
 
-def pow_(base: Expr, exponent: Scalar) -> Expr:
-    q = exponent if isinstance(exponent, Fraction) else Fraction(exponent)
+def pow_(base: Expr, exponent: Union[Fraction, int]) -> Expr:
+    q = frac(exponent)
     if q == 0:
         return _ONE
     if q == 1:
         return base
     vb = _const_value(base)
-    if vb is not None and q.denominator == 1 and isinstance(vb, Fraction):
+    if vb is not None and q.denominator == 1:
         if not (vb == 0 and q < 0):
             return Const(vb ** int(q))
     return Pow(base, q)
@@ -438,7 +431,7 @@ def _d(e: Expr) -> Expr:
         return div(num, pow_(e.right, 2))
     if isinstance(e, Pow):
         q = e.exponent
-        return mul(mul(const(q), pow_(e.base, q - 1)), _d(e.base))
+        return mul(mul(Const(q), pow_(e.base, q - 1)), _d(e.base))
     if isinstance(e, Sin):
         return mul(cos(e.arg), _d(e.arg))
     if isinstance(e, Cos):
@@ -463,14 +456,10 @@ def _prec(e: Expr) -> float:
     if isinstance(e, Pow):
         return 3.0
     if isinstance(e, Const):
-        v = e.value
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                return 2.0  # prints as n/d
-            if v < 0:
-                return 2.5  # prints with a leading minus
-            return 4.0
-        return 4.0 if v >= 0 else 2.5
+        if e.value.denominator != 1:
+            return 2.0  # prints as n/d
+        if e.value < 0:
+            return 2.5  # prints with a leading minus
     return 4.0
 
 
@@ -485,9 +474,7 @@ def to_text(e: Expr) -> str:
     """Print the tree; parsing the result reproduces the tree structure."""
     if isinstance(e, Const):
         v = e.value
-        if isinstance(v, Fraction):
-            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return repr(float(v))
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(e, Var):
         return "r"
     if isinstance(e, Add):
@@ -614,7 +601,7 @@ def _parse_power(tokens: _Tokens) -> Expr:
     if kind == "op" and value == "^":
         tokens.next()
         exponent = _parse_unary(tokens)
-        if not (isinstance(exponent, Const) and isinstance(exponent.value, Fraction)):
+        if not isinstance(exponent, Const):
             raise ParseError("exponent must be a rational constant", offset)
         return pow_(base, exponent.value)
     return base

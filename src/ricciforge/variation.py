@@ -168,7 +168,9 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
     """
     rows: list = []
     violations: list = []
-    slack = {"fiber-offdiag": np.inf, "mixed": np.inf, "fiber-diag": np.inf, "base-diag": np.inf}
+    slack = dict.fromkeys(
+        ("fiber-offdiag", "base-offdiag", "mixed", "fiber-diag", "base-diag"), np.inf
+    )
     eps = 1e-12
     for t in ts:
         s = canonical_variation_ricci(d, float(t))
@@ -196,7 +198,7 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
         for i in range(d.dim_b):
             for j in range(i + 1, d.dim_b):
                 m = record(f"|hh[{i},{j}]| <= C t", "upper", abs(s.hh[i, j]), c * t)
-                slack["fiber-offdiag"] = min(slack["fiber-offdiag"], m)
+                slack["base-offdiag"] = min(slack["base-offdiag"], m)
         for i in range(d.dim_b):
             for j in range(d.dim_f):
                 m = record(f"|hv[{i},{j}]| <= C t", "upper", abs(s.hv[i, j]), c * t)

@@ -37,7 +37,6 @@ __all__ = [
     "chart_metric",
     "frame_at",
     "spec_from_json",
-    "spec_to_json",
     "reference_torus_spec",
     "left_invariant_s3_spec",
     "round_sphere_spec",
@@ -168,6 +167,13 @@ def diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp):
     return rr, uu, yy_corr
 
 
+def _sphere_dim(p: int) -> int:
+    """The dimension p - 1 of the sphere factor, for p >= 2."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    return p - 1
+
+
 def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     """Closed-form Ricci blocks of the warped metric at radius r.
 
@@ -182,8 +188,7 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     off-diagonal E-entries equal the base Ricci, and all sphere-mixed
     and radial/E entries vanish.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    _sphere_dim(p)
     if r <= 0.0:
         raise ValueError("r must be positive (the metric degenerates at r = 0)")
     fv, fp, fpp, hv, hp, hpp = spec.profile_values(r)
@@ -233,8 +238,9 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
 # --- chart realization and oracle verification ---------------------------
 
 
-# The stored (antisymmetrized) structure of the unit 3-sphere frame: all
-# three brackets [X_i, X_j] = 2 X_k, cyclic, with their (j, i, k) partners.
+# The structure of the unit 3-sphere frame, in the antisymmetrized form a
+# spec stores: all three brackets [X_i, X_j] = 2 X_k, cyclic, with their
+# (j, i, k) partners. The S^3 preset is built from it and classified by it.
 _S3_STRUCTURE = {
     key: sign * QUATERNIONIC_BRACKET
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -257,7 +263,7 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     """Coordinate chart for a realizable spec: E-coordinates, then a
     stereographic chart of the unit (p-1)-sphere scaled by f(r), then r."""
     kind = _classify(spec)
-    n, ps = spec.n, p - 1
+    n, ps = spec.n, _sphere_dim(p)
     d = n + ps + 1
     f_expr = spec.f
     h_exprs = spec.h
@@ -479,18 +485,6 @@ def spec_from_json(data) -> WarpedFamilySpec:
     )
 
 
-def spec_to_json(spec: WarpedFamilySpec, base_text: str = "zero") -> dict:
-    rows = sorted((i, j, k, v) for (i, j, k), v in spec.structure.items() if i < j)
-    return {
-        "n": spec.n,
-        "f": exprs.to_text(spec.f),
-        "h": [exprs.to_text(e) for e in spec.h],
-        "structure": [[i, j, k, v] for i, j, k, v in rows],
-        "baseRicci": base_text,
-        "label": spec.label,
-    }
-
-
 # --- presets ---------------------------------------------------------------
 
 
@@ -518,10 +512,8 @@ def left_invariant_s3_spec() -> WarpedFamilySpec:
         scales = [c(r) for c in h_at]
         return np.diag(oracle.left_invariant_s3_ricci(scales))
 
-    b = QUATERNIONIC_BRACKET
-    structure = {(0, 1, 2): b, (1, 2, 0): b, (2, 0, 1): b}
     return WarpedFamilySpec(
-        n=3, f=f, h=h, structure=structure, base_ricci=base, label="s3-left-invariant"
+        n=3, f=f, h=h, structure=_S3_STRUCTURE, base_ricci=base, label="s3-left-invariant"
     )
 
 

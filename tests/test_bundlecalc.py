@@ -425,3 +425,38 @@ def test_randomized_certificate_laws():
         s = q / 3
         w = weaken(x, s)
         assert weaken(w, s) == w and w.m == m
+        # every-exponent certificates: instantiate(q) is the exact
+        # reparametrization of the reference instance at q_ref
+        fiber_q = _random_fraction(rng, 1, 12) + F(1, 3)
+        flat_base = cert(q, c=rng.random(), m=m, e=0, L=2.0, m_lower=m / 2)
+        flat_fiber = cert(fiber_q, m=_random_fraction(rng), e=e, L=0.0)
+        fiber_e = _random_fraction(rng)
+        curved_fiber = cert(fiber_q, c=rng.random(), m=_random_fraction(rng), e=fiber_e, L=3.0)
+        orbits = [
+            nonneg_ricci_certificate(rng.randint(1, 5)),
+            bundle_certificate(flat_base, flat_fiber, a_bound=rng.random(), variant="flat-fiber"),
+            bundle_certificate(x, curved_fiber, a_bound=0.0, variant="flat-bundle"),
+        ]
+        target = _random_fraction(rng, 1, 12) + F(1, 3)
+        for orbit in orbits:
+            rho = target / orbit.q_ref
+            inst = orbit.instantiate(target)
+            reference = FamilyParams(
+                q=orbit.q_ref,
+                c=orbit.c,
+                m=orbit.m,
+                dim=orbit.dim,
+                curvature=orbit.curvature,
+                a_bound=orbit.a_bound,
+                m_lower=orbit.m_lower,
+                derived=orbit.derived,
+            )
+            assert inst == reparametrize_exact(reference, rho)
+            assert (inst.q, inst.c, inst.dim) == (target, orbit.c, orbit.dim)
+            assert (inst.m, inst.m_lower) == (orbit.m * rho, orbit.m_lower * rho)
+            assert inst.curvature == CurvatureBound(L=orbit.curvature.L, e=orbit.curvature.e * rho)
+            assert (inst.a_bound, inst.derived) == (orbit.a_bound, orbit.derived)
+            assert (inst.curvature_rate, inst.q_ref) == (None, 2)
+        rate = orbits[2].curvature_rate
+        assert rate.k == min(q, fiber_q) and orbits[2].curvature.L == rate.l_b + rate.l_f
+        assert orbits[2].instantiate(target).curvature.e == max(rate.b, rate.f) * target / rate.k

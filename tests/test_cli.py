@@ -274,6 +274,21 @@ def test_plan_rejects_non_finite_constants(capsys, tmp_path, plan, err):
     assert capsys.readouterr() == ("", f"spec error: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ('{"kind": "ricNonneg", "dim": Infinity}', "cannot convert float infinity to integer"),
+        ('{"kind": "nilmanifold", "dim": 3, "c": 1' + "0" * 400 + "}", "int too large to convert to float"),
+    ],
+    ids=["dim-infinity", "c-past-float-range"],
+)
+def test_plan_leaf_numbers_past_range_name_the_node(capsys, tmp_path, text, err):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    assert cli.run(["plan", "--file", str(path), "--json"]) == 3
+    assert capsys.readouterr() == ("", f"spec error: node plan: {err}\n")
+
+
 def test_minp_rmax_is_usage_error(capsys):
     # min_p samples no radii, so there is no grid end to set
     assert cli.run(["minp", "--n", "1", "--c", "0", "--m", "10", "--rmax", "1e20", "--json"]) == 3
@@ -331,6 +346,14 @@ def test_chart_past_the_dimension_cap_is_spec_error(capsys, tmp_path):
     spec.write_text(json.dumps({**TORUS_SPEC, "n": 4, "h": TORUS_SPEC["h"] * 4}))
     assert cli.run(["warped-verify", "--spec", str(spec), "--p", "5", "--tol", "1e-5", "--json"]) == 3
     assert capsys.readouterr() == ("", "spec error: chart dimension 9 is not in 1..8\n")
+
+
+@pytest.mark.parametrize("p", ["-3", "0", "1"])
+def test_warped_verify_checks_p_before_the_chart(capsys, p):
+    # p = -3 makes a chart of dimension 1 + (-4) + 1 = -2
+    argv = ["warped-verify", "--preset", "reference-torus", "--p", p, "--tol", "1e-5", "--json"]
+    assert cli.run(argv) == 3
+    assert capsys.readouterr() == ("", "spec error: p must be at least 2\n")
 
 
 def test_domain_errors_exit_four(capsys, tmp_path):

@@ -324,8 +324,11 @@ def test_second_derivative_matches_fd_of_first():
         assert evaluate(d2, r) == pytest.approx(fd, abs=1e-6 * (1 + abs(fd)))
 
 
-def test_float_constants_print_and_eval():
-    tree = exprs.mul(Const(0.25), Var())
-    text = to_text(tree)
-    again = parse(text)
-    assert evaluate(again, 3.0) == evaluate(tree, 3.0)
+def test_constants_are_exact_rationals():
+    with pytest.raises(TypeError):
+        Const(0.25)
+    assert Const(2.0).value == Fraction(2)
+    for value in (Fraction(1, 4), Fraction(-3, 7), Fraction(5), Fraction(-2), Fraction(0)):
+        tree = exprs.mul(Const(value), Var())
+        assert parse(to_text(tree)) == tree
+        assert parse(to_text(Const(value))) == Const(value)

@@ -197,7 +197,11 @@ def test_error_bounds_pass_with_derived_constant():
     rep = error_bound_check(d, c, [1.0, 0.5, 0.1, 0.01])
     assert rep.passed
     assert rep.violations == []
-    assert set(rep.per_tensor_slack) == {"fiber-offdiag", "mixed", "fiber-diag", "base-diag"}
+    slack = rep.per_tensor_slack
+    assert set(slack) == {"fiber-offdiag", "base-offdiag", "mixed", "fiber-diag", "base-diag"}
+    # one fiber direction, so no vv off-diagonal; hh[0,1] = 0 leaves C t = 0.02 at t = 0.01
+    assert slack["fiber-offdiag"] is None
+    assert slack["base-offdiag"] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_derived_constant_is_sharp_on_random_data():

@@ -16,7 +16,6 @@ from ricciforge.warped import (
     round_sphere_spec,
     smoothness_check,
     spec_from_json,
-    spec_to_json,
     verify_against_oracle,
 )
 
@@ -281,18 +280,6 @@ def test_pd_gershgorin_slack():
     assert not check_positive_definite(blocks, off_diag_slack=1.1).positive_definite
     with pytest.raises(ValueError):
         check_positive_definite(blocks, off_diag_slack=-0.1)
-
-
-def test_spec_json_roundtrip():
-    spec = reference_torus_spec()
-    data = spec_to_json(spec)
-    again = spec_from_json(data)
-    assert again.n == spec.n
-    assert exprs.to_text(again.f) == exprs.to_text(spec.f)
-    blocks_a = ricci_warped(spec, 1.0, 3)
-    blocks_b = ricci_warped(again, 1.0, 3)
-    assert blocks_a.rr == blocks_b.rr
-    assert blocks_a.uu == blocks_b.uu
 
 
 def test_spec_json_base_ricci_forms():
