@@ -476,8 +476,9 @@ def run(argv: Optional[list] = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    # PlanError, CertificateError and JSONDecodeError are ValueErrors
-    except (exprs.ParseError, ValueError, KeyError, OSError) as err:
+    # PlanError, CertificateError and JSONDecodeError are ValueErrors; a
+    # RecursionError comes from an expression or plan nested too deeply
+    except (exprs.ParseError, ValueError, KeyError, OSError, RecursionError) as err:
         print(f"spec error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (exprs.DomainError, oracle.OracleError, ArithmeticError) as err:

@@ -151,15 +151,21 @@ def _is_const(e: Expr, v) -> bool:
 
 # Smart constructors. They fold literal subtrees and neutral elements so
 # derivative trees stay a manageable size; they never fold a division by
-# a zero constant (left to evaluation, which reports the node).
+# a zero constant, nor a power whose numerator or denominator would pass
+# float range (both left to evaluation, which reports the node).
+
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def frac(x: Union[Fraction, int, str, float]) -> Fraction:
     """The exact-rational coercion: a Fraction, an int, a string such as
-    "3/4", or a float with an integral value. Any other float raises
-    TypeError, since its binary value is rarely the rational meant."""
+    "3/4" or "1.5e-3", or a float with an integral value. Any other float
+    raises TypeError, since its binary value is rarely the rational meant;
+    a string whose decimal exponent is past +-1000 raises ValueError."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and (m := _DECIMAL_EXPONENT.search(x)) and abs(int(m[1])) > 1000:
+        raise ValueError(f"decimal exponent of {x!r} is past +-1000")
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float) and x.is_integer():
@@ -231,8 +237,9 @@ def pow_(base: Expr, exponent: Union[Fraction, int]) -> Expr:
     if q == 1:
         return base
     vb = _const_value(base)
-    if vb is not None and q.denominator == 1:
-        if not (vb == 0 and q < 0):
+    if vb is not None and q.denominator == 1 and not (vb == 0 and q < 0):
+        top = max(abs(vb.numerator), vb.denominator)
+        if top == 1 or abs(q) < 1024 / math.log2(top):
             return Const(vb ** int(q))
     return Pow(base, q)
 
@@ -441,16 +448,36 @@ def _d(e: Expr) -> Expr:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-# --- printing -----------------------------------------------------------
+# --- grammar ------------------------------------------------------------
 
-# Precedence levels: + - (1), * / (2), unary minus (2.5), ^ (3), atoms (4).
+# + - * / by precedence level, loosest first, each as (symbol, smart
+# constructor, node class, printed separator); the parser and the printer
+# both read it. Unary minus binds at level 2.5, ^ at 3 and atoms at 4.
+_BINARY = (
+    (("+", add, Add, " + "), ("-", sub, Sub, " - ")),
+    (("*", mul, Mul, "*"), ("/", div, Div, "/")),
+)
+_BINARY_BY_SYMBOL = {sym: (level, make) for level, ops in enumerate(_BINARY, 1) for sym, make, _, _ in ops}
+_BINARY_BY_NODE = {node: (level, sep) for level, ops in enumerate(_BINARY, 1) for _, _, node, sep in ops}
+
+# Function names, for parsing and printing; sqrt parses to a power.
+_FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": sqrt}
+_FUNCTION_NAMES = {make: name for name, make in _FUNCTIONS.items()}
+
+# After optional whitespace: a number, an identifier, an operator, any
+# other character (an error) or the end of the text.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<error>.)|(?P<end>\Z))"
+)
+
+
+# --- printing -----------------------------------------------------------
 
 
 def _prec(e: Expr) -> float:
-    if isinstance(e, (Add, Sub)):
-        return 1.0
-    if isinstance(e, (Mul, Div)):
-        return 2.0
+    if type(e) in _BINARY_BY_NODE:
+        return _BINARY_BY_NODE[type(e)][0]
     if isinstance(e, Neg):
         return 2.5
     if isinstance(e, Pow):
@@ -465,28 +492,23 @@ def _prec(e: Expr) -> float:
 
 def _wrap(e: Expr, minimum: float) -> str:
     text = to_text(e)
-    if _prec(e) < minimum:
-        return f"({text})"
-    return text
+    return f"({text})" if _prec(e) < minimum else text
 
 
 def to_text(e: Expr) -> str:
     """Print the tree; parsing the result reproduces the tree structure."""
+    if type(e) in _BINARY_BY_NODE:
+        level, separator = _BINARY_BY_NODE[type(e)]
+        return f"{_wrap(e.left, level)}{separator}{_wrap(e.right, level + 0.5)}"
+    if type(e) in _FUNCTION_NAMES:
+        return f"{_FUNCTION_NAMES[type(e)]}({to_text(e.arg)})"
     if isinstance(e, Const):
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(e, Var):
         return "r"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, 1.0)} + {_wrap(e.right, 1.5)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, 1.0)} - {_wrap(e.right, 1.5)}"
     if isinstance(e, Neg):
         return f"-{_wrap(e.arg, 3.0)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, 2.0)}*{_wrap(e.right, 2.5)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, 2.0)}/{_wrap(e.right, 2.5)}"
     if isinstance(e, Pow):
         base = _wrap(e.base, 4.0)
         q = e.exponent
@@ -495,55 +517,10 @@ def to_text(e: Expr) -> str:
         if q.denominator == 1:
             return f"{base}^({q.numerator})"
         return f"{base}^({q.numerator}/{q.denominator})"
-    if isinstance(e, Sin):
-        return f"sin({to_text(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({to_text(e.arg)})"
-    if isinstance(e, Exp):
-        return f"exp({to_text(e.arg)})"
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
 # --- parsing ------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-_FUNCTIONS = {"sin": sin, "cos": cos, "sqrt": sqrt, "exp": exp}
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = pos
-                while stripped < len(text) and text[stripped].isspace():
-                    stripped += 1
-                raise ParseError(f"unexpected character {text[stripped]!r}", stripped)
-            if m.group("number") is not None:
-                self.items.append(("number", m.group("number"), m.start("number")))
-            elif m.group("ident") is not None:
-                self.items.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                self.items.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
-        self.items.append(("end", "", len(text)))
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.items[self.index]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.items[self.index]
-        self.index += 1
-        return tok
 
 
 def parse(text: str) -> Expr:
@@ -552,82 +529,74 @@ def parse(text: str) -> Expr:
     Precedence is ^ above unary minus above * and / above + and -, with
     ^ right-associative. Exponents must fold to exact rational constants.
     """
-    tokens = _Tokens(text)
-    tree = _parse_sum(tokens)
-    kind, value, offset = tokens.peek()
+    tokens, pos = [], 0
+    while not tokens or tokens[-1][0] != "end":
+        m = _TOKEN_RE.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "error":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.reverse()  # the next token is the last
+    tree = _parse_binary(tokens, 1)
+    kind, value, offset = tokens[-1]
     if kind != "end":
         raise ParseError(f"unexpected token {value!r}", offset)
     return tree
 
 
-def _parse_sum(tokens: _Tokens) -> Expr:
-    node = _parse_term(tokens)
-    while True:
-        kind, value, _ = tokens.peek()
-        if kind == "op" and value in "+-":
-            tokens.next()
-            rhs = _parse_term(tokens)
-            node = add(node, rhs) if value == "+" else sub(node, rhs)
-        else:
-            return node
-
-
-def _parse_term(tokens: _Tokens) -> Expr:
+def _parse_binary(tokens: list, level: int) -> Expr:
+    """A chain of left-associative operators of _BINARY at level and above."""
     node = _parse_unary(tokens)
-    while True:
-        kind, value, _ = tokens.peek()
-        if kind == "op" and value in "*/":
-            tokens.next()
-            rhs = _parse_unary(tokens)
-            node = mul(node, rhs) if value == "*" else div(node, rhs)
-        else:
-            return node
+    while tokens[-1][1] in _BINARY_BY_SYMBOL:
+        op_level, make = _BINARY_BY_SYMBOL[tokens[-1][1]]
+        if op_level < level:
+            break
+        tokens.pop()
+        node = make(node, _parse_binary(tokens, op_level + 1))
+    return node
 
 
-def _parse_unary(tokens: _Tokens) -> Expr:
-    kind, value, _ = tokens.peek()
-    if kind == "op" and value == "-":
-        tokens.next()
-        return neg(_parse_unary(tokens))
-    if kind == "op" and value == "+":
-        tokens.next()
-        return _parse_unary(tokens)
-    return _parse_power(tokens)
-
-
-def _parse_power(tokens: _Tokens) -> Expr:
+def _parse_unary(tokens: list) -> Expr:
+    """Signs, then an atom with an optional ^ and a constant exponent."""
+    value = tokens[-1][1]
+    if value in ("-", "+"):
+        tokens.pop()
+        return neg(_parse_unary(tokens)) if value == "-" else _parse_unary(tokens)
     base = _parse_atom(tokens)
-    kind, value, offset = tokens.peek()
-    if kind == "op" and value == "^":
-        tokens.next()
-        exponent = _parse_unary(tokens)
-        if not isinstance(exponent, Const):
-            raise ParseError("exponent must be a rational constant", offset)
-        return pow_(base, exponent.value)
-    return base
+    _, value, offset = tokens[-1]
+    if value != "^":
+        return base
+    tokens.pop()
+    exponent = _parse_unary(tokens)
+    if not isinstance(exponent, Const):
+        raise ParseError("exponent must be a rational constant", offset)
+    return pow_(base, exponent.value)
 
 
-def _parse_atom(tokens: _Tokens) -> Expr:
-    kind, value, offset = tokens.next()
+def _parse_atom(tokens: list) -> Expr:
+    kind, value, offset = tokens.pop()
     if kind == "number":
-        return Const(Fraction(value))
+        try:
+            return Const(value)
+        except ValueError as err:
+            raise ParseError(str(err), offset) from None
+    if value == "r":
+        return R
+    if value in _FUNCTIONS:
+        _expect(tokens, "(", after=value)
+        arg = _parse_binary(tokens, 1)
+        _expect(tokens, ")")
+        return _FUNCTIONS[value](arg)
     if kind == "ident":
-        if value == "r":
-            return R
-        if value in _FUNCTIONS:
-            kind2, value2, offset2 = tokens.next()
-            if not (kind2 == "op" and value2 == "("):
-                raise ParseError(f"expected '(' after {value!r}", offset2)
-            arg = _parse_sum(tokens)
-            kind3, value3, offset3 = tokens.next()
-            if not (kind3 == "op" and value3 == ")"):
-                raise ParseError("expected ')'", offset3)
-            return _FUNCTIONS[value](arg)
         raise ParseError(f"unknown identifier {value!r}", offset)
-    if kind == "op" and value == "(":
-        node = _parse_sum(tokens)
-        kind2, value2, offset2 = tokens.next()
-        if not (kind2 == "op" and value2 == ")"):
-            raise ParseError("expected ')'", offset2)
+    if value == "(":
+        node = _parse_binary(tokens, 1)
+        _expect(tokens, ")")
         return node
     raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
+
+
+def _expect(tokens: list, symbol: str, after: str = "") -> None:
+    _, value, offset = tokens.pop()
+    if value != symbol:
+        raise ParseError(f"expected {symbol!r}" + (f" after {after!r}" if after else ""), offset)

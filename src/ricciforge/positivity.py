@@ -19,7 +19,7 @@ k_bound reads it in floats for the ratio every larger p clears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -96,10 +96,13 @@ def _quadruples(c, mi) -> dict:
         ),
     }
     for i, m in enumerate(mi):
-        directions[f"y{i}"] = DirectionCoefficients(
-            K=m, L=3 * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * m, S=c
-        )
+        directions[f"y{i}"] = _y_row(c, m, s1)
     return directions
+
+
+def _y_row(c, m, s1) -> DirectionCoefficients:
+    """_quadruples' Y_i row for m_i = m and sum(m_k) = s1."""
+    return DirectionCoefficients(K=m, L=3 * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * m, S=c)
 
 
 def _box_rows(n: int, c, m, m_lower) -> dict:
@@ -110,9 +113,10 @@ def _box_rows(n: int, c, m, m_lower) -> dict:
     r and u are _quadruples' rows at every m_i = m, where r's L/K peaks
     (its S/R <= 1 never binds; u never binds, see min_p). A y_i row's
     L/K = 3 + 4 sum(m_k) peaks at every m_k = m and its S/R = n c / (2 m_i)
-    at m_i = m_lower, so the y row is K = m, L = m (3 + 4 n m),
-    R = 2 m_lower and S = n c: the diagonal's c plus the Gershgorin sum
-    (n-1) c of the off-diagonal bound.
+    at m_i = m_lower, so the y row has two corners: 'y' at every m_k = m,
+    and 'y-lower' at m_i = m_lower with the others at m. Each has
+    S = n c: the diagonal's c plus the Gershgorin sum (n-1) c of the
+    off-diagonal bound.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -125,7 +129,8 @@ def _box_rows(n: int, c, m, m_lower) -> dict:
     r, u, *ys = _quadruples(c + (n - 1) * c, [m] * n).values()
     rows = {"r": r, "u": u}
     if ys:  # the y_i rows are equal at every m_i = m
-        rows["y"] = replace(ys[0], R=2 * m_lower)
+        rows["y"] = ys[0]
+        rows["y-lower"] = _y_row(ys[0].S, m_lower, sum([m_lower] + [m] * (n - 1)))
     return rows
 
 
@@ -146,11 +151,9 @@ def p_bound(n: int, c: float, m, m_lower) -> int:
     definite at every radius for every exponent profile in [m_lower, m],
     in rationals: the largest _least_p over _box_rows but u.
 
-    Exact, as each row's worst case is attained in the box, except when
-    m_lower < m and the y row's L/K and S/R are one binding integer: its
-    two worst cases then sit at different profiles and p_bound is one
-    above (n = 1, c = 1, m = 1/4, m_lower = 1/8 gives 5, not 4). That
-    needs n m < 1/3; evaluate_plan's certificates have n m >= 1/2.
+    Exact: each row of _box_rows is a profile in the box, and no profile
+    between the y row's two corners needs a larger p, since a tie of its
+    L/K and S/R at the largest corner value forces m_lower = m.
     """
     rows = _box_rows(n, Fraction(c), exprs.frac(m), exprs.frac(m_lower))
     return max(_least_p(cf) for name, cf in rows.items() if name != "u")

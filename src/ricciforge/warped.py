@@ -451,38 +451,48 @@ def spec_from_json(data) -> WarpedFamilySpec:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    try:
-        n = int(data["n"])
-        f = exprs.parse(data["f"])
-        h = tuple(exprs.parse(t) for t in data.get("h", []))
-    except KeyError as err:
-        raise ValueError(f"spec file missing field {err}") from None
-    structure = {}
-    for row in data.get("structure", []):
-        i, j, k, v = row
-        structure[(int(i), int(j), int(k))] = float(v)
-    base_text = data.get("baseRicci", "zero")
-    if base_text == "zero":
-        base = zero_base_ricci(n)
-    elif base_text.startswith("constant:"):
-        matrix = np.asarray(json.loads(base_text[len("constant:") :]), dtype=float)
-        if matrix.shape != (n, n):
-            raise ValueError(f"constant base Ricci has shape {matrix.shape}, expected ({n},{n})")
-
-        def base(r: float, _m=matrix) -> np.ndarray:
-            return _m
-
-    elif base_text.startswith("scaledIdentity:"):
-        scale = exprs.compile_scalar(exprs.parse(base_text[len("scaledIdentity:") :]))
-
-        def base(r: float, _s=scale) -> np.ndarray:
-            return _s(r) * np.eye(n)
-
-    else:
-        raise ValueError(f"unknown baseRicci form {base_text!r}")
+    if not isinstance(data, dict):
+        raise ValueError(f"a spec is a JSON object, not {type(data).__name__}")
+    n = _spec_field(data, "n", int)
+    f = _spec_field(data, "f", exprs.parse)
+    h = _spec_field(data, "h", lambda texts: tuple(exprs.parse(t) for t in texts), [])
+    structure = _spec_field(data, "structure", _structure, [])
+    base = _spec_field(data, "baseRicci", lambda text: _base_ricci(n, text), "zero")
     return WarpedFamilySpec(
         n=n, f=f, h=h, structure=structure, base_ricci=base, label=data.get("label", "")
     )
+
+
+def _spec_field(data: dict, key: str, read, default=None):
+    """read(data[key]), or read(default) for an absent key. A missing
+    required field or a value of the wrong type is a ValueError naming it."""
+    if key not in data and default is None:
+        raise ValueError(f"spec file missing field {key!r}")
+    try:
+        return read(data.get(key, default))
+    except (TypeError, AttributeError, LookupError, RecursionError) as err:
+        raise ValueError(f"spec field {key!r}: {err}") from None
+
+
+def _structure(rows) -> dict:
+    structure = {}
+    for i, j, k, v in rows:
+        structure[(int(i), int(j), int(k))] = float(v)
+    return structure
+
+
+def _base_ricci(n: int, text: str) -> Callable[[float], np.ndarray]:
+    if text == "zero":
+        return zero_base_ricci(n)
+    if text.startswith("constant:"):
+        matrix = np.asarray(json.loads(text[len("constant:") :]), dtype=float)
+        if matrix.shape != (n, n):
+            raise ValueError(f"constant base Ricci has shape {matrix.shape}, expected ({n},{n})")
+        return lambda r: matrix
+    if text.startswith("scaledIdentity:"):
+        scale = exprs.compile_scalar(exprs.parse(text[len("scaledIdentity:") :]))
+        return lambda r: scale(r) * np.eye(n)
+    raise ValueError(f"unknown baseRicci form {text!r}")
 
 
 # --- presets ---------------------------------------------------------------

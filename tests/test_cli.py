@@ -226,6 +226,19 @@ _RIC2 = {"kind": "ricNonneg", "dim": 2}
             },
             "node plan.fiber: need 0 <= m_lower <= m",
         ),
+        (
+            {"kind": "fiberBundle", "base": {"kind": "custom", "q": 3, "dim": 1}, "fiber": _RIC2},
+            "node plan: base certificate lacks a curvature bound",
+        ),
+        (
+            {
+                "kind": "fiberBundle",
+                "base": {"kind": "custom", "q": 3, "dim": 2, "m": 1, "curvature": {"L": 1, "e": 0}},
+                "fiber": {"kind": "custom", "q": 2, "dim": 2, "curvature": {"L": 1, "e": 1}},
+            },
+            "node plan: fiber decay budget 2 cannot meet the requirement 2*m_hat + 3*q = 13; "
+            "even q -> 0 needs more than 4",
+        ),
     ],
 )
 def test_plan_constructor_errors_name_the_node(capsys, tmp_path, plan, err):
@@ -289,6 +302,81 @@ def test_plan_leaf_numbers_past_range_name_the_node(capsys, tmp_path, text, err)
     assert capsys.readouterr() == ("", f"spec error: node plan: {err}\n")
 
 
+def _nested_plan(depth):
+    plan = _RIC2
+    for _ in range(depth):
+        plan = {"kind": "flatBundle", "base": plan, "fiber": _RIC2}
+    return plan
+
+
+@pytest.mark.parametrize(
+    "kind, data, err",
+    [
+        ("spec", {**TORUS_SPEC, "f": 5}, "spec field 'f': expected string or bytes-like object"),
+        ("spec", {**TORUS_SPEC, "h": [1]}, "spec field 'h': expected string or bytes-like object"),
+        ("spec", {**TORUS_SPEC, "n": None}, "spec field 'n': int() argument must be"),
+        ("spec", {**TORUS_SPEC, "structure": [5]}, "spec field 'structure': cannot unpack"),
+        ("spec", {**TORUS_SPEC, "baseRicci": 3}, "spec field 'baseRicci': 'int' object has no"),
+        ("spec", [TORUS_SPEC], "a spec is a JSON object, not list"),
+        ("spec", {**TORUS_SPEC, "f": "(" * 1500 + "r" + ")" * 1500}, "spec field 'f': maximum recursion"),
+        ("spec", {**TORUS_SPEC, "f": "+".join(["r"] * 3000)}, "maximum recursion depth exceeded"),
+        ("plan", {"kind": "ricNonneg", "dim": None}, "node plan: int() argument must be"),
+        ("plan", _custom(curvature=[1, 0]), "node plan: list indices must be integers"),
+        ("plan", _custom(q=0.5), "node plan: exponents must be exact rationals, got 0.5"),
+        ("plan", _custom(q="1e1001"), "node plan: decimal exponent of '1e1001' is past +-1000"),
+        ("plan", {"kind": "vectorBundle", "rank": 2}, "node plan: 'base'"),
+        ("plan", _nested_plan(700), "maximum recursion depth exceeded"),
+    ],
+    ids=[
+        "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "spec-list",
+        "f-deep-parentheses", "f-long-sum", "dim-null", "curvature-list", "q-float",
+        "q-exponent-past-1000", "no-base", "plan-700-deep",
+    ],
+)
+def test_malformed_files_are_spec_errors(capsys, tmp_path, kind, data, err):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = ["warped-eval", "--spec", str(path), "--r", "1", "--p", "5"]
+    if kind == "plan":
+        argv = ["plan", "--file", str(path)]
+    assert cli.run(argv + ["--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"spec error: {err}")
+
+
+def test_trailing_whitespace_in_a_profile_is_whitespace(capsys, tmp_path):
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text(json.dumps({**TORUS_SPEC, "f": TORUS_SPEC["f"] + " ", "h": [" (1+r^2)^(-1)\n"]}))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(TORUS_SPEC))
+    outputs = []
+    for path in (spaced, bare):
+        assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "5", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        outputs.append((report["results"], report["checks"]))
+    assert outputs[0] == outputs[1]
+
+
+def test_constant_power_past_float_range_is_a_numeric_error(capsys, tmp_path):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({**TORUS_SPEC, "f": "2^3^3^3"}))
+    assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "5", "--json"]) == 4
+    assert capsys.readouterr().err == "numeric error: overflow in power in subexpression '2^7625597484987'\n"
+
+
+def test_plan_json_prints_curvature_rate_and_a_bound(capsys, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"kind": "flatBundle", "base": _RIC2, "fiber": _RIC2}))
+    code, report = run_json(capsys, ["plan", "--file", str(path)])
+    assert code == 0
+    assert set(report["results"]["certificate"]["curvatureRate"]) == {"Lb", "b", "Lf", "f", "k"}
+    path.write_text(json.dumps(_custom(aBound=0.5)))
+    code, report = run_json(capsys, ["plan", "--file", str(path)])
+    assert code == 0
+    assert report["results"]["certificate"]["aBound"] == 0.5
+
+
 def test_minp_rmax_is_usage_error(capsys):
     # min_p samples no radii, so there is no grid end to set
     assert cli.run(["minp", "--n", "1", "--c", "0", "--m", "10", "--rmax", "1e20", "--json"]) == 3
@@ -338,6 +426,31 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     argv = ["warped-verify", "--spec", str(one_bracket), "--p", "3", "--tol", "1e-5", "--rs", "0.5,1"]
     assert cli.run(argv) == 3
     assert "not realizable" in capsys.readouterr().err
+
+
+def test_spec_or_preset_is_required(capsys):
+    assert cli.run(["warped-eval", "--r", "1", "--p", "3", "--json"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "usage error: give --spec FILE or --preset {reference-torus, s3-unequal, round-sphere}\n",
+    )
+
+
+def test_round_sphere_preset_verifies(capsys):
+    argv = ["warped-verify", "--preset", "round-sphere", "--p", "3", "--rs", "0.5,1", "--tol", "1e-5"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["checks"] and all(c["pass"] for c in report["checks"])
+
+
+def test_text_report_lists_its_checks(capsys):
+    argv = ["warped-verify", "--preset", "reference-torus", "--p", "3", "--rs", "1", "--tol", "1e-5"]
+    assert cli.run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ricciforge warped-verify (v")
+    assert "  checks:" in lines
+    rows = lines[lines.index("  checks:") + 1 :]
+    assert rows and all(row.startswith("    [PASS] ") and " tol=" in row for row in rows)
 
 
 def test_chart_past_the_dimension_cap_is_spec_error(capsys, tmp_path):

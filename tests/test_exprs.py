@@ -1,4 +1,5 @@
 import math
+import re
 import random
 from fractions import Fraction
 
@@ -332,3 +333,77 @@ def test_constants_are_exact_rationals():
         tree = exprs.mul(Const(value), Var())
         assert parse(to_text(tree)) == tree
         assert parse(to_text(Const(value))) == Const(value)
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("r + @", "unexpected character '@'", 4),
+        ("r + spam(r)", "unknown identifier 'spam'", 4),
+        ("r^r", "exponent must be a rational constant", 1),
+        ("(1+r", "expected ')'", 4),
+        ("sin(r r)", "expected ')'", 6),
+        ("sin r", "expected '(' after 'sin'", 4),
+        ("sqrt", "expected '(' after 'sqrt'", 4),
+        ("", "unexpected end of input", 0),
+        (" \t\n", "unexpected end of input", 3),
+        ("r*", "unexpected end of input", 2),
+        ("r r", "unexpected token 'r'", 2),
+        ("(r))", "unexpected token ')'", 3),
+        ("2 3", "unexpected token '3'", 2),
+        ("r + 1e1001", "decimal exponent of '1e1001' is past +-1000", 4),
+    ],
+)
+def test_parse_errors_give_message_and_offset(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_unary_plus_is_the_identity():
+    assert parse("+r") == Var()
+    assert parse("-+-r") == Var()
+    assert parse("2*+r") == parse("2*r")
+    assert parse("+2^2") == Const(4)
+
+
+def test_whitespace_anywhere_between_tokens_changes_nothing():
+    # tabs, newlines and Unicode spaces before, between and after the
+    # tokens, the end included, parse to the tree of the bare text
+    rng = random.Random(18)
+    spaces = [" ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000"]
+    for _ in range(100):
+        tree = _random_tree(rng, 5)
+        tokens = re.findall(r"\d+|[a-z]+|\S", to_text(tree))
+        text = "".join(rng.choice(spaces) * rng.randint(0, 2) + t for t in tokens)
+        assert parse(text + rng.choice(spaces)) == tree
+    assert parse("r ") == parse(" r\t\n") == Var()
+
+
+def test_constant_powers_past_float_range_stay_unfolded():
+    # folding 2^(3^27) exactly would need a 7.6e12-bit integer
+    tree = parse("2^3^3^3")
+    assert tree == Pow(Const(2), Fraction(3**27))
+    with pytest.raises(DomainError, match="overflow in power"):
+        evaluate(tree, 1.0)
+    assert parse("2^2000") == Pow(Const(2), Fraction(2000))
+    assert parse("2^-2000") == Pow(Const(2), Fraction(-2000))
+    assert parse("2^1023") == Const(2**1023)
+    assert parse("(-1)^(10^12)") == Const(1)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e100000000", "1E-1001"])
+def test_decimal_exponents_past_1000_are_parse_errors(text):
+    with pytest.raises(ParseError) as err:
+        parse("r*" + text)
+    assert err.value.offset == 2
+    with pytest.raises(ValueError, match=r"past \+-1000"):
+        exprs.frac(text)
+
+
+def test_decimal_exponents_up_to_1000_parse_exactly():
+    assert parse("1e400") == Const(10**400)
+    assert parse("1e-400") == Const(Fraction(1, 10**400))
+    assert parse("1E+1000") == Const(10**1000)
+    assert exprs.frac("2.5e-1000") == Fraction(25, 10**1001)

@@ -385,17 +385,26 @@ def test_p_star_within_k_bound_on_random_specs():
 
 @pytest.mark.parametrize(
     "n,c,m,m_lower,want",
-    [(1, 0.0, 1, 1, 25), (2, 1.0, 1, "1/2", 49), (3, 0.5, "3/2", "1/4", 145), (0, 0.0, 1, 1, 2)],
+    [
+        (1, 0.0, 1, 1, 25),
+        (2, 1.0, 1, "1/2", 49),
+        (3, 0.5, "3/2", "1/4", 145),
+        (0, 0.0, 1, 1, 2),
+        (1, 1.0, "1/4", "1/8", 4),
+    ],
 )
 def test_p_bound_exact_values(n, c, m, m_lower, want):
-    # floor(k_bound) + 1 is one higher on the first three
+    # floor(k_bound) + 1 is one higher on the first three; on the last,
+    # the y row's L/K = 4 (at m) and S/R = 4 (at m_lower) tie at
+    # different profiles, and min_p is 4 at both
     assert p_bound(n, c, Fraction(m), Fraction(m_lower)) == want
 
 
 def test_p_bound_between_the_box_grid_and_k_bound():
-    # p_bound covers every exponent profile of the box, so it is at least
-    # min_p on the 3^n grid {m_lower, midpoint, m}, and it never exceeds
-    # the float ratio's floor(k_bound) + 1
+    # p_bound is the least p over every exponent profile of the box, and
+    # each row's worst case sits on the 3^n grid {m_lower, midpoint, m}, so
+    # it equals the largest min_p there; it never exceeds the float
+    # ratio's floor(k_bound) + 1
     rng = random.Random(400)
     for _ in range(400):
         n = rng.randint(0, 3)
@@ -405,7 +414,7 @@ def test_p_bound_between_the_box_grid_and_k_bound():
         levels = (m_lower, (m_lower + m) / 2, m)
         grid = [min_p(n, c, mi).p_star for mi in itertools.product(levels, repeat=n)]
         pb = p_bound(n, c, m, m_lower)
-        assert max(grid) <= pb <= math.floor(k_bound(n, c, m, m_lower)) + 1, (n, c, m, m_lower)
+        assert max(grid) == pb <= math.floor(k_bound(n, c, m, m_lower)) + 1, (n, c, m, m_lower)
 
 
 @pytest.mark.parametrize(
