@@ -455,15 +455,15 @@ def _step(trace: list, rule: str, node: str, fp: FamilyParams, tag: str = "") ->
 
 def _fold(node, path: str, trace: list) -> FamilyParams:
     """Fold the subtree at path. A constructor's or leaf's rejection, a
-    leaf number past float or integer range, and a missing or wrong-typed
-    field are re-raised as a PlanError naming the node; a child's
-    PlanError already names its own."""
+    leaf number past float or integer range, a missing or wrong-typed
+    field and nesting past the recursion limit are re-raised as a PlanError
+    naming the (deepest) node; a child's PlanError already names its own."""
     try:
         return _fold_node(node, path, trace)
     except PlanError:
         raise
     # CertificateError is a ValueError; frac raises TypeError for a float exponent
-    except (ValueError, OverflowError, TypeError, AttributeError, LookupError) as err:
+    except (ValueError, OverflowError, TypeError, AttributeError, LookupError, RecursionError) as err:
         raise PlanError(f"node {path}: {err}") from None
 
 

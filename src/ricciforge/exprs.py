@@ -349,10 +349,11 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of r values.
 
     Follows the rules of evaluate, including real odd roots of negative
-    bases; a domain violation anywhere on the grid raises DomainError for
-    the offending node. A complex grid, such as the oracle's complex-step
-    points, is evaluated by the holomorphic extension of each rule: the
-    root branch and every domain check go by the real part of r.
+    bases; a domain violation or an overflowing power or exp anywhere on
+    the grid raises DomainError for the offending node, with no numpy
+    warning. A complex grid, such as the oracle's complex-step points, is
+    evaluated by the holomorphic extension of each rule: the root branch
+    and every domain check go by the real part of r.
     """
     rs = np.asarray(rs, dtype=complex if np.iscomplexobj(rs) else float)
 
@@ -379,14 +380,18 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
             q = node.exponent
             if q < 0 and np.any(b.real == 0.0):
                 raise DomainError("zero raised to a negative power", node)
-            if q.denominator == 1:
-                return b ** int(q)
-            negative = b.real < 0.0
-            if not np.any(negative):
-                return b ** float(q)
-            if q.denominator % 2 == 0:
-                raise DomainError("even root of a negative number", node)
-            out = np.where(negative, -b, b) ** float(q)
+            with np.errstate(over="raise"):
+                try:
+                    if q.denominator == 1:
+                        return b ** int(q)
+                    negative = b.real < 0.0
+                    if not np.any(negative):
+                        return b ** float(q)
+                    if q.denominator % 2 == 0:
+                        raise DomainError("even root of a negative number", node)
+                    out = np.where(negative, -b, b) ** float(q)
+                except FloatingPointError:
+                    raise DomainError("overflow in power", node) from None
             return np.where(negative, -out, out) if q.numerator % 2 else out
         if isinstance(node, Sin):
             return np.sin(ev(node.arg))

@@ -216,9 +216,9 @@ def _christoffel(g0: np.ndarray, dg: np.ndarray):
     """(g^{-1}, comb, Gamma) at each point from the (R, d, d) metric and its
     (R, d, d, d) first derivatives."""
     ginv = np.linalg.inv(g0)
-    # comb[:, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    # comb[:, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; Gamma sums over l by a matmul
     comb = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
-    return ginv, comb, 0.5 * np.einsum("pkl,plij->pkij", ginv, comb)
+    return ginv, comb, 0.5 * (ginv @ comb.reshape(*comb.shape[:2], -1)).reshape(comb.shape)
 
 
 def christoffel(m: ChartMetric, x: np.ndarray) -> np.ndarray:
@@ -236,18 +236,21 @@ def christoffel(m: ChartMetric, x: np.ndarray) -> np.ndarray:
 def _curvature(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
     """Riemann tensor at each point from g, dg and d2g with a leading point axis."""
     ginv, comb, gamma = _christoffel(g0, dg)
+    r, d = g0.shape[:2]
+    # each sum over l is a batched matmul, with (i, j) flattened into one column axis
     # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}; d_m (d_i g_jl) = d2g[:, m, i, j, l]
     dginv = -(ginv[:, None] @ dg @ ginv[:, None])
     dcomb = d2g.transpose(0, 1, 4, 2, 3) + d2g.transpose(0, 1, 4, 3, 2) - d2g  # [:, m, l, i, j]
     dgamma = 0.5 * (
-        np.einsum("pmkl,plij->pmkij", dginv, comb) + np.einsum("pkl,pmlij->pmkij", ginv, dcomb)
-    )
+        dginv @ comb.reshape(r, 1, d, d * d) + ginv[:, None] @ dcomb.reshape(r, d, d, d * d)
+    ).reshape(r, d, d, d, d)  # [:, m, k, i, j]
     # R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
     #                      + Gamma^rho_{mu lam} Gamma^lam_{nu sigma}
     #                      - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}
     # and each odd term is the even one before it with mu and nu swapped
     term1 = dgamma.transpose(0, 2, 4, 1, 3)
-    term3 = np.einsum("prml,plns->prsmn", gamma, gamma)
+    term3 = (gamma.reshape(r, d * d, d) @ gamma.reshape(r, d, d * d)).reshape(dgamma.shape)
+    term3 = term3.transpose(0, 1, 4, 2, 3)  # from [:, rho, mu, nu, sigma]
     return term1 - term1.swapaxes(-1, -2) + term3 - term3.swapaxes(-1, -2)
 
 
@@ -406,11 +409,12 @@ def su2_frame_matrix(point: np.ndarray) -> np.ndarray:
 
 
 def su2_metric(x: np.ndarray, squares) -> np.ndarray:
-    """Components 0.25 M^T diag(squares) M, M = su2_frame_matrix(x), at points
-    x of shape (..., 3): squares are the squared lengths of the unit-sphere
-    frame fields, one (3,) row for all points or one row per point."""
-    mm = su2_frame_matrix(x)
-    return 0.25 * np.swapaxes(mm, -1, -2) * np.asarray(squares)[..., None, :] @ mm
+    """Components 0.25 M^T diag(s) M, M = su2_frame_matrix(x), at points x of
+    shape (..., 3), formed as 0.25 sum_a s_a m_a m_a^T over the rows m_a of M
+    by broadcast outer products: the squares s are the squared lengths of the
+    unit-sphere frame fields, one (3,) row for all points or one per point."""
+    mm, s = su2_frame_matrix(x), np.asarray(squares)
+    return 0.25 * sum(s[..., a, None, None] * mm[..., a, :, None] * mm[..., a, None, :] for a in range(3))
 
 
 def su2_frame(point: np.ndarray, scales) -> np.ndarray:

@@ -95,8 +95,8 @@ def _quadruples(c, mi) -> dict:
             K=Fraction(1), L=Fraction(7, 4) - s1, R=Fraction(3, 2), S=Fraction(3, 2) - 2 * s1
         ),
     }
-    for i, m in enumerate(mi):
-        directions[f"y{i}"] = _y_row(c, m, s1)
+    y_rows = {m: _y_row(c, m, s1) for m in set(mi)}  # one row per distinct exponent
+    directions.update((f"y{i}", y_rows[m]) for i, m in enumerate(mi))
     return directions
 
 

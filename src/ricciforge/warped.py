@@ -40,17 +40,9 @@ __all__ = [
     "reference_torus_spec",
     "left_invariant_s3_spec",
     "round_sphere_spec",
-    "zero_base_ricci",
 ]
 
 QUATERNIONIC_BRACKET = 2.0  # [X_i, X_j] = 2 X_k (cyclic) for the unit 3-sphere frame
-
-
-def zero_base_ricci(n: int) -> Callable[[float], np.ndarray]:
-    def base(r: float) -> np.ndarray:
-        return np.zeros((n, n))
-
-    return base
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,7 @@ class WarpedFamilySpec:
         Entries antisymmetric in (i, j); the frame convention requires
         every (i, j, i) entry to vanish.
     base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
-        the normalized frame Y_i = X_i / h_i at the working point.
+        the normalized frame Y_i = X_i / h_i at the working point; None is zero.
 
     Construction derives, once and outside the fields, ``derivatives``:
     the trees (e, e', e'') of f and of each h_i, and ``compiled``: their
@@ -108,30 +100,34 @@ class WarpedFamilySpec:
             full[(j, i, k)] = -v
         object.__setattr__(self, "structure", full)
         if self.base_ricci is None:
-            object.__setattr__(self, "base_ricci", zero_base_ricci(self.n))
-        derivatives = []
-        for e in (self.f, *self.h):
-            d1 = exprs.diff(e, 1)
-            derivatives.append((e, d1, exprs.diff(d1, 1)))
-        compiled = tuple(tuple(exprs.compile_scalar(t) for t in trees) for trees in derivatives)
+            zero = np.zeros((self.n, self.n))
+            object.__setattr__(self, "base_ricci", lambda r: zero)
+        derivatives, compiled = [], []
+        for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
+            try:
+                d1 = exprs.diff(e, 1)
+                derivatives.append((e, d1, exprs.diff(d1, 1)))
+                compiled.append(tuple(exprs.compile_scalar(t) for t in derivatives[-1]))
+            except RecursionError as err:  # a tree nested too deeply to differentiate
+                raise ValueError(f"profile {name}: {err}") from None
         object.__setattr__(self, "derivatives", tuple(derivatives))
-        object.__setattr__(self, "compiled", compiled)
+        object.__setattr__(self, "compiled", tuple(compiled))
 
     @property
     def structure_vanishes(self) -> bool:
         return all(v == 0.0 for v in self.structure.values())
 
     def profile_values(self, r: float):
-        """f, f', f'', and arrays of h_i, h_i', h_i'' at r.
+        """f, f', f'', and lists of h_i, h_i', h_i'' at r, all floats.
 
         Raises DomainError naming the h profile when some h_i(r) <= 0.
         """
         (f0, f1, f2), *hs = self.compiled
         fv, fp, fpp = f0(r), f1(r), f2(r)
-        hv, hp, hpp = (np.array([h[k](r) for h in hs]) for k in range(3))
-        if np.any(hv <= 0.0):
-            bad = int(np.argmax(hv <= 0.0))
-            raise exprs.DomainError(f"h[{bad}]({r}) = {hv[bad]} is not positive", self.h[bad])
+        hv, hp, hpp = ([h[k](r) for h in hs] for k in range(3))
+        for i, v in enumerate(hv):
+            if v <= 0.0:
+                raise exprs.DomainError(f"h[{i}]({r}) = {v} is not positive", self.h[i])
         return fv, fp, fpp, hv, hp, hpp
 
 
@@ -152,19 +148,19 @@ class RicciBlocks:
 
 
 def diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp):
-    """rr, uu, and the warping corrections to the diagonal E-block.
-
-    Inputs may be scalars with (n,) profile arrays, or grids with
-    (n, G) profile arrays; everything broadcasts. The E-block correction
-    excludes the base Ricci term, which the caller adds.
-    """
-    lh = hp / hv
-    lhh = hpp / hv
-    s1 = lh.sum(axis=0)
+    """rr, uu, and the list of warping corrections to the diagonal E-block,
+    which exclude the base Ricci term. hv, hp and hpp hold one value per
+    E-direction; each value is a float or an array, such as a grid row.
+    Sums over directions run left to right from 0.0, as numpy sums fewer
+    than 8 floats."""
+    lh = [d1 / v for d1, v in zip(hp, hv)]
+    lhh = [d2 / v for d2, v in zip(hpp, hv)]
+    s1 = s2 = 0.0
+    for a, b in zip(lh, lhh):
+        s1, s2 = s1 + a, s2 + b
     uu = (p - 2) * (1.0 - fp**2) / fv**2 - (fp / fv) * s1 - fpp / fv
-    rr = -(p - 1) * fpp / fv - lhh.sum(axis=0)
-    yy_corr = -(p - 1) * (fp / fv) * lh - lh * (s1 - lh) - lhh
-    return rr, uu, yy_corr
+    rr = -(p - 1) * fpp / fv - s2
+    return rr, uu, [-(p - 1) * (fp / fv) * a - a * (s1 - a) - b for a, b in zip(lh, lhh)]
 
 
 def _sphere_dim(p: int) -> int:
@@ -196,8 +192,9 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     base = np.asarray(spec.base_ricci(r), dtype=float)
     if base.shape != (spec.n, spec.n):
         raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({spec.n}, {spec.n})")
+    # adding the diagonal matrix also turns -0.0 off-diagonals into 0.0
     yy = 0.5 * (base + base.T) + np.diag(yy_corr) if spec.n else np.zeros((0, 0))
-    return RicciBlocks(rr=float(rr), uu=float(uu), yy=yy, p=int(p), r=float(r))
+    return RicciBlocks(rr=rr, uu=uu, yy=yy, p=int(p), r=float(r))
 
 
 @dataclass(frozen=True)
@@ -218,20 +215,19 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
     """
     if off_diag_slack < 0.0:
         raise ValueError("off_diag_slack must be nonnegative")
-    n = blocks.yy.shape[0]
-    reduced = np.zeros((n + 1, n + 1))
-    reduced[0, 0] = blocks.rr
-    reduced[1:, 1:] = blocks.yy
+    n = len(blocks.yy)
     if off_diag_slack == 0.0:
-        eigs = np.linalg.eigvalsh(reduced)
-        min_eigen = float(min(eigs.min(), blocks.uu))
+        reduced = np.zeros((n + 1, n + 1))
+        reduced[0, 0], reduced[1:, 1:] = blocks.rr, blocks.yy
+        lowers = np.linalg.eigvalsh(reduced).tolist()
     else:
         lowers = [blocks.rr]
-        for i in range(n):
-            known_off = float(np.sum(np.abs(blocks.yy[i]))) - abs(float(blocks.yy[i, i]))
-            lowers.append(blocks.yy[i, i] - known_off - (n - 1) * off_diag_slack)
-        min_eigen = float(min(min(lowers), blocks.uu))
-    min_eigen += 0.0  # normalize -0.0
+        for i, row in enumerate(blocks.yy.tolist()):
+            total = 0.0
+            for v in row:
+                total += abs(v)
+            lowers.append(row[i] - (total - abs(row[i])) - (n - 1) * off_diag_slack)
+    min_eigen = float(min(min(lowers), blocks.uu)) + 0.0  # + 0.0 turns -0.0 into 0.0
     return PdResult(positive_definite=bool(min_eigen > 0.0), min_eigen=min_eigen)
 
 
@@ -265,14 +261,12 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     kind = _classify(spec)
     n, ps = spec.n, _sphere_dim(p)
     d = n + ps + 1
-    f_expr = spec.f
-    h_exprs = spec.h
 
     def comps(x: np.ndarray) -> np.ndarray:
         r = x[:, -1]
         y = x[:, n : n + ps]
-        fv = exprs.evaluate_grid(f_expr, r)
-        h2 = np.square([exprs.evaluate_grid(e, r) for e in h_exprs]).reshape(n, len(x)).T
+        fv = exprs.evaluate_grid(spec.f, r)
+        h2 = np.square([exprs.evaluate_grid(e, r) for e in spec.h]).reshape(n, len(x)).T
         conf = 4.0 * fv**2 / (1.0 + np.sum(y * y, axis=1)) ** 2
         g = np.zeros((len(x), d, d), dtype=x.dtype)
         g[:, np.arange(n), np.arange(n)] = h2
@@ -304,8 +298,7 @@ def frame_at(spec: WarpedFamilySpec, p: int, r: float) -> oracle.FrameAtPoint:
     cols = np.zeros((d, d))
     cols[-1, 0] = 1.0  # d_r
     conf = (1.0 + float(sphere_point @ sphere_point)) / (2.0 * fv)
-    for a in range(ps):
-        cols[n + a, 1 + a] = conf
+    np.fill_diagonal(cols[n : n + ps, 1 : 1 + ps], conf)
     cols[:n, 1 + ps :] = oracle.su2_frame(x[:3], hv) if kind == "s3" else np.diag(1.0 / np.array(hv))
     return oracle.FrameAtPoint(x, cols)
 
@@ -348,14 +341,12 @@ def verify_against_oracle(
     fulls = oracle.frame_ricci_many(metric, frames)
     rows: list = []
     n, ps = spec.n, p - 1
+    # frame order [d_r | U_1..U_ps | Y_1..Y_n]; the closed form says every
+    # entry above the diagonal vanishes outside the Y block
+    vanish = np.triu(np.ones((n + ps + 1, n + ps + 1), dtype=bool), 1)
+    vanish[1 + ps :, 1 + ps :] = False
     for blocks, full in zip(closed_forms, fulls):
-        # frame order: [d_r | U_1..U_ps | Y_1..Y_n]
-        o_uu = np.diag(full)[1 : 1 + ps]
-        o_yy = full[1 + ps :, 1 + ps :]
-        mixed = [abs(full[0, 1 + a]) for a in range(ps)]
-        mixed += [abs(full[1 + a, 1 + b]) for a in range(ps) for b in range(a + 1, ps)]
-        mixed += [abs(full[1 + a, 1 + ps + i]) for a in range(ps) for i in range(n)]
-        mixed += [abs(full[0, 1 + ps + i]) for i in range(n)]
+        ric, yy = full.tolist(), blocks.yy.tolist()
 
         def row(entry, closed, oracle_value):
             dev = abs(closed - oracle_value)
@@ -363,21 +354,21 @@ def verify_against_oracle(
                 {
                     "r": blocks.r,
                     "entry": entry,
-                    "closed": float(closed),
-                    "oracle": float(oracle_value),
-                    "deviation": float(dev),
+                    "closed": closed,
+                    "oracle": oracle_value,
+                    "deviation": dev,
                     "gating": True,
                     "pass": bool(dev <= tol),
                 }
             )
 
-        row("rr", blocks.rr, full[0, 0])
-        for a in range(ps):
-            row(f"uu[{a}]", blocks.uu, o_uu[a])
-        row("mixed-zero", 0.0, max(mixed))
+        row("rr", blocks.rr, ric[0][0])
+        for a in range(1, 1 + ps):
+            row(f"uu[{a - 1}]", blocks.uu, ric[a][a])
+        row("mixed-zero", 0.0, float(np.abs(full[vanish]).max()))
         for i in range(n):
             for j in range(i, n):
-                row(f"yy[{i},{j}]", blocks.yy[i, j], o_yy[i, j])
+                row(f"yy[{i},{j}]", yy[i][j], ric[1 + ps + i][1 + ps + j])
     return WarpedVerifyReport(passed=all(row["pass"] for row in rows), rows=rows, tol=tol)
 
 
@@ -481,9 +472,9 @@ def _structure(rows) -> dict:
     return structure
 
 
-def _base_ricci(n: int, text: str) -> Callable[[float], np.ndarray]:
+def _base_ricci(n: int, text: str) -> Optional[Callable[[float], np.ndarray]]:
     if text == "zero":
-        return zero_base_ricci(n)
+        return None
     if text.startswith("constant:"):
         matrix = np.asarray(json.loads(text[len("constant:") :]), dtype=float)
         if matrix.shape != (n, n):

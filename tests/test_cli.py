@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import pathlib
 import sys
+import warnings
 
 import pytest
 
@@ -319,17 +321,19 @@ def _nested_plan(depth):
         ("spec", {**TORUS_SPEC, "baseRicci": 3}, "spec field 'baseRicci': 'int' object has no"),
         ("spec", [TORUS_SPEC], "a spec is a JSON object, not list"),
         ("spec", {**TORUS_SPEC, "f": "(" * 1500 + "r" + ")" * 1500}, "spec field 'f': maximum recursion"),
-        ("spec", {**TORUS_SPEC, "f": "+".join(["r"] * 3000)}, "maximum recursion depth exceeded"),
+        ("spec", {**TORUS_SPEC, "f": "+".join(["r"] * 3000)}, "profile f: maximum recursion depth"),
+        ("spec", {**TORUS_SPEC, "h": ["+".join(["r"] * 3000)]}, "profile h[0]: maximum recursion"),
         ("plan", {"kind": "ricNonneg", "dim": None}, "node plan: int() argument must be"),
         ("plan", _custom(curvature=[1, 0]), "node plan: list indices must be integers"),
         ("plan", _custom(q=0.5), "node plan: exponents must be exact rationals, got 0.5"),
         ("plan", _custom(q="1e1001"), "node plan: decimal exponent of '1e1001' is past +-1000"),
         ("plan", {"kind": "vectorBundle", "rank": 2}, "node plan: 'base'"),
-        ("plan", _nested_plan(700), "maximum recursion depth exceeded"),
+        # the deepest node the fold reached, which depends on the caller's stack depth
+        ("plan", _nested_plan(700), "node plan" + ".base" * 100),
     ],
     ids=[
         "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "spec-list",
-        "f-deep-parentheses", "f-long-sum", "dim-null", "curvature-list", "q-float",
+        "f-deep-parentheses", "f-long-sum", "h-long-sum", "dim-null", "curvature-list", "q-float",
         "q-exponent-past-1000", "no-base", "plan-700-deep",
     ],
 )
@@ -343,6 +347,8 @@ def test_malformed_files_are_spec_errors(capsys, tmp_path, kind, data, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"spec error: {err}")
+    if "plan.base" in err:
+        assert "maximum recursion depth exceeded" in captured.err
 
 
 def test_trailing_whitespace_in_a_profile_is_whitespace(capsys, tmp_path):
@@ -363,6 +369,15 @@ def test_constant_power_past_float_range_is_a_numeric_error(capsys, tmp_path):
     path.write_text(json.dumps({**TORUS_SPEC, "f": "2^3^3^3"}))
     assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "5", "--json"]) == 4
     assert capsys.readouterr().err == "numeric error: overflow in power in subexpression '2^7625597484987'\n"
+
+
+def test_grid_power_overflow_is_a_numeric_error_without_a_warning(capsys, tmp_path):
+    path = tmp_path / "pow400.json"
+    path.write_text(json.dumps({**TORUS_SPEC, "f": "r + r^400"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["smoothness", "--spec", str(path), "--json"]) == 4
+    assert capsys.readouterr().err == "numeric error: overflow in power in subexpression 'r^400'\n"
 
 
 def test_plan_json_prints_curvature_rate_and_a_bound(capsys, tmp_path):
@@ -761,3 +776,21 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
         cli.run(argv)
     capsys.readouterr()
     assert built == []
+
+
+# Reports of warped-eval (every preset, a scaledIdentity spec whose base has
+# -0.0 off-diagonals, an off-diagonal constant base, both PD branches),
+# smoothness, kbound, minp and plan, captured at commit 2c8b543, before the
+# closed-form blocks moved from numpy arrays to floats; input files are
+# written under the names the argvs give.
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["cases"]))
+def test_reports_are_byte_identical_to_the_golden_capture(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    for name, data in GOLDEN["files"].items():
+        (tmp_path / name).write_text(json.dumps(data))
+    want = GOLDEN["cases"][case]
+    assert cli.run(want["argv"]) == want["code"]
+    assert capsys.readouterr().out == want["stdout"]

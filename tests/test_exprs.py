@@ -1,6 +1,7 @@
 import math
 import re
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,25 @@ def test_compiled_and_one_shot_errors_name_the_node(text, r, message, node):
     assert to_text(compiled.value.node) == to_text(one_shot.value.node) == node
     assert compiled.value.node == one_shot.value.node
     assert str(compiled.value) == str(one_shot.value)
+
+
+@pytest.mark.parametrize(
+    "text,r,node",
+    [
+        ("r^3", 1e200, "r^3"),
+        ("(r+1)^(5/2)", 1e300, "(r + 1)^(5/2)"),
+        ("r + r^400", 10.0, "r^400"),
+        ("(-r)^(401/3)", 1e3, "(-r)^(401/3)"),
+    ],
+)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_grid_power_overflow_names_the_node_without_a_warning(text, r, node, dtype):
+    # as the scalar path does; numpy's overflow warning never reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow in power") as err:
+            evaluate_grid(parse(text), np.array([1.0, r], dtype=dtype))
+    assert to_text(err.value.node) == node
 
 
 @pytest.mark.parametrize("text", ["(r-2)^(1/3)", "(r-2)^(2/3)", "(r-2)^(1/2)"])

@@ -48,6 +48,13 @@ def test_coefficients_positive_and_validated():
     assert coeffs["y0"] == positivity.DirectionCoefficients(K=1, L=11, R=2, S=1)
 
 
+def test_equal_exponents_share_one_y_row():
+    rows = _rows("1/2", [1, "3/4", 1])
+    assert list(rows) == ["r", "u", "y0", "y1", "y2"]
+    assert rows["y0"] is rows["y2"] and rows["y1"] is not rows["y0"]
+    assert rows["y1"] == positivity._y_row(Fraction(1, 2), Fraction(3, 4), Fraction(11, 4))
+
+
 def test_coefficients_reject_degenerate_exponents():
     # a zero exponent leaves its y row K = R = 0: no p works
     assert positivity._least_p(_rows(0, [0])["y0"]) is None
@@ -87,20 +94,12 @@ def _exact_margins(n, c, mi, rs, p):
     fp = exprs.evaluate_grid(exprs.diff(f, 1), rs)
     fpp = exprs.evaluate_grid(exprs.diff(f, 2), rs)
     hs = [exprs.pow_(h, m) for m in mi]
-    hv = np.stack([exprs.evaluate_grid(e, rs) for e in hs]) if mi else np.zeros((0, rs.size))
-    hp = (
-        np.stack([exprs.evaluate_grid(exprs.diff(e, 1), rs) for e in hs])
-        if mi
-        else np.zeros((0, rs.size))
-    )
-    hpp = (
-        np.stack([exprs.evaluate_grid(exprs.diff(e, 2), rs) for e in hs])
-        if mi
-        else np.zeros((0, rs.size))
+    hv, hp, hpp = (
+        [exprs.evaluate_grid(exprs.diff(e, k) if k else e, rs) for e in hs] for k in range(3)
     )
     rr, uu, yy = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
     h2 = exprs.evaluate_grid(h, rs) ** 2
-    return rr, uu, yy - n * c * h2
+    return rr, uu, np.reshape(yy, (len(mi), rs.size)) - n * c * h2
 
 
 def _all_positive(n, c, mi, rs, p):

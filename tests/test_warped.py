@@ -375,3 +375,64 @@ def test_derived_attributes_are_not_fields():
     flat = dataclasses.replace(spec, f=exprs.parse("r"))
     assert flat.derivatives[0] == (flat.f, exprs.parse("1"), exprs.parse("0"))
     assert flat.compiled[0][1](2.0) == 1.0
+
+
+def _numpy_blocks(spec, r, p, slack):
+    """rr, uu, yy and the min_eigen of both PD checks by the numpy formula
+    the float code replaced, as the reference: profile arrays, sums by
+    ndarray.sum, the (n+1) x (n+1) reduced block for the exact check and
+    per-row np.sum for the Gershgorin one."""
+    (f0, f1, f2), *hs = spec.compiled
+    fv, fp, fpp = f0(r), f1(r), f2(r)
+    hv, hp, hpp = (np.array([h[k](r) for h in hs]) for k in range(3))
+    lh, lhh = hp / hv, hpp / hv
+    s1 = lh.sum(axis=0)
+    uu = (p - 2) * (1.0 - fp**2) / fv**2 - (fp / fv) * s1 - fpp / fv
+    rr = -(p - 1) * fpp / fv - lhh.sum(axis=0)
+    corr = -(p - 1) * (fp / fv) * lh - lh * (s1 - lh) - lhh
+    base = np.asarray(spec.base_ricci(r), dtype=float)
+    n = spec.n
+    yy = 0.5 * (base + base.T) + np.diag(corr) if n else np.zeros((0, 0))
+    reduced = np.zeros((n + 1, n + 1))
+    reduced[0, 0], reduced[1:, 1:] = rr, yy
+    exact = float(min(np.linalg.eigvalsh(reduced).min(), uu)) + 0.0
+    lowers = [rr]
+    for i in range(n):
+        known_off = float(np.sum(np.abs(yy[i]))) - abs(float(yy[i, i]))
+        lowers.append(yy[i, i] - known_off - (n - 1) * slack)
+    return float(rr), float(uu), yy, exact, float(min(min(lowers), uu)) + 0.0
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
+    """ricci_warped and both check_positive_definite branches equal the
+    numpy formula bit for bit on random specs with n = 0..7, where numpy
+    also sums left to right from 0.0. For n >= 8 numpy sums pairwise, so
+    the two may differ by roundoff."""
+    rng = np.random.default_rng(20261019)
+    for trial in range(120):
+        n = trial % 8
+        scales = rng.integers(1, 9, size=n)
+        powers = rng.integers(1, 7, size=n)
+        bases = [
+            "zero",
+            f"scaledIdentity:-{rng.integers(1, 5)}/3*(1+r^2)^(-1)",
+            "constant:" + json.dumps(np.round(rng.normal(size=(n, n)), 3).tolist()),
+        ]
+        spec = spec_from_json(
+            {
+                "n": n,
+                "f": f"r*(1+r^2/{rng.integers(1, 5)})^(-{rng.integers(1, 4)}/4)",
+                "h": [f"(1+{a}*r^2)^(-{b}/4)" for a, b in zip(scales, powers)],
+                "baseRicci": bases[trial % 3 if n else 0],
+            }
+        )
+        r, p, slack = float(rng.uniform(0.05, 6.0)), int(rng.integers(2, 64)), float(rng.uniform(0, 1))
+        rr, uu, yy, exact, gersh = _numpy_blocks(spec, r, p, slack)
+        blocks = ricci_warped(spec, r, p)
+        got = (blocks.rr, blocks.uu, blocks.yy)
+        got += tuple(check_positive_definite(blocks, s).min_eigen for s in (0.0, slack))
+        assert _bits(*got) == _bits(rr, uu, yy, exact, gersh), (trial, n)
