@@ -1,10 +1,12 @@
 """Command-line front end.
 
 One subcommand per verification or search capability, each mapping to a
-single module operation chain. Reports carry a stable schema
-{tool, version, subcommand, inputs, results, checks} where every check
-row is {name, pass, value, tolerance}; floats are serialized with 17
-significant digits so identical inputs give byte-identical output.
+single module operation chain. A subcommand returns its inputs, results
+and checks; run alone frames them as a report with the stable schema
+{tool, version, subcommand, inputs, results, checks}, renders it as text,
+CSV or JSON, writes --out and picks the exit code. Every check row is
+{name, pass, value, tolerance}; floats are serialized with 17 significant
+digits so identical inputs give byte-identical output.
 
 Exit codes: 0 all checks pass, 2 a verification check failed, 3 usage or
 spec error, 4 numeric or domain error.
@@ -90,52 +92,35 @@ def render_json(value) -> str:
     return "".join(out)
 
 
-def _report(subcommand: str, inputs: dict, results: dict, checks: list) -> dict:
-    return {
-        "tool": "ricciforge",
-        "version": __version__,
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "results": results,
-        "checks": checks,
-    }
-
-
 def _check(name: str, ok: bool, value: float, tolerance: float) -> dict:
     return {"name": name, "pass": bool(ok), "value": float(value), "tolerance": float(tolerance)}
 
 
-def _emit(report: dict, args) -> int:
-    if getattr(args, "json", False):
-        text = render_json(report)
-    elif getattr(args, "csv", False):
+def _render_report(report: dict, args) -> str:
+    """The report as --json, as --csv check rows, or as the text layout."""
+    if args.json:
+        return render_json(report)
+    if args.csv:
         lines = ["name,pass,value,tolerance"]
         for c in report["checks"]:
             lines.append(
                 f"{c['name']},{str(c['pass']).lower()},"
                 f"{format(c['value'], '.17g')},{format(c['tolerance'], '.17g')}"
             )
-        text = "\n".join(lines)
-    else:
-        lines = [f"ricciforge {report['subcommand']} (v{report['version']})"]
-        for key, val in report["inputs"].items():
-            lines.append(f"  input {key} = {val}")
-        for key, val in report["results"].items():
-            lines.append(f"  {key}: {render_json(val) if isinstance(val, (dict, list)) else val}")
-        if report["checks"]:
-            lines.append("  checks:")
-            for c in report["checks"]:
-                status = "PASS" if c["pass"] else "FAIL"
-                lines.append(
-                    f"    [{status}] {c['name']}: value={c['value']:.3e} tol={c['tolerance']:.3e}"
-                )
-        text = "\n".join(lines)
-    print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    failed = any(not c["pass"] for c in report["checks"])
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+        return "\n".join(lines)
+    lines = [f"ricciforge {report['subcommand']} (v{report['version']})"]
+    for key, val in report["inputs"].items():
+        lines.append(f"  input {key} = {val}")
+    for key, val in report["results"].items():
+        lines.append(f"  {key}: {render_json(val) if isinstance(val, (dict, list)) else val}")
+    if report["checks"]:
+        lines.append("  checks:")
+        for c in report["checks"]:
+            status = "PASS" if c["pass"] else "FAIL"
+            lines.append(
+                f"    [{status}] {c['name']}: value={c['value']:.3e} tol={c['tolerance']:.3e}"
+            )
+    return "\n".join(lines)
 
 
 def _finite_float(text: str, low: float = -math.inf) -> float:
@@ -180,7 +165,7 @@ def _preset_fixture(name: str, count: int, seed: int):
         pts = [[1.1, 0.4, 0.8]]
         pts += [[rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)] for _ in range(count - 1)]
         frames = [oracle.FrameAtPoint(x, oracle.su2_frame(x, scales)) for x in np.array(pts)]
-        return chart, frames, np.diag(oracle.left_invariant_s3_ricci(scales))
+        return chart, frames, np.diag(warped.left_invariant_s3_ricci(scales))
     if kind == "hyperbolic2":
         pts = [[0.0, 1.0]] + [[rng.uniform(-1, 1), rng.uniform(0.5, 2.0)] for _ in range(count - 1)]
         want = -np.eye(2)
@@ -191,7 +176,7 @@ def _preset_fixture(name: str, count: int, seed: int):
     return chart, oracle.orthonormal_frames(chart, pts), want
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args) -> tuple:
     if args.points < 1:
         raise UsageError("--points must be at least 1")
     chart, frames, want = _preset_fixture(args.preset, args.points, args.seed)
@@ -211,20 +196,15 @@ def cmd_oracle_check(args) -> int:
         "worst_deviation": worst,
         "expected": "constant-curvature or left-invariant closed form",
     }
-    report = _report(
-        "oracle-check",
-        {"preset": args.preset, "tol": args.tol, "points": args.points, "seed": args.seed},
-        results,
-        checks,
-    )
-    return _emit(report, args)
+    inputs = {"preset": args.preset, "tol": args.tol, "points": args.points, "seed": args.seed}
+    return inputs, results, checks
 
 
 def _load_spec(args) -> warped.WarpedFamilySpec:
-    if getattr(args, "spec", None):
+    if args.spec:
         with open(args.spec) as fh:
             return warped.spec_from_json(json.load(fh))
-    name = getattr(args, "preset", None)
+    name = args.preset
     if name == "reference-torus":
         return warped.reference_torus_spec()
     if name == "s3-unequal":
@@ -234,7 +214,7 @@ def _load_spec(args) -> warped.WarpedFamilySpec:
     raise UsageError("give --spec FILE or --preset {reference-torus, s3-unequal, round-sphere}")
 
 
-def cmd_warped_eval(args) -> int:
+def cmd_warped_eval(args) -> tuple:
     spec = _load_spec(args)
     blocks = warped.ricci_warped(spec, args.r, args.p)
     pd = warped.check_positive_definite(blocks, off_diag_slack=args.slack)
@@ -245,16 +225,11 @@ def cmd_warped_eval(args) -> int:
         "positive_definite": pd.positive_definite,
         "min_eigen": pd.min_eigen,
     }
-    report = _report(
-        "warped-eval",
-        {"spec": args.spec or args.preset, "r": args.r, "p": args.p, "slack": args.slack},
-        results,
-        [],
-    )
-    return _emit(report, args)
+    inputs = {"spec": args.spec or args.preset, "r": args.r, "p": args.p, "slack": args.slack}
+    return inputs, results, []
 
 
-def cmd_warped_verify(args) -> int:
+def cmd_warped_verify(args) -> tuple:
     spec = _load_spec(args)
     rep = warped.verify_against_oracle(spec, args.p, args.rs, args.tol)
     checks = [
@@ -262,21 +237,11 @@ def cmd_warped_verify(args) -> int:
         for row in rep.rows
     ]
     results = {"gating_rows": len(rep.rows), "max_gating_deviation": rep.max_gating_deviation()}
-    report = _report(
-        "warped-verify",
-        {
-            "spec": args.spec or args.preset,
-            "p": args.p,
-            "rs": args.rs,
-            "tol": args.tol,
-        },
-        results,
-        checks,
-    )
-    return _emit(report, args)
+    inputs = {"spec": args.spec or args.preset, "p": args.p, "rs": args.rs, "tol": args.tol}
+    return inputs, results, checks
 
 
-def cmd_smoothness(args) -> int:
+def cmd_smoothness(args) -> tuple:
     spec = _load_spec(args)
     rep = warped.smoothness_check(spec, args.tol)
     flags = [
@@ -288,13 +253,7 @@ def cmd_smoothness(args) -> int:
     flags += [(f"h[{i}]-even-at-axis", ok, args.tol) for i, ok in enumerate(rep.h_prime_zero_at_axis)]
     flags += [(f"h[{i}]-positive", ok, 0.0) for i, ok in enumerate(rep.h_positive)]
     checks = [_check(name, ok, 0.0 if ok else 1.0, tol) for name, ok, tol in flags]
-    report = _report(
-        "smoothness",
-        {"spec": args.spec or args.preset, "tol": args.tol},
-        {"all_ok": rep.all_ok},
-        checks,
-    )
-    return _emit(report, args)
+    return {"spec": args.spec or args.preset, "tol": args.tol}, {"all_ok": rep.all_ok}, checks
 
 
 def _invariants(data: variation.SubmersionData) -> dict:
@@ -303,7 +262,7 @@ def _invariants(data: variation.SubmersionData) -> dict:
     return {name: getattr(data, name).tolist() for name in names}
 
 
-def cmd_variation_eval(args) -> int:
+def cmd_variation_eval(args) -> tuple:
     data = variation.hopf_preset()
     rep = variation.verify_hopf_against_oracle(args.t, args.tol)
     checks = [
@@ -311,13 +270,10 @@ def cmd_variation_eval(args) -> int:
         for row in rep["rows"]
     ]
     results = {"preset": "hopf", "invariants": _invariants(data)}
-    report = _report(
-        "variation-eval", {"preset": "hopf", "t": args.t, "tol": args.tol}, results, checks
-    )
-    return _emit(report, args)
+    return {"preset": "hopf", "t": args.t, "tol": args.tol}, results, checks
 
 
-def cmd_error_bounds(args) -> int:
+def cmd_error_bounds(args) -> tuple:
     data = variation.hopf_preset()
     derived = variation.bounded_error_constant(data)
     c = args.C if args.C is not None else derived
@@ -334,11 +290,10 @@ def cmd_error_bounds(args) -> int:
         "per_tensor_slack": rep.per_tensor_slack,
         "violations": rep.violations,
     }
-    report = _report("error-bounds", {"preset": "hopf", "C": c, "ts": args.ts}, results, checks)
-    return _emit(report, args)
+    return {"preset": "hopf", "C": c, "ts": args.ts}, results, checks
 
 
-def cmd_minp(args) -> int:
+def cmd_minp(args) -> tuple:
     mi = [s.strip() for s in args.m.split(",") if s.strip()]
     res = positivity.min_p(args.n, args.c, mi)
     results = {
@@ -351,26 +306,19 @@ def cmd_minp(args) -> int:
         "threshold_note": "the closed-form threshold is one sound derivation of the "
         "advertised explicit bound; the source leaves the function unspecified",
     }
-    report = _report("minp", {"n": args.n, "c": args.c, "m": args.m}, results, [])
-    return _emit(report, args)
+    return {"n": args.n, "c": args.c, "m": args.m}, results, []
 
 
-def cmd_kbound(args) -> int:
-    k = positivity.k_bound(args.n, args.c, args.m)
-    report = _report(
-        "kbound",
-        {"n": args.n, "c": args.c, "m": args.m},
-        {
-            "k": k,
-            "threshold_note": "one sound derivation; the source leaves the explicit "
-            "function unspecified",
-        },
-        [],
-    )
-    return _emit(report, args)
+def cmd_kbound(args) -> tuple:
+    results = {
+        "k": positivity.k_bound(args.n, args.c, args.m),
+        "threshold_note": "one sound derivation; the source leaves the explicit "
+        "function unspecified",
+    }
+    return {"n": args.n, "c": args.c, "m": args.m}, results, []
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> tuple:
     with open(args.file) as fh:
         plan = json.load(fh)
     res = bundlecalc.evaluate_plan(plan)
@@ -382,8 +330,7 @@ def cmd_plan(args) -> int:
         "reason": res.reason,
         "trace": list(res.trace),
     }
-    report = _report("plan", {"file": args.file}, results, [])
-    return _emit(report, args)
+    return {"file": args.file}, results, []
 
 
 # --- entry point -------------------------------------------------------------
@@ -395,82 +342,87 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable JSON report")
-        p.add_argument("--csv", action="store_true", help="checks as CSV rows")
-        p.add_argument("--out", help="also write the report to this file")
+    def spec_source(p):
+        p.add_argument("--spec")
+        p.add_argument("--preset")
 
     p = sub.add_parser("oracle-check", help="closed-form fixtures vs the chart oracle")
     p.add_argument("--preset", required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("warped-eval", help="closed-form Ricci blocks at one radius")
-    p.add_argument("--spec")
-    p.add_argument("--preset")
+    spec_source(p)
     p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--slack", type=_finite_float, default=0.0)
-    common(p)
     p.set_defaults(func=cmd_warped_eval)
 
     p = sub.add_parser("warped-verify", help="closed-form blocks vs the oracle over radii")
-    p.add_argument("--spec")
-    p.add_argument("--preset")
+    spec_source(p)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--tol", type=_tolerance, required=True)
     p.add_argument("--rs", type=_float_list, default="0.25,0.5,1,2,4")
-    common(p)
     p.set_defaults(func=cmd_warped_verify)
 
     p = sub.add_parser("smoothness", help="smooth-extension conditions at the axis")
-    p.add_argument("--spec")
-    p.add_argument("--preset")
+    spec_source(p)
     p.add_argument("--tol", type=_tolerance, default=1e-4)
-    common(p)
     p.set_defaults(func=cmd_smoothness)
 
     p = sub.add_parser("variation-eval", help="fiber-scaling blocks vs the oracle")
     p.add_argument("--t", type=_float_list, default="1,0.5,0.25")
     p.add_argument("--tol", type=_tolerance, default=1e-5)
-    common(p)
     p.set_defaults(func=cmd_variation_eval)
 
     p = sub.add_parser("error-bounds", help="scaled-Ricci inequality suite")
     p.add_argument("--ts", type=_float_list, default="1,0.5,0.1,0.01")
     p.add_argument("--C", type=_finite_float, default=None)
-    common(p)
     p.set_defaults(func=cmd_error_bounds)
 
     p = sub.add_parser("minp", help="minimal sphere dimension, decided exactly")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_finite_float, required=True)
     p.add_argument("--m", required=True, help="comma-separated exponents m_i")
-    common(p)
     p.set_defaults(func=cmd_minp)
 
     p = sub.add_parser("kbound", help="closed-form sufficient threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_finite_float, required=True)
     p.add_argument("--m", type=_finite_float, required=True)
-    common(p)
     p.set_defaults(func=cmd_kbound)
 
     p = sub.add_parser("plan", help="evaluate a bundle-construction plan")
     p.add_argument("--file", required=True)
-    common(p)
     p.set_defaults(func=cmd_plan)
 
+    for p in sub.choices.values():  # every subcommand renders its report the same way
+        p.add_argument("--json", action="store_true", help="machine-readable JSON report")
+        p.add_argument("--csv", action="store_true", help="checks as CSV rows")
+        p.add_argument("--out", help="also write the report to this file")
     return parser
 
 
 def run(argv: Optional[list] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        inputs, results, checks = args.func(args)
+        report = {
+            "tool": "ricciforge",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "inputs": inputs,
+            "results": results,
+            "checks": checks,
+        }
+        text = _render_report(report, args)
+        print(text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        return EXIT_CHECK_FAILED if any(not c["pass"] for c in checks) else EXIT_OK
     except SystemExit as done:  # --help and --version print their text, then exit
         return done.code
     except UsageError as err:

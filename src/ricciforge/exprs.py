@@ -345,67 +345,74 @@ def _eval_pow(node: Pow, b: float, qf: float) -> float:
         raise DomainError("overflow in power", node) from None
 
 
+# the word an overflow error uses for each node whose own operation can
+# overflow; sin and cos can on a complex grid, with a large imaginary part
+_OVERFLOW_OPERATION = {
+    Add: "sum", Sub: "difference", Mul: "product", Div: "quotient",
+    Pow: "power", Sin: "sin", Cos: "cos", Exp: "exp",
+}
+
+
 def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of r values.
 
     Follows the rules of evaluate, including real odd roots of negative
-    bases; a domain violation or an overflowing power or exp anywhere on
-    the grid raises DomainError for the offending node, with no numpy
-    warning. A complex grid, such as the oracle's complex-step points, is
-    evaluated by the holomorphic extension of each rule: the root branch
-    and every domain check go by the real part of r.
+    bases. The whole tree is evaluated under one np.errstate(over="raise"):
+    a domain violation, or an overflow anywhere on the grid, raises
+    DomainError for the innermost node whose own operation failed, with
+    no numpy warning. A complex grid, such as the oracle's complex-step
+    points, is evaluated by the holomorphic extension of each rule: the
+    root branch and every domain check go by the real part of r.
     """
     rs = np.asarray(rs, dtype=complex if np.iscomplexobj(rs) else float)
 
     def ev(node: Expr) -> np.ndarray:
-        if isinstance(node, Const):
-            return np.full(rs.shape, float(node.value), dtype=rs.dtype)
-        if isinstance(node, Var):
-            return rs
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, Mul):
-            return ev(node.left) * ev(node.right)
-        if isinstance(node, Div):
-            den = ev(node.right)
-            if np.any(den.real == 0.0):
-                raise DomainError("division by zero", node)
-            return ev(node.left) / den
-        if isinstance(node, Pow):
-            b = ev(node.base)
-            q = node.exponent
-            if q < 0 and np.any(b.real == 0.0):
-                raise DomainError("zero raised to a negative power", node)
-            with np.errstate(over="raise"):
-                try:
-                    if q.denominator == 1:
-                        return b ** int(q)
-                    negative = b.real < 0.0
-                    if not np.any(negative):
-                        return b ** float(q)
-                    if q.denominator % 2 == 0:
-                        raise DomainError("even root of a negative number", node)
-                    out = np.where(negative, -b, b) ** float(q)
-                except FloatingPointError:
-                    raise DomainError("overflow in power", node) from None
-            return np.where(negative, -out, out) if q.numerator % 2 else out
-        if isinstance(node, Sin):
-            return np.sin(ev(node.arg))
-        if isinstance(node, Cos):
-            return np.cos(ev(node.arg))
-        if isinstance(node, Exp):
-            with np.errstate(over="raise"):
-                try:
-                    return np.exp(ev(node.arg))
-                except FloatingPointError:
-                    raise DomainError("overflow in exp", node) from None
-        raise TypeError(f"unknown node {type(node).__name__}")
+        try:
+            if isinstance(node, Const):
+                return np.full(rs.shape, float(node.value), dtype=rs.dtype)
+            if isinstance(node, Var):
+                return rs
+            if isinstance(node, Add):
+                return ev(node.left) + ev(node.right)
+            if isinstance(node, Sub):
+                return ev(node.left) - ev(node.right)
+            if isinstance(node, Neg):
+                return -ev(node.arg)
+            if isinstance(node, Mul):
+                return ev(node.left) * ev(node.right)
+            if isinstance(node, Div):
+                den = ev(node.right)
+                if np.any(den.real == 0.0):
+                    raise DomainError("division by zero", node)
+                return ev(node.left) / den
+            if isinstance(node, Pow):
+                b = ev(node.base)
+                q = node.exponent
+                if q < 0 and np.any(b.real == 0.0):
+                    raise DomainError("zero raised to a negative power", node)
+                if q.denominator == 1:
+                    return b ** int(q)
+                negative = b.real < 0.0
+                if not np.any(negative):
+                    return b ** float(q)
+                if q.denominator % 2 == 0:
+                    raise DomainError("even root of a negative number", node)
+                out = np.where(negative, -b, b) ** float(q)
+                return np.where(negative, -out, out) if q.numerator % 2 else out
+            if isinstance(node, Sin):
+                return np.sin(ev(node.arg))
+            if isinstance(node, Cos):
+                return np.cos(ev(node.arg))
+            if isinstance(node, Exp):
+                return np.exp(ev(node.arg))
+            raise TypeError(f"unknown node {type(node).__name__}")
+        except FloatingPointError:
+            # a child's overflow is already a DomainError, so this one comes
+            # from the node's own operation
+            raise DomainError(f"overflow in {_OVERFLOW_OPERATION[type(node)]}", node) from None
 
-    out = ev(e)
+    with np.errstate(over="raise"):
+        out = ev(e)
     if not np.all(np.isfinite(out)):
         bad = rs.real[~np.isfinite(out)][0] if out.shape == rs.shape else None
         raise DomainError(f"non-finite value on grid (first bad r={bad})", e)

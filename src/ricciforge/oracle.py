@@ -35,7 +35,6 @@ __all__ = [
     "frame_ricci_many",
     "sectional",
     "preset",
-    "left_invariant_s3_ricci",
     "euclidean_chart",
     "sphere_chart",
     "hyperbolic_plane_chart",
@@ -441,24 +440,6 @@ def s3_left_invariant_chart(l1: float, l2: float, l3: float) -> ChartMetric:
     squares = np.array([float(l1) ** 2, float(l2) ** 2, float(l3) ** 2])
     label = f"s3-left-invariant:{l1}:{l2}:{l3}"
     return ChartMetric(3, lambda x: su2_metric(x, squares), domain=su2_domain, label=label)
-
-
-def left_invariant_s3_ricci(scales) -> np.ndarray:
-    """Closed-form Ricci eigenvalues of the left-invariant 3-sphere metric
-    with the given scales, in the orthonormal frame aligned with the group
-    frame.
-
-    For orthonormal frame fields with brackets [f_i, f_j] = c_k f_k
-    (cyclic), the principal Ricci curvatures are 2 mu_j mu_k where
-    mu_i = (c_1 + c_2 + c_3)/2 - c_i. The unit round sphere (all scales 1)
-    gives c_i = 2 and Ricci 2 in every direction.
-    """
-    h1, h2, h3 = (float(s) for s in scales)
-    # Python floats overflow to inf without a warning; the oracle rejects
-    # such extreme scale ratios by the metric's condition number.
-    c = [2.0 * h1 / (h2 * h3), 2.0 * h2 / (h1 * h3), 2.0 * h3 / (h1 * h2)]
-    mu = [sum(c) / 2.0 - ci for ci in c]
-    return np.array([2.0 * mu[1] * mu[2], 2.0 * mu[0] * mu[2], 2.0 * mu[0] * mu[1]])
 
 
 def preset(name: str) -> ChartMetric:

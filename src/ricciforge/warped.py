@@ -39,6 +39,7 @@ __all__ = [
     "spec_from_json",
     "reference_torus_spec",
     "left_invariant_s3_spec",
+    "left_invariant_s3_ricci",
     "round_sphere_spec",
 ]
 
@@ -61,9 +62,9 @@ class WarpedFamilySpec:
     base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
         the normalized frame Y_i = X_i / h_i at the working point; None is zero.
 
-    Construction derives, once and outside the fields, ``derivatives``:
-    the trees (e, e', e'') of f and of each h_i, and ``compiled``: their
-    closures. Build a spec once and evaluate it at many radii.
+    Construction derives, once and outside the fields, ``compiled``: the
+    closures of (e, e', e'') for f and for each h_i. Build a spec once and
+    evaluate it at many radii.
     """
 
     n: int
@@ -102,15 +103,13 @@ class WarpedFamilySpec:
         if self.base_ricci is None:
             zero = np.zeros((self.n, self.n))
             object.__setattr__(self, "base_ricci", lambda r: zero)
-        derivatives, compiled = [], []
+        compiled = []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
                 d1 = exprs.diff(e, 1)
-                derivatives.append((e, d1, exprs.diff(d1, 1)))
-                compiled.append(tuple(exprs.compile_scalar(t) for t in derivatives[-1]))
+                compiled.append(tuple(exprs.compile_scalar(t) for t in (e, d1, exprs.diff(d1, 1))))
             except RecursionError as err:  # a tree nested too deeply to differentiate
                 raise ValueError(f"profile {name}: {err}") from None
-        object.__setattr__(self, "derivatives", tuple(derivatives))
         object.__setattr__(self, "compiled", tuple(compiled))
 
     @property
@@ -242,6 +241,25 @@ _S3_STRUCTURE = {
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     for key, sign in (((i, j, k), 1.0), ((j, i, k), -1.0))
 }
+
+
+def left_invariant_s3_ricci(scales) -> np.ndarray:
+    """Closed-form Ricci eigenvalues of the left-invariant 3-sphere metric
+    with the given scales, in the orthonormal frame aligned with the group
+    frame (Milnor's formula).
+
+    For orthonormal frame fields with brackets [f_i, f_j] = c_k f_k
+    (cyclic), the principal Ricci curvatures are 2 mu_j mu_k where
+    mu_i = (c_1 + c_2 + c_3)/2 - c_i. The unit round sphere (all scales 1)
+    gives c_i = QUATERNIONIC_BRACKET = 2 and Ricci 2 in every direction.
+    """
+    h1, h2, h3 = (float(s) for s in scales)
+    b = QUATERNIONIC_BRACKET
+    # Python floats overflow to inf without a warning; the oracle rejects
+    # such extreme scale ratios by the metric's condition number.
+    c = [b * h1 / (h2 * h3), b * h2 / (h1 * h3), b * h3 / (h1 * h2)]
+    mu = [sum(c) / 2.0 - ci for ci in c]
+    return np.array([2.0 * mu[1] * mu[2], 2.0 * mu[0] * mu[2], 2.0 * mu[0] * mu[1]])
 
 
 def _classify(spec: WarpedFamilySpec) -> str:
@@ -511,7 +529,7 @@ def left_invariant_s3_spec() -> WarpedFamilySpec:
 
     def base(r: float) -> np.ndarray:
         scales = [c(r) for c in h_at]
-        return np.diag(oracle.left_invariant_s3_ricci(scales))
+        return np.diag(left_invariant_s3_ricci(scales))
 
     return WarpedFamilySpec(
         n=3, f=f, h=h, structure=_S3_STRUCTURE, base_ricci=base, label="s3-left-invariant"

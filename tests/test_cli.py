@@ -380,6 +380,17 @@ def test_grid_power_overflow_is_a_numeric_error_without_a_warning(capsys, tmp_pa
     assert capsys.readouterr().err == "numeric error: overflow in power in subexpression 'r^400'\n"
 
 
+@pytest.mark.parametrize("f", ["r + r^200*r^200", "r + exp(r^200*r^200)"])
+def test_grid_product_overflow_names_the_product_without_a_warning(capsys, tmp_path, f):
+    # the innermost overflowing operation is named, not an enclosing exp
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({**TORUS_SPEC, "f": f}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["smoothness", "--spec", str(path), "--json"]) == 4
+    assert capsys.readouterr().err == "numeric error: overflow in product in subexpression 'r^200*r^200'\n"
+
+
 def test_plan_json_prints_curvature_rate_and_a_bound(capsys, tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({"kind": "flatBundle", "base": _RIC2, "fiber": _RIC2}))
@@ -781,8 +792,12 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 # Reports of warped-eval (every preset, a scaledIdentity spec whose base has
 # -0.0 off-diagonals, an off-diagonal constant base, both PD branches),
 # smoothness, kbound, minp and plan, captured at commit 2c8b543, before the
-# closed-form blocks moved from numpy arrays to floats; input files are
-# written under the names the argvs give.
+# closed-form blocks moved from numpy arrays to floats. Captured at commit
+# 4ae0de6, before the report frame moved into run: the text and --csv
+# renderings of kbound, minp, plan, warped-eval and smoothness, error-bounds
+# in all three formats with the derived C and with --C 1 (exit 2), and the
+# exit code and stderr of two usage errors and a numeric error. Input files
+# are written under the names the argvs give.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
 
 
@@ -793,4 +808,5 @@ def test_reports_are_byte_identical_to_the_golden_capture(capsys, tmp_path, monk
         (tmp_path / name).write_text(json.dumps(data))
     want = GOLDEN["cases"][case]
     assert cli.run(want["argv"]) == want["code"]
-    assert capsys.readouterr().out == want["stdout"]
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want["stdout"], want["stderr"])

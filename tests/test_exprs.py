@@ -117,6 +117,38 @@ def test_compiled_and_one_shot_errors_name_the_node(text, r, message, node):
 
 
 @pytest.mark.parametrize(
+    "text,message,node",
+    [
+        ("r^308 + r^308", "overflow in sum", "r^308 + r^308"),
+        ("r^308 - (-r^308)", "overflow in difference", "r^308 - -r^308"),
+        ("r^200*r^200", "overflow in product", "r^200*r^200"),
+        ("r^200/r^-200", "overflow in quotient", "r^200/r^(-200)"),
+        ("exp(r^3)", "overflow in exp", "exp(r^3)"),
+        ("exp(r^200*r^200)", "overflow in product", "r^200*r^200"),
+        ("sin(exp(r^200*r))", "overflow in exp", "exp(r^200*r)"),
+    ],
+)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_grid_overflow_names_the_innermost_overflowing_operation(text, message, node, dtype):
+    # one errstate covers the tree; an enclosing node never takes the blame
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message) as err:
+            evaluate_grid(parse(text), np.array([1.0, 10.0], dtype=dtype))
+    assert to_text(err.value.node) == node
+
+
+@pytest.mark.parametrize("text", ["sin(r^40)", "cos(r^40)"])
+def test_complex_grid_sin_and_cos_overflow_name_their_node(text):
+    # a complex step through r^40 at r = 10 has an imaginary part of 4e10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"overflow in {text[:3]}") as err:
+            evaluate_grid(parse(text), np.array([10.0 + 1e-30j]))
+    assert to_text(err.value.node) == text
+
+
+@pytest.mark.parametrize(
     "text,r,node",
     [
         ("r^3", 1e200, "r^3"),

@@ -13,7 +13,6 @@ from ricciforge.oracle import (
     christoffel,
     frame_ricci,
     frame_ricci_many,
-    left_invariant_s3_ricci,
     preset,
     ricci,
     riemann,
@@ -206,12 +205,12 @@ def test_left_invariant_chart_matches_closed_form():
         m = preset("s3-left-invariant:" + ":".join(str(s) for s in scales))
         fr = FrameAtPoint(S3_POINT, s3_frame(S3_POINT, scales))
         got = frame_ricci(m, fr)
-        want = np.diag(left_invariant_s3_ricci(scales))
+        want = np.diag(warped.left_invariant_s3_ricci(scales))
         assert np.max(np.abs(got - want)) <= 1e-6
 
 
 def test_round_s3_closed_form_is_two():
-    assert np.allclose(left_invariant_s3_ricci((1, 1, 1)), [2.0, 2.0, 2.0])
+    assert np.allclose(warped.left_invariant_s3_ricci((1, 1, 1)), [2.0, 2.0, 2.0])
 
 
 def test_dimension_cap():
