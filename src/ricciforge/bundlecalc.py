@@ -455,16 +455,28 @@ def _step(trace: list, rule: str, node: str, fp: FamilyParams, tag: str = "") ->
 
 def _fold(node, path: str, trace: list) -> FamilyParams:
     """Fold the subtree at path. A constructor's or leaf's rejection, a
-    leaf number past float or integer range, a missing or wrong-typed
-    field and nesting past the recursion limit are re-raised as a PlanError
-    naming the (deepest) node; a child's PlanError already names its own."""
+    leaf number past float or integer range and a missing or wrong-typed
+    field are re-raised as a PlanError naming the node; a child's
+    PlanError already names its own."""
     try:
         return _fold_node(node, path, trace)
     except PlanError:
         raise
     # CertificateError is a ValueError; frac raises TypeError for a float exponent
-    except (ValueError, OverflowError, TypeError, AttributeError, LookupError, RecursionError) as err:
+    except (ValueError, OverflowError, TypeError, AttributeError, LookupError) as err:
         raise PlanError(f"node {path}: {err}") from None
+
+
+def _nesting_depth(plan) -> int:
+    """The number of nodes on the longest base/fiber chain of the plan,
+    counted without recursion."""
+    depth, stack = 0, [(plan, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if isinstance(node, dict):
+            stack.extend((node[key], level + 1) for key in ("base", "fiber") if key in node)
+    return depth
 
 
 def _fold_node(node, path: str, trace: list) -> FamilyParams:
@@ -598,7 +610,12 @@ def evaluate_plan(plan) -> PlanResult:
     if isinstance(plan, str):
         plan = json.loads(plan)
     trace: list = []
-    fp = _fold(plan, "plan", trace)
+    try:
+        fp = _fold(plan, "plan", trace)
+    except RecursionError:
+        # where the recursion ran out depends on the caller's stack, so
+        # name the input's depth rather than the node reached
+        raise PlanError(f"plan nests {_nesting_depth(plan)} levels deep, past the recursion limit") from None
     norm = normalize_for_positivity(fp, trace)
     p_bound = positivity.p_bound(norm.dim, norm.c, norm.m, norm.m_lower)
     replay = positivity.min_p(norm.dim, norm.c, [norm.m] * norm.dim)

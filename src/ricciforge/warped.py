@@ -15,8 +15,9 @@ forbids, so they vanish for every admissible spec.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "smoothness_check",
     "chart_metric",
     "frame_at",
+    "frames_at",
     "spec_from_json",
     "reference_torus_spec",
     "left_invariant_s3_spec",
@@ -62,9 +64,9 @@ class WarpedFamilySpec:
     base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
         the normalized frame Y_i = X_i / h_i at the working point; None is zero.
 
-    Construction derives, once and outside the fields, ``compiled``: the
-    closures of (e, e', e'') for f and for each h_i. Build a spec once and
-    evaluate it at many radii.
+    Construction derives, once and outside the fields, ``trees``: the
+    trees (e, e', e'') for f and for each h_i, and ``compiled``: their
+    closures. Build a spec once and evaluate it at many radii.
     """
 
     n: int
@@ -103,13 +105,15 @@ class WarpedFamilySpec:
         if self.base_ricci is None:
             zero = np.zeros((self.n, self.n))
             object.__setattr__(self, "base_ricci", lambda r: zero)
-        compiled = []
+        trees, compiled = [], []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
                 d1 = exprs.diff(e, 1)
-                compiled.append(tuple(exprs.compile_scalar(t) for t in (e, d1, exprs.diff(d1, 1))))
+                trees.append((e, d1, exprs.diff(d1, 1)))
+                compiled.append(tuple(exprs.compile_scalar(t) for t in trees[-1]))
             except RecursionError as err:  # a tree nested too deeply to differentiate
                 raise ValueError(f"profile {name}: {err}") from None
+        object.__setattr__(self, "trees", tuple(trees))
         object.__setattr__(self, "compiled", tuple(compiled))
 
     @property
@@ -119,11 +123,22 @@ class WarpedFamilySpec:
     def profile_values(self, r: float):
         """f, f', f'', and lists of h_i, h_i', h_i'' at r, all floats.
 
-        Raises DomainError naming the h profile when some h_i(r) <= 0.
+        Raises DomainError when a value is not finite, naming the innermost
+        node whose own operation overflowed, and naming the h profile when
+        some h_i(r) <= 0.
         """
         (f0, f1, f2), *hs = self.compiled
         fv, fp, fpp = f0(r), f1(r), f2(r)
         hv, hp, hpp = ([h[k](r) for h in hs] for k in range(3))
+        values = (fv, fp, fpp, *hv, *hp, *hpp)
+        if not all(map(math.isfinite, values)):
+            # a float sum or product overflows to inf silently; the grid
+            # evaluator names the node whose operation overflowed
+            ft, *hts = self.trees
+            for tree, v in zip((*ft, *(t[k] for k in range(3) for t in hts)), values):
+                if not math.isfinite(v):
+                    exprs.evaluate_grid(tree, np.array([r]))
+                    raise exprs.DomainError(f"non-finite value {v} at r={r}", tree)
         for i, v in enumerate(hv):
             if v <= 0.0:
                 raise exprs.DomainError(f"h[{i}]({r}) = {v} is not positive", self.h[i])
@@ -287,11 +302,12 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
         h2 = np.square([exprs.evaluate_grid(e, r) for e in spec.h]).reshape(n, len(x)).T
         conf = 4.0 * fv**2 / (1.0 + np.sum(y * y, axis=1)) ** 2
         g = np.zeros((len(x), d, d), dtype=x.dtype)
-        g[:, np.arange(n), np.arange(n)] = h2
-        g[:, np.arange(n, n + ps), np.arange(n, n + ps)] = conf[:, None]
-        g[:, -1, -1] = 1.0
         if kind == "s3":
             g[:, :3, :3] = oracle.su2_metric(x[:, :3], h2)
+        else:
+            g[:, np.arange(n), np.arange(n)] = h2
+        g[:, np.arange(n, n + ps), np.arange(n, n + ps)] = conf[:, None]
+        g[:, -1, -1] = 1.0
         return g
 
     def domain(x: np.ndarray) -> bool:
@@ -300,25 +316,47 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     return oracle.ChartMetric(d, comps, domain=domain, label=spec.label or f"warped:{kind}:p={p}")
 
 
-def frame_at(spec: WarpedFamilySpec, p: int, r: float) -> oracle.FrameAtPoint:
-    """The orthonormal frame {d_r, U_a, Y_i} at the chart point with radius
-    r, E-coordinates 1.1 (S^3, inside its chart domain) or 0 (torus) and
-    sphere coordinates spread over [0.2, 0.4]."""
+def frames_at(spec: WarpedFamilySpec, p: int, rs: Iterable[float]) -> list:
+    """The orthonormal frame {d_r, U_a, Y_i} at the chart point with each
+    radius r of rs, E-coordinates 1.1 (S^3, inside its chart domain) or 0
+    (torus) and sphere coordinates spread over [0.2, 0.4].
+
+    Only r changes from one frame to the next, so the S^3 block 2 M^-1 is
+    computed once and divided by each radius's scales. The profiles are
+    read radius by radius, f before the h_i, and each sphere column is a
+    Python float quotient, so the first failing radius raises what it
+    raises alone: a zero f(r) raises ZeroDivisionError."""
     kind = _classify(spec)
     n, ps = spec.n, p - 1
     d = n + ps + 1
     e_point = np.full(n, 1.1) if kind == "s3" else np.zeros(n)
     sphere_point = np.linspace(0.2, 0.4, ps)
-    x = np.concatenate([e_point, sphere_point, [r]])
+    stretch = 1.0 + float(sphere_point @ sphere_point)
     (f0, _, _), *hs = spec.compiled
-    fv = f0(r)
-    hv = [h0(r) for h0, _, _ in hs]
-    cols = np.zeros((d, d))
-    cols[-1, 0] = 1.0  # d_r
-    conf = (1.0 + float(sphere_point @ sphere_point)) / (2.0 * fv)
-    np.fill_diagonal(cols[n : n + ps, 1 : 1 + ps], conf)
-    cols[:n, 1 + ps :] = oracle.su2_frame(x[:3], hv) if kind == "s3" else np.diag(1.0 / np.array(hv))
-    return oracle.FrameAtPoint(x, cols)
+    radii, confs, scales = [], [], []
+    for r in rs:
+        fv = f0(r)
+        scales.append([h0(r) for h0, _, _ in hs])
+        confs.append(stretch / (2.0 * fv))
+        radii.append(r)
+    xs = np.empty((len(radii), d))
+    xs[:, :n] = e_point
+    xs[:, n:-1] = sphere_point
+    xs[:, -1] = radii
+    hv = np.array(scales).reshape(len(radii), n)
+    cols = np.zeros((len(radii), d, d))
+    cols[:, -1, 0] = 1.0  # d_r
+    cols[:, np.arange(n, n + ps), np.arange(1, 1 + ps)] = np.array(confs)[:, None]
+    if kind == "s3":
+        cols[:, :n, 1 + ps :] = oracle.su2_frame(e_point, hv)
+    else:
+        cols[:, np.arange(n), np.arange(1 + ps, d)] = 1.0 / hv
+    return [oracle.FrameAtPoint(x, c) for x, c in zip(xs, cols)]
+
+
+def frame_at(spec: WarpedFamilySpec, p: int, r: float) -> oracle.FrameAtPoint:
+    """frames_at at the one radius r."""
+    return frames_at(spec, p, [r])[0]
 
 
 @dataclass(frozen=True)
@@ -334,7 +372,7 @@ class WarpedVerifyReport:
 def verify_against_oracle(
     spec: WarpedFamilySpec,
     p: int,
-    rs: Sequence[float],
+    rs: Iterable[float],
     tol: float,
 ) -> WarpedVerifyReport:
     """Compare the closed-form blocks with the chart oracle at each radius.
@@ -342,21 +380,26 @@ def verify_against_oracle(
     Every row gates the PASS verdict at the given tolerance: rr, each
     uu, each upper-triangular yy entry, and one ``mixed-zero`` row
     holding the largest oracle entry among those the closed form says
-    vanish (sphere-mixed, sphere/E and radial/E). All radii go to the
-    oracle in one batch; a failure is still reported for the first radius
-    that fails, as a loop over the radii would.
+    vanish (sphere-mixed, sphere/E and radial/E). The radii are read
+    once; their frames are built in one pass and go to the oracle in one
+    batch. A failure is still the one a loop over the radii would raise
+    first, running the closed form and then the frame at each radius and
+    the oracle at the radii before it.
     """
     metric = chart_metric(spec, p)
-    closed_forms, frames = [], []
+    closed_forms, radii = [], []
     for r in rs:
         try:
             closed_forms.append(ricci_warped(spec, float(r), p))
-            frames.append(frame_at(spec, p, float(r)))
         except Exception:
             # an oracle failure at an earlier radius is reported first
-            oracle.frame_ricci_many(metric, frames)
+            oracle.frame_ricci_many(metric, frames_at(spec, p, radii))
             raise
-    fulls = oracle.frame_ricci_many(metric, frames)
+        radii.append(float(r))
+    # a frame reads only profile values its closed form has read, and
+    # divides only by f(r), which the closed form divides by too, so no
+    # frame fails where its closed form passed
+    fulls = oracle.frame_ricci_many(metric, frames_at(spec, p, radii))
     rows: list = []
     n, ps = spec.n, p - 1
     # frame order [d_r | U_1..U_ps | Y_1..Y_n]; the closed form says every

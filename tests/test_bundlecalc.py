@@ -295,6 +295,24 @@ def test_plan_every_exponent_fiber_at_fixed_point():
     assert res.p_bound is not None
 
 
+def test_plan_past_the_recursion_limit_names_its_depth_wherever_it_is_called():
+    plan = {"kind": "ricNonneg", "dim": 2}
+    for _ in range(1500):
+        plan = {"kind": "flatBundle", "base": plan, "fiber": {"kind": "ricNonneg", "dim": 2}}
+
+    def message_at_depth(extra):
+        if extra:
+            return message_at_depth(extra - 1)
+        with pytest.raises(PlanError) as err:
+            evaluate_plan(plan)
+        return str(err.value)
+
+    message = message_at_depth(0)
+    assert message == "plan nests 1501 levels deep, past the recursion limit"
+    assert message_at_depth(200) == message
+    assert len(message.encode()) < 200
+
+
 def test_plan_nilmanifold_leaf():
     res = evaluate_plan({"kind": "nilmanifold", "dim": 3, "c": 1.0})
     assert res.p_bound is not None

@@ -209,6 +209,43 @@ def test_left_invariant_chart_matches_closed_form():
         assert np.max(np.abs(got - want)) <= 1e-6
 
 
+def test_su2_metric_equals_the_sum_of_scaled_outer_products():
+    # entry by entry, the same products and the same left-to-right sum as
+    # 0.25 sum_a s_a m_a m_a^T over the rows m_a of su2_frame_matrix, down
+    # to the sign of each zero imaginary part
+    rng = np.random.default_rng(20261019)
+
+    def reference(x, s):
+        mm, s = oracle.su2_frame_matrix(x), np.asarray(s)
+        return 0.25 * sum(s[..., a, None, None] * mm[..., a, :, None] * mm[..., a, None, :] for a in range(3))
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for n in (1, 7, 459):
+        step = 1e-30 * rng.integers(-1, 2, (n, 3))
+        x = rng.uniform(-4.0, 4.0, (n, 3)) + 1j * step
+        per_point = rng.uniform(0.2, 3.0, (n, 3)) * (1.0 + 1j * step)
+        for s in (per_point, per_point.real, np.array([0.64, 1.0, 1.44])):
+            for pts in (x, x.real):
+                assert same(oracle.su2_metric(pts, s), reference(pts, s))
+        assert same(oracle.su2_metric(x[0], per_point[0]), reference(x[0], per_point[0]))
+    x = rng.uniform(-4.0, 4.0, (50, 3)) + 0j
+    for scale in (1e300, 1e-300):
+        s = np.array([scale, 1.0, scale])
+        assert same(oracle.su2_metric(x, s), reference(x, s))
+        assert same(oracle.su2_metric(x.real, s), reference(x.real, s))
+
+
+def test_su2_frame_divides_one_inverse_by_each_row_of_scales():
+    scales = np.array([[1.0, 0.8, 0.6], [0.3, 2.0, 1.1]])
+    frames = oracle.su2_frame(S3_POINT, scales)
+    assert frames.shape == (2, 3, 3)
+    for frame, row in zip(frames, scales):
+        assert np.array_equal(frame, oracle.su2_frame(S3_POINT, row))
+        assert np.array_equal(frame, s3_frame(S3_POINT, row))
+
+
 def test_round_s3_closed_form_is_two():
     assert np.allclose(warped.left_invariant_s3_ricci((1, 1, 1)), [2.0, 2.0, 2.0])
 

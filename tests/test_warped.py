@@ -10,6 +10,7 @@ from ricciforge.warped import (
     chart_metric,
     check_positive_definite,
     frame_at,
+    frames_at,
     left_invariant_s3_spec,
     reference_torus_spec,
     ricci_warped,
@@ -107,6 +108,32 @@ def test_verify_takes_radii_from_any_iterable():
     # the radii are batched, so they must still be read only once
     rows = verify_against_oracle(reference_torus_spec(), 3, list(RS), 1e-5).rows
     assert verify_against_oracle(reference_torus_spec(), 3, iter(RS), 1e-5).rows == rows
+
+
+@pytest.mark.parametrize("spec_fn", [reference_torus_spec, left_invariant_s3_spec, round_sphere_spec])
+def test_verify_rows_equal_single_radius_rows_bit_for_bit(spec_fn):
+    # the frames of all radii come from one pass; each row is the one a
+    # call with that radius alone gives
+    spec = spec_fn()
+    rs = [0.002, 0.25, 0.7, 1.3, 2.4] + ([4.0] if spec.n else [])
+    for p in range(2, 9 - spec.n):
+        rows = verify_against_oracle(spec, p, rs, 1e-5).rows
+        single = [row for r in rs for row in verify_against_oracle(spec, p, [r], 1e-5).rows]
+        assert json.dumps(rows) == json.dumps(single), p
+        for r, fr in zip(rs, frames_at(spec, p, iter(rs))):
+            one = frame_at(spec, p, r)
+            assert np.array_equal(fr.x, one.x) and np.array_equal(fr.vectors, one.vectors)
+
+
+def test_frames_raise_for_the_first_failing_radius():
+    # f(r) = r - 1 is zero at r = 1: Python float division raises there
+    spec = WarpedFamilySpec(n=1, f=exprs.parse("r - 1"), h=(exprs.parse("2 - r"),))
+    assert len(frames_at(spec, 3, [0.5, 1.5])) == 2
+    with pytest.raises(ZeroDivisionError):
+        frames_at(spec, 3, [0.5, 1.0, 3.0])
+    with pytest.raises(ZeroDivisionError):
+        frame_at(spec, 3, 1.0)
+    assert frames_at(spec, 3, []) == []
 
 
 @pytest.mark.parametrize("p", [4, 5])
@@ -375,6 +402,28 @@ def test_derived_attributes_are_not_fields():
     assert spec == dataclasses.replace(spec)
     flat = dataclasses.replace(spec, f=exprs.parse("r"))
     assert [c(2.0) for c in flat.compiled[0]] == [2.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("f", ["r + r^200*r^200", "r + exp(r^200*r^200)"])
+def test_scalar_overflow_names_the_innermost_operation(f):
+    # the compiled closures let the product overflow to inf; the finished
+    # values are checked once and the overflowing node is named
+    spec = spec_from_json({"n": 1, "f": f, "h": ["1"]})
+    with pytest.raises(exprs.DomainError) as err:
+        ricci_warped(spec, 10.0, 3)
+    assert str(err.value) == "overflow in product in subexpression 'r^200*r^200'"
+    assert np.isfinite(ricci_warped(spec, 1.0, 3).rr)
+
+
+def test_scalar_overflow_in_an_h_profile_or_a_derivative_is_named():
+    spec = spec_from_json({"n": 1, "f": "r", "h": ["2 - r^200*r^200"]})
+    with pytest.raises(exprs.DomainError, match=r"overflow in product in subexpression 'r\^200\*r\^200'"):
+        spec.profile_values(10.0)
+    # at r = 1e154, f = sin(r*r) and f' are finite, but f'' overflows
+    spec = spec_from_json({"n": 0, "f": "sin(r*r)", "h": []})
+    with pytest.raises(exprs.DomainError) as err:
+        spec.profile_values(1e154)
+    assert str(err.value) == "overflow in product in subexpression '-sin(r*r)*(r + r)*(r + r)'"
 
 
 def _numpy_blocks(spec, r, p, slack):
