@@ -14,6 +14,7 @@ central differences is what the test suite checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -278,7 +279,9 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
     with exponent n/d in lowest terms and d odd takes the real root:
     b^(n/d) = (-1)^n |b|^(n/d). The closure raises DomainError naming the
     offending node on division by zero, an even root of a negative
-    number, a negative power of zero, or overflow.
+    number, a negative power of zero, or overflow in a power or exp. A
+    sum or product overflows to inf silently; sin or cos of such an
+    argument raises the DomainError the grid evaluator raises for it.
     """
     if isinstance(e, Const):
         v = float(e.value)
@@ -293,7 +296,16 @@ def compile_scalar(e: Expr) -> Callable[[float], float]:
         return lambda r: _eval_pow(e, a(r), qf)
     if isinstance(e, (Sin, Cos)):
         a, fn = compile_scalar(e.arg), math.sin if isinstance(e, Sin) else math.cos
-        return lambda r: fn(a(r))
+
+        def trig(r: float) -> float:
+            v = a(r)
+            try:
+                return fn(v)
+            except ValueError:  # an infinite argument, from a silent float overflow
+                evaluate_grid(e.arg, np.array([r]))  # names the overflowing node
+                raise DomainError(f"non-finite argument {v}", e) from None
+
+        return trig
     if isinstance(e, Exp):
         a = compile_scalar(e.arg)
 
@@ -535,12 +547,26 @@ def to_text(e: Expr) -> str:
 # --- parsing ------------------------------------------------------------
 
 
+# parse keeps the trees of at most this many texts, dropping the least recently used
+PARSE_CACHE_SIZE = 256
+
+
 def parse(text: str) -> Expr:
     """Parse an expression in the variable r.
 
     Precedence is ^ above unary minus above * and / above + and -, with
     ^ right-associative. Exponents must fold to exact rational constants.
+    Trees are immutable, so the tree of a str is cached by its text, for
+    the last PARSE_CACHE_SIZE texts, and equal texts give the same tree
+    object. A failed parse is not cached; any other argument goes to the
+    parser uncached and raises what it raises there.
     """
+    if isinstance(text, str):
+        return _parse_cached(text)
+    return _parse(text)
+
+
+def _parse(text: str) -> Expr:
     tokens, pos = [], 0
     while not tokens or tokens[-1][0] != "end":
         m = _TOKEN_RE.match(text, pos)
@@ -554,6 +580,9 @@ def parse(text: str) -> Expr:
     if kind != "end":
         raise ParseError(f"unexpected token {value!r}", offset)
     return tree
+
+
+_parse_cached = functools.lru_cache(maxsize=PARSE_CACHE_SIZE)(_parse)
 
 
 def _parse_binary(tokens: list, level: int) -> Expr:

@@ -14,6 +14,7 @@ forbids, so they vanish for every admissible spec.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,9 +65,10 @@ class WarpedFamilySpec:
     base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
         the normalized frame Y_i = X_i / h_i at the working point; None is zero.
 
-    Construction derives, once and outside the fields, ``trees``: the
-    trees (e, e', e'') for f and for each h_i, and ``compiled``: their
-    closures. Build a spec once and evaluate it at many radii.
+    Construction sets, outside the fields, ``trees``: the trees
+    (e, e', e'') for f and for each h_i, and ``compiled``: their closures.
+    Both come from a per-process cache keyed by the profile tree (see
+    _profile), so specs with equal profiles share these objects.
     """
 
     n: int
@@ -105,16 +107,14 @@ class WarpedFamilySpec:
         if self.base_ricci is None:
             zero = np.zeros((self.n, self.n))
             object.__setattr__(self, "base_ricci", lambda r: zero)
-        trees, compiled = [], []
+        profiles = []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
-                d1 = exprs.diff(e, 1)
-                trees.append((e, d1, exprs.diff(d1, 1)))
-                compiled.append(tuple(exprs.compile_scalar(t) for t in trees[-1]))
-            except RecursionError as err:  # a tree nested too deeply to differentiate
+                profiles.append(_profile(e))
+            except RecursionError as err:  # a tree nested too deeply to hash or differentiate
                 raise ValueError(f"profile {name}: {err}") from None
-        object.__setattr__(self, "trees", tuple(trees))
-        object.__setattr__(self, "compiled", tuple(compiled))
+        object.__setattr__(self, "trees", tuple(trees for trees, _ in profiles))
+        object.__setattr__(self, "compiled", tuple(compiled for _, compiled in profiles))
 
     @property
     def structure_vanishes(self) -> bool:
@@ -143,6 +143,22 @@ class WarpedFamilySpec:
             if v <= 0.0:
                 raise exprs.DomainError(f"h[{i}]({r}) = {v} is not positive", self.h[i])
         return fv, fp, fpp, hv, hp, hpp
+
+
+# _profile keeps at most this many profiles, dropping the least recently used
+PROFILE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _profile(e: Expr) -> tuple:
+    """The trees (e, e', e'') of one profile and their compiled closures.
+
+    Trees are immutable and hash by structure, and the closures are pure,
+    so each distinct profile is differentiated and compiled once per
+    process; a failure is not cached."""
+    d1 = exprs.diff(e, 1)
+    trees = (e, d1, exprs.diff(d1, 1))
+    return trees, tuple(exprs.compile_scalar(t) for t in trees)
 
 
 @dataclass(frozen=True)
@@ -196,7 +212,8 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
         Ric(d_r, d_r) = -(p-1) f''/f - sum_i h_i''/h_i
 
     off-diagonal E-entries equal the base Ricci, and all sphere-mixed
-    and radial/E entries vanish.
+    and radial/E entries vanish. A block that is not finite raises
+    FloatingPointError naming it.
     """
     _sphere_dim(p)
     if r <= 0.0:
@@ -208,6 +225,13 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
         raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({spec.n}, {spec.n})")
     # adding the diagonal matrix also turns -0.0 off-diagonals into 0.0
     yy = 0.5 * (base + base.T) + np.diag(yy_corr) if spec.n else np.zeros((0, 0))
+    # a quotient such as 1/f^2 can leave float range from finite profile
+    # values, and Python floats overflow to inf silently
+    values = (rr, uu, *yy.ravel().tolist())
+    if not all(map(math.isfinite, values)):
+        names = ["rr", "uu"] + [f"yy[{i},{j}]" for i in range(spec.n) for j in range(spec.n)]
+        name, v = next((name, v) for name, v in zip(names, values) if not math.isfinite(v))
+        raise FloatingPointError(f"closed-form block {name} is {v} at r={r}, p={p}")
     return RicciBlocks(rr=rr, uu=uu, yy=yy, p=int(p), r=float(r))
 
 
@@ -543,7 +567,8 @@ def _base_ricci(n: int, text: str) -> Optional[Callable[[float], np.ndarray]]:
         return lambda r: matrix
     if text.startswith("scaledIdentity:"):
         scale = exprs.compile_scalar(exprs.parse(text[len("scaledIdentity:") :]))
-        return lambda r: scale(r) * np.eye(n)
+        # not scale * eye: an overflowed scale would make inf * 0 = nan off the diagonal
+        return lambda r: np.diag([scale(r)] * n)
     raise ValueError(f"unknown baseRicci form {text!r}")
 
 
@@ -568,7 +593,7 @@ def left_invariant_s3_spec() -> WarpedFamilySpec:
 
     f, _ = reference_profiles()
     h = tuple(exprs.parse(t) for t in ("(1+r^2)^(-1)", "(1+r^2)^(-3/4)", "(1+r^2)^(-1/2)"))
-    h_at = [exprs.compile_scalar(e) for e in h]
+    h_at = [_profile(e)[1][0] for e in h]
 
     def base(r: float) -> np.ndarray:
         scales = [c(r) for c in h_at]

@@ -459,3 +459,49 @@ def test_decimal_exponents_up_to_1000_parse_exactly():
     assert parse("1e-400") == Const(Fraction(1, 10**400))
     assert parse("1E+1000") == Const(10**1000)
     assert exprs.frac("2.5e-1000") == Fraction(25, 10**1001)
+
+
+def test_parse_caches_trees_by_text_within_a_finite_bound():
+    assert parse("r*(1+r^2)^(-1/4)") is parse("r*(1+r^2)^(-1/4)")
+    info = exprs._parse_cached.cache_info()
+    assert info.maxsize == exprs.PARSE_CACHE_SIZE and 0 < exprs.PARSE_CACHE_SIZE < 10_000
+    for k in range(exprs.PARSE_CACHE_SIZE + 10):
+        parse(f"r + {k}")
+    assert exprs._parse_cached.cache_info().currsize == exprs.PARSE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("arg", [5, ["r"], b"r", None])
+def test_parse_of_a_non_string_raises_what_the_parser_raises(arg):
+    # a list is unhashable: a cache in front of the parser would change the error
+    with pytest.raises(TypeError) as want:
+        re.compile("r").match(arg, 0)
+    with pytest.raises(TypeError) as got:
+        parse(arg)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text, offset", [("(1+r", 4), ("r^r", 1), ("r + 1e1001", 4)])
+def test_a_parse_error_is_raised_again_on_the_same_text(text, offset):
+    size = exprs._parse_cached.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert exprs._parse_cached.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_scalar_trig_of_an_overflowed_argument_names_the_overflow(fn):
+    # math.sin(inf) raises ValueError; the closure names the node the grid path names
+    e = parse(f"r + {fn}(r^200*r^200)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (compile_scalar(e), lambda r: evaluate_grid(e, np.array([r]))):
+            with pytest.raises(DomainError) as err:
+                run(10.0)
+            assert str(err.value) == "overflow in product in subexpression 'r^200*r^200'"
+    assert compile_scalar(e)(1.0) == 1.0 + getattr(math, fn)(1.0)
+

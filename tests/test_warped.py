@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from ricciforge import exprs, oracle
+from ricciforge import exprs, oracle, warped
 from ricciforge.warped import (
     WarpedFamilySpec,
     chart_metric,
@@ -391,6 +393,68 @@ def test_profile_values_equal_one_shot_derivatives():
             ]:
                 want = [exprs.evaluate(e, r)] + [exprs.evaluate(exprs.diff(e, k), r) for k in (1, 2)]
                 assert list(values) == want
+
+
+def test_specs_from_equal_json_share_their_derived_objects():
+    a = spec_from_json(CERTIFY_SPEC)
+    b = spec_from_json(json.loads(json.dumps(CERTIFY_SPEC)))
+    # the profile cache is keyed by structure: fresh but equal trees hit it too
+    exprs._parse_cached.cache_clear()
+    c = spec_from_json(CERTIFY_SPEC)
+    assert c.f is not a.f and c.f == a.f
+    for other in (b, c):
+        assert len(other.trees) == len(a.trees) == 1 + a.n
+        for mine, theirs in zip(a.trees + a.compiled, other.trees + other.compiled):
+            assert all(x is y for x, y in zip(mine, theirs))
+
+
+def _profile_bits(spec, rs):
+    fv, fp, fpp, hv, hp, hpp = zip(*(spec.profile_values(r) for r in rs))
+    return [v.hex() for v in (*fv, *fp, *fpp)] + [v.hex() for rows in (hv, hp, hpp) for row in rows for v in row]
+
+
+def test_profile_values_are_bit_identical_after_the_caches_are_cleared():
+    rs = [float(r) for r in np.random.default_rng(20261019).uniform(0.01, 6.0, size=9)]
+    warm = [_profile_bits(spec, rs) for spec in _built_specs()]
+    exprs._parse_cached.cache_clear()
+    warped._profile.cache_clear()
+    cold = [_profile_bits(spec, rs) for spec in _built_specs()]
+    assert warped._profile.cache_info().misses > 0
+    assert cold == warm
+    assert [_profile_bits(spec, rs) for spec in _built_specs()] == warm
+
+
+def test_the_profile_cache_has_a_finite_bound():
+    info = warped._profile.cache_info()
+    assert info.maxsize == warped.PROFILE_CACHE_SIZE and 0 < info.maxsize < 10_000
+    for k in range(info.maxsize + 10):
+        WarpedFamilySpec(n=0, f=exprs.parse(f"r + {k}*r^3"), h=())
+    assert warped._profile.cache_info().currsize == info.maxsize
+
+
+@pytest.mark.parametrize("key, name", [("f", "f"), ("h", "h[0]")])
+def test_a_profile_too_deep_to_hash_fails_on_every_build(key, name):
+    deep = "+".join(["r"] * 3000)
+    data = {**CERTIFY_SPEC, key: deep if key == "f" else [deep, "1"]}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"^profile {re.escape(name)}: maximum recursion depth"):
+            spec_from_json(data)
+
+
+def test_a_closed_form_block_past_float_range_is_named():
+    # f(1) = 1e-160 is finite, but 1/f^2 is not
+    spec = spec_from_json({"n": 1, "f": "1e-160*r", "h": ["1"]})
+    with pytest.raises(FloatingPointError) as err:
+        ricci_warped(spec, 1.0, 3)
+    assert str(err.value) == "closed-form block uu is inf at r=1.0, p=3"
+    # an overflowed base scale is inf on the diagonal and 0 off it, not nan
+    spec = spec_from_json({"n": 2, "f": "r", "h": ["1", "1"], "baseRicci": "scaledIdentity:1e300*r*r"})
+    assert ricci_warped(spec, 10.0, 3).yy[0, 0] == 1e302
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as err:
+            ricci_warped(spec, 1e10, 3)
+    assert str(err.value) == "closed-form block yy[0,0] is inf at r=10000000000.0, p=3"
 
 
 def test_derived_attributes_are_not_fields():
