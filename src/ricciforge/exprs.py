@@ -265,80 +265,94 @@ def exp(a: Expr) -> Expr:
 
 
 def evaluate(e: Expr, r: float) -> float:
-    """Evaluate the tree once at a scalar r, by the rules of compile_scalar.
-    To evaluate one tree at several radii, hold its compiled closure."""
-    return compile_scalar(e)(r)
+    """The tree's value at a scalar r, by the rules of compile_scalar."""
+    return compile_scalar((e,))(r)[0]
 
 
-def compile_scalar(e: Expr) -> Callable[[float], float]:
-    """Compile the tree into a closure r -> float in IEEE double precision.
+# by node class, the statements giving its local v from operands a, b, node n and exponent q
+_STATEMENTS = {
+    Var: "{v} = _float(r)",
+    Neg: "{v} = -{a}",
+    Add: "{v} = {a} + {b}",
+    Sub: "{v} = {a} - {b}",
+    Mul: "{v} = {a} * {b}",
+    Div: "{v} = {a} / {b}",
+    Pow: "try: {v} = _pow({a}, {q}) if {a} > 0.0 else _eval_pow({n}, {a}, {q}, r)\n"
+    "except OverflowError: raise DomainError('overflow in power', {n}) from None",
+    Exp: "try: {v} = _exp({a})\nexcept OverflowError: raise DomainError('overflow in exp', {n}) from None",
+    Sin: "try: {v} = _sin({a})\nexcept ValueError: raise _trig_error({n}, {a}, r) from None",
+    Cos: "try: {v} = _cos({a})\nexcept ValueError: raise _trig_error({n}, {a}, r) from None",
+}
 
-    Constants are converted to float once, here. A call evaluates children
-    left to right, except that a quotient evaluates its denominator first;
-    the first domain violation met is the one raised. A negative base b
-    with exponent n/d in lowest terms and d odd takes the real root:
-    b^(n/d) = (-1)^n |b|^(n/d). The closure raises DomainError naming the
-    offending node on division by zero, an even root of a negative
-    number, a negative power of zero, or overflow in a power or exp. A
-    sum or product overflows to inf silently; sin or cos of such an
-    argument raises the DomainError the grid evaluator raises for it.
+# compile_scalar keeps at most this many functions, dropping the least recently used
+COMPILE_CACHE_SIZE = 256
+
+
+def compile_scalar(trees: tuple) -> Callable[[float], tuple]:
+    """Compile a tuple of trees into one function r -> tuple of their
+    values in IEEE double precision, cached for the last COMPILE_CACHE_SIZE
+    tuples: straight-line code computing each structurally distinct subtree
+    once, where a recursive evaluation of the trees in turn first reaches
+    it (children left to right, a quotient's denominator and its zero check
+    first), so the first domain violation met is the one that recursion
+    raises. Constants, as floats, and nodes are bound into its namespace;
+    no text of a tree enters its source. A negative base b with exponent
+    n/d in lowest terms and d odd takes the real root (-1)^n |b|^(n/d).
+    DomainError names the node of a division by zero, an even root of a
+    negative number, a negative power of zero, or an overflow in a power or
+    exp; a sum or product overflows to inf silently, and sin, cos or an even
+    root of such a value raises the grid evaluator's error for it.
     """
-    if isinstance(e, Const):
-        v = float(e.value)
-        return lambda r: v
-    if isinstance(e, Var):
-        return float
-    if isinstance(e, Neg):
-        a = compile_scalar(e.arg)
-        return lambda r: -a(r)
-    if isinstance(e, Pow):
-        a, qf = compile_scalar(e.base), float(e.exponent)
-        return lambda r: _eval_pow(e, a(r), qf)
-    if isinstance(e, (Sin, Cos)):
-        a, fn = compile_scalar(e.arg), math.sin if isinstance(e, Sin) else math.cos
-
-        def trig(r: float) -> float:
-            v = a(r)
-            try:
-                return fn(v)
-            except ValueError:  # an infinite argument, from a silent float overflow
-                evaluate_grid(e.arg, np.array([r]))  # names the overflowing node
-                raise DomainError(f"non-finite argument {v}", e) from None
-
-        return trig
-    if isinstance(e, Exp):
-        a = compile_scalar(e.arg)
-
-        def exp_(r: float) -> float:
-            v = a(r)
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise DomainError("overflow in exp", e) from None
-
-        return exp_
-    if not isinstance(e, (Add, Sub, Mul, Div)):
-        raise TypeError(f"unknown node {type(e).__name__}")
-    a, b = compile_scalar(e.left), compile_scalar(e.right)
-    if isinstance(e, Add):
-        return lambda r: a(r) + b(r)
-    if isinstance(e, Sub):
-        return lambda r: a(r) - b(r)
-    if isinstance(e, Mul):
-        return lambda r: a(r) * b(r)
-
-    def div_(r: float) -> float:
-        den = b(r)
-        if den == 0.0:
-            raise DomainError("division by zero", e)
-        return a(r) / den
-
-    return div_
+    return _compile(tuple(trees))
 
 
-def _eval_pow(node: Pow, b: float, qf: float) -> float:
-    """b raised to the node's exponent q, given qf = float(q). An integral
-    q is exact as a float, so math.pow(b, qf) equals math.pow(b, int(q))."""
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _compile(trees: tuple) -> Callable[[float], tuple]:
+    env = {"DomainError": DomainError, "_float": float, "_pow": math.pow, "_exp": math.exp, "_sin": math.sin,
+           "_cos": math.cos, "_eval_pow": _eval_pow, "_trig_error": _trig_error}
+    lines: list[str] = []
+    names: dict[tuple, str] = {}  # (class, operand names, exponent or value) -> name; (Div, b) -> check
+
+    def bind(value) -> str:
+        env[f"k{len(env)}"] = value
+        return f"k{len(env) - 1}"
+
+    def visit(e: Expr) -> str:
+        if isinstance(e, Const):
+            if (Const, e.value) not in names:
+                names[Const, e.value] = bind(float(e.value))
+            return names[Const, e.value]
+        if type(e) not in _STATEMENTS:
+            raise TypeError(f"unknown node {type(e).__name__}")
+        if isinstance(e, Div):
+            b = visit(e.right)
+            if (Div, b) not in names:  # the first quotient by b checks it, before its numerator
+                names[Div, b] = bind(e)
+                lines.append(f"if {b} == 0.0: raise DomainError('division by zero', {names[Div, b]})")
+            operands = (visit(e.left), b)
+        else:
+            operands = tuple(visit(getattr(e, f)) for f in ("left", "right", "arg", "base") if hasattr(e, f))
+        key = (type(e), *operands, getattr(e, "exponent", None))
+        if key not in names:
+            names[key] = v = f"v{len(names)}"
+            q = isinstance(e, Pow) and bind(float(e.exponent))
+            fill = dict(zip("ab", operands), v=v, n=bind(e), q=q)
+            lines.extend(_STATEMENTS[type(e)].format(**fill).split("\n"))
+        return names[key]
+
+    outs = "".join(visit(e) + ", " for e in trees)
+    exec("def run(r):\n" + "".join(f"    {line}\n" for line in lines) + f"    return ({outs})\n", env)
+    return env["run"]
+
+
+def _trig_error(node: Expr, v: float, r: float) -> DomainError:
+    """sin or cos at v = inf, left by a silent overflow the grid evaluator names."""
+    evaluate_grid(node.arg, np.array([r]))
+    return DomainError(f"non-finite argument {v}", node)
+
+
+def _eval_pow(node: Pow, b: float, qf: float, r: float) -> float:
+    """b^q at radius r for the node's exponent q, given qf = float(q) (exact for an integral q)."""
     try:
         if b > 0.0:
             return math.pow(b, qf)
@@ -350,9 +364,10 @@ def _eval_pow(node: Pow, b: float, qf: float) -> float:
         if b == 0.0:
             return 0.0
         if q.denominator % 2 == 0:
+            if not math.isfinite(b):  # left by a silent float overflow, which the grid names
+                evaluate_grid(node.base, np.array([r]))
             raise DomainError("even root of a negative number", node)
-        sign = -1.0 if q.numerator % 2 else 1.0
-        return sign * math.pow(-b, qf)
+        return (-1.0 if q.numerator % 2 else 1.0) * math.pow(-b, qf)
     except OverflowError:
         raise DomainError("overflow in power", node) from None
 

@@ -65,10 +65,10 @@ class WarpedFamilySpec:
     base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
         the normalized frame Y_i = X_i / h_i at the working point; None is zero.
 
-    Construction sets, outside the fields, ``trees``: the trees
-    (e, e', e'') for f and for each h_i, and ``compiled``: their closures.
-    Both come from a per-process cache keyed by the profile tree (see
-    _profile), so specs with equal profiles share these objects.
+    Construction sets, outside the fields, ``trees``: the trees (e, e', e'')
+    for f and for each h_i, and ``compiled``: one function r -> their values
+    per profile. Both come from a per-process cache keyed by the profile
+    tree (see _profile), so specs with equal profiles share these objects.
     """
 
     n: int
@@ -127,18 +127,16 @@ class WarpedFamilySpec:
         node whose own operation overflowed, and naming the h profile when
         some h_i(r) <= 0.
         """
-        (f0, f1, f2), *hs = self.compiled
-        fv, fp, fpp = f0(r), f1(r), f2(r)
-        hv, hp, hpp = ([h[k](r) for h in hs] for k in range(3))
-        values = (fv, fp, fpp, *hv, *hp, *hpp)
-        if not all(map(math.isfinite, values)):
+        per_profile = [at(r) for at in self.compiled]
+        if not all(map(math.isfinite, sum(per_profile, ()))):
             # a float sum or product overflows to inf silently; the grid
             # evaluator names the node whose operation overflowed
-            ft, *hts = self.trees
-            for tree, v in zip((*ft, *(t[k] for k in range(3) for t in hts)), values):
+            for tree, v in zip(sum(self.trees, ()), sum(per_profile, ())):
                 if not math.isfinite(v):
                     exprs.evaluate_grid(tree, np.array([r]))
                     raise exprs.DomainError(f"non-finite value {v} at r={r}", tree)
+        (fv, fp, fpp), *hs = per_profile
+        hv, hp, hpp = ([h[k] for h in hs] for k in range(3))
         for i, v in enumerate(hv):
             if v <= 0.0:
                 raise exprs.DomainError(f"h[{i}]({r}) = {v} is not positive", self.h[i])
@@ -151,14 +149,14 @@ PROFILE_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
 def _profile(e: Expr) -> tuple:
-    """The trees (e, e', e'') of one profile and their compiled closures.
+    """The trees (e, e', e'') of one profile and their compiled function.
 
-    Trees are immutable and hash by structure, and the closures are pure,
+    Trees are immutable and hash by structure, and the function is pure,
     so each distinct profile is differentiated and compiled once per
     process; a failure is not cached."""
     d1 = exprs.diff(e, 1)
     trees = (e, d1, exprs.diff(d1, 1))
-    return trees, tuple(exprs.compile_scalar(t) for t in trees)
+    return trees, exprs.compile_scalar(trees)
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,11 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     if r <= 0.0:
         raise ValueError("r must be positive (the metric degenerates at r = 0)")
     fv, fp, fpp, hv, hp, hpp = spec.profile_values(r)
-    rr, uu, yy_corr = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
+    try:
+        rr, uu, yy_corr = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
+    except ZeroDivisionError:  # f or f^2 is 0.0; the check below names numpy's inf or nan
+        with np.errstate(all="ignore"):
+            rr, uu, yy_corr = diagonal_blocks(p, np.float64(fv), fp, fpp, hv, hp, hpp)
     base = np.asarray(spec.base_ricci(r), dtype=float)
     if base.shape != (spec.n, spec.n):
         raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({spec.n}, {spec.n})")
@@ -347,20 +349,20 @@ def frames_at(spec: WarpedFamilySpec, p: int, rs: Iterable[float]) -> list:
 
     Only r changes from one frame to the next, so the S^3 block 2 M^-1 is
     computed once and divided by each radius's scales. The profiles are
-    read radius by radius, f before the h_i, and each sphere column is a
-    Python float quotient, so the first failing radius raises what it
-    raises alone: a zero f(r) raises ZeroDivisionError."""
+    read radius by radius, f before the h_i, with their derivatives, and
+    each sphere column is a Python float quotient, so the first failing
+    radius raises what it raises alone: a zero f(r) raises ZeroDivisionError."""
     kind = _classify(spec)
     n, ps = spec.n, p - 1
     d = n + ps + 1
     e_point = np.full(n, 1.1) if kind == "s3" else np.zeros(n)
     sphere_point = np.linspace(0.2, 0.4, ps)
     stretch = 1.0 + float(sphere_point @ sphere_point)
-    (f0, _, _), *hs = spec.compiled
+    f_at, *hs = spec.compiled
     radii, confs, scales = [], [], []
     for r in rs:
-        fv = f0(r)
-        scales.append([h0(r) for h0, _, _ in hs])
+        fv = f_at(r)[0]
+        scales.append([h_at(r)[0] for h_at in hs])
         confs.append(stretch / (2.0 * fv))
         radii.append(r)
     xs = np.empty((len(radii), d))
@@ -494,14 +496,13 @@ def smoothness_check(spec: WarpedFamilySpec, tol: float) -> SmoothnessReport:
     f(0) = 0, f'(0) = 1, f''(0) = 0, f > 0 away from the axis, and
     h_i'(0) = 0, each within tol, with axis values read at r = 1e-6."""
     eps = AXIS_EPS
-    (c0, c1, c2), *hs = spec.compiled
-    f0, f1, f2 = c0(eps), c1(eps), c2(eps)
+    f_at, *hs = spec.compiled
+    f0, f1, f2 = f_at(eps)
     grid = np.linspace(eps, SMOOTHNESS_R_MAX, SMOOTHNESS_GRID_POINTS)
     fgrid = exprs.evaluate_grid(spec.f, grid)
-    hprimes = []
-    hpos = []
-    for e, (_, h1, _) in zip(spec.h, hs):
-        hprimes.append(bool(abs(h1(eps)) <= tol))
+    hprimes, hpos = [], []
+    for e, h_at in zip(spec.h, hs):
+        hprimes.append(bool(abs(h_at(eps)[1]) <= tol))
         hpos.append(bool(np.all(exprs.evaluate_grid(e, grid) > 0.0)))
     return SmoothnessReport(
         f_zero_at_axis=bool(abs(f0) <= tol),
@@ -566,9 +567,9 @@ def _base_ricci(n: int, text: str) -> Optional[Callable[[float], np.ndarray]]:
             raise ValueError(f"constant base Ricci has shape {matrix.shape}, expected ({n},{n})")
         return lambda r: matrix
     if text.startswith("scaledIdentity:"):
-        scale = exprs.compile_scalar(exprs.parse(text[len("scaledIdentity:") :]))
+        scale = exprs.compile_scalar((exprs.parse(text[len("scaledIdentity:") :]),))
         # not scale * eye: an overflowed scale would make inf * 0 = nan off the diagonal
-        return lambda r: np.diag([scale(r)] * n)
+        return lambda r: np.diag([scale(r)[0]] * n)
     raise ValueError(f"unknown baseRicci form {text!r}")
 
 
@@ -593,11 +594,10 @@ def left_invariant_s3_spec() -> WarpedFamilySpec:
 
     f, _ = reference_profiles()
     h = tuple(exprs.parse(t) for t in ("(1+r^2)^(-1)", "(1+r^2)^(-3/4)", "(1+r^2)^(-1/2)"))
-    h_at = [_profile(e)[1][0] for e in h]
+    h_at = exprs.compile_scalar(h)
 
     def base(r: float) -> np.ndarray:
-        scales = [c(r) for c in h_at]
-        return np.diag(left_invariant_s3_ricci(scales))
+        return np.diag(left_invariant_s3_ricci(h_at(r)))
 
     return WarpedFamilySpec(
         n=3, f=f, h=h, structure=_S3_STRUCTURE, base_ricci=base, label="s3-left-invariant"

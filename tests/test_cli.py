@@ -390,7 +390,14 @@ def test_grid_product_overflow_names_the_product_without_a_warning(capsys, tmp_p
 
 
 @pytest.mark.parametrize(
-    "f", ["r + r^200*r^200", "r + exp(r^200*r^200)", "r + sin(r^200*r^200)", "r + cos(r^200*r^200)"]
+    "f",
+    [
+        "r + r^200*r^200",
+        "r + exp(r^200*r^200)",
+        "r + sin(r^200*r^200)",
+        "r + cos(r^200*r^200)",
+        "r + (r^200*r^200 - r^200*r^200)^(1/2)",
+    ],
 )
 def test_scalar_product_overflow_names_the_product(capsys, tmp_path, f):
     # the scalar path names the same node as the grid path, with exit 4
@@ -407,6 +414,17 @@ def test_closed_form_block_overflow_is_a_numeric_error(capsys, tmp_path, fmt):
     # f(1) = 1e-160 passes the profile check; 1/f^2 in the uu block does not
     path = tmp_path / "tiny-f.json"
     path.write_text(json.dumps({"n": 1, "f": "1e-160*r", "h": ["1"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "3", *fmt]) == 4
+    assert capsys.readouterr() == ("", "numeric error: closed-form block uu is inf at r=1.0, p=3\n")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_a_block_dividing_by_an_underflowed_f_squared_is_a_numeric_error(capsys, tmp_path, fmt):
+    # f(1)^2 = 1e-340 underflows to 0.0 in the uu block
+    path = tmp_path / "tinier-f.json"
+    path.write_text(json.dumps({"n": 1, "f": "1e-170*r", "h": ["1"]}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "3", *fmt]) == 4

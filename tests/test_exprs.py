@@ -93,14 +93,18 @@ SCALAR_ERRORS = [
     ("exp(r^2) - 1", 100.0, "overflow in exp", "exp(r^2)"),
     ("r^3", 1e200, "overflow in power", "r^3"),
     ("(r+1)^(5/2)", 1e300, "overflow in power", "(r + 1)^(5/2)"),
+    # an even root of the NaN or -inf a silent product overflow leaves
+    # names that product, as the grid evaluator does
+    ("(r^200*r^200 - r^200*r^200)^(1/2)", 10.0, "overflow in product", "r^200*r^200"),
+    ("(-r^200*r^200)^(1/2)", 10.0, "overflow in product", "-r^200*r^200"),
 ]
 
 
 @pytest.mark.parametrize("text,r,want", SCALAR_VALUES)
 def test_compiled_and_one_shot_values(text, r, want):
     tree = parse(text)
-    at = compile_scalar(tree)
-    assert at(r) == evaluate(tree, r) == pytest.approx(want, rel=1e-15, abs=0.0)
+    at = compile_scalar((tree,))
+    assert at(r)[0] == evaluate(tree, r) == pytest.approx(want, rel=1e-15, abs=0.0)
     assert at(r) == at(r)
 
 
@@ -108,7 +112,7 @@ def test_compiled_and_one_shot_values(text, r, want):
 def test_compiled_and_one_shot_errors_name_the_node(text, r, message, node):
     tree = parse(text)
     with pytest.raises(DomainError, match=message) as compiled:
-        compile_scalar(tree)(r)
+        compile_scalar((tree,))(r)
     with pytest.raises(DomainError, match=message) as one_shot:
         evaluate(tree, r)
     assert to_text(compiled.value.node) == to_text(one_shot.value.node) == node
@@ -337,16 +341,16 @@ def test_derivative_matches_central_differences():
             d3 = exprs._d(d2)
         except Exception:
             continue
-        # each tree is evaluated at many radii, so hold its compiled closure
-        at, d1_at, d3_at = (compile_scalar(e) for e in (tree, d1, d3))
+        # each tree is evaluated at many radii, so hold its compiled function
+        at, d1_at, d3_at = (compile_scalar((e,)) for e in (tree, d1, d3))
         used = False
         for _ in range(20):
             r = rng.uniform(0.1, 10.0)
             step = 1e-5
             try:
-                vals = [at(r + s) for s in (-step, 0.0, step)]
-                dv = d1_at(r)
-                d3v = d3_at(r)
+                vals = [at(r + s)[0] for s in (-step, 0.0, step)]
+                dv = d1_at(r)[0]
+                d3v = d3_at(r)[0]
             except DomainError:
                 continue
             if any(not math.isfinite(v) or abs(v) > 1e3 for v in vals):
@@ -470,6 +474,16 @@ def test_parse_caches_trees_by_text_within_a_finite_bound():
     assert exprs._parse_cached.cache_info().currsize == exprs.PARSE_CACHE_SIZE
 
 
+def test_compiled_functions_are_cached_within_a_finite_bound():
+    trees = (parse("r*(1+r^2)^(-1/4)"), parse("sin(r)"))
+    assert compile_scalar(trees) is compile_scalar(list(trees))
+    info = exprs._compile.cache_info()
+    assert info.maxsize == exprs.COMPILE_CACHE_SIZE and 0 < exprs.COMPILE_CACHE_SIZE < 10_000
+    for k in range(exprs.COMPILE_CACHE_SIZE + 10):
+        evaluate(parse(f"r + {k}"), 1.0)
+    assert exprs._compile.cache_info().currsize == exprs.COMPILE_CACHE_SIZE
+
+
 @pytest.mark.parametrize("arg", [5, ["r"], b"r", None])
 def test_parse_of_a_non_string_raises_what_the_parser_raises(arg):
     # a list is unhashable: a cache in front of the parser would change the error
@@ -495,13 +509,134 @@ def test_a_parse_error_is_raised_again_on_the_same_text(text, offset):
 
 @pytest.mark.parametrize("fn", ["sin", "cos"])
 def test_scalar_trig_of_an_overflowed_argument_names_the_overflow(fn):
-    # math.sin(inf) raises ValueError; the closure names the node the grid path names
+    # math.sin(inf) raises ValueError; the compiled function names the node the grid path names
     e = parse(f"r + {fn}(r^200*r^200)")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for run in (compile_scalar(e), lambda r: evaluate_grid(e, np.array([r]))):
+        for run in (compile_scalar((e,)), lambda r: evaluate_grid(e, np.array([r]))):
             with pytest.raises(DomainError) as err:
                 run(10.0)
             assert str(err.value) == "overflow in product in subexpression 'r^200*r^200'"
-    assert compile_scalar(e)(1.0) == 1.0 + getattr(math, fn)(1.0)
+    assert compile_scalar((e,))(1.0) == (1.0 + getattr(math, fn)(1.0),)
 
+
+
+# --- the closure compiler the generated evaluator replaced, as its reference
+
+
+def _reference_closure(e):
+    """r -> float as one closure per node, evaluating children left to
+    right and a quotient's denominator, with its zero check, first."""
+    if isinstance(e, Const):
+        v = float(e.value)
+        return lambda r: v
+    if isinstance(e, Var):
+        return float
+    if isinstance(e, exprs.Neg):
+        a = _reference_closure(e.arg)
+        return lambda r: -a(r)
+    if isinstance(e, Pow):
+        a, qf = _reference_closure(e.base), float(e.exponent)
+        return lambda r: _reference_pow(e, a(r), qf, r)
+    if isinstance(e, (exprs.Sin, exprs.Cos)):
+        a, fn = _reference_closure(e.arg), math.sin if isinstance(e, exprs.Sin) else math.cos
+
+        def trig(r):
+            v = a(r)
+            try:
+                return fn(v)
+            except ValueError:
+                evaluate_grid(e.arg, np.array([r]))
+                raise DomainError(f"non-finite argument {v}", e) from None
+
+        return trig
+    if isinstance(e, exprs.Exp):
+        a = _reference_closure(e.arg)
+
+        def exp_(r):
+            v = a(r)
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise DomainError("overflow in exp", e) from None
+
+        return exp_
+    a, b = _reference_closure(e.left), _reference_closure(e.right)
+    if isinstance(e, Add):
+        return lambda r: a(r) + b(r)
+    if isinstance(e, exprs.Sub):
+        return lambda r: a(r) - b(r)
+    if isinstance(e, Mul):
+        return lambda r: a(r) * b(r)
+
+    def div_(r):
+        den = b(r)
+        if den == 0.0:
+            raise DomainError("division by zero", e)
+        return a(r) / den
+
+    return div_
+
+
+def _reference_pow(node, b, qf, r):
+    try:
+        if b > 0.0:
+            return math.pow(b, qf)
+        q = node.exponent
+        if b == 0.0 and q < 0:
+            raise DomainError("zero raised to a negative power", node)
+        if q.denominator == 1:
+            return math.pow(b, qf)
+        if b == 0.0:
+            return 0.0
+        if q.denominator % 2 == 0:
+            if not math.isfinite(b):
+                evaluate_grid(node.base, np.array([r]))
+            raise DomainError("even root of a negative number", node)
+        return (-1.0 if q.numerator % 2 else 1.0) * math.pow(-b, qf)
+    except OverflowError:
+        raise DomainError("overflow in power", node) from None
+
+
+def _outcome(run, r):
+    """The bytes of each value run(r) returns, so that the sign of a zero
+    and of a NaN count, or the message and node of its DomainError."""
+    try:
+        return [np.float64(v).tobytes() for v in run(r)]
+    except DomainError as err:
+        return (str(err), err.node)
+
+
+# each is compiled with its first two derivatives, which share its subtrees
+_EDGE_TREES = [
+    "1/(r - r) + r",
+    "(r - 2)^(1/2) + 1/(r - 1)",
+    "exp(r^3)*r",
+    "sin(r^200*r^200) + r",
+    "cos(r^200*r^200) + r",
+    "(r^200*r^200 - r^200*r^200)^(1/2) + r",
+    "(r*r + 1)/(r*r - 1) + sin(r*r)/(r*r - 1)",
+    "r^(-1/2)*cos(r)^(1/3)",
+]
+
+
+def test_generated_evaluator_equals_the_closure_reference():
+    rng = random.Random(20261019)
+    radii = [0.0, -0.0, 1.0, -1.0, 2.0, -2.5, 0.3, 10.0, 1e3, 1e100, 1e200]
+    trees = [parse(t) for t in _EDGE_TREES] + [_random_tree(rng, 6) for _ in range(150)]
+    seen = set()
+    for tree in trees:
+        try:
+            d1 = diff(tree, 1)
+            profile = (tree, d1, diff(d1, 1))
+        except (RecursionError, OverflowError):
+            continue
+        refs = [_reference_closure(e) for e in profile]
+        generated = compile_scalar(profile)
+        for r in radii + [rng.uniform(-5.0, 5.0) for _ in range(4)]:
+            want = _outcome(lambda r: [ref(r) for ref in refs], r)
+            assert _outcome(generated, r) == want, (to_text(tree), r)
+            seen.add(want[0].split(" in subexpression")[0] if isinstance(want, tuple) else "value")
+    for kind in ("value", "division by zero", "even root of a negative number", "overflow in exp"):
+        assert kind in seen
+    assert {"overflow in product", "zero raised to a negative power"} <= seen

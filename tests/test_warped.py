@@ -404,8 +404,19 @@ def test_specs_from_equal_json_share_their_derived_objects():
     assert c.f is not a.f and c.f == a.f
     for other in (b, c):
         assert len(other.trees) == len(a.trees) == 1 + a.n
-        for mine, theirs in zip(a.trees + a.compiled, other.trees + other.compiled):
+        for mine, theirs in zip(a.trees, other.trees):
             assert all(x is y for x, y in zip(mine, theirs))
+        assert all(x is y for x, y in zip(a.compiled, other.compiled))
+
+
+def test_a_repeated_spec_compiles_nothing():
+    # spec_from_json builds the scaledIdentity base anew for every spec; its
+    # function, like the profiles', comes from compile_scalar's cache
+    spec_from_json(CERTIFY_SPEC)
+    misses = exprs._compile.cache_info().misses
+    spec = spec_from_json(json.loads(json.dumps(CERTIFY_SPEC)))
+    ricci_warped(spec, 0.8, 4)
+    assert exprs._compile.cache_info().misses == misses
 
 
 def _profile_bits(spec, rs):
@@ -457,20 +468,35 @@ def test_a_closed_form_block_past_float_range_is_named():
     assert str(err.value) == "closed-form block yy[0,0] is inf at r=10000000000.0, p=3"
 
 
+@pytest.mark.parametrize("r", [1.0, 10.0])
+def test_a_block_dividing_by_an_underflowed_f_squared_is_named(r):
+    # f(r)^2 underflows to 0.0 for f = 1e-170*r; Python's float division
+    # would raise a ZeroDivisionError that names nothing
+    spec = spec_from_json({"n": 1, "f": "1e-170*r", "h": ["1"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as err:
+            ricci_warped(spec, r, 3)
+    assert str(err.value) == f"closed-form block uu is inf at r={r}, p=3"
+    # a zero f(r) fails first in rr, as 0/0
+    with pytest.raises(FloatingPointError, match=r"^closed-form block rr is nan at r=1.0, p=3$"):
+        ricci_warped(spec_from_json({"n": 1, "f": "r - 1", "h": ["1"]}), 1.0, 3)
+
+
 def test_derived_attributes_are_not_fields():
     spec = spec_from_json(CERTIFY_SPEC)
     assert len(spec.compiled) == 1 + len(spec.h)
     want = [exprs.evaluate(spec.f, 0.7)] + [exprs.evaluate(exprs.diff(spec.f, k), 0.7) for k in (1, 2)]
-    assert [c(0.7) for c in spec.compiled[0]] == want
+    assert list(spec.compiled[0](0.7)) == want
     assert "compiled" not in repr(spec) and not hasattr(spec, "derivatives")
     assert spec == dataclasses.replace(spec)
     flat = dataclasses.replace(spec, f=exprs.parse("r"))
-    assert [c(2.0) for c in flat.compiled[0]] == [2.0, 1.0, 0.0]
+    assert flat.compiled[0](2.0) == (2.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("f", ["r + r^200*r^200", "r + exp(r^200*r^200)"])
 def test_scalar_overflow_names_the_innermost_operation(f):
-    # the compiled closures let the product overflow to inf; the finished
+    # the compiled functions let the product overflow to inf; the finished
     # values are checked once and the overflowing node is named
     spec = spec_from_json({"n": 1, "f": f, "h": ["1"]})
     with pytest.raises(exprs.DomainError) as err:
@@ -495,9 +521,9 @@ def _numpy_blocks(spec, r, p, slack):
     the float code replaced, as the reference: profile arrays, sums by
     ndarray.sum, the (n+1) x (n+1) reduced block for the exact check and
     per-row np.sum for the Gershgorin one."""
-    (f0, f1, f2), *hs = spec.compiled
-    fv, fp, fpp = f0(r), f1(r), f2(r)
-    hv, hp, hpp = (np.array([h[k](r) for h in hs]) for k in range(3))
+    f_at, *hs = spec.compiled
+    fv, fp, fpp = f_at(r)
+    hv, hp, hpp = (np.array([h(r)[k] for h in hs]) for k in range(3))
     lh, lhh = hp / hv, hpp / hv
     s1 = lh.sum(axis=0)
     uu = (p - 2) * (1.0 - fp**2) / fv**2 - (fp / fv) * s1 - fpp / fv
