@@ -269,19 +269,28 @@ def evaluate(e: Expr, r: float) -> float:
     return compile_scalar((e,))(r)[0]
 
 
-# by node class, the statements giving its local v from operands a, b, node n and exponent q
+# the word an overflow error uses for each node whose own operation can
+# overflow; sin and cos can on a complex grid, with a large imaginary part
+_OVERFLOW_OPERATION = {
+    Add: "sum", Sub: "difference", Mul: "product", Div: "quotient",
+    Pow: "power", Sin: "sin", Cos: "cos", Exp: "exp",
+}
+
+# by node class, the statements giving its local v from operands a, b, node n
+# and exponent q; {overflow} raises the node's overflow error. Every operand
+# is finite, so v - v is nonzero, being nan, exactly when v overflowed.
 _STATEMENTS = {
-    Var: "{v} = _float(r)",
+    Var: "{v} = _float(r)\nif {v} - {v}: raise DomainError('non-finite value %r' % {v}, {n})",
     Neg: "{v} = -{a}",
-    Add: "{v} = {a} + {b}",
-    Sub: "{v} = {a} - {b}",
-    Mul: "{v} = {a} * {b}",
-    Div: "{v} = {a} / {b}",
-    Pow: "try: {v} = _pow({a}, {q}) if {a} > 0.0 else _eval_pow({n}, {a}, {q}, r)\n"
-    "except OverflowError: raise DomainError('overflow in power', {n}) from None",
-    Exp: "try: {v} = _exp({a})\nexcept OverflowError: raise DomainError('overflow in exp', {n}) from None",
-    Sin: "try: {v} = _sin({a})\nexcept ValueError: raise _trig_error({n}, {a}, r) from None",
-    Cos: "try: {v} = _cos({a})\nexcept ValueError: raise _trig_error({n}, {a}, r) from None",
+    Add: "{v} = {a} + {b}\nif {v} - {v}: {overflow}",
+    Sub: "{v} = {a} - {b}\nif {v} - {v}: {overflow}",
+    Mul: "{v} = {a} * {b}\nif {v} - {v}: {overflow}",
+    Div: "{v} = {a} / {b}\nif {v} - {v}: {overflow}",
+    Pow: "try: {v} = _pow({a}, {q}) if {a} > 0.0 else _eval_pow({n}, {a}, {q})\n"
+    "except OverflowError: {overflow} from None",
+    Exp: "try: {v} = _exp({a})\nexcept OverflowError: {overflow} from None",
+    Sin: "{v} = _sin({a})",
+    Cos: "{v} = _cos({a})",
 }
 
 # compile_scalar keeps at most this many functions, dropping the least recently used
@@ -299,9 +308,10 @@ def compile_scalar(trees: tuple) -> Callable[[float], tuple]:
     no text of a tree enters its source. A negative base b with exponent
     n/d in lowest terms and d odd takes the real root (-1)^n |b|^(n/d).
     DomainError names the node of a division by zero, an even root of a
-    negative number, a negative power of zero, or an overflow in a power or
-    exp; a sum or product overflows to inf silently, and sin, cos or an even
-    root of such a value raises the grid evaluator's error for it.
+    negative number, a negative power of zero, or an overflow in a sum,
+    difference, product, quotient, power or exp, in the words of
+    evaluate_grid, and names r when r is not finite. So every value is
+    finite, and a failure names the node evaluate_grid names on [r].
     """
     return _compile(tuple(trees))
 
@@ -309,7 +319,7 @@ def compile_scalar(trees: tuple) -> Callable[[float], tuple]:
 @functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def _compile(trees: tuple) -> Callable[[float], tuple]:
     env = {"DomainError": DomainError, "_float": float, "_pow": math.pow, "_exp": math.exp, "_sin": math.sin,
-           "_cos": math.cos, "_eval_pow": _eval_pow, "_trig_error": _trig_error}
+           "_cos": math.cos, "_eval_pow": _eval_pow}
     lines: list[str] = []
     names: dict[tuple, str] = {}  # (class, operand names, exponent or value) -> name; (Div, b) -> check
 
@@ -335,8 +345,10 @@ def _compile(trees: tuple) -> Callable[[float], tuple]:
         key = (type(e), *operands, getattr(e, "exponent", None))
         if key not in names:
             names[key] = v = f"v{len(names)}"
+            n = bind(e)
             q = isinstance(e, Pow) and bind(float(e.exponent))
-            fill = dict(zip("ab", operands), v=v, n=bind(e), q=q)
+            overflow = f"raise DomainError('overflow in {_OVERFLOW_OPERATION.get(type(e))}', {n})"
+            fill = dict(zip("ab", operands), v=v, n=n, q=q, overflow=overflow)
             lines.extend(_STATEMENTS[type(e)].format(**fill).split("\n"))
         return names[key]
 
@@ -345,39 +357,18 @@ def _compile(trees: tuple) -> Callable[[float], tuple]:
     return env["run"]
 
 
-def _trig_error(node: Expr, v: float, r: float) -> DomainError:
-    """sin or cos at v = inf, left by a silent overflow the grid evaluator names."""
-    evaluate_grid(node.arg, np.array([r]))
-    return DomainError(f"non-finite argument {v}", node)
-
-
-def _eval_pow(node: Pow, b: float, qf: float, r: float) -> float:
-    """b^q at radius r for the node's exponent q, given qf = float(q) (exact for an integral q)."""
-    try:
-        if b > 0.0:
-            return math.pow(b, qf)
-        q = node.exponent
-        if b == 0.0 and q < 0:
-            raise DomainError("zero raised to a negative power", node)
-        if q.denominator == 1:
-            return math.pow(b, qf)
-        if b == 0.0:
-            return 0.0
-        if q.denominator % 2 == 0:
-            if not math.isfinite(b):  # left by a silent float overflow, which the grid names
-                evaluate_grid(node.base, np.array([r]))
-            raise DomainError("even root of a negative number", node)
-        return (-1.0 if q.numerator % 2 else 1.0) * math.pow(-b, qf)
-    except OverflowError:
-        raise DomainError("overflow in power", node) from None
-
-
-# the word an overflow error uses for each node whose own operation can
-# overflow; sin and cos can on a complex grid, with a large imaginary part
-_OVERFLOW_OPERATION = {
-    Add: "sum", Sub: "difference", Mul: "product", Div: "quotient",
-    Pow: "power", Sin: "sin", Cos: "cos", Exp: "exp",
-}
+def _eval_pow(node: Pow, b: float, qf: float) -> float:
+    """b^q for a base b <= 0 and the node's exponent q, given qf = float(q) (exact for an integral q)."""
+    q = node.exponent
+    if b == 0.0 and q < 0:
+        raise DomainError("zero raised to a negative power", node)
+    if q.denominator == 1:
+        return math.pow(b, qf)
+    if b == 0.0:
+        return 0.0
+    if q.denominator % 2 == 0:
+        raise DomainError("even root of a negative number", node)
+    return (-1.0 if q.numerator % 2 else 1.0) * math.pow(-b, qf)
 
 
 def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
@@ -387,9 +378,11 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
     bases. The whole tree is evaluated under one np.errstate(over="raise"):
     a domain violation, or an overflow anywhere on the grid, raises
     DomainError for the innermost node whose own operation failed, with
-    no numpy warning. A complex grid, such as the oracle's complex-step
-    points, is evaluated by the holomorphic extension of each rule: the
-    root branch and every domain check go by the real part of r.
+    no numpy warning. A grid holding a non-finite r raises DomainError
+    naming the tree, and evaluates nothing. A complex grid, such as the
+    oracle's complex-step points, is evaluated by the holomorphic
+    extension of each rule: the root branch and every domain check go by
+    the real part of r.
     """
     rs = np.asarray(rs, dtype=complex if np.iscomplexobj(rs) else float)
 
@@ -438,11 +431,13 @@ def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
             # from the node's own operation
             raise DomainError(f"overflow in {_OVERFLOW_OPERATION[type(node)]}", node) from None
 
-    with np.errstate(over="raise"):
-        out = ev(e)
-    if not np.all(np.isfinite(out)):
-        bad = rs.real[~np.isfinite(out)][0] if out.shape == rs.shape else None
-        raise DomainError(f"non-finite value on grid (first bad r={bad})", e)
+    finite = np.isfinite(rs)
+    if finite.all():
+        with np.errstate(over="raise"):
+            out = ev(e)
+        finite = np.isfinite(out)
+    if not finite.all():
+        raise DomainError(f"non-finite value on grid (first bad r={rs.real[~finite][0]})", e)
     return out
 
 

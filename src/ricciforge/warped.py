@@ -65,10 +65,10 @@ class WarpedFamilySpec:
     base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
         the normalized frame Y_i = X_i / h_i at the working point; None is zero.
 
-    Construction sets, outside the fields, ``trees``: the trees (e, e', e'')
-    for f and for each h_i, and ``compiled``: one function r -> their values
-    per profile. Both come from a per-process cache keyed by the profile
-    tree (see _profile), so specs with equal profiles share these objects.
+    Construction sets, outside the fields, ``compiled``: for f and for each
+    h_i, one function r -> (e, e', e'') of that profile e. Each comes from a
+    per-process cache keyed by the profile tree (see _profile), so specs
+    with equal profiles share these functions.
     """
 
     n: int
@@ -107,14 +107,13 @@ class WarpedFamilySpec:
         if self.base_ricci is None:
             zero = np.zeros((self.n, self.n))
             object.__setattr__(self, "base_ricci", lambda r: zero)
-        profiles = []
+        compiled = []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
-                profiles.append(_profile(e))
+                compiled.append(_profile(e))
             except RecursionError as err:  # a tree nested too deeply to hash or differentiate
                 raise ValueError(f"profile {name}: {err}") from None
-        object.__setattr__(self, "trees", tuple(trees for trees, _ in profiles))
-        object.__setattr__(self, "compiled", tuple(compiled for _, compiled in profiles))
+        object.__setattr__(self, "compiled", tuple(compiled))
 
     @property
     def structure_vanishes(self) -> bool:
@@ -123,19 +122,12 @@ class WarpedFamilySpec:
     def profile_values(self, r: float):
         """f, f', f'', and lists of h_i, h_i', h_i'' at r, all floats.
 
-        Raises DomainError when a value is not finite, naming the innermost
-        node whose own operation overflowed, and naming the h profile when
-        some h_i(r) <= 0.
+        The profiles are evaluated f first, then each h_i, by the rules of
+        compile_scalar: a domain violation or an overflow raises DomainError
+        naming its node, and so does a non-finite r. Raises DomainError
+        naming the h profile when some h_i(r) <= 0.
         """
-        per_profile = [at(r) for at in self.compiled]
-        if not all(map(math.isfinite, sum(per_profile, ()))):
-            # a float sum or product overflows to inf silently; the grid
-            # evaluator names the node whose operation overflowed
-            for tree, v in zip(sum(self.trees, ()), sum(per_profile, ())):
-                if not math.isfinite(v):
-                    exprs.evaluate_grid(tree, np.array([r]))
-                    raise exprs.DomainError(f"non-finite value {v} at r={r}", tree)
-        (fv, fp, fpp), *hs = per_profile
+        (fv, fp, fpp), *hs = [at(r) for at in self.compiled]
         hv, hp, hpp = ([h[k] for h in hs] for k in range(3))
         for i, v in enumerate(hv):
             if v <= 0.0:
@@ -148,15 +140,14 @@ PROFILE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _profile(e: Expr) -> tuple:
-    """The trees (e, e', e'') of one profile and their compiled function.
+def _profile(e: Expr) -> Callable[[float], tuple]:
+    """The compiled function r -> (e, e', e'') of one profile e.
 
     Trees are immutable and hash by structure, and the function is pure,
     so each distinct profile is differentiated and compiled once per
     process; a failure is not cached."""
     d1 = exprs.diff(e, 1)
-    trees = (e, d1, exprs.diff(d1, 1))
-    return trees, exprs.compile_scalar(trees)
+    return exprs.compile_scalar((e, d1, exprs.diff(d1, 1)))
 
 
 @dataclass(frozen=True)
@@ -568,7 +559,6 @@ def _base_ricci(n: int, text: str) -> Optional[Callable[[float], np.ndarray]]:
         return lambda r: matrix
     if text.startswith("scaledIdentity:"):
         scale = exprs.compile_scalar((exprs.parse(text[len("scaledIdentity:") :]),))
-        # not scale * eye: an overflowed scale would make inf * 0 = nan off the diagonal
         return lambda r: np.diag([scale(r)[0]] * n)
     raise ValueError(f"unknown baseRicci form {text!r}")
 

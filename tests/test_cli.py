@@ -409,6 +409,18 @@ def test_scalar_product_overflow_names_the_product(capsys, tmp_path, f):
     assert capsys.readouterr() == ("", "numeric error: overflow in product in subexpression 'r^200*r^200'\n")
 
 
+def test_an_overflow_a_later_operation_hides_is_named_by_eval_and_verify(capsys, tmp_path):
+    # exp(-1e300*r) would be 0.0 at r = 1e10; the closed form and the chart name the same product
+    path = tmp_path / "hidden.json"
+    path.write_text(json.dumps({**TORUS_SPEC, "h": ["(1+r^2)^(-1) + exp(-1e300*r)"]}))
+    line = "numeric error: overflow in product in subexpression '-1" + "0" * 300 + "*r'\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv in (["warped-eval", "--r", "1e10"], ["warped-verify", "--rs", "1e10", "--tol", "1e-5"]):
+            assert cli.run([*argv, "--spec", str(path), "--p", "3"]) == 4
+            assert capsys.readouterr() == ("", line)
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_closed_form_block_overflow_is_a_numeric_error(capsys, tmp_path, fmt):
     # f(1) = 1e-160 passes the profile check; 1/f^2 in the uu block does not

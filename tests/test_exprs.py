@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 import random
 import warnings
@@ -509,7 +510,7 @@ def test_a_parse_error_is_raised_again_on_the_same_text(text, offset):
 
 @pytest.mark.parametrize("fn", ["sin", "cos"])
 def test_scalar_trig_of_an_overflowed_argument_names_the_overflow(fn):
-    # math.sin(inf) raises ValueError; the compiled function names the node the grid path names
+    # the product's own overflow check fires before math.sin, which would raise ValueError at inf
     e = parse(f"r + {fn}(r^200*r^200)")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -519,6 +520,19 @@ def test_scalar_trig_of_an_overflowed_argument_names_the_overflow(fn):
             assert str(err.value) == "overflow in product in subexpression 'r^200*r^200'"
     assert compile_scalar((e,))(1.0) == (1.0 + getattr(math, fn)(1.0),)
 
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_r_is_named_on_both_paths_without_a_warning(r):
+    # exp(-r) and 1/(1 + r^2) would hide r = inf as a finite 0.0
+    e = parse("(1+r^2)^(-1) + exp(-r)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            evaluate(e, r)
+        assert str(err.value) == f"non-finite value {r} in subexpression 'r'"
+        with pytest.raises(DomainError) as err:
+            evaluate_grid(e, np.array([1.0, r]))
+        assert str(err.value) == f"non-finite value on grid (first bad r={r}) in subexpression {to_text(e)!r}"
 
 
 # --- the closure compiler the generated evaluator replaced, as its reference
@@ -537,19 +551,10 @@ def _reference_closure(e):
         return lambda r: -a(r)
     if isinstance(e, Pow):
         a, qf = _reference_closure(e.base), float(e.exponent)
-        return lambda r: _reference_pow(e, a(r), qf, r)
+        return lambda r: _reference_pow(e, a(r), qf)
     if isinstance(e, (exprs.Sin, exprs.Cos)):
         a, fn = _reference_closure(e.arg), math.sin if isinstance(e, exprs.Sin) else math.cos
-
-        def trig(r):
-            v = a(r)
-            try:
-                return fn(v)
-            except ValueError:
-                evaluate_grid(e.arg, np.array([r]))
-                raise DomainError(f"non-finite argument {v}", e) from None
-
-        return trig
+        return lambda r: fn(a(r))
     if isinstance(e, exprs.Exp):
         a = _reference_closure(e.arg)
 
@@ -562,23 +567,30 @@ def _reference_closure(e):
 
         return exp_
     a, b = _reference_closure(e.left), _reference_closure(e.right)
-    if isinstance(e, Add):
-        return lambda r: a(r) + b(r)
-    if isinstance(e, exprs.Sub):
-        return lambda r: a(r) - b(r)
-    if isinstance(e, Mul):
-        return lambda r: a(r) * b(r)
+    word, op = {
+        Add: ("sum", operator.add),
+        exprs.Sub: ("difference", operator.sub),
+        Mul: ("product", operator.mul),
+        exprs.Div: ("quotient", operator.truediv),
+    }[type(e)]
 
-    def div_(r):
-        den = b(r)
-        if den == 0.0:
-            raise DomainError("division by zero", e)
-        return a(r) / den
+    def binary(r):
+        if isinstance(e, exprs.Div):
+            den = b(r)
+            if den == 0.0:
+                raise DomainError("division by zero", e)
+            v = op(a(r), den)
+        else:
+            v = op(a(r), b(r))
+        # every operand is finite, so a non-finite v is this operation's overflow
+        if not math.isfinite(v):
+            raise DomainError(f"overflow in {word}", e)
+        return v
 
-    return div_
+    return binary
 
 
-def _reference_pow(node, b, qf, r):
+def _reference_pow(node, b, qf):
     try:
         if b > 0.0:
             return math.pow(b, qf)
@@ -590,8 +602,6 @@ def _reference_pow(node, b, qf, r):
         if b == 0.0:
             return 0.0
         if q.denominator % 2 == 0:
-            if not math.isfinite(b):
-                evaluate_grid(node.base, np.array([r]))
             raise DomainError("even root of a negative number", node)
         return (-1.0 if q.numerator % 2 else 1.0) * math.pow(-b, qf)
     except OverflowError:
@@ -636,6 +646,10 @@ def test_generated_evaluator_equals_the_closure_reference():
         for r in radii + [rng.uniform(-5.0, 5.0) for _ in range(4)]:
             want = _outcome(lambda r: [ref(r) for ref in refs], r)
             assert _outcome(generated, r) == want, (to_text(tree), r)
+            # the grid evaluator fails where the generated function fails, naming the same node
+            grid = _outcome(lambda r: [evaluate_grid(e, np.array([r]))[0] for e in profile], r)
+            if isinstance(want, tuple) or isinstance(grid, tuple):
+                assert grid == want, (to_text(tree), r)
             seen.add(want[0].split(" in subexpression")[0] if isinstance(want, tuple) else "value")
     for kind in ("value", "division by zero", "even root of a negative number", "overflow in exp"):
         assert kind in seen

@@ -403,9 +403,7 @@ def test_specs_from_equal_json_share_their_derived_objects():
     c = spec_from_json(CERTIFY_SPEC)
     assert c.f is not a.f and c.f == a.f
     for other in (b, c):
-        assert len(other.trees) == len(a.trees) == 1 + a.n
-        for mine, theirs in zip(a.trees, other.trees):
-            assert all(x is y for x, y in zip(mine, theirs))
+        assert len(other.compiled) == len(a.compiled) == 1 + a.n
         assert all(x is y for x, y in zip(a.compiled, other.compiled))
 
 
@@ -458,14 +456,26 @@ def test_a_closed_form_block_past_float_range_is_named():
     with pytest.raises(FloatingPointError) as err:
         ricci_warped(spec, 1.0, 3)
     assert str(err.value) == "closed-form block uu is inf at r=1.0, p=3"
-    # an overflowed base scale is inf on the diagonal and 0 off it, not nan
+    # a base scale past float range names its overflowing product, as a profile does
     spec = spec_from_json({"n": 2, "f": "r", "h": ["1", "1"], "baseRicci": "scaledIdentity:1e300*r*r"})
     assert ricci_warped(spec, 10.0, 3).yy[0, 0] == 1e302
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError) as err:
+        with pytest.raises(exprs.DomainError) as err:
             ricci_warped(spec, 1e10, 3)
-    assert str(err.value) == "closed-form block yy[0,0] is inf at r=10000000000.0, p=3"
+    assert str(err.value) == "overflow in product in subexpression '1" + "0" * 300 + "*r'"
+    assert err.value.node == exprs.parse("1e300*r")
+
+
+@pytest.mark.parametrize("r", [float("inf"), float("nan")])
+def test_a_non_finite_radius_is_named_without_a_warning(r):
+    # inf and nan pass the r > 0 check; the profiles name r, not an overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exprs.DomainError) as err:
+            ricci_warped(reference_torus_spec(), r, 3)
+    assert str(err.value) == f"non-finite value {r} in subexpression 'r'"
+    assert err.value.node == exprs.Var()
 
 
 @pytest.mark.parametrize("r", [1.0, 10.0])
