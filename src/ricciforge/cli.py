@@ -45,51 +45,28 @@ class _Parser(argparse.ArgumentParser):
 # --- deterministic JSON ----------------------------------------------------
 
 
-def _render(value, out: list) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if not np.isfinite(value):
-            raise ValueError("cannot serialize a non-finite float")
-        out.append(format(value, ".17g"))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _render(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _render(v, out)
-        out.append("]")
-    elif isinstance(value, np.ndarray):
-        _render(value.tolist(), out)
-    elif isinstance(value, (np.floating,)):
-        _render(float(value), out)
-    elif isinstance(value, (np.integer,)):
-        _render(int(value), out)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def render_json(value) -> str:
-    out: list = []
-    _render(value, out)
-    return "".join(out)
+    """JSON text with each float at 17 significant digits; numpy scalars and
+    arrays render as the Python values they hold, and nan or inf raises."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("cannot serialize a non-finite float")
+        return format(value, ".17g")
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join([f"{json.dumps(str(k))}: {render_json(v)}" for k, v in value.items()]) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join([render_json(v) for v in value]) + "]"
+    if isinstance(value, (np.ndarray, np.number)):
+        return render_json(value.tolist())
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _check(name: str, ok: bool, value: float, tolerance: float) -> dict:
@@ -165,7 +142,7 @@ def _preset_fixture(name: str, count: int, seed: int):
         pts = [[1.1, 0.4, 0.8]]
         pts += [[rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)] for _ in range(count - 1)]
         frames = [oracle.FrameAtPoint(x, oracle.su2_frame(x, scales)) for x in np.array(pts)]
-        return chart, frames, np.diag(warped.left_invariant_s3_ricci(scales))
+        return chart, frames, warped.lie_ricci(warped.S3_STRUCTURE, 3)(scales)
     if kind == "hyperbolic2":
         pts = [[0.0, 1.0]] + [[rng.uniform(-1, 1), rng.uniform(0.5, 2.0)] for _ in range(count - 1)]
         want = -np.eye(2)

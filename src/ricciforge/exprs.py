@@ -155,6 +155,7 @@ def _is_const(e: Expr, v) -> bool:
 # a zero constant, nor a power whose numerator or denominator would pass
 # float range (both left to evaluation, which reports the node).
 
+_MAX_DECIMAL_EXPONENT = 1000
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
@@ -165,8 +166,8 @@ def frac(x: Union[Fraction, int, str, float]) -> Fraction:
     a string whose decimal exponent is past +-1000 raises ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str) and (m := _DECIMAL_EXPONENT.search(x)) and abs(int(m[1])) > 1000:
-        raise ValueError(f"decimal exponent of {x!r} is past +-1000")
+    if isinstance(x, str) and (m := _DECIMAL_EXPONENT.search(x)) and abs(int(m[1])) > _MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {x!r} is past +-{_MAX_DECIMAL_EXPONENT}")
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float) and x.is_integer():
@@ -516,12 +517,22 @@ def _prec(e: Expr) -> float:
         return 2.5
     if isinstance(e, Pow):
         return 3.0
-    if isinstance(e, Const):
-        if e.value.denominator != 1:
-            return 2.0  # prints as n/d
-        if e.value < 0:
-            return 2.5  # prints with a leading minus
+    if isinstance(e, Const):  # n/d binds as a quotient, a leading minus as a negation
+        text = _const_text(e.value)
+        return 2.0 if "/" in text else 2.5 if text[0] == "-" else 4.0
     return 4.0
+
+
+def _const_text(v: Fraction) -> str:
+    """n or n/d. A constant m*10^k whose n/d text is longer than 17
+    characters prints as mek where that is shorter; frac reads it back."""
+    text = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    shift = v.denominator.bit_length()  # 10^shift is a multiple of each 2^a 5^b <= d
+    m, rest = divmod(v.numerator * 10**shift, v.denominator)
+    digits = str(m).rstrip("0")
+    k = len(str(m)) - len(digits) - shift
+    short = len(text) > 17 and not rest and abs(k) <= _MAX_DECIMAL_EXPONENT and f"{digits}e{k}"
+    return short if short and len(short) < len(text) else text
 
 
 def _wrap(e: Expr, minimum: float) -> str:
@@ -537,8 +548,7 @@ def to_text(e: Expr) -> str:
     if type(e) in _FUNCTION_NAMES:
         return f"{_FUNCTION_NAMES[type(e)]}({to_text(e.arg)})"
     if isinstance(e, Const):
-        v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return _const_text(e.value)
     if isinstance(e, Var):
         return "r"
     if isinstance(e, Neg):

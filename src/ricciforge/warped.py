@@ -37,16 +37,13 @@ __all__ = [
     "verify_against_oracle",
     "smoothness_check",
     "chart_metric",
-    "frame_at",
     "frames_at",
+    "lie_ricci",
     "spec_from_json",
     "reference_torus_spec",
     "left_invariant_s3_spec",
-    "left_invariant_s3_ricci",
     "round_sphere_spec",
 ]
-
-QUATERNIONIC_BRACKET = 2.0  # [X_i, X_j] = 2 X_k (cyclic) for the unit 3-sphere frame
 
 
 @dataclass(frozen=True)
@@ -60,15 +57,16 @@ class WarpedFamilySpec:
     h : one profile per E-direction, h_i(r) > 0.
     structure : Lie coefficients b_ijk of the fixed basis,
         [X_i, X_j] = sum_k b_ijk X_k (0-based indices, r-independent).
-        Entries antisymmetric in (i, j); the frame convention requires
-        every (i, j, i) entry to vanish.
-    base_ricci : r -> symmetric (n, n) matrix, the Ricci tensor of g_r in
-        the normalized frame Y_i = X_i / h_i at the working point; None is zero.
+        Entries antisymmetric in (i, j), with the Jacobi identity; the frame
+        convention requires every (i, j, i) entry to vanish.
+    base_ricci : r -> symmetric (n, n) matrix, a modelled Ricci tensor of g_r
+        in the frame Y_i = X_i / h_i; None derives it from the structure.
 
     Construction sets, outside the fields, ``compiled``: for f and for each
     h_i, one function r -> (e, e', e'') of that profile e. Each comes from a
     per-process cache keyed by the profile tree (see _profile), so specs
-    with equal profiles share these functions.
+    with equal profiles share these functions. It also sets ``derived_base
+    = lie_ricci(structure, n)``, the base Ricci as a function of the h_i(r).
     """
 
     n: int
@@ -85,15 +83,12 @@ class WarpedFamilySpec:
             raise ValueError(f"need {self.n} h-profiles, got {len(self.h)}")
         full: dict[tuple[int, int, int], float] = {}
         for (i, j, k), v in self.structure.items():
-            for idx in (i, j, k):
-                if not 0 <= idx < self.n:
-                    raise ValueError(f"structure index {idx} out of range")
-            if i == j and v != 0.0:
-                raise ValueError("[X_i, X_i] must vanish")
-            if k == i or k == j:
+            if not all(0 <= idx < self.n for idx in (i, j, k)):
+                raise ValueError(f"structure index out of range in ({i},{j},{k})")
+            if i == j or k in (i, j):
                 if v != 0.0:
                     raise ValueError(
-                        f"structure coefficient ({i},{j},{k}) must vanish: "
+                        f"structure coefficient ({i},{j},{k}) must vanish: [X_i, X_i] = 0, and "
                         "the frame convention forbids (i,j,i)-type components"
                     )
                 continue
@@ -104,9 +99,7 @@ class WarpedFamilySpec:
             full[(i, j, k)] = v
             full[(j, i, k)] = -v
         object.__setattr__(self, "structure", full)
-        if self.base_ricci is None:
-            zero = np.zeros((self.n, self.n))
-            object.__setattr__(self, "base_ricci", lambda r: zero)
+        object.__setattr__(self, "derived_base", lie_ricci(full, self.n))
         compiled = []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
@@ -114,10 +107,6 @@ class WarpedFamilySpec:
             except RecursionError as err:  # a tree nested too deeply to hash or differentiate
                 raise ValueError(f"profile {name}: {err}") from None
         object.__setattr__(self, "compiled", tuple(compiled))
-
-    @property
-    def structure_vanishes(self) -> bool:
-        return all(v == 0.0 for v in self.structure.values())
 
     def profile_values(self, r: float):
         """f, f', f'', and lists of h_i, h_i', h_i'' at r, all floats.
@@ -148,6 +137,51 @@ def _profile(e: Expr) -> Callable[[float], tuple]:
     process; a failure is not cached."""
     d1 = exprs.diff(e, 1)
     return exprs.compile_scalar((e, d1, exprs.diff(d1, 1)))
+
+
+# --- the base Ricci of a structure ---------------------------------------
+
+
+def lie_ricci(structure: Mapping[tuple[int, int, int], float], n: int):
+    """h -> the Ricci tensor, in the frame Y_i = X_i/h_i, of the metric with
+    g(X_i, X_i) = h_i^2 on the Lie algebra [X_a, X_b] = sum_k b_abk X_k, b the
+    structure in the antisymmetric form a spec stores. The frame convention
+    makes the algebra unimodular, so with C_abk = b_abk h_k/(h_a h_b) (Milnor,
+    Adv. Math. 21 (1976); Besse, Einstein Manifolds, 7.38)
+    Ric(Y_i, Y_j) = -1/2 sum_ab C_iab C_jab + 1/4 sum_ab C_abi C_abj - 1/2 B_ij,
+    with B_ij = sum_ab C_iba C_jab the Killing form. The products are listed
+    once, from the nonzero entries, which must satisfy the Jacobi identity:
+    a triple whose cyclic sum has a component past roundoff is a ValueError."""
+    entries = [(a, b, k, v) for (a, b, k), v in structure.items() if v != 0.0]
+    terms: list = []  # (i n + j, weight, p, q): a term weight C_p C_q of Ric(Y_i, Y_j)
+    sums: dict = {}  # (triple rotated to its least index, q) -> (sum, sum of |terms|)
+    for p, (a, b, k, v) in enumerate(entries):
+        for q, (c, d, l, w) in enumerate(entries):
+            if b == d and k == l:  # C_iab C_jab
+                terms.append((a * n + c, -0.5, p, q))
+            if a == c and b == d:  # C_abi C_abj
+                terms.append((k * n + l, 0.25, p, q))
+            if b == l and k == d:  # C_iba C_jab, the Killing form
+                terms.append((a * n + c, -0.5, p, q))
+            if c == k and d not in (a, b):  # [[X_a, X_b], X_d] has v w along X_l
+                key = (min((a, b, d), (b, d, a), (d, a, b)), l)
+                total, size = sums.get(key, (0.0, 0.0))
+                sums[key] = (total + v * w, size + abs(v * w))
+    for (ijl, q), (total, size) in sums.items():
+        if abs(total) > 1e-12 * size:
+            raise ValueError(f"structure fails the Jacobi identity on {ijl}: cyclic sum has {total:g} X_{q}")
+    zero = np.zeros((n, n))
+
+    def ricci(h) -> np.ndarray:
+        if not terms:  # a vanishing structure: one shared zero matrix
+            return zero
+        cs = [v * h[k] / (h[a] * h[b]) for a, b, k, v in entries]
+        flat = [0.0] * (n * n)
+        for ij, weight, p, q in terms:
+            flat[ij] += weight * cs[p] * cs[q]
+        return np.array(flat).reshape(n, n)
+
+    return ricci
 
 
 @dataclass(frozen=True)
@@ -210,10 +244,12 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     fv, fp, fpp, hv, hp, hpp = spec.profile_values(r)
     try:
         rr, uu, yy_corr = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
-    except ZeroDivisionError:  # f or f^2 is 0.0; the check below names numpy's inf or nan
+        base = spec.derived_base(hv) if spec.base_ricci is None else spec.base_ricci(r)
+    except ZeroDivisionError:  # f, f^2 or some h_a h_b is 0.0; the check below names numpy's inf or nan
         with np.errstate(all="ignore"):
             rr, uu, yy_corr = diagonal_blocks(p, np.float64(fv), fp, fpp, hv, hp, hpp)
-    base = np.asarray(spec.base_ricci(r), dtype=float)
+            base = spec.derived_base(np.array(hv)) if spec.base_ricci is None else spec.base_ricci(r)
+    base = np.asarray(base, dtype=float)
     if base.shape != (spec.n, spec.n):
         raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({spec.n}, {spec.n})")
     # adding the diagonal matrix also turns -0.0 off-diagonals into 0.0
@@ -268,36 +304,17 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
 # The structure of the unit 3-sphere frame, in the antisymmetrized form a
 # spec stores: all three brackets [X_i, X_j] = 2 X_k, cyclic, with their
 # (j, i, k) partners. The S^3 preset is built from it and classified by it.
-_S3_STRUCTURE = {
-    key: sign * QUATERNIONIC_BRACKET
+S3_STRUCTURE = {
+    key: sign * 2.0
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     for key, sign in (((i, j, k), 1.0), ((j, i, k), -1.0))
 }
 
 
-def left_invariant_s3_ricci(scales) -> np.ndarray:
-    """Closed-form Ricci eigenvalues of the left-invariant 3-sphere metric
-    with the given scales, in the orthonormal frame aligned with the group
-    frame (Milnor's formula).
-
-    For orthonormal frame fields with brackets [f_i, f_j] = c_k f_k
-    (cyclic), the principal Ricci curvatures are 2 mu_j mu_k where
-    mu_i = (c_1 + c_2 + c_3)/2 - c_i. The unit round sphere (all scales 1)
-    gives c_i = QUATERNIONIC_BRACKET = 2 and Ricci 2 in every direction.
-    """
-    h1, h2, h3 = (float(s) for s in scales)
-    b = QUATERNIONIC_BRACKET
-    # Python floats overflow to inf without a warning; the oracle rejects
-    # such extreme scale ratios by the metric's condition number.
-    c = [b * h1 / (h2 * h3), b * h2 / (h1 * h3), b * h3 / (h1 * h2)]
-    mu = [sum(c) / 2.0 - ci for ci in c]
-    return np.array([2.0 * mu[1] * mu[2], 2.0 * mu[0] * mu[2], 2.0 * mu[0] * mu[1]])
-
-
 def _classify(spec: WarpedFamilySpec) -> str:
-    if spec.structure_vanishes:
+    if not any(spec.structure.values()):
         return "torus"
-    if spec.n == 3 and spec.structure == _S3_STRUCTURE:
+    if spec.n == 3 and spec.structure == S3_STRUCTURE:
         return "s3"
     raise ValueError(
         "spec is not realizable as a preset chart (need vanishing structure "
@@ -369,11 +386,6 @@ def frames_at(spec: WarpedFamilySpec, p: int, rs: Iterable[float]) -> list:
     else:
         cols[:, np.arange(n), np.arange(1 + ps, d)] = 1.0 / hv
     return [oracle.FrameAtPoint(x, c) for x, c in zip(xs, cols)]
-
-
-def frame_at(spec: WarpedFamilySpec, p: int, r: float) -> oracle.FrameAtPoint:
-    """frames_at at the one radius r."""
-    return frames_at(spec, p, [r])[0]
 
 
 @dataclass(frozen=True)
@@ -513,9 +525,10 @@ def spec_from_json(data) -> WarpedFamilySpec:
     """Build a spec from the JSON schema
     {"n", "f", "h", "structure", "baseRicci"}.
 
-    baseRicci is "zero", "constant:<json matrix>", or
-    "scaledIdentity:<expression>"; structure rows are [i, j, k, value]
-    with 0-based indices.
+    Structure rows are [i, j, k, value] with 0-based indices. An absent
+    baseRicci derives the base Ricci from the structure (lie_ricci); a
+    given one is a modelled base: "zero", "constant:<json matrix>", or
+    "scaledIdentity:<expression>".
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -525,7 +538,7 @@ def spec_from_json(data) -> WarpedFamilySpec:
     f = _spec_field(data, "f", exprs.parse)
     h = _spec_field(data, "h", lambda texts: tuple(exprs.parse(t) for t in texts), [])
     structure = _spec_field(data, "structure", _structure, [])
-    base = _spec_field(data, "baseRicci", lambda text: _base_ricci(n, text), "zero")
+    base = _spec_field(data, "baseRicci", lambda text: _base_ricci(n, text)) if "baseRicci" in data else None
     return WarpedFamilySpec(
         n=n, f=f, h=h, structure=structure, base_ricci=base, label=data.get("label", "")
     )
@@ -549,9 +562,10 @@ def _structure(rows) -> dict:
     return structure
 
 
-def _base_ricci(n: int, text: str) -> Optional[Callable[[float], np.ndarray]]:
+def _base_ricci(n: int, text: str) -> Callable[[float], np.ndarray]:
     if text == "zero":
-        return None
+        zero = np.zeros((n, n))
+        return lambda r: zero
     if text.startswith("constant:"):
         matrix = np.asarray(json.loads(text[len("constant:") :]), dtype=float)
         if matrix.shape != (n, n):
@@ -578,20 +592,12 @@ def reference_torus_spec() -> WarpedFamilySpec:
 def left_invariant_s3_spec() -> WarpedFamilySpec:
     """E = 3-sphere with a left-invariant family: three unequal scales
     h_i(r) = (1+r^2)^(-1), (1+r^2)^(-3/4), (1+r^2)^(-1/2) on the
-    quaternionic frame, base Ricci from the closed-form left-invariant
-    formula, nonzero structure coefficients."""
+    quaternionic frame, with the base Ricci derived from its structure."""
     from .positivity import reference_profiles
 
     f, _ = reference_profiles()
     h = tuple(exprs.parse(t) for t in ("(1+r^2)^(-1)", "(1+r^2)^(-3/4)", "(1+r^2)^(-1/2)"))
-    h_at = exprs.compile_scalar(h)
-
-    def base(r: float) -> np.ndarray:
-        return np.diag(left_invariant_s3_ricci(h_at(r)))
-
-    return WarpedFamilySpec(
-        n=3, f=f, h=h, structure=_S3_STRUCTURE, base_ricci=base, label="s3-left-invariant"
-    )
+    return WarpedFamilySpec(n=3, f=f, h=h, structure=S3_STRUCTURE, label="s3-left-invariant")
 
 
 def round_sphere_spec() -> WarpedFamilySpec:

@@ -413,12 +413,58 @@ def test_an_overflow_a_later_operation_hides_is_named_by_eval_and_verify(capsys,
     # exp(-1e300*r) would be 0.0 at r = 1e10; the closed form and the chart name the same product
     path = tmp_path / "hidden.json"
     path.write_text(json.dumps({**TORUS_SPEC, "h": ["(1+r^2)^(-1) + exp(-1e300*r)"]}))
-    line = "numeric error: overflow in product in subexpression '-1" + "0" * 300 + "*r'\n"
+    line = "numeric error: overflow in product in subexpression '-1e300*r'\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for argv in (["warped-eval", "--r", "1e10"], ["warped-verify", "--rs", "1e10", "--tol", "1e-5"]):
             assert cli.run([*argv, "--spec", str(path), "--p", "3"]) == 4
             assert capsys.readouterr() == ("", line)
+
+
+S3_SPEC = {
+    "n": 3,
+    "f": "r*(1+r^2)^(-1/4)",
+    "h": ["(1+r^2)^(-1)", "(1+r^2)^(-3/4)", "(1+r^2)^(-1/2)"],
+    "structure": [[0, 1, 2, 2.0], [1, 2, 0, 2.0], [2, 0, 1, 2.0]],
+}
+
+
+def test_a_spec_without_base_ricci_verifies_with_the_base_of_its_structure(capsys, tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(S3_SPEC))
+    argv = ["warped-verify", "--spec", str(path), "--p", "3", "--rs", "0.5,1,2", "--tol", "1e-5"]
+    code, report = run_json(capsys, argv)
+    assert code == 0 and report["results"]["gating_rows"] == 30
+    # an explicit zero is a modelled base, kept as given: the yy diagonals fail
+    path.write_text(json.dumps({**S3_SPEC, "baseRicci": "zero"}))
+    code, report = run_json(capsys, argv)
+    assert code == 2
+    failed = {c["name"].split("@")[0] for c in report["checks"] if not c["pass"]}
+    assert failed == {"yy[0,0]", "yy[1,1]", "yy[2,2]"}
+
+
+@pytest.mark.parametrize(
+    "rows, yy",
+    [
+        ([[0, 1, 2, 1]], [[-0.5, 0, 0], [0, -0.5, 0], [0, 0, 0.5]]),
+        (S3_SPEC["structure"], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    ],
+)
+def test_constant_profiles_print_the_derived_base_exactly(capsys, tmp_path, rows, yy):
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps({"n": 3, "f": "r", "h": ["1", "1", "1"], "structure": rows}))
+    code, report = run_json(capsys, ["warped-eval", "--spec", str(path), "--r", "1", "--p", "5"])
+    assert code == 0 and report["results"]["yy"] == yy
+
+
+def test_a_structure_failing_the_jacobi_identity_is_a_spec_error(capsys, tmp_path):
+    path = tmp_path / "not-lie.json"
+    path.write_text(json.dumps({"n": 4, "f": "r", "h": ["1"] * 4, "structure": [[0, 1, 2, 1.0], [2, 3, 0, 1.0]]}))
+    assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "5"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "spec error: structure fails the Jacobi identity on (0, 1, 3): cyclic sum has 1 X_0\n",
+    )
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]])

@@ -393,6 +393,33 @@ def test_constants_are_exact_rationals():
 
 
 @pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("-1e300*r", "-1e300*r"),
+        ("1e-300*r", "1e-300*r"),
+        ("r^2*1.5e-30", "r^2*15e-31"),
+        ("(2e-300)^(1/2)", "2e-300^(1/2)"),
+        ("(-2e300)^(1/3)", "(-2e300)^(1/3)"),
+        ("r/2e40", "r/2e40"),
+        ("1e300*1e300", "1e600"),
+        # a short constant keeps its n or n/d text
+        ("1e16", "10000000000000000"),
+        ("1000*r", "1000*r"),
+        ("3/2000", "3/2000"),
+        ("1.5e-3", "3/2000"),
+        # a long constant that is no m*10^k, or is only as a longer text, keeps it too
+        ("1/3e20", "1/300000000000000000000"),
+        ("123456789012345678901", "123456789012345678901"),
+        ("1e700*1e700", "1" + "0" * 1400),
+    ],
+)
+def test_a_long_power_of_ten_multiple_prints_in_e_form(text, printed):
+    tree = parse(text)
+    assert to_text(tree) == printed
+    assert parse(printed) == tree
+
+
+@pytest.mark.parametrize(
     "text, message, offset",
     [
         ("r + @", "unexpected character '@'", 4),

@@ -205,7 +205,7 @@ def test_left_invariant_chart_matches_closed_form():
         m = preset("s3-left-invariant:" + ":".join(str(s) for s in scales))
         fr = FrameAtPoint(S3_POINT, s3_frame(S3_POINT, scales))
         got = frame_ricci(m, fr)
-        want = np.diag(warped.left_invariant_s3_ricci(scales))
+        want = warped.lie_ricci(warped.S3_STRUCTURE, 3)(scales)
         assert np.max(np.abs(got - want)) <= 1e-6
 
 
@@ -247,7 +247,7 @@ def test_su2_frame_divides_one_inverse_by_each_row_of_scales():
 
 
 def test_round_s3_closed_form_is_two():
-    assert np.allclose(warped.left_invariant_s3_ricci((1, 1, 1)), [2.0, 2.0, 2.0])
+    assert np.array_equal(warped.lie_ricci(warped.S3_STRUCTURE, 3)([1.0, 1.0, 1.0]), 2.0 * np.eye(3))
 
 
 def test_dimension_cap():
@@ -376,7 +376,7 @@ def _warped_frames(spec_fn, p, n):
     spec = spec_fn()
     hi = 2.5 if spec.n == 0 else 4.0
     rs = np.geomspace(0.25, hi, n)
-    return warped.chart_metric(spec, p), [warped.frame_at(spec, p, r) for r in rs]
+    return warped.chart_metric(spec, p), [warped.frames_at(spec, p, [r])[0] for r in rs]
 
 
 BATCH_CHARTS = [f"euclidean:{d}" for d in range(1, 9)]

@@ -11,7 +11,6 @@ from ricciforge.warped import (
     WarpedFamilySpec,
     chart_metric,
     check_positive_definite,
-    frame_at,
     frames_at,
     left_invariant_s3_spec,
     reference_torus_spec,
@@ -84,7 +83,100 @@ def test_structure_coefficient_invariants():
         WarpedFamilySpec(n=3, f=f, h=h, structure={(0, 1, 5): 1.0})
     spec = WarpedFamilySpec(n=3, f=f, h=h, structure={(0, 1, 2): 2.0})
     assert spec.structure[(1, 0, 2)] == -2.0
-    assert not spec.structure_vanishes
+    assert spec.derived_base([1.0, 1.0, 1.0]).any()  # a nonvanishing structure has a nonzero base
+
+
+def test_a_structure_that_is_not_a_lie_algebra_is_rejected():
+    # [X0, X1] = X2 and [X2, X3] = X0: the cyclic sum on (X0, X1, X3) is X0
+    h = (exprs.parse("1"),) * 4
+    with pytest.raises(ValueError, match=r"Jacobi identity on \(0, 1, 3\)"):
+        WarpedFamilySpec(n=4, f=exprs.parse("r"), h=h, structure={(0, 1, 2): 1.0, (2, 3, 0): 1.0})
+    # a 4-dimensional filiform algebra, [X0, X1] = X2 and [X0, X2] = X3, is one
+    spec = WarpedFamilySpec(n=4, f=exprs.parse("r"), h=h, structure={(0, 1, 2): 1.0, (0, 2, 3): 1.0})
+    assert spec.structure[(2, 0, 3)] == -1.0
+
+
+def _s3_closed_form(scales):
+    """The 3-dimensional form of the S^3 Ricci: with the frame brackets
+    [Y_i, Y_j] = lambda_k Y_k (cyclic), lambda_k = 2 h_k/(h_i h_j),
+    Ric(Y_k, Y_k) = (lambda_k^2 - (lambda_i - lambda_j)^2)/2."""
+    h = [float(s) for s in scales]
+    lam = [2.0 * h[k] / (h[(k + 1) % 3] * h[(k + 2) % 3]) for k in range(3)]
+    return np.diag([(lam[k] ** 2 - (lam[(k + 1) % 3] - lam[(k + 2) % 3]) ** 2) / 2.0 for k in range(3)])
+
+
+def test_the_derived_s3_base_equals_its_three_dimensional_form():
+    s3 = warped.lie_ricci(warped.S3_STRUCTURE, 3)
+    rng = np.random.default_rng(20261019)
+    for _ in range(1000):
+        scales = np.exp(rng.uniform(-2.0, 2.0, 3)).tolist()
+        want = _s3_closed_form(scales)
+        # relative to the size of the squared bracket constants the sums cancel
+        size = max(2.0 * scales[k] / (scales[(k + 1) % 3] * scales[(k + 2) % 3]) for k in range(3)) ** 2
+        assert np.max(np.abs(s3(scales) - want)) <= 1e-14 * size
+    # the preset models nothing: its base is this one, read at h_i(r)
+    assert left_invariant_s3_spec().base_ricci is None
+
+
+def test_the_derived_heisenberg_base_is_exact():
+    # [X0, X1] = X2: Ric = diag(-l^2/2, -l^2/2, l^2/2) with l = h3/(h1 h2)
+    heisenberg = warped.lie_ricci({(0, 1, 2): 1.0, (1, 0, 2): -1.0}, 3)
+    rng = np.random.default_rng(7)
+    for scales in [[1.0, 1.0, 1.0]] + np.exp(rng.uniform(-2.0, 2.0, (50, 3))).tolist():
+        lam = scales[2] / (scales[0] * scales[1])
+        assert np.array_equal(heisenberg(scales), np.diag([-(lam**2) / 2, -(lam**2) / 2, lam**2 / 2]))
+    # constant profiles and f = r: the warped corrections vanish and yy is the base
+    spec = spec_from_json({"n": 3, "f": "r", "h": ["1/2", "2", "3"], "structure": [[0, 1, 2, 1]]})
+    assert np.array_equal(ricci_warped(spec, 1.0, 5).yy, np.diag([-4.5, -4.5, 4.5]))
+
+
+R = exprs.parse("r")
+
+
+def _rows(rows):
+    return {(i, j, k): v for i, j, k, v in rows}
+
+
+# Lie algebras in the frame convention, as spec structure rows: so(3) with
+# unequal brackets plus a line, a filiform algebra, one with [X1, X2] = X3/2
+# added (its base has off-diagonal entries), a 5-dimensional Heisenberg
+# algebra, and so(3) with a Heisenberg algebra beside it
+LIE_ALGEBRAS = [
+    (4, [[0, 1, 2, 2.0], [1, 2, 0, 0.5], [2, 0, 1, -1.5]]),
+    (4, [[0, 1, 2, 1.0], [0, 2, 3, 1.0]]),
+    (4, [[0, 1, 2, 1.0], [0, 2, 3, 1.0], [1, 2, 3, 0.5]]),
+    (5, [[0, 1, 2, 1.0], [3, 4, 2, 3.0]]),
+    (6, [[0, 1, 2, 2.0], [1, 2, 0, 2.0], [2, 0, 1, 2.0], [3, 4, 5, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("n, rows", LIE_ALGEBRAS)
+def test_relabelling_the_frame_permutes_the_derived_base(n, rows):
+    rng = np.random.default_rng(n + len(rows))
+    base = WarpedFamilySpec(n=n, f=R, h=(R,) * n, structure=_rows(rows)).derived_base
+    for _ in range(20):
+        perm = rng.permutation(n).tolist()
+        moved = {(perm[i], perm[j], perm[k]): v for i, j, k, v in rows}
+        spec = WarpedFamilySpec(n=n, f=R, h=(R,) * n, structure=moved)
+        scales = np.exp(rng.uniform(-1.0, 1.0, n))
+        want = base(scales.tolist())
+        moved_scales = np.empty(n)
+        moved_scales[perm] = scales
+        got = spec.derived_base(moved_scales.tolist())[np.ix_(perm, perm)]
+        tol = 1e-14 * np.max(np.abs(want))
+        assert np.allclose(got, want, rtol=0.0, atol=tol) and np.allclose(got, got.T, rtol=0.0, atol=tol)
+
+
+def test_a_spec_without_base_ricci_derives_it_and_a_given_one_is_kept():
+    data = {"n": 3, "f": "r", "h": ["1", "1", "1"], "structure": [[0, 1, 2, 1]]}
+    derived = ricci_warped(spec_from_json(data), 1.0, 5).yy
+    assert np.array_equal(derived, np.diag([-0.5, -0.5, 0.5]))
+    modelled = ricci_warped(spec_from_json({**data, "baseRicci": "zero"}), 1.0, 5).yy
+    assert np.array_equal(modelled, np.zeros((3, 3)))
+    # a vanishing structure derives the zero matrix, shared by every radius
+    torus = reference_torus_spec()
+    assert torus.derived_base([0.5]) is torus.derived_base([2.0])
+    assert not torus.derived_base([0.5]).any()
 
 
 def test_torus_spec_verifies_against_oracle():
@@ -123,7 +215,7 @@ def test_verify_rows_equal_single_radius_rows_bit_for_bit(spec_fn):
         single = [row for r in rs for row in verify_against_oracle(spec, p, [r], 1e-5).rows]
         assert json.dumps(rows) == json.dumps(single), p
         for r, fr in zip(rs, frames_at(spec, p, iter(rs))):
-            one = frame_at(spec, p, r)
+            one = frames_at(spec, p, [r])[0]
             assert np.array_equal(fr.x, one.x) and np.array_equal(fr.vectors, one.vectors)
 
 
@@ -134,7 +226,7 @@ def test_frames_raise_for_the_first_failing_radius():
     with pytest.raises(ZeroDivisionError):
         frames_at(spec, 3, [0.5, 1.0, 3.0])
     with pytest.raises(ZeroDivisionError):
-        frame_at(spec, 3, 1.0)
+        frames_at(spec, 3, [1.0])
     assert frames_at(spec, 3, []) == []
 
 
@@ -188,7 +280,7 @@ def test_left_invariant_spec_mixed_zero_gates():
 @pytest.mark.parametrize("spec_fn", [left_invariant_s3_spec, reference_torus_spec])
 def test_mixed_zero_row_covers_radial_e_entries(spec_fn):
     spec, p, r = spec_fn(), 3, 1.0
-    full = oracle.frame_ricci(chart_metric(spec, p), frame_at(spec, p, r))
+    full = oracle.frame_ricci(chart_metric(spec, p), frames_at(spec, p, [r])[0])
     rows = verify_against_oracle(spec, p, [r], 1e-5).rows
     (zero_row,) = [row for row in rows if row["entry"] == "mixed-zero"]
     ps = p - 1
@@ -203,7 +295,7 @@ def test_mixed_zero_row_covers_radial_e_entries(spec_fn):
 def test_sphere_block_isotropy():
     spec = reference_torus_spec()
     metric = chart_metric(spec, 4)
-    fr = frame_at(spec, 4, 1.0)
+    fr = frames_at(spec, 4, [1.0])[0]
     full = oracle.frame_ricci(metric, fr)
     ublock = full[1:4, 1:4]
     blocks = ricci_warped(spec, 1.0, 4)
@@ -216,7 +308,7 @@ def test_gauss_equation_spot_check():
     spec = reference_torus_spec()
     p, r = 3, 1.0
     metric = chart_metric(spec, p)
-    fr = frame_at(spec, p, r)
+    fr = frames_at(spec, p, [r])[0]
     y = fr.vectors[:, 3]
     u = fr.vectors[:, 1]
     k = oracle.sectional(metric, fr.x, y, u)
@@ -379,7 +471,7 @@ def test_built_spec_derives_and_compiles_nothing(monkeypatch):
         for r in (0.3, 1.7):
             ricci_warped(spec, r, 4)
         smoothness_check(spec, 1e-4)
-        frame_at(spec, 3, 1.2)
+        frames_at(spec, 3, [1.2])[0]
     assert calls == []
 
 
@@ -463,8 +555,18 @@ def test_a_closed_form_block_past_float_range_is_named():
         warnings.simplefilter("error")
         with pytest.raises(exprs.DomainError) as err:
             ricci_warped(spec, 1e10, 3)
-    assert str(err.value) == "overflow in product in subexpression '1" + "0" * 300 + "*r'"
+    assert str(err.value) == "overflow in product in subexpression '1e300*r'"
     assert err.value.node == exprs.parse("1e300*r")
+
+
+def test_a_derived_base_dividing_by_an_underflowed_scale_product_is_named():
+    # h_a h_b = 1e-340 underflows to 0.0 in C_abk = b_abk h_k/(h_a h_b)
+    rows = [[0, 1, 2, 2.0], [1, 2, 0, 2.0], [2, 0, 1, 2.0]]
+    spec = spec_from_json({"n": 3, "f": "r", "h": ["1e-170"] * 3, "structure": rows})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"^closed-form block yy\[0,0\] is nan at r=1.0, p=3$"):
+            ricci_warped(spec, 1.0, 3)
 
 
 @pytest.mark.parametrize("r", [float("inf"), float("nan")])
