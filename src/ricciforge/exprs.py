@@ -43,6 +43,7 @@ __all__ = [
     "diff",
     "evaluate",
     "compile_scalar",
+    "compile_grid",
     "evaluate_grid",
     "to_text",
 ]
@@ -262,6 +263,30 @@ def exp(a: Expr) -> Expr:
     return Exp(a)
 
 
+# --- grammar ------------------------------------------------------------
+
+# + - * / by precedence level, loosest first, each as (symbol, smart
+# constructor, node class, printed separator); the parser, the printer and
+# the statement tables read it. Unary minus binds at 2.5, ^ at 3, atoms at 4.
+_BINARY = (
+    (("+", add, Add, " + "), ("-", sub, Sub, " - ")),
+    (("*", mul, Mul, "*"), ("/", div, Div, "/")),
+)
+_BINARY_BY_SYMBOL = {sym: (level, make) for level, ops in enumerate(_BINARY, 1) for sym, make, _, _ in ops}
+_BINARY_BY_NODE = {node: (level, sep) for level, ops in enumerate(_BINARY, 1) for _, _, node, sep in ops}
+
+# Function names, for parsing and printing; sqrt parses to a power.
+_FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": sqrt}
+_FUNCTION_NAMES = {make: name for name, make in _FUNCTIONS.items()}
+
+# After optional whitespace: a number, an identifier, an operator, any
+# other character (an error) or the end of the text.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<error>.)|(?P<end>\Z))"
+)
+
+
 # --- evaluation ---------------------------------------------------------
 
 
@@ -270,31 +295,47 @@ def evaluate(e: Expr, r: float) -> float:
     return compile_scalar((e,))(r)[0]
 
 
+def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
+    """The tree's value on the array rs, read as complex or float, by the rules of compile_grid."""
+    return compile_grid((e,))(np.asarray(rs, dtype=complex if np.iscomplexobj(rs) else float))[0]
+
+
 # the word an overflow error uses for each node whose own operation can
 # overflow; sin and cos can on a complex grid, with a large imaginary part
-_OVERFLOW_OPERATION = {
-    Add: "sum", Sub: "difference", Mul: "product", Div: "quotient",
-    Pow: "power", Sin: "sin", Cos: "cos", Exp: "exp",
-}
+_OVERFLOW_OPERATION = {Add: "sum", Sub: "difference", Mul: "product", Div: "quotient",
+                       Pow: "power", Sin: "sin", Cos: "cos", Exp: "exp"}
 
 # by node class, the statements giving its local v from operands a, b, node n
-# and exponent q; {overflow} raises the node's overflow error. Every operand
-# is finite, so v - v is nonzero, being nan, exactly when v overflowed.
-_STATEMENTS = {
+# and exponent q; {overflow} raises the node's overflow error, and "zero" is
+# a denominator b's check. Every operand is finite, so v - v is nonzero,
+# being nan, exactly when v overflowed.
+_SCALAR_STATEMENTS = {
     Var: "{v} = _float(r)\nif {v} - {v}: raise DomainError('non-finite value %r' % {v}, {n})",
     Neg: "{v} = -{a}",
-    Add: "{v} = {a} + {b}\nif {v} - {v}: {overflow}",
-    Sub: "{v} = {a} - {b}\nif {v} - {v}: {overflow}",
-    Mul: "{v} = {a} * {b}\nif {v} - {v}: {overflow}",
-    Div: "{v} = {a} / {b}\nif {v} - {v}: {overflow}",
+    **{node: "{v} = {a}%s{b}\nif {v} - {v}: {overflow}" % sep for node, (_, sep) in _BINARY_BY_NODE.items()},
     Pow: "try: {v} = _pow({a}, {q}) if {a} > 0.0 else _eval_pow({n}, {a}, {q})\n"
     "except OverflowError: {overflow} from None",
     Exp: "try: {v} = _exp({a})\nexcept OverflowError: {overflow} from None",
     Sin: "{v} = _sin({a})",
     Cos: "{v} = _cos({a})",
+    "zero": "if {b} == 0.0: raise DomainError('division by zero', {n})",
 }
 
-# compile_scalar keeps at most this many functions, dropping the least recently used
+# the same over arrays, run under np.errstate(over="raise"), so that each
+# operation that can overflow, wrapped as _compile wraps it, raises
+# FloatingPointError; every check goes by the real part
+_GRID_STATEMENTS = {
+    Var: "{v} = r",
+    Neg: "{v} = -{a}",
+    **{node: "{v} = {a}%s{b}" % sep for node, (_, sep) in _BINARY_BY_NODE.items()},
+    Pow: "{v} = _grid_pow({n}, {a})",
+    Exp: "{v} = _np.exp({a})",
+    Sin: "{v} = _np.sin({a})",
+    Cos: "{v} = _np.cos({a})",
+    "zero": "if _np.any({b}.real == 0.0): raise DomainError('division by zero', {n})",
+}
+
+# _compile keeps at most this many functions, dropping the least recently used
 COMPILE_CACHE_SIZE = 256
 
 
@@ -310,36 +351,54 @@ def compile_scalar(trees: tuple) -> Callable[[float], tuple]:
     n/d in lowest terms and d odd takes the real root (-1)^n |b|^(n/d).
     DomainError names the node of a division by zero, an even root of a
     negative number, a negative power of zero, or an overflow in a sum,
-    difference, product, quotient, power or exp, in the words of
-    evaluate_grid, and names r when r is not finite. So every value is
-    finite, and a failure names the node evaluate_grid names on [r].
+    difference, product, quotient, power or exp, and names r when r is not
+    finite. So every value is finite. compile_grid's statements come from
+    the same walk, so a failure names the node the grid names on [r].
     """
-    return _compile(tuple(trees))
+    return _compile(tuple(trees), False)
+
+
+def compile_grid(trees: tuple) -> Callable[[np.ndarray], tuple]:
+    """compile_scalar's function over a float or complex array rs, each
+    value an array of the shape and dtype of rs. A non-finite r names the
+    first tree; then, under one np.errstate(over="raise"), an overflow on
+    the grid names the innermost node whose own operation failed, with no
+    numpy warning, and a tree left non-finite is named before the next runs.
+    A complex grid, such as the oracle's complex-step points, takes each
+    rule's holomorphic extension, with every check by the real part of r.
+    """
+    return _compile(tuple(trees), True)
 
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compile(trees: tuple) -> Callable[[float], tuple]:
+def _compile(trees: tuple, grid: bool) -> Callable:
+    statements = _GRID_STATEMENTS if grid else _SCALAR_STATEMENTS
     env = {"DomainError": DomainError, "_float": float, "_pow": math.pow, "_exp": math.exp, "_sin": math.sin,
-           "_cos": math.cos, "_eval_pow": _eval_pow}
-    lines: list[str] = []
-    names: dict[tuple, str] = {}  # (class, operand names, exponent or value) -> name; (Div, b) -> check
+           "_cos": math.cos, "_eval_pow": _eval_pow, "_np": np, "_FPE": FloatingPointError,
+           "_grid_pow": _grid_pow, "_check_grid": _check_grid}
+    names: dict[tuple, str] = {}  # (class, operands, exponent or value) -> name; (Div, b) -> check
 
     def bind(value) -> str:
         env[f"k{len(env)}"] = value
         return f"k{len(env) - 1}"
 
+    lines = [f"_check_grid(r, r, {bind(trees[0])})"] if grid else []  # r is checked first
+
     def visit(e: Expr) -> str:
         if isinstance(e, Const):
-            if (Const, e.value) not in names:
-                names[Const, e.value] = bind(float(e.value))
+            if (Const, e.value) not in names:  # a float, or on a grid an array of the grid's dtype
+                k = bind(float(e.value))
+                names[Const, e.value] = f"v{len(names)}" if grid else k
+                if grid:
+                    lines.append(f"{names[Const, e.value]} = _np.full(r.shape, {k}, r.dtype)")
             return names[Const, e.value]
-        if type(e) not in _STATEMENTS:
+        if type(e) not in statements:
             raise TypeError(f"unknown node {type(e).__name__}")
         if isinstance(e, Div):
             b = visit(e.right)
             if (Div, b) not in names:  # the first quotient by b checks it, before its numerator
                 names[Div, b] = bind(e)
-                lines.append(f"if {b} == 0.0: raise DomainError('division by zero', {names[Div, b]})")
+                lines.append(statements["zero"].format(b=b, n=names[Div, b]))
             operands = (visit(e.left), b)
         else:
             operands = tuple(visit(getattr(e, f)) for f in ("left", "right", "arg", "base") if hasattr(e, f))
@@ -347,14 +406,23 @@ def _compile(trees: tuple) -> Callable[[float], tuple]:
         if key not in names:
             names[key] = v = f"v{len(names)}"
             n = bind(e)
-            q = isinstance(e, Pow) and bind(float(e.exponent))
+            q = isinstance(e, Pow) and not grid and bind(float(e.exponent))
             overflow = f"raise DomainError('overflow in {_OVERFLOW_OPERATION.get(type(e))}', {n})"
-            fill = dict(zip("ab", operands), v=v, n=n, q=q, overflow=overflow)
-            lines.extend(_STATEMENTS[type(e)].format(**fill).split("\n"))
+            text = statements[type(e)].format(**dict(zip("ab", operands), v=v, n=n, q=q, overflow=overflow))
+            if grid and type(e) in _OVERFLOW_OPERATION:
+                text = f"try: {text}\nexcept _FPE: {overflow} from None"
+            lines.extend(text.split("\n"))
         return names[key]
 
-    outs = "".join(visit(e) + ", " for e in trees)
-    exec("def run(r):\n" + "".join(f"    {line}\n" for line in lines) + f"    return ({outs})\n", env)
+    outs = []
+    for e in trees:
+        outs.append(visit(e))
+        if grid:
+            lines.append(f"_check_grid(r, {outs[-1]}, {bind(e)})")
+    if grid:  # the trees run under one errstate
+        lines = [lines[0], "with _np.errstate(over='raise'):", *("    " + line for line in lines[1:])]
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def run(r):\n{body}    return ({''.join(o + ', ' for o in outs)})\n", env)
     return env["run"]
 
 
@@ -372,74 +440,26 @@ def _eval_pow(node: Pow, b: float, qf: float) -> float:
     return (-1.0 if q.numerator % 2 else 1.0) * math.pow(-b, qf)
 
 
-def evaluate_grid(e: Expr, rs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on an array of r values.
+def _grid_pow(node: Pow, b: np.ndarray) -> np.ndarray:
+    """b^q on a grid by the rules of _eval_pow, the checks and root branch by the real part of b."""
+    q = node.exponent
+    if q < 0 and np.any(b.real == 0.0):
+        raise DomainError("zero raised to a negative power", node)
+    if q.denominator == 1:
+        return b ** int(q)
+    negative = b.real < 0.0
+    if not np.any(negative):
+        return b ** float(q)
+    if q.denominator % 2 == 0:
+        raise DomainError("even root of a negative number", node)
+    out = np.where(negative, -b, b) ** float(q)
+    return np.where(negative, -out, out) if q.numerator % 2 else out
 
-    Follows the rules of evaluate, including real odd roots of negative
-    bases. The whole tree is evaluated under one np.errstate(over="raise"):
-    a domain violation, or an overflow anywhere on the grid, raises
-    DomainError for the innermost node whose own operation failed, with
-    no numpy warning. A grid holding a non-finite r raises DomainError
-    naming the tree, and evaluates nothing. A complex grid, such as the
-    oracle's complex-step points, is evaluated by the holomorphic
-    extension of each rule: the root branch and every domain check go by
-    the real part of r.
-    """
-    rs = np.asarray(rs, dtype=complex if np.iscomplexobj(rs) else float)
 
-    def ev(node: Expr) -> np.ndarray:
-        try:
-            if isinstance(node, Const):
-                return np.full(rs.shape, float(node.value), dtype=rs.dtype)
-            if isinstance(node, Var):
-                return rs
-            if isinstance(node, Add):
-                return ev(node.left) + ev(node.right)
-            if isinstance(node, Sub):
-                return ev(node.left) - ev(node.right)
-            if isinstance(node, Neg):
-                return -ev(node.arg)
-            if isinstance(node, Mul):
-                return ev(node.left) * ev(node.right)
-            if isinstance(node, Div):
-                den = ev(node.right)
-                if np.any(den.real == 0.0):
-                    raise DomainError("division by zero", node)
-                return ev(node.left) / den
-            if isinstance(node, Pow):
-                b = ev(node.base)
-                q = node.exponent
-                if q < 0 and np.any(b.real == 0.0):
-                    raise DomainError("zero raised to a negative power", node)
-                if q.denominator == 1:
-                    return b ** int(q)
-                negative = b.real < 0.0
-                if not np.any(negative):
-                    return b ** float(q)
-                if q.denominator % 2 == 0:
-                    raise DomainError("even root of a negative number", node)
-                out = np.where(negative, -b, b) ** float(q)
-                return np.where(negative, -out, out) if q.numerator % 2 else out
-            if isinstance(node, Sin):
-                return np.sin(ev(node.arg))
-            if isinstance(node, Cos):
-                return np.cos(ev(node.arg))
-            if isinstance(node, Exp):
-                return np.exp(ev(node.arg))
-            raise TypeError(f"unknown node {type(node).__name__}")
-        except FloatingPointError:
-            # a child's overflow is already a DomainError, so this one comes
-            # from the node's own operation
-            raise DomainError(f"overflow in {_OVERFLOW_OPERATION[type(node)]}", node) from None
-
-    finite = np.isfinite(rs)
-    if finite.all():
-        with np.errstate(over="raise"):
-            out = ev(e)
-        finite = np.isfinite(out)
+def _check_grid(rs: np.ndarray, values: np.ndarray, node: Expr) -> None:
+    finite = np.isfinite(values)
     if not finite.all():
-        raise DomainError(f"non-finite value on grid (first bad r={rs.real[~finite][0]})", e)
-    return out
+        raise DomainError(f"non-finite value on grid (first bad r={rs.real[~finite][0]})", node)
 
 
 # --- differentiation ----------------------------------------------------
@@ -481,30 +501,6 @@ def _d(e: Expr) -> Expr:
     if isinstance(e, Exp):
         return mul(exp(e.arg), _d(e.arg))
     raise TypeError(f"unknown node {type(e).__name__}")
-
-
-# --- grammar ------------------------------------------------------------
-
-# + - * / by precedence level, loosest first, each as (symbol, smart
-# constructor, node class, printed separator); the parser and the printer
-# both read it. Unary minus binds at level 2.5, ^ at 3 and atoms at 4.
-_BINARY = (
-    (("+", add, Add, " + "), ("-", sub, Sub, " - ")),
-    (("*", mul, Mul, "*"), ("/", div, Div, "/")),
-)
-_BINARY_BY_SYMBOL = {sym: (level, make) for level, ops in enumerate(_BINARY, 1) for sym, make, _, _ in ops}
-_BINARY_BY_NODE = {node: (level, sep) for level, ops in enumerate(_BINARY, 1) for _, _, node, sep in ops}
-
-# Function names, for parsing and printing; sqrt parses to a power.
-_FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": sqrt}
-_FUNCTION_NAMES = {make: name for name, make in _FUNCTIONS.items()}
-
-# After optional whitespace: a number, an identifier, an operator, any
-# other character (an error) or the end of the text.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<error>.)|(?P<end>\Z))"
-)
 
 
 # --- printing -----------------------------------------------------------

@@ -170,18 +170,22 @@ def _metric_derivatives(
     rows = len(shift) if second else 1 + d
     # chart row j * R + p is stencil row j of point p
     pts = xs + h * shift[:rows, None] + 1j * _ETA * imag[:rows, None]
-    # an overflow anywhere shows up as a non-finite entry, reported below
+    # an overflow shows up as a non-finite entry, reported below; rows combine in place
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.asarray(m.components(pts.reshape(-1, d))).reshape(rows, r, d, d)
-        g0 = _symmetrize(g[0].real)
-        der = _symmetrize(g[1:].imag) / _ETA
+        real, g0, im = not np.iscomplexobj(g), _symmetrize(g[0].real), g[1:].imag
+        der = im + im.swapaxes(-1, -2)
+        del g, pts, im
+        np.divide(np.multiply(der, 0.5, out=der), _ETA, out=der)
         dg = np.ascontiguousarray(der[:d].swapaxes(0, 1))
         d2g = None
         if second:
             cross = der[d:].reshape(len(_D1_OFFSETS), len(kk), r, d, d)
-            acc = sum(w * cross[a] for a, w in enumerate(_D1_WEIGHTS))
+            acc = np.zeros(cross.shape[1:])  # from +0.0, so that a sum of -0.0 terms is +0.0
+            for w, term in zip(_D1_WEIGHTS, cross):
+                acc += w * term
             d2g = np.zeros((r, d, d, d, d))
-            d2g[:, kk, ll] = (acc / h.T[ll][:, :, None, None]).swapaxes(0, 1)
+            d2g[:, kk, ll] = np.divide(acc, h.T[ll][:, :, None, None], out=acc).swapaxes(0, 1)
             d2g[:, ll, kk] = d2g[:, kk, ll]
     _finite("metric derivatives are", xs, *((g0, dg) if d2g is None else (g0, dg, d2g)))
     # ascending eigenvalues; g is symmetric, so its condition number is w[-1] / w[0]
@@ -195,7 +199,7 @@ def _metric_derivatives(
                 f"metric not positive definite at {xs[i]} (min eigenvalue {w[i, 0]:.3e})"
             )
         raise SingularMetricError(f"metric condition number exceeds 1e12 at {xs[i]}")
-    if not np.iscomplexobj(g):
+    if real:
         raise OracleError(
             f"chart {m.label or 'metric'} returned real components at complex points, "
             "so every derivative would read 0; build them holomorphically in x.dtype"
@@ -254,9 +258,9 @@ def _curvature(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
 
 
 # Bytes of metric components (rows x d^2 x 16, complex) one chart call may
-# build. Larger calls raise glibc's dynamic mmap threshold and the heap
-# keeps the freed arrays, so peak RSS grows with the call size. 600 KiB
-# holds the stencils of 3 points at d = 8 and of 6 at d = 7.
+# build: 3 points' stencils at d = 8, 6 at d = 7. A verify-hd op then takes 0.03
+# minor page faults, 0.01 with a gc.collect() after each op, and one s3-unequal
+# p = 5 verify peaks at 822 KiB under tracemalloc (BENCH_9.json, 2-core host).
 CHART_CALL_BYTES = 600 * 1024
 
 

@@ -328,12 +328,12 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     kind = _classify(spec)
     n, ps = spec.n, _sphere_dim(p)
     d = n + ps + 1
+    profiles = exprs.compile_grid((spec.f, *spec.h))
 
     def comps(x: np.ndarray) -> np.ndarray:
-        r = x[:, -1]
         y = x[:, n : n + ps]
-        fv = exprs.evaluate_grid(spec.f, r)
-        h2 = np.square([exprs.evaluate_grid(e, r) for e in spec.h]).reshape(n, len(x)).T
+        fv, *hv = profiles(x[:, -1])
+        h2 = np.square(hv).reshape(n, len(x)).T
         conf = 4.0 * fv**2 / (1.0 + np.sum(y * y, axis=1)) ** 2
         g = np.zeros((len(x), d, d), dtype=x.dtype)
         if kind == "s3":

@@ -894,7 +894,10 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 # 4ae0de6, before the report frame moved into run: the text and --csv
 # renderings of kbound, minp, plan, warped-eval and smoothness, error-bounds
 # in all three formats with the derived C and with --C 1 (exit 2), and the
-# exit code and stderr of two usage errors and a numeric error. Input files
+# exit code and stderr of two usage errors and a numeric error. Captured at
+# commit abd1e66, before the chart's profiles moved to one generated grid
+# function: warped-verify on s3-unequal at p = 5 and on the torus near its
+# axis, and oracle-check on sphere:3:1 and a left-invariant S^3. Input files
 # are written under the names the argvs give.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
 

@@ -17,6 +17,7 @@ from ricciforge.exprs import (
     ParseError,
     Pow,
     Var,
+    compile_grid,
     compile_scalar,
     diff,
     evaluate,
@@ -635,11 +636,69 @@ def _reference_pow(node, b, qf):
         raise DomainError("overflow in power", node) from None
 
 
+# --- the recursive interpreter the generated grid code replaced, as its reference
+
+
+def _reference_grid(e, rs):
+    """e on the array rs by one recursion over the tree under one
+    np.errstate(over="raise"), each constant an array of the grid's dtype."""
+    rs = np.asarray(rs, dtype=complex if np.iscomplexobj(rs) else float)
+
+    def ev(node):
+        try:
+            if isinstance(node, Const):
+                return np.full(rs.shape, float(node.value), dtype=rs.dtype)
+            if isinstance(node, Var):
+                return rs
+            if isinstance(node, exprs.Neg):
+                return -ev(node.arg)
+            if isinstance(node, exprs.Div):
+                den = ev(node.right)
+                if np.any(den.real == 0.0):
+                    raise DomainError("division by zero", node)
+                return ev(node.left) / den
+            if isinstance(node, (Add, exprs.Sub, Mul)):
+                op = {Add: operator.add, exprs.Sub: operator.sub, Mul: operator.mul}[type(node)]
+                return op(ev(node.left), ev(node.right))
+            if isinstance(node, Pow):
+                b = ev(node.base)
+                q = node.exponent
+                if q < 0 and np.any(b.real == 0.0):
+                    raise DomainError("zero raised to a negative power", node)
+                if q.denominator == 1:
+                    return b ** int(q)
+                negative = b.real < 0.0
+                if not np.any(negative):
+                    return b ** float(q)
+                if q.denominator % 2 == 0:
+                    raise DomainError("even root of a negative number", node)
+                out = np.where(negative, -b, b) ** float(q)
+                return np.where(negative, -out, out) if q.numerator % 2 else out
+            fn = {exprs.Sin: np.sin, exprs.Cos: np.cos, exprs.Exp: np.exp}[type(node)]
+            return fn(ev(node.arg))
+        except FloatingPointError:
+            # a child's overflow is already a DomainError, so this one comes
+            # from the node's own operation
+            word = {Add: "sum", exprs.Sub: "difference", Mul: "product", exprs.Div: "quotient", Pow: "power",
+                    exprs.Sin: "sin", exprs.Cos: "cos", exprs.Exp: "exp"}[type(node)]
+            raise DomainError(f"overflow in {word}", node) from None
+
+    finite = np.isfinite(rs)
+    if finite.all():
+        with np.errstate(over="raise"):
+            out = ev(e)
+        finite = np.isfinite(out)
+    if not finite.all():
+        raise DomainError(f"non-finite value on grid (first bad r={rs.real[~finite][0]})", e)
+    return out
+
+
 def _outcome(run, r):
-    """The bytes of each value run(r) returns, so that the sign of a zero
-    and of a NaN count, or the message and node of its DomainError."""
+    """The dtype, shape and bytes of each value run(r) returns, so that the
+    sign of a zero and of a NaN count, or the message and node of its
+    DomainError."""
     try:
-        return [np.float64(v).tobytes() for v in run(r)]
+        return [(v.dtype, v.shape, v.tobytes()) for v in map(np.asarray, run(r))]
     except DomainError as err:
         return (str(err), err.node)
 
@@ -669,15 +728,37 @@ def test_generated_evaluator_equals_the_closure_reference():
         except (RecursionError, OverflowError):
             continue
         refs = [_reference_closure(e) for e in profile]
-        generated = compile_scalar(profile)
-        for r in radii + [rng.uniform(-5.0, 5.0) for _ in range(4)]:
+        generated, on_grid = compile_scalar(profile), compile_grid(profile)
+        rs = radii + [rng.uniform(-5.0, 5.0) for _ in range(4)]
+        for r in rs:
             want = _outcome(lambda r: [ref(r) for ref in refs], r)
             assert _outcome(generated, r) == want, (to_text(tree), r)
-            # the grid evaluator fails where the generated function fails, naming the same node
-            grid = _outcome(lambda r: [evaluate_grid(e, np.array([r]))[0] for e in profile], r)
+            # the grid function fails where the scalar one fails, naming the same node
+            grid = _outcome(on_grid, np.array([r]))
             if isinstance(want, tuple) or isinstance(grid, tuple):
                 assert grid == want, (to_text(tree), r)
             seen.add(want[0].split(" in subexpression")[0] if isinstance(want, tuple) else "value")
+        # the grid function is each tree through the interpreter in turn, bit
+        # for bit, on one radius and on all, real and complex
+        for grid in [np.array([r]) for r in rs] + [np.array(rs)]:
+            for rs_ in (grid, grid + 1e-30j):
+                want = _outcome(lambda rs_: [_reference_grid(e, rs_) for e in profile], rs_)
+                assert _outcome(on_grid, rs_) == want, (to_text(tree), rs_)
     for kind in ("value", "division by zero", "even root of a negative number", "overflow in exp"):
         assert kind in seen
     assert {"overflow in product", "zero raised to a negative power"} <= seen
+
+
+@pytest.mark.parametrize(
+    "trees",
+    [("3",), ("sin(2)", "r"), ("cos(3)*r", "exp(-1)"), ("r", "2^(1/2)", "(-8)^(1/3)"), ("r - r", "1/(2 - 2)")],
+)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_grid_constants_take_the_grid_dtype(trees, dtype):
+    # a constant-only tree or subtree is computed on arrays of the grid's
+    # dtype, so on a complex grid its imaginary part has the interpreter's sign
+    trees = tuple(parse(t) for t in trees)
+    rs = np.array([0.5, -1.0, 2.0], dtype=dtype)
+    got = _outcome(compile_grid(trees), rs)
+    assert got == _outcome(lambda rs: [_reference_grid(e, rs) for e in trees], rs)
+    assert isinstance(got, tuple) or all(v[:2] == (rs.dtype, rs.shape) for v in got)

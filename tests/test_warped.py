@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 import warnings
@@ -687,3 +688,22 @@ def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
         got = (blocks.rr, blocks.uu, blocks.yy)
         got += tuple(check_positive_definite(blocks, s).min_eigen for s in (0.0, slack))
         assert _bits(*got) == _bits(rr, uu, yy, exact, gersh), (trial, n)
+
+
+def test_a_verify_leaves_no_cyclic_garbage():
+    # a reference cycle would hold each chart call's stencil until the
+    # collector runs, and the freed heap would be trimmed and faulted back
+    spec = left_invariant_s3_spec()
+
+    def run():
+        exprs.evaluate_grid(spec.f, np.array([0.5, 1.0 + 1e-30j]))
+        warped.verify_against_oracle(spec, 5, [0.25, 1.0, 4.0], 1e-5)
+
+    run()  # fills the caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
