@@ -59,9 +59,10 @@ def render_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return json.encoder.encode_basestring_ascii(value)  # what json.dumps(value) runs
     if isinstance(value, dict):
-        return "{" + ", ".join([f"{json.dumps(str(k))}: {render_json(v)}" for k, v in value.items()]) + "}"
+        quote = json.encoder.encode_basestring_ascii
+        return "{" + ", ".join([f"{quote(str(k))}: {render_json(v)}" for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join([render_json(v) for v in value]) + "]"
     if isinstance(value, (np.ndarray, np.number)):

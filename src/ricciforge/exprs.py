@@ -419,11 +419,12 @@ def _compile(trees: tuple, grid: bool) -> Callable:
         outs.append(visit(e))
         if grid:
             lines.append(f"_check_grid(r, {outs[-1]}, {bind(e)})")
+    del visit  # it calls itself through its own cell, a cycle the collector would free
     if grid:  # the trees run under one errstate
         lines = [lines[0], "with _np.errstate(over='raise'):", *("    " + line for line in lines[1:])]
     body = "".join(f"    {line}\n" for line in lines)
     exec(f"def run(r):\n{body}    return ({''.join(o + ', ' for o in outs)})\n", env)
-    return env["run"]
+    return env.pop("run")  # run's globals are env, so env keeps no reference back
 
 
 def _eval_pow(node: Pow, b: float, qf: float) -> float:

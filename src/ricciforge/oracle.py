@@ -72,7 +72,9 @@ class ChartMetric:
     dim : positive chart dimension, at most MAX_DIM: the largest warped
         chart (n = 3, p = 5) has dimension 8. One point's stencil has
         1 + dim + 2 dim (dim + 1) rows, 153 at dimension 8, and holds
-        16 * dim**2 bytes of components per row, 153 KiB at dimension 8.
+        16 * dim**2 bytes of components per row, 153 KiB at dimension 8,
+        so one chart call of CHART_CALL_BYTES holds the stencils of 8
+        points at dimension 8, 13 at 7 and 23 at 6.
     components : (N, dim) array of points -> (N, dim, dim) array of metric
         components, one matrix per row from that row's point alone; the
         rows of one call may belong to several points' stencils. Only the
@@ -173,9 +175,10 @@ def _metric_derivatives(
     # an overflow shows up as a non-finite entry, reported below; rows combine in place
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.asarray(m.components(pts.reshape(-1, d))).reshape(rows, r, d, d)
+        del pts
         real, g0, im = not np.iscomplexobj(g), _symmetrize(g[0].real), g[1:].imag
         der = im + im.swapaxes(-1, -2)
-        del g, pts, im
+        del g, im
         np.divide(np.multiply(der, 0.5, out=der), _ETA, out=der)
         dg = np.ascontiguousarray(der[:d].swapaxes(0, 1))
         d2g = None
@@ -258,10 +261,11 @@ def _curvature(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
 
 
 # Bytes of metric components (rows x d^2 x 16, complex) one chart call may
-# build: 3 points' stencils at d = 8, 6 at d = 7. A verify-hd op then takes 0.03
-# minor page faults, 0.01 with a gc.collect() after each op, and one s3-unequal
-# p = 5 verify peaks at 822 KiB under tracemalloc (BENCH_9.json, 2-core host).
-CHART_CALL_BYTES = 600 * 1024
+# build: 8 points' stencils at d = 8 (8 x 153 x 64 x 16 bytes), 13 at d = 7 and
+# 23 at d = 6, so a verify of up to 8 radii at d = 8 is one call. Minor page
+# faults and tracemalloc peaks per verify against the number of radii, at this
+# cap and at 600 KiB, are in BENCH_10.json.
+CHART_CALL_BYTES = 1224 * 1024
 
 
 def _riemann(m: ChartMetric, xs, step: float = DEFAULT_STEP):

@@ -1,3 +1,4 @@
+import gc
 import math
 import operator
 import re
@@ -511,6 +512,24 @@ def test_compiled_functions_are_cached_within_a_finite_bound():
     for k in range(exprs.COMPILE_CACHE_SIZE + 10):
         evaluate(parse(f"r + {k}"), 1.0)
     assert exprs._compile.cache_info().currsize == exprs.COMPILE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("compile_", [compile_scalar, compile_grid])
+def test_a_compile_leaves_no_cyclic_garbage(compile_):
+    # neither the walk, which recurses through a closure, nor the generated
+    # function, whose globals are the namespace it is built in, may leave a
+    # reference cycle: with the collector off, a cache miss frees everything
+    # but the function the cache keeps
+    trees = (parse("r*(1+r^2)^(-1/4) + 7/3"), parse("sin(r)/(r - 1/3) + exp(-r)"))
+    misses = exprs._compile.cache_info().misses
+    gc.collect()
+    gc.disable()
+    try:
+        compile_(trees)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert exprs._compile.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("arg", [5, ["r"], b"r", None])

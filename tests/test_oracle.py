@@ -298,6 +298,11 @@ def test_components_batch_matches_single_rows(name, draw):
     np.testing.assert_array_equal(batch, rows)
 
 
+def _points_per_call(d):
+    """Points whose stencils fit one chart call of CHART_CALL_BYTES at d."""
+    return oracle.CHART_CALL_BYTES // ((1 + d + 2 * d * (d + 1)) * d * d * 16)
+
+
 @pytest.mark.parametrize("name", ["euclidean:2", "sphere:8:1"])
 def test_ricci_evaluates_chart_once(name):
     # one chart call of 1 + d + 2d(d+1) rows and none at the single point
@@ -324,12 +329,12 @@ def test_ricci_evaluates_chart_once(name):
         (lambda: sectional(counted, x, u, v), [stencil]),
         (lambda: christoffel(counted, x), [1 + d]),
     ]
-    # five points: one call for each chunk that fits CHART_CALL_BYTES at
-    # 16 bytes per complex entry (all five at d = 2; three, then two, at d = 8)
-    per_call = oracle.CHART_CALL_BYTES // (stencil * d * d * 16)
-    chunks = [min(per_call, 5 - start) for start in range(0, 5, per_call)]
-    assert chunks == ([5] if d == 2 else [3, 2])
-    calls.append((lambda: frame_ricci_many(counted, [frame] * 5), [n * stencil for n in chunks]))
+    # nine points: one call for each chunk that fits CHART_CALL_BYTES at
+    # 16 bytes per complex entry (all nine at d = 2; eight, then one, at d = 8)
+    per_call = _points_per_call(d)
+    chunks = [min(per_call, 9 - start) for start in range(0, 9, per_call)]
+    assert chunks == ([9] if d == 2 else [8, 1])
+    calls.append((lambda: frame_ricci_many(counted, [frame] * 9), [n * stencil for n in chunks]))
     for call, want in calls:
         sizes.clear()
         call()
@@ -337,8 +342,9 @@ def test_ricci_evaluates_chart_once(name):
 
 
 def test_verify_sends_radii_through_chunked_chart_calls(monkeypatch):
-    # s3 at p = 5 is an 8-dimensional chart: 3 radii fit one call, so 4
-    # radii take two chunks
+    # s3 at p = 5 is an 8-dimensional chart: 8 radii, as many as the CLI's
+    # default and the bench's verifies send, fit one call, so 9 radii take
+    # two chunks
     sizes = []
     real = warped.chart_metric
 
@@ -352,9 +358,12 @@ def test_verify_sends_radii_through_chunked_chart_calls(monkeypatch):
         return dataclasses.replace(m, components=counting)
 
     monkeypatch.setattr(warped, "chart_metric", counting_chart)
-    warped.verify_against_oracle(warped.left_invariant_s3_spec(), 5, [0.5, 1.0, 2.0, 3.0], 1e-5)
     rows = 1 + 8 + 2 * 8 * 9
-    assert sizes == [3 * rows, rows]
+    rs = np.geomspace(0.25, 4.0, 9)
+    for n, want in ((8, [8 * rows]), (9, [8 * rows, rows])):
+        sizes.clear()
+        warped.verify_against_oracle(warped.left_invariant_s3_spec(), 5, rs[:n], 1e-5)
+        assert sizes == want
     assert max(sizes) * 8 * 8 * 16 <= oracle.CHART_CALL_BYTES
 
 
@@ -403,11 +412,14 @@ def _batch_chart(name, n):
 
 @pytest.mark.parametrize("name", BATCH_CHARTS)
 def test_frame_ricci_many_is_bit_identical_to_single_points(name):
-    # for R = 1..8 points, one batched call equals R frame_ricci calls
-    # exactly; at d = 7 and 8 the larger batches span several chunks
-    m, frames = _batch_chart(name, 8)
+    # for R = 1..8 points, and for one point past a chunk, one batched call
+    # equals R frame_ricci calls exactly; at d = 7 and 8 that batch spans two
+    # chunks (13 and 8 points per call)
+    m, frames = _batch_chart(name, _points_per_call(7) + 1)
+    past = min(_points_per_call(m.dim) + 1, len(frames))
+    assert m.dim < 7 or past == _points_per_call(m.dim) + 1
     singles = [frame_ricci(m, fr) for fr in frames]
-    for r in range(1, 9):
+    for r in sorted({*range(1, 9), past}):
         batch = frame_ricci_many(m, frames[:r])
         assert len(batch) == r
         for got, want in zip(batch, singles):
