@@ -9,11 +9,14 @@ c h^2 in magnitude) satisfies a bound of the form
     Ric_diag >= h^2 ( r^2 (p K - L) + p R - S )
 
 with K, R > 0, so positivity for all radii holds once p clears the
-coefficient ratios. min_p decides the least p exactly, in rationals, for
-one exponent profile. A certificate bounds the exponents only to a box
-[m_lower, m]; _box_rows states each row's worst case over that box once.
-p_bound reads it in rationals for the exact least p over the box, and
-k_bound reads it in floats for the ratio every larger p clears.
+coefficient ratios. min_p decides the least p exactly for one exponent
+profile, in Python integers: over a common denominator D of c and the
+exponents, every row is an integer quadruple times 4 D^2, and only the
+values it reports are built as Fractions. A certificate bounds the
+exponents only to a box [m_lower, m]; _box_rows states each row's worst
+case over that box once. p_bound reads it in integers the same way for
+the exact least p over the box, and k_bound reads it in floats for the
+ratio every larger p clears.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ def reference_profiles() -> tuple[Expr, Expr]:
 
 @dataclass(frozen=True)
 class DirectionCoefficients:
-    """One direction's bound Ric >= h^2 (r^2 (pK - L) + pR - S)."""
+    """One direction's bound u^2 Ric >= h^2 (r^2 (pK - L) + pR - S), in
+    the scaled form of _quadruples with unit u: integers in min_p and
+    p_bound, floats with u = 1 in k_bound."""
 
     K: float
     L: float
@@ -58,10 +63,13 @@ class DirectionCoefficients:
     S: float
 
 
-def _quadruples(c, mi) -> dict:
-    """Coefficient quadruples for the reference profiles with exponents mi,
-    keyed 'r', 'u', 'y0' .. 'y(n-1)', in the number type of c and mi:
-    exact for rationals, and the same float operations for floats.
+def _quadruples(c, mi, half) -> dict:
+    """Coefficient quadruples for the reference profiles with exponents
+    mi, keyed 'r', 'u', 'y0' .. 'y(n-1)', in the scaled form with unit
+    u = 2 half: c and mi given as c u and m_i u, and each row u^2 times
+    the true one. min_p and p_bound pass integers, with half a common
+    denominator D; k_bound passes floats with half = 1/2, where u = 1 and
+    each float operation is that of the true row.
 
     Substituting h_i = h^(m_i) and the closed-form identities
 
@@ -72,7 +80,8 @@ def _quadruples(c, mi) -> dict:
 
     into the diagonal Ricci formulas, with the worst-case base value
     -c h^2 on the E-block diagonal and the auxiliary profile inequality
-    f^(-2)(1 - f'^2) >= h^2 (3/2 + r^2) for the sphere block, gives
+    f^(-2)(1 - f'^2) >= h^2 (3/2 + r^2) for the sphere block, gives the
+    true rows
 
         radial:  K = 1/4, L = 1/4 + sum(2 m_i + 4 m_i^2),
                  R = 3/2, S = 3/2 - 2 sum(m_i)        (exact equality)
@@ -84,31 +93,34 @@ def _quadruples(c, mi) -> dict:
     Every direction needs K, R > 0, which forces every m_i > 0.
     """
     s1 = sum(mi)
+    unit, quarter = 2 * half, half * half
     directions = {
         "r": DirectionCoefficients(
-            K=Fraction(1, 4),
-            L=Fraction(1, 4) + sum(2 * m + 4 * m * m for m in mi),
-            R=Fraction(3, 2),
-            S=Fraction(3, 2) - 2 * s1,
+            K=quarter,
+            L=quarter + sum(2 * unit * m + 4 * m * m for m in mi),
+            R=6 * quarter,
+            S=6 * quarter - 2 * unit * s1,
         ),
         "u": DirectionCoefficients(
-            K=Fraction(1), L=Fraction(7, 4) - s1, R=Fraction(3, 2), S=Fraction(3, 2) - 2 * s1
+            K=4 * quarter, L=7 * quarter - unit * s1, R=6 * quarter, S=6 * quarter - 2 * unit * s1
         ),
     }
-    y_rows = {m: _y_row(c, m, s1) for m in set(mi)}  # one row per distinct exponent
+    y_rows = {m: _y_row(c, m, s1, unit) for m in set(mi)}  # one row per distinct exponent
     directions.update((f"y{i}", y_rows[m]) for i, m in enumerate(mi))
     return directions
 
 
-def _y_row(c, m, s1) -> DirectionCoefficients:
-    """_quadruples' Y_i row for m_i = m and sum(m_k) = s1."""
-    return DirectionCoefficients(K=m, L=3 * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * m, S=c)
+def _y_row(c, m, s1, unit) -> DirectionCoefficients:
+    """_quadruples' Y_i row for m_i = m and sum(m_k) = s1, at unit u."""
+    return DirectionCoefficients(
+        K=unit * m, L=3 * unit * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * unit * m, S=unit * c
+    )
 
 
-def _box_rows(n: int, c, m, m_lower) -> dict:
+def _box_rows(n: int, c, m, m_lower, half) -> dict:
     """Each row's worst case over the exponent profiles with all m_i in
-    [m_lower, m], keyed 'r', 'u' and (n > 0) 'y', in the number type of
-    c, m and m_lower, as _quadruples.
+    [m_lower, m], keyed 'r', 'u' and (n > 0) 'y', in the scaled form of
+    _quadruples.
 
     r and u are _quadruples' rows at every m_i = m, where r's L/K peaks
     (its S/R <= 1 never binds; u never binds, see min_p). A y_i row's
@@ -122,16 +134,33 @@ def _box_rows(n: int, c, m, m_lower) -> dict:
         raise ValueError("m must be positive")
     if not 0 < m_lower <= m:
         raise ValueError("m_lower must lie in (0, m]")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    r, u, *ys = _quadruples(c + (n - 1) * c, [m] * n).values()
+    c_row = c + (n - 1) * c
+    r, u, *ys = _quadruples(c_row, [m] * n, half).values()
     rows = {"r": r, "u": u}
     if ys:  # the y_i rows are equal at every m_i = m
         rows["y"] = ys[0]
-        rows["y-lower"] = _y_row(ys[0].S, m_lower, sum([m_lower] + [m] * (n - 1)))
+        rows["y-lower"] = _y_row(c_row, m_lower, sum([m_lower] + [m] * (n - 1)), 2 * half)
     return rows
+
+
+def _check(n: int, c, exponents) -> None:
+    """The input check min_p, p_bound and k_bound share: n >= 0, c >= 0,
+    and c and each (name, value) of exponents a finite number. A NaN or an
+    infinity raises ValueError naming its argument."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    for name, x in (("c", c), *exponents):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
+    if c < 0:
+        raise ValueError("c must be nonnegative")
+
+
+def _scaled(*values: Fraction) -> tuple:
+    """(D, [2 D x for x in values]) for D the least common denominator of
+    values: _quadruples' half and the values at its unit 2 D, as ints."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (2 * d // x.denominator) for x in values]
 
 
 def k_bound(n: int, c: float, m, m_lower=None) -> float:
@@ -141,21 +170,26 @@ def k_bound(n: int, c: float, m, m_lower=None) -> float:
     L/K and S/R over _box_rows, in floats. Monotone nondecreasing in n, c
     and m.
     """
-    m = float(m)
-    rows = _box_rows(n, float(c), m, m if m_lower is None else float(m_lower))
+    c, m = float(c), float(m)
+    m_lower = m if m_lower is None else float(m_lower)
+    _check(n, c, (("m", m), ("m_lower", m_lower)))
+    rows = _box_rows(n, c, m, m_lower, 0.5)
     return float(max(max(cf.L / cf.K, cf.S / cf.R) for cf in rows.values()))
 
 
 def p_bound(n: int, c: float, m, m_lower) -> int:
     """Least integer p >= 2 with the worst-case warped Ricci positive
     definite at every radius for every exponent profile in [m_lower, m],
-    in rationals: the largest _least_p over _box_rows but u.
+    decided exactly: the largest _least_p over _box_rows but u, in
+    integers over the least common denominator of c, m and m_lower.
 
     Exact: each row of _box_rows is a profile in the box, and no profile
     between the y row's two corners needs a larger p, since a tie of its
     L/K and S/R at the largest corner value forces m_lower = m.
     """
-    rows = _box_rows(n, Fraction(c), exprs.frac(m), exprs.frac(m_lower))
+    _check(n, c, (("m", m), ("m_lower", m_lower)))
+    half, scaled = _scaled(Fraction(c), exprs.frac(m), exprs.frac(m_lower))
+    rows = _box_rows(n, *scaled, half)
     return max(_least_p(cf) for name, cf in rows.items() if name != "u")
 
 
@@ -163,7 +197,9 @@ def p_bound(n: int, c: float, m, m_lower) -> int:
 class MinPResult:
     """p_star and the direction that binds at it ("radial" or "y<i>"),
     with that direction's t^2 coefficient pK - L and value at t = 1,
-    pR - S, at p_star, as exact rationals; all None when no p works."""
+    pR - S, at p_star, as exact rationals; all None when no p works.
+    p_star is decided in integers; only these two reported values and
+    the coefficients a failing reason names are built as Fractions."""
 
     p_star: Optional[int]
     binding: Optional[str]
@@ -180,11 +216,12 @@ class MinPResult:
 
 def _least_p(cf: DirectionCoefficients) -> Optional[int]:
     """The least integer p >= 2 with pK - L >= 0 and pR - S >= 0, not both
-    zero, or None when there is none; K and R are nonnegative."""
+    zero, or None when there is none, for an integer row with K and R
+    nonnegative; a positive scale of the row changes neither answer."""
     p = 2
     for slope, offset in ((cf.K, cf.L), (cf.R, cf.S)):
         if slope > 0:
-            p = max(p, math.ceil(offset / slope))
+            p = max(p, -(-offset // slope))
         elif offset > 0:
             return None
     if p * cf.K == cf.L and p * cf.R == cf.S:
@@ -203,10 +240,12 @@ def min_p(n: int, c: float, mi: Sequence) -> MinPResult:
     test. Put t = sqrt(1 + r^2), so t ranges over (1, inf). The radial and
     y_i margins, divided by h^2, equal a + b t^2 with b = pK - L and
     a + b = pR - S (the rows of _quadruples, with y_i's S raised to
-    n c), computed here in rationals: c is the exact value of its
-    float, and each m_i an exact rational >= 0. Such a row is positive on
-    t > 1 exactly when b >= 0 and a + b >= 0, not both zero. The sphere
-    margin divided by h^2 is
+    n c). c is the exact value of its float, and each m_i an exact
+    rational >= 0; the rows are decided in integers, scaled by 4 D^2 for
+    D the least common multiple of the denominators of c and the m_i, a
+    positive factor that changes no sign. Such a row is positive on t > 1
+    exactly when b >= 0 and a + b >= 0, not both zero. The sphere margin
+    divided by h^2 is
 
         [(p+3+4s)(1+t) + (3p-5+4s)(t^2+t^3) + (4p-8) t^4] / (4 (1+t))
 
@@ -216,30 +255,34 @@ def min_p(n: int, c: float, mi: Sequence) -> MinPResult:
     some row has none, which is forced whenever some m_i = 0 (that
     margin is then -n c h^2 for every p).
     """
-    if n < 0 or len(mi) != n:
+    if len(mi) != n:
         raise ValueError("mi must have length n")
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
-    mi = tuple(exprs.frac(m) for m in mi)
-    if any(m < 0 for m in mi):
+    _check(n, c, ((f"mi[{i}]", m) for i, m in enumerate(mi)))
+    mi = [exprs.frac(m) for m in mi]
+    if any(m.numerator < 0 for m in mi):
         raise ValueError("exponents must be nonnegative")
+    half, (c_scaled, *scaled) = _scaled(Fraction(c), *mi)
     rows = {
         "radial" if name == "r" else name: cf
-        for name, cf in _quadruples(Fraction(c) * n, mi).items()
+        for name, cf in _quadruples(n * c_scaled, scaled, half).items()
         if name != "u"
     }
     least = {name: _least_p(cf) for name, cf in rows.items()}
-    common = dict(n=n, c=float(c), mi=tuple(float(m) for m in mi))
+    scale = 4 * half * half
+    common = dict(n=n, c=float(c), mi=tuple(map(float, mi)))
     for name, cf in rows.items():
         if least[name] is None:
+            K, L, R, S = (Fraction(v, scale) for v in (cf.K, cf.L, cf.R, cf.S))
             reason = (
-                f"direction {name} has (K, L, R, S) = ({cf.K}, {cf.L}, {cf.R}, {cf.S}); "
+                f"direction {name} has (K, L, R, S) = ({K}, {L}, {R}, {S}); "
                 "no p makes pK - L and pR - S both nonnegative and not both zero"
             )
             return MinPResult(None, None, None, None, reason, **common)
     name = max(least, key=least.get)
     p, cf = least[name], rows[name]
-    return MinPResult(p, name, p * cf.K - cf.L, p * cf.R - cf.S, "ok", **common)
+    return MinPResult(
+        p, name, Fraction(p * cf.K - cf.L, scale), Fraction(p * cf.R - cf.S, scale), "ok", **common
+    )
 
 
 # --- auxiliary profile inequality ------------------------------------------

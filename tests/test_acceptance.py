@@ -138,9 +138,11 @@ def test_criterion_7_positivity_search():
             kb = positivity.k_bound(n, c, 1.0)
             # at p_star - 1 the radial margin h^2 (a + b t^2), b = pK - L < 0,
             # crosses zero at t^2 = -a/b; the radii reach four times past it
-            cf = positivity._quadruples(F(c), [F(m) for m in mi])["r"]
-            b = res.pk_minus_l - F(cf.K)
-            a = res.pr_minus_s - F(cf.R) - b
+            # the integer rows at half = 1: c and m_i enter times u = 2, and
+            # each row is u^2 = 4 times the true one
+            cf = positivity._quadruples(2 * int(c), [2 * m for m in mi], 1)["r"]
+            b = res.pk_minus_l - F(cf.K, 4)
+            a = res.pr_minus_s - F(cf.R, 4) - b
             r_cross = float(-a / b - 1) ** 0.5 if b < 0 else float("nan")
             rs = np.geomspace(1e-3, 4.0 * r_cross, 4000)
             elapsed = time.time() - start

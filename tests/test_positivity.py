@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -35,9 +36,23 @@ def test_reference_profiles_are_smooth_at_axis():
     assert smoothness_check(spec, 1e-4).all_ok
 
 
+def _scaled_rows(c, mi):
+    """The module's integer rows at c and exponents mi, and their unit u:
+    at half = D, the least common denominator, c and mi enter as integers
+    times u = 2 D and each row is u^2 times the true one."""
+    c, mi = Fraction(c), [Fraction(m) for m in mi]
+    half = math.lcm(c.denominator, *(m.denominator for m in mi))
+    u = 2 * half
+    return u, positivity._quadruples(int(c * u), [int(m * u) for m in mi], half)
+
+
 def _rows(c, mi):
-    """The exact quadruples at c and exponents mi."""
-    return positivity._quadruples(Fraction(c), [Fraction(m) for m in mi])
+    """The true quadruples at c and exponents mi, read off the integer rows."""
+    u, rows = _scaled_rows(c, mi)
+    return {
+        name: positivity.DirectionCoefficients(*(Fraction(v, u * u) for v in (cf.K, cf.L, cf.R, cf.S)))
+        for name, cf in rows.items()
+    }
 
 
 def test_coefficients_positive_and_validated():
@@ -49,19 +64,24 @@ def test_coefficients_positive_and_validated():
 
 
 def test_equal_exponents_share_one_y_row():
-    rows = _rows("1/2", [1, "3/4", 1])
+    _, rows = _scaled_rows("1/2", [1, "3/4", 1])
     assert list(rows) == ["r", "u", "y0", "y1", "y2"]
     assert rows["y0"] is rows["y2"] and rows["y1"] is not rows["y0"]
-    assert rows["y1"] == positivity._y_row(Fraction(1, 2), Fraction(3, 4), Fraction(11, 4))
+    # at unit 1 the row is the true one
+    y1 = positivity._y_row(Fraction(1, 2), Fraction(3, 4), Fraction(11, 4), 1)
+    assert _rows("1/2", [1, "3/4", 1])["y1"] == y1
 
 
 def test_coefficients_reject_degenerate_exponents():
     # a zero exponent leaves its y row K = R = 0: no p works
-    assert positivity._least_p(_rows(0, [0])["y0"]) is None
-    assert positivity._least_p(_rows(1, [0])["y0"]) is None
+    for c in (0, 1):
+        assert _rows(c, [0])["y0"].K == _rows(c, [0])["y0"].R == 0
+        assert positivity._least_p(_scaled_rows(c, [0])[1]["y0"]) is None
     for n, c, m, m_lower in [(1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 1, 2), (1, -1, 1, 1), (-1, 0, 1, 1)]:
         with pytest.raises(ValueError):
-            positivity._box_rows(n, Fraction(c), Fraction(m), Fraction(m_lower))
+            p_bound(n, c, Fraction(m), Fraction(m_lower))
+        with pytest.raises(ValueError):
+            k_bound(n, c, m, m_lower)
 
 
 def test_c_enters_only_the_offset_terms():
@@ -308,7 +328,7 @@ def test_min_p_answer_holds_past_float_range(r):
     # (h^2 > 0 dropped) are positive at p_star, and the radial row, whose
     # b = pK - L is 0 there, is negative one step lower
     p_star = min_p(1, 0.0, [1]).p_star
-    rows = positivity._quadruples(Fraction(0), [Fraction(1)])
+    rows = _rows(0, [1])
     t2 = Fraction(1 + r * r)
 
     def margin(cf, p):
@@ -322,7 +342,7 @@ def test_min_p_answer_holds_past_float_range(r):
 def _polynomial_margins(n, c, mi, rs, p):
     """min_p's rows h^2 (a + b t^2), b = pK - L and a + b = pR - S, and the
     sphere polynomial of its docstring, in floats at the radii rs."""
-    rows = positivity._quadruples(Fraction(c) * n, [Fraction(m) for m in mi])
+    rows = _rows(Fraction(c) * n, mi)
     t2 = 1.0 + rs**2
     t = np.sqrt(t2)
     h2 = 1.0 / t2**2
@@ -437,3 +457,210 @@ def test_min_p_without_p_star_has_no_direction():
     assert res.p_star is None
     assert res.binding is res.pk_minus_l is res.pr_minus_s is None
     assert res.grid_points == 0
+
+
+# --- the Fraction reference --------------------------------------------------
+# The rows and the least-p rule stated in Fraction arithmetic, as positivity
+# decided them before it moved to integers over a common denominator. The
+# integer path must agree with them exactly, and k_bound, which reads the
+# same formulas in floats, bit for bit.
+
+
+def _ref_quadruples(c, mi) -> dict:
+    s1 = sum(mi)
+    directions = {
+        "r": positivity.DirectionCoefficients(
+            K=Fraction(1, 4),
+            L=Fraction(1, 4) + sum(2 * m + 4 * m * m for m in mi),
+            R=Fraction(3, 2),
+            S=Fraction(3, 2) - 2 * s1,
+        ),
+        "u": positivity.DirectionCoefficients(
+            K=Fraction(1), L=Fraction(7, 4) - s1, R=Fraction(3, 2), S=Fraction(3, 2) - 2 * s1
+        ),
+    }
+    directions.update((f"y{i}", _ref_y_row(c, m, s1)) for i, m in enumerate(mi))
+    return directions
+
+
+def _ref_y_row(c, m, s1):
+    return positivity.DirectionCoefficients(K=m, L=3 * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * m, S=c)
+
+
+def _ref_box_rows(n, c, m, m_lower) -> dict:
+    r, u, *ys = _ref_quadruples(c + (n - 1) * c, [m] * n).values()
+    rows = {"r": r, "u": u}
+    if ys:
+        rows["y"] = ys[0]
+        rows["y-lower"] = _ref_y_row(ys[0].S, m_lower, sum([m_lower] + [m] * (n - 1)))
+    return rows
+
+
+def _ref_least_p(cf):
+    p = 2
+    for slope, offset in ((cf.K, cf.L), (cf.R, cf.S)):
+        if slope > 0:
+            p = max(p, math.ceil(offset / slope))
+        elif offset > 0:
+            return None
+    if p * cf.K == cf.L and p * cf.R == cf.S:
+        return p + 1 if cf.K or cf.R else None
+    return p
+
+
+def _ref_min_p(n, c, mi):
+    mi = tuple(exprs.frac(m) for m in mi)
+    rows = {
+        "radial" if name == "r" else name: cf
+        for name, cf in _ref_quadruples(Fraction(c) * n, mi).items()
+        if name != "u"
+    }
+    least = {name: _ref_least_p(cf) for name, cf in rows.items()}
+    common = dict(n=n, c=float(c), mi=tuple(float(m) for m in mi))
+    for name, cf in rows.items():
+        if least[name] is None:
+            reason = (
+                f"direction {name} has (K, L, R, S) = ({cf.K}, {cf.L}, {cf.R}, {cf.S}); "
+                "no p makes pK - L and pR - S both nonnegative and not both zero"
+            )
+            return positivity.MinPResult(None, None, None, None, reason, **common)
+    name = max(least, key=least.get)
+    p, cf = least[name], rows[name]
+    return positivity.MinPResult(p, name, p * cf.K - cf.L, p * cf.R - cf.S, "ok", **common)
+
+
+def _ref_p_bound(n, c, m, m_lower):
+    rows = _ref_box_rows(n, Fraction(c), exprs.frac(m), exprs.frac(m_lower))
+    return max(_ref_least_p(cf) for name, cf in rows.items() if name != "u")
+
+
+def _ref_k_bound(n, c, m, m_lower):
+    rows = _ref_box_rows(n, float(c), float(m), float(m_lower))
+    return float(max(max(cf.L / cf.K, cf.S / cf.R) for cf in rows.values()))
+
+
+_EXTREME_CS = (0.0, 0.25, 1 / 3, 5e-324, 1e308)
+
+
+def _draw_exponent(rng):
+    """An exact exponent: sometimes 0, sometimes with a large prime
+    denominator coprime to the others, mostly a small rational."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Fraction(0)
+    if kind < 0.35:
+        return Fraction(rng.randint(1, 400), rng.choice([97, 1009, 65537, 999983, 2**31 - 1]))
+    return Fraction(rng.randint(1, 12), rng.randint(1, 8))
+
+
+def test_integer_rows_are_the_true_rows_scaled():
+    # at any common denominator D as half, the rows are integers, u^2 times
+    # the Fraction reference's rows with u = 2 D
+    rng = random.Random(28)
+    for _ in range(100):
+        n = rng.randint(0, 6)
+        c = Fraction(rng.randint(0, 20), rng.randint(1, 9))
+        mi = [_draw_exponent(rng) for _ in range(n)]
+        lcm = math.lcm(c.denominator, *(m.denominator for m in mi))
+        want = _ref_quadruples(c, mi)
+        for half in (lcm, 3 * lcm):
+            u = 2 * half
+            rows = positivity._quadruples(int(c * u), [int(m * u) for m in mi], half)
+            assert list(rows) == list(want)
+            for name, cf in rows.items():
+                values = (cf.K, cf.L, cf.R, cf.S)
+                assert all(type(v) is int for v in values)
+                assert values == tuple(u * u * v for v in (want[name].K, want[name].L, want[name].R, want[name].S))
+
+
+def test_min_p_equals_the_fraction_reference():
+    # every MinPResult field, the reason text and the binding tie order too
+    rng = random.Random(2800)
+    bindings, ties = set(), 0
+    for i in range(420):
+        n = i % 7
+        c = _EXTREME_CS[i % len(_EXTREME_CS)]
+        mi = [_draw_exponent(rng) for _ in range(n)]
+        got, want = min_p(n, c, mi), _ref_min_p(n, c, mi)
+        assert got == want, (n, c, mi)
+        assert type(got.pk_minus_l) is type(want.pk_minus_l)
+        bindings.add(got.binding)
+        rows = _ref_quadruples(Fraction(c) * n, [Fraction(m) for m in mi])
+        least = [_ref_least_p(cf) for name, cf in rows.items() if name != "u"]
+        ties += got.p_star is not None and least.count(got.p_star) > 1
+    # the corpus reaches radial and y bindings, rows with no p, and ties
+    assert {"radial", "y0", "y1", None} <= bindings and ties >= 5
+
+
+def test_min_p_tie_binds_the_first_row():
+    # at m = 1/4 the radial and y0 rows both need p = 4; radial comes first
+    res = min_p(1, 0.0, ["1/4"])
+    assert (res.p_star, res.binding) == (4, "radial")
+    assert res == _ref_min_p(1, 0.0, ["1/4"])
+
+
+def test_p_bound_equals_the_fraction_reference():
+    rng = random.Random(2801)
+    lower_binds = 0
+    for i in range(300):
+        n = i % 7
+        c = _EXTREME_CS[i % len(_EXTREME_CS)]
+        m = _draw_exponent(rng) or Fraction(1, 3)
+        m_lower = m * Fraction(rng.randint(1, 8), rng.choice([8, 9, 65537]))
+        got = p_bound(n, c, m, m_lower)
+        assert got == _ref_p_bound(n, c, m, m_lower), (n, c, m, m_lower)
+        rows = _ref_box_rows(n, Fraction(c), m, m_lower)
+        least = {name: _ref_least_p(cf) for name, cf in rows.items() if name != "u"}
+        lower_binds += n > 0 and least["y-lower"] > max(v for k, v in least.items() if k != "y-lower")
+    assert lower_binds >= 20
+
+
+_KBOUND_EXPONENTS = [Fraction(t) for t in ("1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "3/2")]
+
+
+def test_k_bound_is_the_reference_float_formula_bit_for_bit():
+    # n 0-5, four c, and every m >= m_lower of the certify exponents: 864
+    # cases. k_bound reads the float rows; the correctly rounded ratio of
+    # the exact rows differs from it in 32 of them, so it cannot be taken
+    # from the integer rows.
+    cases = moved = 0
+    for n in range(6):
+        for c in (0.0, 0.25, 0.5, 1.0):
+            for m, m_lower in itertools.combinations_with_replacement(_KBOUND_EXPONENTS, 2):
+                m, m_lower = float(max(m, m_lower)), float(min(m, m_lower))
+                got = k_bound(n, c, m, m_lower)
+                assert got.hex() == _ref_k_bound(n, c, m, m_lower).hex(), (n, c, m, m_lower)
+                exact = _ref_box_rows(n, Fraction(c), Fraction(m), Fraction(m_lower))
+                moved += float(max(max(cf.L / cf.K, cf.S / cf.R) for cf in exact.values())) != got
+                cases += 1
+    assert (cases, moved) == (864, 32)
+
+
+def test_k_bound_is_bit_for_bit_at_float_extremes():
+    for n in (0, 1, 3):
+        for c in (0.0, 5e-324, 1e-300, 1.0, 1e308):
+            for m in (1e-320, 1e-162, 1e100, 2e153, 6e153, 1e300, 1e308):
+                assert k_bound(n, c, m).hex() == _ref_k_bound(n, c, m, m).hex(), (n, c, m)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("value", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda x: k_bound(1, x, 1.0), "c"),
+        (lambda x: k_bound(1, 0.25, x), "m"),
+        (lambda x: k_bound(1, 0.25, 1.0, x), "m_lower"),
+        (lambda x: p_bound(1, x, 1, 1), "c"),
+        (lambda x: p_bound(1, 0.25, x, 1), "m"),
+        (lambda x: p_bound(1, 0.25, 1, x), "m_lower"),
+        (lambda x: min_p(1, x, [1]), "c"),
+        (lambda x: min_p(2, 0.25, [1, x]), "mi[1]"),
+    ],
+    ids=["k_bound-c", "k_bound-m", "k_bound-m_lower", "p_bound-c", "p_bound-m", "p_bound-m_lower", "min_p-c", "min_p-mi"],
+)
+def test_non_finite_input_is_a_value_error_naming_it(call, name, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a finite number, got "):
+        call(value)
