@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import positivity
-from .exprs import frac
+from .exprs import frac, integer
 
 __all__ = [
     "CurvatureBound",
@@ -485,10 +485,10 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
     kind = node["kind"]
     tag = f" [symmetry: {node['symmetry']}]" if "symmetry" in node else ""
     if kind == "ricNonneg":
-        fp = nonneg_ricci_certificate(int(node["dim"]))
+        fp = nonneg_ricci_certificate(integer(node["dim"]))
         return _step(trace, "nonneg-ricci-leaf", path, fp, tag)
     if kind == "nilmanifold":
-        fp = nilmanifold_certificate(int(node["dim"]), node.get("q", WORK_Q), float(node.get("c", 1.0)))
+        fp = nilmanifold_certificate(integer(node["dim"]), node.get("q", WORK_Q), float(node.get("c", 1.0)))
         return _step(trace, "nilmanifold-leaf", path, fp, tag)
     if kind == "custom":
         curv = None
@@ -498,7 +498,7 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
             q=None if node.get("q") in (None, "any") else frac(node["q"]),
             c=float(node.get("c", 0.0)),
             m=frac(node.get("m", 0)),
-            dim=int(node["dim"]),
+            dim=integer(node["dim"]),
             curvature=curv,
             a_bound=node.get("aBound"),
             m_lower=frac(node.get("mLower", 0)),
@@ -510,11 +510,12 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
     if base.for_all_q:
         base = _step(trace, "instantiate-base", path + ".base", base.instantiate(WORK_Q))
     if kind == "vectorBundle":
-        if int(node["rank"]) > 0 and base.curvature is None:
+        rank = integer(node["rank"])
+        if rank > 0 and base.curvature is None:
             raise PlanError(f"node {path}: base certificate lacks a curvature bound")
         fp = vector_bundle_certificate(
             base,
-            int(node["rank"]),
+            rank,
             a_bound=float(node.get("La", 1.0)),
             fiber_curv_bound=float(node.get("fiberCurvBound", DEFAULT_FIBER_CURV)),
         )

@@ -128,7 +128,65 @@ def _float_list(text: str) -> list:
     return values
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, as numpy's SeedSequence takes it."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return value
+
+
 # --- subcommands -------------------------------------------------------------
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seeded_uniform(seed: int):
+    """uniform(lo, hi) giving, call by call, the doubles numpy's
+    default_rng(seed).uniform gives, in Python integers, so that numpy's
+    random module is never imported. SeedSequence (NumPy NEP 19) hashes the seed's 32-bit
+    words into four 64-bit words, which seed PCG64 (O'Neill 2014); each draw
+    is one 128-bit LCG step, the XSL-RR output and its top 53 bits."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * 0x931E8875 & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, const = [], 0x8B51F9DD
+    for i in range(8):  # generate_state(4, uint64): eight 32-bit words, low word first
+        value = (pool[i % 4] ^ const) * (const := const * 0x58F38DED & _MASK32) & _MASK32
+        out.append(value ^ value >> 16)
+    s = [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _MASK128  # PCG64 seeding: step from 0, add the state, step
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG64_MULTIPLIER + inc) & _MASK128
+
+    def uniform(lo, hi):
+        nonlocal state
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
+
+    return uniform
 
 
 def _preset_fixture(name: str, count: int, seed: int):
@@ -137,19 +195,19 @@ def _preset_fixture(name: str, count: int, seed: int):
     frames; S^3 frames follow the group frame, where that Ricci is diagonal."""
     chart = oracle.preset(name)
     kind, *params = name.split(":")
-    rng = np.random.default_rng(seed)
+    uniform = _seeded_uniform(seed)
     if kind == "s3-left-invariant":
         scales = [float(p) for p in params]
         pts = [[1.1, 0.4, 0.8]]
-        pts += [[rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)] for _ in range(count - 1)]
+        pts += [[uniform(0.4, 2.7), uniform(0, 2), uniform(0, 2)] for _ in range(count - 1)]
         frames = [oracle.FrameAtPoint(x, oracle.su2_frame(x, scales)) for x in np.array(pts)]
         return chart, frames, warped.lie_ricci(warped.S3_STRUCTURE, 3)(scales)
     if kind == "hyperbolic2":
-        pts = [[0.0, 1.0]] + [[rng.uniform(-1, 1), rng.uniform(0.5, 2.0)] for _ in range(count - 1)]
+        pts = [[0.0, 1.0]] + [[uniform(-1, 1), uniform(0.5, 2.0)] for _ in range(count - 1)]
         want = -np.eye(2)
     else:  # euclidean:d or sphere:d:a
         d = chart.dim
-        pts = [np.full(d, 0.3)] + [rng.uniform(-0.8, 0.8, size=d) for _ in range(count - 1)]
+        pts = [np.full(d, 0.3)] + [np.array([uniform(-0.8, 0.8) for _ in range(d)]) for _ in range(count - 1)]
         want = (d - 1) / float(params[1]) ** 2 * np.eye(d) if kind == "sphere" else np.zeros((d, d))
     return chart, oracle.orthonormal_frames(chart, pts), want
 
@@ -327,8 +385,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle-check", help="closed-form fixtures vs the chart oracle")
     p.add_argument("--preset", required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
-    p.add_argument("--points", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=int, default=3, help="a fixed point, then --points - 1 drawn from --seed")
+    p.add_argument("--seed", type=_seed, default=0, help="integer >= 0; draws as numpy's default_rng(--seed)")
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("warped-eval", help="closed-form Ricci blocks at one radius")

@@ -176,6 +176,22 @@ def frac(x: Union[Fraction, int, str, float]) -> Fraction:
     raise TypeError(f"exponents must be exact rationals, got {x!r}")
 
 
+def integer(x) -> int:
+    """The integer coercion of spec and plan fields: an int, or a float with
+    an integral value, as frac allows. Anything else raises TypeError: a
+    bool, a string or another float names itself, and a value int() refuses,
+    such as null or infinity, keeps int()'s own text."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    try:
+        int(x)
+    except (ValueError, OverflowError) as err:
+        raise TypeError(err) from None
+    raise TypeError(f"expected an integer, got {x!r}")
+
+
 _ZERO = Const(Fraction(0))
 _ONE = Const(Fraction(1))
 

@@ -534,7 +534,7 @@ def spec_from_json(data) -> WarpedFamilySpec:
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"a spec is a JSON object, not {type(data).__name__}")
-    n = _spec_field(data, "n", int)
+    n = _spec_field(data, "n", exprs.integer)
     f = _spec_field(data, "f", exprs.parse)
     h = _spec_field(data, "h", lambda texts: tuple(exprs.parse(t) for t in texts), [])
     structure = _spec_field(data, "structure", _structure, [])
@@ -558,7 +558,7 @@ def _spec_field(data: dict, key: str, read, default=None):
 def _structure(rows) -> dict:
     structure = {}
     for i, j, k, v in rows:
-        structure[(int(i), int(j), int(k))] = float(v)
+        structure[(exprs.integer(i), exprs.integer(j), exprs.integer(k))] = float(v)
     return structure
 
 

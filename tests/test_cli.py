@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from ricciforge import __version__, cli, oracle
@@ -328,13 +331,23 @@ def _nested_plan(depth):
         ("plan", _custom(q=0.5), "node plan: exponents must be exact rationals, got 0.5"),
         ("plan", _custom(q="1e1001"), "node plan: decimal exponent of '1e1001' is past +-1000"),
         ("plan", {"kind": "vectorBundle", "rank": 2}, "node plan: 'base'"),
+        # an integer field is a JSON integer or an integral float, never truncated
+        ("spec", {**TORUS_SPEC, "n": 1.9}, "spec field 'n': expected an integer, got 1.9\n"),
+        ("spec", {**TORUS_SPEC, "n": True}, "spec field 'n': expected an integer, got True\n"),
+        ("spec", {**TORUS_SPEC, "n": "1"}, "spec field 'n': expected an integer, got '1'\n"),
+        ("spec", {**TORUS_SPEC, "n": math.inf}, "spec field 'n': cannot convert float infinity to integer\n"),
+        ("spec", {**TORUS_SPEC, "structure": [[0.7, 1, 2, 1]]}, "spec field 'structure': expected an integer, got 0.7\n"),
+        ("plan", {"kind": "ricNonneg", "dim": 2.7}, "node plan: expected an integer, got 2.7\n"),
+        ("plan", {"kind": "ricNonneg", "dim": "3"}, "node plan: expected an integer, got '3'\n"),
+        ("plan", {"kind": "vectorBundle", "base": _RIC2, "rank": 1.5}, "node plan: expected an integer, got 1.5\n"),
         # 700 bundles over one leaf: the input's depth, whatever the caller's stack
         ("plan", _nested_plan(700), "plan nests 701 levels deep, past the recursion limit\n"),
     ],
     ids=[
         "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "spec-list",
         "f-deep-parentheses", "f-long-sum", "h-long-sum", "dim-null", "curvature-list", "q-float",
-        "q-exponent-past-1000", "no-base", "plan-700-deep",
+        "q-exponent-past-1000", "no-base", "n-float", "n-bool", "n-string", "n-infinity", "structure-index-float",
+        "dim-float", "dim-string", "rank-float", "plan-700-deep",
     ],
 )
 def test_malformed_files_are_spec_errors(capsys, tmp_path, kind, data, err):
@@ -710,6 +723,59 @@ def test_oracle_check_point_count(capsys):
         assert capsys.readouterr().out == ""
 
 
+# the four preset kinds, and seeds of one to five 32-bit words (SeedSequence's pool holds four)
+ORACLE_PRESETS = ["sphere:3:1", "hyperbolic2", "s3-left-invariant:0.8:1:1.2", "euclidean:4"]
+WIDE_SEEDS = [0, 2**32, 2**64 + 3, 2**130 + 11]
+
+
+@pytest.mark.parametrize("seeds", [range(1000), WIDE_SEEDS[1:]], ids=["0-999", "wide"])
+def test_seeded_uniform_is_numpys_default_rng_stream(seeds):
+    for seed in seeds:
+        rng, uniform = np.random.default_rng(seed), cli._seeded_uniform(seed)
+        want = [rng.random(), rng.uniform(0.4, 2.7), rng.uniform(0, 2), *rng.uniform(-0.8, 0.8, size=6)]
+        got = [uniform(0.0, 1.0), uniform(0.4, 2.7), uniform(0, 2), *(uniform(-0.8, 0.8) for _ in range(6))]
+        assert [float(w).hex() for w in want] == [g.hex() for g in got], seed
+
+
+def _numpy_fixture_points(name, count, seed):
+    """The points oracle-check drew through numpy.random, as it did before
+    it computed the stream itself: the reference for the fixture."""
+    rng = np.random.default_rng(seed)
+    kind, *params = name.split(":")
+    if kind == "s3-left-invariant":
+        drawn = [[rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)] for _ in range(count - 1)]
+        return [[1.1, 0.4, 0.8]] + drawn
+    if kind == "hyperbolic2":
+        return [[0.0, 1.0]] + [[rng.uniform(-1, 1), rng.uniform(0.5, 2.0)] for _ in range(count - 1)]
+    d = int(params[0])
+    return [[0.3] * d] + [rng.uniform(-0.8, 0.8, size=d).tolist() for _ in range(count - 1)]
+
+
+@pytest.mark.parametrize("name", ORACLE_PRESETS)
+def test_preset_fixture_draws_the_points_numpy_drew(name):
+    for count in range(1, 9):
+        for seed in WIDE_SEEDS:
+            _, frames, _ = cli._preset_fixture(name, count, seed)
+            got = [[float(v).hex() for v in frame.x] for frame in frames]
+            want = [[float(v).hex() for v in x] for x in _numpy_fixture_points(name, count, seed)]
+            assert got == want, (count, seed)
+
+
+def test_oracle_check_leaves_numpy_random_unloaded():
+    # a fresh interpreter: this one has numpy.random loaded by the reference tests
+    script = (
+        "import sys\n"
+        "from ricciforge import cli\n"
+        "for preset in sys.argv[1:]:\n"
+        "    assert cli.run(['oracle-check', '--preset', preset, '--points', '4', '--json']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, *ORACLE_PRESETS], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_json_output_byte_identical(capsys, torus_file):
     argv = ["warped-verify", "--spec", torus_file, "--p", "3", "--tol", "1e-5", "--json"]
     cli.run(argv)
@@ -775,6 +841,7 @@ TORUS_P3 = ["--preset", "reference-torus", "--p", "3"]
         (["warped-verify", *TORUS_P3, "--tol", "-1", "--rs", "1"], NEGATIVE_TOL),
         (["smoothness", "--preset", "reference-torus", "--tol", "-1"], NEGATIVE_TOL),
         (["variation-eval", "--tol", "-1"], NEGATIVE_TOL),
+        (["oracle-check", "--preset", "sphere:2:1", "--seed", "-1"], "--seed: must be >= 0: '-1'"),
     ],
 )
 def test_out_of_range_tol_and_step_are_usage_errors(capsys, argv, message):
