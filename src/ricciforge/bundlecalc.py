@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 FractionLike = Union[Fraction, int, str]
+MAX_CERTIFICATE_DIM = 10_000  # see FamilyParams
 
 
 class CertificateError(ValueError):
@@ -108,7 +109,9 @@ class FamilyParams:
     stored m, e, m_lower referring to q_ref). m bounds the basis
     exponents from above, m_lower from below when a positive lower bound
     is guaranteed. c is a real bound; values the theory only asserts to
-    exist are concrete conservative picks listed in `derived`.
+    exist are concrete conservative picks listed in `derived`. dim is at
+    most MAX_CERTIFICATE_DIM: a plan's replay lists one exponent per
+    dimension, about 200 bytes each, and a nilmanifold builds 2^(dim-2).
     """
 
     q: Optional[Fraction]
@@ -135,8 +138,8 @@ class FamilyParams:
             _check_constant("a_bound", self.a_bound)
         if self.m < 0 or self.m_lower < 0 or self.m_lower > max(self.m, 0):
             raise ValueError("need 0 <= m_lower <= m")
-        if self.dim < 0:
-            raise ValueError("dim must be nonnegative")
+        if not 0 <= self.dim <= MAX_CERTIFICATE_DIM:
+            raise ValueError(f"dimension must be in 0..{MAX_CERTIFICATE_DIM}")
 
     @property
     def for_all_q(self) -> bool:
@@ -404,6 +407,8 @@ def nilmanifold_certificate(n: int, q: FractionLike, c: float = 1.0) -> FamilyPa
     exponent 2m is a conservative derived value."""
     if n < 2:
         raise CertificateError("nilmanifold certificates need dimension >= 2")
+    if n > MAX_CERTIFICATE_DIM:  # checked before 2^(n-2) is built
+        raise CertificateError(f"dimension must be in 0..{MAX_CERTIFICATE_DIM}")
     q = frac(q)
     if q < 1:
         raise CertificateError("q must be at least 1")

@@ -42,7 +42,6 @@ __all__ = [
     "su2_frame_matrix",
     "su2_metric",
     "su2_frame",
-    "su2_domain",
     "orthonormal_frames",
     "MAX_DIM",
 ]
@@ -397,41 +396,25 @@ def hyperbolic_plane_chart() -> ChartMetric:
     return ChartMetric(2, comps, domain=lambda x: x[1] > 1e-3, label="hyperbolic2")
 
 
-def _su2_coframe(point: np.ndarray) -> tuple:
-    """The point as an array, and the nonzero entries of its coframe
-    matrix M by (row, column): row i of M holds the components of the
-    i-th left-invariant one-form in Euler-angle coordinates
-    (theta, phi, psi). The (2, 2) entry is the constant 1.0."""
-    point = np.asarray(point, dtype=np.result_type(point, float))
-    theta, psi = point[..., 0], point[..., 2]
-    sin_theta, cos_psi, sin_psi = np.sin(theta), np.cos(psi), np.sin(psi)
-    entries = {
-        (0, 0): cos_psi,
-        (0, 1): sin_psi * sin_theta,
-        (1, 0): sin_psi,
-        (1, 1): -cos_psi * sin_theta,
-        (2, 1): np.cos(theta),
-        (2, 2): 1.0,
-    }
-    return point, entries
-
-
 def su2_frame_matrix(point: np.ndarray) -> np.ndarray:
     """Coframe matrices M of the standard left-invariant one-forms on the
     3-sphere group in Euler-angle coordinates (theta, phi, psi); row i of
     M holds the components of the i-th one-form. Points of shape (..., 3)
     give matrices of shape (..., 3, 3), complex for complex points."""
-    point, entries = _su2_coframe(point)
+    point = np.asarray(point, dtype=np.result_type(point, float))
+    theta, psi = point[..., 0], point[..., 2]
+    sin_theta, cos_psi, sin_psi = np.sin(theta), np.cos(psi), np.sin(psi)
     mm = np.zeros(point.shape[:-1] + (3, 3), dtype=point.dtype)
-    for (i, j), value in entries.items():
-        mm[..., i, j] = value
+    mm[..., 0, 0], mm[..., 0, 1] = cos_psi, sin_psi * sin_theta
+    mm[..., 1, 0], mm[..., 1, 1] = sin_psi, -cos_psi * sin_theta
+    mm[..., 2, 1], mm[..., 2, 2] = np.cos(theta), 1.0
     return mm
 
 
 def su2_metric(x: np.ndarray, squares) -> np.ndarray:
-    """Components g = 0.25 M^T diag(s) M, M = su2_frame_matrix(x), at points x
-    of shape (..., 3): the squares s are the squared lengths of the
-    unit-sphere frame fields, one (3,) row for all points or one per point.
+    """Components g = 0.25 M^T diag(s) M, M = su2_frame_matrix(x), at the
+    (N, 3) points x: the squares s, one (3,) row for all points, are the
+    squared lengths of the unit-sphere frame fields.
 
     Each of the seven structurally nonzero entries is built on its own as
     g_ij = 0.25 * (0.0 + sum_a (s_a m_ai) m_aj), summed left to right over
@@ -441,12 +424,8 @@ def su2_metric(x: np.ndarray, squares) -> np.ndarray:
     included, the full sum over a of the broadcast outer products
     s_a m_a m_a^T. g_ij and g_ji are computed separately, so g is
     symmetric only up to roundoff, which the oracle's symmetrizing allows."""
-    # one point is a batch of one, so that every product takes numpy's
-    # array loops rather than its scalar arithmetic
-    shape = np.broadcast_shapes(np.shape(x), np.shape(squares))[:-1] + (3, 3)
-    (x, m), s = _su2_coframe(np.atleast_2d(x)), np.atleast_2d(squares)
-    s0, s1, s2 = np.moveaxis(s, -1, 0)
-    g = np.zeros(np.broadcast_shapes(x.shape, s.shape)[:-1] + (3, 3), dtype=np.result_type(x, s))
+    m, (s0, s1, s2) = np.moveaxis(su2_frame_matrix(x), (1, 2), (0, 1)), np.asarray(squares)[:, None]
+    g = np.zeros((len(x), 3, 3), dtype=m.dtype)
     g[..., 0, 0] = 0.25 * (0.0 + s0 * m[0, 0] * m[0, 0] + s1 * m[1, 0] * m[1, 0])
     g[..., 0, 1] = 0.25 * (0.0 + s0 * m[0, 0] * m[0, 1] + s1 * m[1, 0] * m[1, 1])
     g[..., 1, 0] = 0.25 * (0.0 + s0 * m[0, 1] * m[0, 0] + s1 * m[1, 1] * m[1, 0])
@@ -454,7 +433,7 @@ def su2_metric(x: np.ndarray, squares) -> np.ndarray:
     g[..., 1, 2] = 0.25 * (0.0 + s2 * m[2, 1] * m[2, 2])
     g[..., 2, 1] = 0.25 * (0.0 + s2 * m[2, 2] * m[2, 1])
     g[..., 2, 2] = 0.25 * (0.0 + s2 * m[2, 2] * m[2, 2])
-    return g.reshape(shape)
+    return g
 
 
 def su2_frame(point: np.ndarray, scales) -> np.ndarray:
@@ -463,12 +442,6 @@ def su2_frame(point: np.ndarray, scales) -> np.ndarray:
     Scales of shape (..., 3) give one frame per row, all at the one point,
     whose 2 M^-1 is computed once."""
     return 2.0 * np.linalg.inv(su2_frame_matrix(point)) / np.asarray(scales, dtype=float)[..., None, :]
-
-
-def su2_domain(x: np.ndarray) -> bool:
-    """Whether the Euler-angle point x keeps theta (mod 2 pi) 0.05 away
-    from the chart's singular set sin(theta) = 0."""
-    return 0.05 < x[0] % (2 * np.pi) < np.pi - 0.05
 
 
 def s3_left_invariant_chart(l1: float, l2: float, l3: float) -> ChartMetric:
@@ -482,7 +455,11 @@ def s3_left_invariant_chart(l1: float, l2: float, l3: float) -> ChartMetric:
     _require_positive(l1=l1, l2=l2, l3=l3)
     squares = np.array([float(l1) ** 2, float(l2) ** 2, float(l3) ** 2])
     label = f"s3-left-invariant:{l1}:{l2}:{l3}"
-    return ChartMetric(3, lambda x: su2_metric(x, squares), domain=su2_domain, label=label)
+
+    def domain(x: np.ndarray) -> bool:  # theta (mod 2 pi) 0.05 away from sin(theta) = 0
+        return 0.05 < x[0] % (2 * np.pi) < np.pi - 0.05
+
+    return ChartMetric(3, lambda x: su2_metric(x, squares), domain=domain, label=label)
 
 
 def preset(name: str) -> ChartMetric:

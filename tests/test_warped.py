@@ -3,6 +3,7 @@ import gc
 import json
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,7 @@ def test_the_derived_heisenberg_base_is_exact():
 
 
 R = exprs.parse("r")
+R_QUARTER = exprs.parse("r*(1+r^2)^(-1/4)")
 
 
 def _rows(rows):
@@ -322,36 +324,99 @@ def test_gauss_equation_spot_check():
     assert k == pytest.approx(want, abs=1e-5)
 
 
-@pytest.mark.parametrize("spec_fn", [reference_torus_spec, left_invariant_s3_spec])
+def heisenberg_spec():
+    """The Heisenberg group, [X0, X1] = X2, with exponents m = (1, 1, 3)."""
+    h = tuple(exprs.parse(f"(1+r^2)^(-{m})") for m in (1, 1, 3))
+    return WarpedFamilySpec(n=3, f=R_QUARTER, h=h, structure={(0, 1, 2): 1.0}, label="heisenberg")
+
+
+def filiform_spec():
+    """The 4-dimensional filiform algebra, [X0, X1] = X2, [X0, X2] = X3."""
+    h = tuple(exprs.parse(f"(1+r^2)^(-{m})") for m in ("1/2", "3/4", 1, "5/4"))
+    return WarpedFamilySpec(n=4, f=R_QUARTER, h=h, structure={(0, 1, 2): 1.0, (0, 2, 3): 1.0}, label="filiform")
+
+
+@pytest.mark.parametrize("spec_fn", [reference_torus_spec, left_invariant_s3_spec, heisenberg_spec, filiform_spec])
 @pytest.mark.parametrize("p", [3, 5])
 def test_chart_components_batch_matches_single_rows(spec_fn, p):
-    chart = chart_metric(spec_fn(), p)
+    spec = spec_fn()
+    chart = chart_metric(spec, min(p, oracle.MAX_DIM - spec.n))  # the filiform chart stops at p = 4
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, (9, chart.dim))
-    pts[:, 0] = rng.uniform(0.1, 3.0, 9)  # inside the Euler-angle chart of the 3-sphere
     pts[:, -1] = rng.uniform(0.01, 4.0, 9)  # r > 0
-    batch = chart.components(pts)
-    assert batch.shape == (9, chart.dim, chart.dim)
-    rows = np.stack([chart.components(pts[i : i + 1])[0] for i in range(len(pts))])
-    np.testing.assert_array_equal(batch, rows)
+    # the oracle's rows: complex steps, some of them along x_E
+    for xs in (pts, pts + 1e-30j * rng.integers(-1, 2, pts.shape)):
+        batch = chart.components(xs)
+        assert batch.shape == (9, chart.dim, chart.dim) and batch.dtype == xs.dtype
+        rows = np.stack([chart.components(xs[i : i + 1])[0] for i in range(len(xs))])
+        np.testing.assert_array_equal(batch, rows)
 
 
-def test_verify_rejects_unrealizable_spec():
-    spec = WarpedFamilySpec(
-        n=3,
-        f=exprs.parse("r"),
-        h=(exprs.parse("1"),) * 3,
-        structure={(0, 1, 2): 1.0},  # not the quaternionic normalization
-    )
-    with pytest.raises(ValueError):
-        verify_against_oracle(spec, 3, [1.0], 1e-5)
-    # one bracket of the S^3 pattern (a Heisenberg-type algebra) is not S^3:
-    # all three brackets are required
+def test_verify_realizes_every_structure():
+    # both specs were rejected while the oracle had only a torus and an S^3 chart
+    spec = WarpedFamilySpec(n=3, f=exprs.parse("r"), h=(exprs.parse("1"),) * 3, structure={(0, 1, 2): 1.0})
+    assert verify_against_oracle(spec, 3, [1.0], 1e-8).passed
+    # one bracket of the S^3 pattern is a Heisenberg algebra, not S^3
     partial = dataclasses.replace(left_invariant_s3_spec(), structure={(0, 1, 2): 2.0})
-    with pytest.raises(ValueError):
-        chart_metric(partial, 3)
-    with pytest.raises(ValueError):
-        verify_against_oracle(partial, 3, [0.5, 1.0], 1e-5)
+    report = verify_against_oracle(partial, 3, [0.5, 1.0], 1e-8)
+    assert report.passed and report.max_gating_deviation() < 1e-10
+    # the chart point is the identity of the group: elsewhere the jet is not the metric
+    chart, frame = chart_metric(partial, 3), frames_at(partial, 3, [1.0])[0]
+    assert not chart.domain(frame.x + np.eye(chart.dim)[0])
+    with pytest.raises(oracle.OracleError, match="outside chart domain"):
+        oracle.frame_ricci(chart, oracle.FrameAtPoint(frame.x + np.eye(chart.dim)[1], frame.vectors))
+
+
+def _milnor(l1, l2, l3):
+    """Milnor's unimodular basis: [X1, X2] = l3 X3, [X2, X3] = l1 X1, [X3, X1] = l2 X2."""
+    return {(0, 1, 2): l3, (1, 2, 0): l1, (2, 0, 1): l2}
+
+
+# Milnor's six 3-dimensional unimodular Lie algebras, set apart by the signs
+# of (l1, l2, l3), and the 4-dimensional filiform algebra: name -> (n, the
+# structure built from three positive magnitudes)
+LIE_CORPUS = {
+    "su2": (3, lambda a, b, c: _milnor(a, b, c)),
+    "sl2": (3, lambda a, b, c: _milnor(a, b, -c)),
+    "e2": (3, lambda a, b, c: _milnor(a, b, 0.0)),
+    "sol": (3, lambda a, b, c: _milnor(a, -b, 0.0)),
+    "heisenberg": (3, lambda a, b, c: _milnor(a, 0.0, 0.0)),
+    "abelian": (3, lambda a, b, c: {}),
+    "filiform": (4, lambda a, b, c: {(0, 1, 2): a, (0, 2, 3): b}),
+}
+
+
+@pytest.mark.parametrize("name", LIE_CORPUS)
+def test_unimodular_corpus_verifies_at_every_sphere_dimension(name):
+    rng = np.random.default_rng(list(LIE_CORPUS).index(name))
+    n, build = LIE_CORPUS[name]
+    exponents = rng.choice(["1/4", "1/2", "3/4", "1", "3/2"], n)
+    h = tuple(exprs.parse(f"(1+r^2)^(-{m})") for m in exponents)
+    spec = WarpedFamilySpec(n=n, f=R_QUARTER, h=h, structure=build(*rng.uniform(0.5, 2.0, 3).tolist()))
+    rs = sorted(np.exp(rng.uniform(np.log(0.25), np.log(4.0), 3)).tolist())
+    for p in range(2, oracle.MAX_DIM - n + 1):
+        report = verify_against_oracle(spec, p, rs, 1e-8)
+        assert report.passed, (name, p, report.max_gating_deviation())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_jet_and_euler_s3_charts_match_the_derived_base(seed):
+    # constant profiles: the warped corrections vanish and the Y block is
+    # the base; the Euler-angle preset reads no structure constants
+    rng = np.random.default_rng(seed)
+    scales = np.exp(rng.uniform(-1.5, 1.5, 3)).tolist()
+    want = warped.lie_ricci(warped.S3_STRUCTURE, 3)(scales)
+    size = np.max(np.abs(want))
+    spec = WarpedFamilySpec(
+        n=3, f=exprs.parse("sin(r)"), h=tuple(exprs.Const(Fraction(s)) for s in scales), structure=warped.S3_STRUCTURE
+    )
+    full = oracle.frame_ricci(chart_metric(spec, 2), frames_at(spec, 2, [1.0])[0])
+    assert np.max(np.abs(full[2:, 2:] - want)) <= 1e-12 * size
+    point = np.array([1.1, 0.4, 0.8])
+    euler = oracle.frame_ricci(
+        oracle.s3_left_invariant_chart(*scales), oracle.FrameAtPoint(point, oracle.su2_frame(point, scales))
+    )
+    assert np.max(np.abs(euler - want)) <= 1e-10 * size
 
 
 def test_smoothness_reference_profiles():
