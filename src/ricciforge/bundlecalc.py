@@ -611,7 +611,9 @@ def evaluate_plan(plan) -> PlanResult:
     every basis exponent at least 1/2, and fed to the positivity module:
     p_bound is the exact least p over every exponent profile the
     certificate admits (positivity.p_bound), and the exact min_p result
-    for the uniform profile is attached as a replay check.
+    for the uniform profile is attached as a replay check. Both are
+    exact, so a nilmanifold leaf whose exponent is past the float range
+    (dim 1026 at q = 2) folds too.
     """
     if isinstance(plan, str):
         plan = json.loads(plan)

@@ -338,7 +338,7 @@ def cmd_minp(args) -> tuple:
         "binding_pK_minus_L": None if res.pk_minus_l is None else str(res.pk_minus_l),
         "binding_pR_minus_S": None if res.pr_minus_s is None else str(res.pr_minus_s),
         "reason": res.reason,
-        "certificate": {"n": res.n, "c": res.c, "mi": list(res.mi)},
+        "certificate": {"n": res.n, "c": res.c, "mi": [float(m) for m in res.mi]},
         "threshold_note": "the closed-form threshold is one sound derivation of the "
         "advertised explicit bound; the source leaves the function unspecified",
     }

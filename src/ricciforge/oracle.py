@@ -1,7 +1,8 @@
 """Independent numerical curvature oracle for coordinate-chart metrics.
 
-Christoffel symbols, the Riemann and Ricci tensors, and sectional
-curvature are computed from metric components alone. First derivatives
+The Ricci tensor, in coordinates or in an orthonormal frame, and
+sectional curvature are computed from metric components alone, through
+the Christoffel symbols and the Riemann tensor. First derivatives
 are complex-step derivatives, Im g(x + i eta e_k) / eta with eta = 1e-30,
 which subtract nothing; second derivatives are fourth-order central
 differences of those in a real step. Every closed-form module in this
@@ -28,8 +29,6 @@ __all__ = [
     "FrameAtPoint",
     "OracleError",
     "SingularMetricError",
-    "christoffel",
-    "riemann",
     "ricci",
     "frame_ricci",
     "frame_ricci_many",
@@ -151,13 +150,10 @@ def _stencil(d: int):
     return shift, imag, kk, ll
 
 
-def _metric_derivatives(
-    m: ChartMetric, xs: np.ndarray, step: float = DEFAULT_STEP, second: bool = True
-):
+def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: float = DEFAULT_STEP):
     """Check the points, then return g, dg[:, k] = d_k g and d2g[:, k, l] =
     d_k d_l g at each row of the (R, d) array xs, from one chart evaluation
-    at the stencil rows of all R points. Without second, only the first
-    1 + d rows are evaluated and d2g is None. d_k g is the complex-step
+    at the stencil rows of all R points. d_k g is the complex-step
     derivative; d_k d_l g is its 4th-order central difference in l, with
     step * max(1, |x_l|). Only the real centre row and the imaginary
     derivative rows are symmetrized; that is elementwise, so no point's
@@ -168,28 +164,25 @@ def _metric_derivatives(
     r, d = xs.shape
     h = step * np.maximum(1.0, np.abs(xs))
     shift, imag, kk, ll = _stencil(d)
-    rows = len(shift) if second else 1 + d
     # chart row j * R + p is stencil row j of point p
-    pts = xs + h * shift[:rows, None] + 1j * _ETA * imag[:rows, None]
+    pts = xs + h * shift[:, None] + 1j * _ETA * imag[:, None]
     # an overflow shows up as a non-finite entry, reported below; rows combine in place
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.asarray(m.components(pts.reshape(-1, d))).reshape(rows, r, d, d)
+        g = np.asarray(m.components(pts.reshape(-1, d))).reshape(len(shift), r, d, d)
         del pts
         real, g0, im = not np.iscomplexobj(g), _symmetrize(g[0].real), g[1:].imag
         der = im + im.swapaxes(-1, -2)
         del g, im
         np.divide(np.multiply(der, 0.5, out=der), _ETA, out=der)
         dg = np.ascontiguousarray(der[:d].swapaxes(0, 1))
-        d2g = None
-        if second:
-            cross = der[d:].reshape(len(_D1_OFFSETS), len(kk), r, d, d)
-            acc = np.zeros(cross.shape[1:])  # from +0.0, so that a sum of -0.0 terms is +0.0
-            for w, term in zip(_D1_WEIGHTS, cross):
-                acc += w * term
-            d2g = np.zeros((r, d, d, d, d))
-            d2g[:, kk, ll] = np.divide(acc, h.T[ll][:, :, None, None], out=acc).swapaxes(0, 1)
-            d2g[:, ll, kk] = d2g[:, kk, ll]
-    _finite("metric derivatives are", xs, *((g0, dg) if d2g is None else (g0, dg, d2g)))
+        cross = der[d:].reshape(len(_D1_OFFSETS), len(kk), r, d, d)
+        acc = np.zeros(cross.shape[1:])  # from +0.0, so that a sum of -0.0 terms is +0.0
+        for w, term in zip(_D1_WEIGHTS, cross):
+            acc += w * term
+        d2g = np.zeros((r, d, d, d, d))
+        d2g[:, kk, ll] = np.divide(acc, h.T[ll][:, :, None, None], out=acc).swapaxes(0, 1)
+        d2g[:, ll, kk] = d2g[:, kk, ll]
+    _finite("metric derivatives are", xs, g0, dg, d2g)
     # ascending eigenvalues; g is symmetric, so its condition number is w[-1] / w[0]
     w = np.linalg.eigvalsh(g0)
     with np.errstate(all="ignore"):
@@ -224,18 +217,6 @@ def _christoffel(g0: np.ndarray, dg: np.ndarray):
     # comb[:, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; Gamma sums over l by a matmul
     comb = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
     return ginv, comb, 0.5 * (ginv @ comb.reshape(*comb.shape[:2], -1)).reshape(comb.shape)
-
-
-def christoffel(m: ChartMetric, x: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij of the Levi-Civita connection at x,
-    from complex-step first derivatives of the metric: one chart call of
-    1 + dim rows, which take no real step."""
-    xs = np.asarray(x, dtype=float)[None]
-    g0, dg, _ = _metric_derivatives(m, xs, second=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = _christoffel(g0, dg)[2]
-    _finite("Christoffel symbols are", xs, gamma)
-    return gamma[0]
 
 
 def _curvature(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
@@ -288,11 +269,6 @@ def _riemann(m: ChartMetric, xs, step: float = DEFAULT_STEP):
     return np.concatenate(gs), np.concatenate(riems)
 
 
-def riemann(m: ChartMetric, x: np.ndarray) -> np.ndarray:
-    """Riemann tensor R^rho_{sigma mu nu} at x."""
-    return _riemann(m, [x])[1][0]
-
-
 def _ricci_of(riem: np.ndarray) -> np.ndarray:
     """Ric_{sigma nu} = R^mu_{sigma mu nu}, before symmetrization, over leading axes."""
     return np.einsum("...rsrn->...sn", riem)
@@ -300,7 +276,7 @@ def _ricci_of(riem: np.ndarray) -> np.ndarray:
 
 def ricci(m: ChartMetric, x: np.ndarray) -> np.ndarray:
     """Symmetrized coordinate-basis Ricci tensor R_ij at x."""
-    return _symmetrize(_ricci_of(riemann(m, x)))
+    return _symmetrize(_ricci_of(_riemann(m, [x])[1][0]))
 
 
 def _in_frame(frames: Sequence[FrameAtPoint], g0: np.ndarray, riem: np.ndarray) -> list:
@@ -413,27 +389,11 @@ def su2_frame_matrix(point: np.ndarray) -> np.ndarray:
 
 def su2_metric(x: np.ndarray, squares) -> np.ndarray:
     """Components g = 0.25 M^T diag(s) M, M = su2_frame_matrix(x), at the
-    (N, 3) points x: the squares s, one (3,) row for all points, are the
-    squared lengths of the unit-sphere frame fields.
-
-    Each of the seven structurally nonzero entries is built on its own as
-    g_ij = 0.25 * (0.0 + sum_a (s_a m_ai) m_aj), summed left to right over
-    the rows a whose m_ai and m_aj are not structurally zero; g_02 and g_20
-    stay 0. A term with a zero factor leaves a sum that starts from 0.0
-    unchanged, so each entry equals, bit for bit and sign of zero
-    included, the full sum over a of the broadcast outer products
-    s_a m_a m_a^T. g_ij and g_ji are computed separately, so g is
-    symmetric only up to roundoff, which the oracle's symmetrizing allows."""
-    m, (s0, s1, s2) = np.moveaxis(su2_frame_matrix(x), (1, 2), (0, 1)), np.asarray(squares)[:, None]
-    g = np.zeros((len(x), 3, 3), dtype=m.dtype)
-    g[..., 0, 0] = 0.25 * (0.0 + s0 * m[0, 0] * m[0, 0] + s1 * m[1, 0] * m[1, 0])
-    g[..., 0, 1] = 0.25 * (0.0 + s0 * m[0, 0] * m[0, 1] + s1 * m[1, 0] * m[1, 1])
-    g[..., 1, 0] = 0.25 * (0.0 + s0 * m[0, 1] * m[0, 0] + s1 * m[1, 1] * m[1, 0])
-    g[..., 1, 1] = 0.25 * (0.0 + s0 * m[0, 1] * m[0, 1] + s1 * m[1, 1] * m[1, 1] + s2 * m[2, 1] * m[2, 1])
-    g[..., 1, 2] = 0.25 * (0.0 + s2 * m[2, 1] * m[2, 2])
-    g[..., 2, 1] = 0.25 * (0.0 + s2 * m[2, 2] * m[2, 1])
-    g[..., 2, 2] = 0.25 * (0.0 + s2 * m[2, 2] * m[2, 2])
-    return g
+    (N, 3) points x, as the sum of three broadcast outer products
+    s_a m_a m_a^T over the rows m_a of M: the squares s, one (3,) row for
+    all points, are the squared lengths of the unit-sphere frame fields."""
+    m, s = su2_frame_matrix(x), np.asarray(squares)
+    return 0.25 * sum(s[a] * m[..., a, :, None] * m[..., a, None, :] for a in range(3))
 
 
 def su2_frame(point: np.ndarray, scales) -> np.ndarray:

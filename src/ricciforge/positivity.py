@@ -199,7 +199,8 @@ class MinPResult:
     with that direction's t^2 coefficient pK - L and value at t = 1,
     pR - S, at p_star, as exact rationals; all None when no p works.
     p_star is decided in integers; only these two reported values and
-    the coefficients a failing reason names are built as Fractions."""
+    the coefficients a failing reason names are built as Fractions. mi
+    echoes the exponents exactly: a plan's replay can exceed float range."""
 
     p_star: Optional[int]
     binding: Optional[str]
@@ -269,7 +270,7 @@ def min_p(n: int, c: float, mi: Sequence) -> MinPResult:
     }
     least = {name: _least_p(cf) for name, cf in rows.items()}
     scale = 4 * half * half
-    common = dict(n=n, c=float(c), mi=tuple(map(float, mi)))
+    common = dict(n=n, c=float(c), mi=tuple(mi))
     for name, cf in rows.items():
         if least[name] is None:
             K, L, R, S = (Fraction(v, scale) for v in (cf.K, cf.L, cf.R, cf.S))

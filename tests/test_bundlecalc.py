@@ -319,6 +319,13 @@ def test_plan_nilmanifold_leaf():
     assert res.normalized.q == 2 and res.normalized.m_lower > 0
 
 
+def test_plan_nilmanifold_leaf_past_float_range_replays_exactly():
+    res = evaluate_plan({"kind": "nilmanifold", "dim": 1026, "q": 2})
+    assert res.params.m == 2**1024 + 1
+    assert res.replay.mi == (res.normalized.m,) * 1026
+    assert res.replay.p_star == res.p_bound
+
+
 def test_plan_iterated_bundle():
     plan = {
         "kind": "fiberBundle",

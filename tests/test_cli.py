@@ -195,6 +195,18 @@ def test_plan_subcommand(capsys, tmp_path):
     assert [t["rule"] for t in report["results"]["trace"]][0] == "nonneg-ricci-leaf"
 
 
+@pytest.mark.parametrize("dim", [1026, 1100])
+def test_plan_nilmanifold_past_float_range_folds_exactly(capsys, tmp_path, dim):
+    # from dim 1026 on, the exponent 2^(dim-2) + 1 at q = 2 is past the
+    # float range; the fold and the uniform-profile replay stay exact
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"kind": "nilmanifold", "dim": dim, "q": 2}))
+    code, report = run_json(capsys, ["plan", "--file", str(path)])
+    assert code == 0
+    assert report["results"]["certificate"]["m"] == str(2 ** (dim - 2) + 1)
+    assert report["results"]["replay_pStar"] == report["results"]["pBound"]
+
+
 def test_plan_unknown_kind_is_spec_error(capsys, tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({"kind": "flatBundle", "base": {"kind": "sol3Manifold", "dim": 3}, "fiber": {"kind": "ricNonneg", "dim": 2}}))
@@ -986,8 +998,10 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 # axis, and oracle-check on sphere:3:1 and a left-invariant S^3. The s3-unequal
 # verify was re-captured when the warped chart's E-block became the group
 # metric's 2-jet at the identity, which moved its oracle values (largest
-# deviation 1.36e-9 -> 4.26e-11). Input files are written under the names
-# the argvs give.
+# deviation 1.36e-9 -> 4.26e-11). The variation-eval Hopf report was
+# captured at commit fcb2ae9, before su2_metric became the sum of three
+# broadcast outer products. Input files are written under the names the
+# argvs give.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
 
 

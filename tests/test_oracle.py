@@ -10,12 +10,10 @@ from ricciforge.oracle import (
     FrameAtPoint,
     OracleError,
     SingularMetricError,
-    christoffel,
     frame_ricci,
     frame_ricci_many,
     preset,
     ricci,
-    riemann,
     sectional,
 )
 
@@ -30,6 +28,16 @@ def s3_frame(point, scales):
 def coordinate_frame(chart, x):
     vals, vecs = np.linalg.eigh(chart.at(x))
     return FrameAtPoint(x, vecs / np.sqrt(vals))
+
+
+def christoffel(m, x):
+    """Gamma^k_ij at x from the oracle's own metric derivatives."""
+    g0, dg, _ = oracle._metric_derivatives(m, np.asarray(x, dtype=float)[None])
+    return oracle._christoffel(g0, dg)[2][0]
+
+
+def riemann(m, x):
+    return oracle._riemann(m, [x])[1][0]
 
 
 def test_christoffel_euclidean_vanishes():
@@ -148,7 +156,7 @@ def test_chart_that_drops_the_imaginary_part_is_rejected():
     )
     x = np.array([math.pi / 3, 0.5])
     fr = FrameAtPoint(x, np.diag([1.0, 1.0 / math.sin(x[0])]))
-    for call in (lambda: christoffel(m, x), lambda: ricci(m, x), lambda: frame_ricci_many(m, [fr])):
+    for call in (lambda: ricci(m, x), lambda: frame_ricci_many(m, [fr])):
         with pytest.raises(OracleError, match="chart polar-real returned real components"):
             call()
 
@@ -158,8 +166,7 @@ def test_overflow_raises_oracle_error_naming_the_point():
     # derivatives or the contractions overflow, depending on the point
     m = preset("sphere:2:5e153")
     cases = [
-        (christoffel, [0.0, 0.0], r"metric derivatives are not finite at \[0. 0.\]"),
-        (christoffel, [0.2, -0.4], r"Christoffel symbols are not finite at \[ 0.2 -0.4\]"),
+        (ricci, [0.0, 0.0], r"metric derivatives are not finite at \[0. 0.\]"),
         (ricci, [0.3, 0.3], r"curvature is not finite at \[0.3 0.3\]"),
     ]
     for call, x, message in cases:
@@ -210,9 +217,9 @@ def test_left_invariant_chart_matches_closed_form():
 
 
 def test_su2_metric_equals_the_sum_of_scaled_outer_products():
-    # entry by entry, the same products and the same left-to-right sum as
-    # 0.25 sum_a s_a m_a m_a^T over the rows m_a of su2_frame_matrix, down
-    # to the sign of each zero imaginary part
+    # 0.25 sum_a s_a m_a m_a^T over the rows m_a of su2_frame_matrix, bit
+    # for bit and down to the sign of each zero imaginary part, for real
+    # and complex points and for squares near the ends of the float range
     rng = np.random.default_rng(20261019)
 
     def reference(x, s):
@@ -302,9 +309,8 @@ def _points_per_call(d):
 @pytest.mark.parametrize("name", ["euclidean:2", "sphere:8:1"])
 def test_ricci_evaluates_chart_once(name):
     # one chart call of 1 + d + 2d(d+1) rows and none at the single point
-    # x: the metric at x is the stencil's centre row; christoffel takes
-    # only the first 1 + d rows; a batch of points makes one call for each
-    # chunk of CHART_CALL_BYTES
+    # x: the metric at x is the stencil's centre row; a batch of points
+    # makes one call for each chunk of CHART_CALL_BYTES
     m = preset(name)
     sizes = []
 
@@ -323,7 +329,6 @@ def test_ricci_evaluates_chart_once(name):
         (lambda: ricci(counted, x), [stencil]),
         (lambda: frame_ricci(counted, frame), [stencil]),
         (lambda: sectional(counted, x, u, v), [stencil]),
-        (lambda: christoffel(counted, x), [1 + d]),
     ]
     # nine points: one call for each chunk that fits CHART_CALL_BYTES at
     # 16 bytes per complex entry (all nine at d = 2; eight, then one, at d = 8)

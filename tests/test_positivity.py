@@ -516,7 +516,7 @@ def _ref_min_p(n, c, mi):
         if name != "u"
     }
     least = {name: _ref_least_p(cf) for name, cf in rows.items()}
-    common = dict(n=n, c=float(c), mi=tuple(float(m) for m in mi))
+    common = dict(n=n, c=float(c), mi=mi)
     for name, cf in rows.items():
         if least[name] is None:
             reason = (
