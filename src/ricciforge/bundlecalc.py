@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -254,8 +255,8 @@ def bundle_certificate(
 ) -> FamilyParams:
     """Certificate of the total space of a fiber bundle construction.
 
-    The base and fiber certificates must be concrete. The three variants
-    and their preconditions:
+    The base and fiber certificates must be concrete, each with a curvature
+    bound. The three variants and their preconditions:
 
     general     : the fiber decay exponent must satisfy
                   fiber.q >= 2*m_hat + 3*base.q with
@@ -278,8 +279,8 @@ def bundle_certificate(
     for name, fp in (("base", base), ("fiber", fiber)):
         if fp.for_all_q:
             raise CertificateError(f"{name} certificate must be instantiated at a concrete q")
-    if base.curvature is None or fiber.curvature is None:
-        raise CertificateError("both certificates need curvature bound fields")
+        if fp.curvature is None:
+            raise CertificateError(f"{name} certificate lacks a curvature bound")
     _check_constant("a_bound", a_bound)
     l_b, b = base.curvature.L, base.curvature.e
     l_f, f = fiber.curvature.L, fiber.curvature.e
@@ -388,7 +389,7 @@ def vector_bundle_certificate(
     if base.for_all_q:
         raise CertificateError("instantiate the base certificate at a concrete q first")
     if base.curvature is None:
-        raise CertificateError("base certificate lacks curvature bound fields")
+        raise CertificateError("base certificate lacks a curvature bound")
     fiber = FamilyParams(
         q=_general_need(base, Fraction(0))[1],
         c=0.0,
@@ -515,18 +516,15 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
     if base.for_all_q:
         base = _step(trace, "instantiate-base", path + ".base", base.instantiate(WORK_Q))
     if kind == "vectorBundle":
-        rank = integer(node["rank"])
-        if rank > 0 and base.curvature is None:
-            raise PlanError(f"node {path}: base certificate lacks a curvature bound")
         fp = vector_bundle_certificate(
             base,
-            rank,
+            integer(node["rank"]),
             a_bound=float(node.get("La", 1.0)),
             fiber_curv_bound=float(node.get("fiberCurvBound", DEFAULT_FIBER_CURV)),
         )
         return _step(trace, "vector-bundle-lift", path, fp, tag)
     fiber = _fold(node["fiber"], path + ".fiber", trace)
-    if base.curvature is None:
+    if base.curvature is None:  # variant selection reads base.curvature.e
         raise PlanError(f"node {path}: base certificate lacks a curvature bound")
     # each branch picks the variant, its trace rule and where an every-exponent fiber is instantiated
     a_bound = 0.0 if kind == "flatBundle" else float(node.get("La", 1.0))
@@ -552,8 +550,6 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
             base = _step(trace, "weaken-base", path + ".base", weaken(base, new_q))
     if fiber.for_all_q:
         fiber = _step(trace, "instantiate-fiber", path + ".fiber", fiber.instantiate(fiber_q))
-    if fiber.curvature is None:
-        raise PlanError(f"node {path}: fiber certificate lacks a curvature bound")
     fp = bundle_certificate(base, fiber, a_bound=a_bound, variant=variant)
     return _step(trace, rule, path, fp, tag)
 
@@ -627,7 +623,11 @@ def evaluate_plan(plan) -> PlanResult:
     norm = normalize_for_positivity(fp, trace)
     p_bound = positivity.p_bound(norm.dim, norm.c, norm.m, norm.m_lower)
     replay = positivity.min_p(norm.dim, norm.c, [norm.m] * norm.dim)
-    result = f"p_bound={p_bound}, uniform-profile replay pStar={replay.p_star}"
+    try:  # replay.p_star <= p_bound, so only p_bound can pass Python's digit limit for int text
+        result = f"p_bound={p_bound}, uniform-profile replay pStar={replay.p_star}"
+    except ValueError:
+        limit = f"{sys.get_int_max_str_digits()} digits, Python's limit for int text"
+        raise PlanError(f"node normalize: pBound has more than {limit}") from None
     trace.append({"rule": "positivity-threshold", "node": "normalize", "result": result})
     return PlanResult(fp, norm, p_bound, replay, tuple(trace), "ok")
 

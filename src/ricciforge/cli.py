@@ -280,15 +280,7 @@ def cmd_warped_verify(args) -> tuple:
 def cmd_smoothness(args) -> tuple:
     spec = _load_spec(args)
     rep = warped.smoothness_check(spec, args.tol)
-    flags = [
-        ("f-vanishes-at-axis", rep.f_zero_at_axis, args.tol),
-        ("f-slope-one-at-axis", rep.f_prime_one_at_axis, args.tol),
-        ("f-second-derivative-zero-at-axis", rep.f_second_zero_at_axis, args.tol),
-        ("f-positive", rep.f_positive, 0.0),
-    ]
-    flags += [(f"h[{i}]-even-at-axis", ok, args.tol) for i, ok in enumerate(rep.h_prime_zero_at_axis)]
-    flags += [(f"h[{i}]-positive", ok, 0.0) for i, ok in enumerate(rep.h_positive)]
-    checks = [_check(name, ok, 0.0 if ok else 1.0, tol) for name, ok, tol in flags]
+    checks = [_check(name, ok, 0.0 if ok else 1.0, tol) for name, ok, tol in rep.conditions]
     return {"spec": args.spec or args.preset, "tol": args.tol}, {"all_ok": rep.all_ok}, checks
 
 
@@ -332,13 +324,17 @@ def cmd_error_bounds(args) -> tuple:
 def cmd_minp(args) -> tuple:
     mi = [s.strip() for s in args.m.split(",") if s.strip()]
     res = positivity.min_p(args.n, args.c, mi)
+    try:  # the certificate echoes the exponents as floats
+        echo = [float(m) for m in res.mi]
+    except OverflowError:
+        raise UsageError(f"--m {args.m}: an exponent is past float range") from None
     results = {
         "pStar": res.p_star,
         "binding_direction": res.binding,
         "binding_pK_minus_L": None if res.pk_minus_l is None else str(res.pk_minus_l),
         "binding_pR_minus_S": None if res.pr_minus_s is None else str(res.pr_minus_s),
         "reason": res.reason,
-        "certificate": {"n": res.n, "c": res.c, "mi": [float(m) for m in res.mi]},
+        "certificate": {"n": res.n, "c": res.c, "mi": echo},
         "threshold_note": "the closed-form threshold is one sound derivation of the "
         "advertised explicit bound; the source leaves the function unspecified",
     }
@@ -346,8 +342,11 @@ def cmd_minp(args) -> tuple:
 
 
 def cmd_kbound(args) -> tuple:
+    k = positivity.k_bound(args.n, args.c, args.m)
+    if not math.isfinite(k):  # k_bound's float rows overflow where n, c or m is near float range
+        raise FloatingPointError(f"k_bound is {k} at n={args.n}, c={args.c!r}, m={args.m!r}")
     results = {
-        "k": positivity.k_bound(args.n, args.c, args.m),
+        "k": k,
         "threshold_note": "one sound derivation; the source leaves the explicit "
         "function unspecified",
     }

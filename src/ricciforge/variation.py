@@ -98,9 +98,11 @@ class ScaledRicci:
 
 
 def canonical_variation_ricci(d: SubmersionData, t: float) -> ScaledRicci:
-    """Closed-form Ricci blocks of the fiber-scaled metric for t in (0, 1]."""
+    """Closed-form Ricci blocks of the fiber-scaled metric for t in (0, 1]
+    whose square, which the blocks divide by, is a normal float."""
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
+    oracle._require_positive(t=t)
     vv = d.ric_f / t**2 + t**2 * d.a_uv
     hh = d.ric_b - 2.0 * t**2 * d.a_xy
     hv = -t * d.delta_a
@@ -157,6 +159,28 @@ class ErrorBoundReport:
     per_tensor_slack: dict
 
 
+def _inequalities(d: SubmersionData, s: ScaledRicci, c: float):
+    """(tensor, name, kind, lhs, rhs) for each scaled-Ricci inequality at
+    s.t, in report order; an "upper" row needs lhs <= rhs, a "lower" row
+    lhs >= rhs."""
+    t = s.t
+    for i in range(d.dim_f):
+        for j in range(i + 1, d.dim_f):
+            yield "fiber-offdiag", f"|vv[{i},{j}]| <= C t", "upper", abs(s.vv[i, j]), c * t
+    for i in range(d.dim_b):
+        for j in range(i + 1, d.dim_b):
+            yield "base-offdiag", f"|hh[{i},{j}]| <= C t", "upper", abs(s.hh[i, j]), c * t
+    for i in range(d.dim_b):
+        for j in range(d.dim_f):
+            yield "mixed", f"|hv[{i},{j}]| <= C t", "upper", abs(s.hv[i, j]), c * t
+    for i in range(d.dim_f):
+        rhs = d.ric_f[i, i] / t**2
+        yield "fiber-diag", f"vv[{i},{i}] >= ricF[{i},{i}]/t^2", "lower", s.vv[i, i], rhs
+    for i in range(d.dim_b):
+        rhs = d.ric_b[i, i] - c * t**2
+        yield "base-diag", f"hh[{i},{i}] >= ricB[{i},{i}] - C t^2", "lower", s.hh[i, i], rhs
+
+
 def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> ErrorBoundReport:
     """Check the scaled-Ricci inequality suite for each t.
 
@@ -167,59 +191,18 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
     slack summary records, per tensor, the worst margin over the sweep.
     """
     rows: list = []
-    violations: list = []
-    slack = dict.fromkeys(
-        ("fiber-offdiag", "base-offdiag", "mixed", "fiber-diag", "base-diag"), np.inf
-    )
+    slack = dict.fromkeys(("fiber-offdiag", "base-offdiag", "mixed", "fiber-diag", "base-diag"), np.inf)
     eps = 1e-12
     for t in ts:
         s = canonical_variation_ricci(d, float(t))
-
-        def record(name, kind, lhs, rhs):
-            ok = bool(lhs <= rhs + eps) if kind == "upper" else bool(lhs >= rhs - eps)
-            margin = (rhs - lhs) if kind == "upper" else (lhs - rhs)
-            rows.append(
-                {
-                    "t": float(t),
-                    "inequality": name,
-                    "lhs": float(lhs),
-                    "rhs": float(rhs),
-                    "pass": ok,
-                }
-            )
-            if not ok:
-                violations.append(rows[-1])
-            return float(margin)
-
-        for i in range(d.dim_f):
-            for j in range(i + 1, d.dim_f):
-                m = record(f"|vv[{i},{j}]| <= C t", "upper", abs(s.vv[i, j]), c * t)
-                slack["fiber-offdiag"] = min(slack["fiber-offdiag"], m)
-        for i in range(d.dim_b):
-            for j in range(i + 1, d.dim_b):
-                m = record(f"|hh[{i},{j}]| <= C t", "upper", abs(s.hh[i, j]), c * t)
-                slack["base-offdiag"] = min(slack["base-offdiag"], m)
-        for i in range(d.dim_b):
-            for j in range(d.dim_f):
-                m = record(f"|hv[{i},{j}]| <= C t", "upper", abs(s.hv[i, j]), c * t)
-                slack["mixed"] = min(slack["mixed"], m)
-        for i in range(d.dim_f):
-            m = record(
-                f"vv[{i},{i}] >= ricF[{i},{i}]/t^2", "lower", s.vv[i, i], d.ric_f[i, i] / t**2
-            )
-            slack["fiber-diag"] = min(slack["fiber-diag"], m)
-        for i in range(d.dim_b):
-            m = record(
-                f"hh[{i},{i}] >= ricB[{i},{i}] - C t^2",
-                "lower",
-                s.hh[i, i],
-                d.ric_b[i, i] - c * t**2,
-            )
-            slack["base-diag"] = min(slack["base-diag"], m)
+        for tensor, name, kind, lhs, rhs in _inequalities(d, s, c):
+            lhs, rhs = float(lhs), float(rhs)
+            ok, margin = (lhs <= rhs + eps, rhs - lhs) if kind == "upper" else (lhs >= rhs - eps, lhs - rhs)
+            rows.append({"t": s.t, "inequality": name, "lhs": lhs, "rhs": rhs, "pass": ok})
+            slack[tensor] = min(slack[tensor], margin)
+    violations = [row for row in rows if not row["pass"]]
     slack = {k: (None if not np.isfinite(v) else float(v)) for k, v in slack.items()}
-    return ErrorBoundReport(
-        passed=not violations, c=float(c), rows=rows, violations=violations, per_tensor_slack=slack
-    )
+    return ErrorBoundReport(not violations, float(c), rows, violations, slack)
 
 
 # --- Hopf preset ------------------------------------------------------------

@@ -277,9 +277,11 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     try:
         rr, uu, yy_corr = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
         base = spec.derived_base(hv) if spec.base_ricci is None else spec.base_ricci(r)
-    except ZeroDivisionError:  # f, f^2 or some h_a h_b is 0.0; the check below names numpy's inf or nan
+    # f, f^2 or some h_a h_b is 0.0, or f'^2 or f^2 overflows, which Python's
+    # float ** raises; the check below names numpy's inf or nan
+    except (ZeroDivisionError, OverflowError):
         with np.errstate(all="ignore"):
-            rr, uu, yy_corr = diagonal_blocks(p, np.float64(fv), fp, fpp, hv, hp, hpp)
+            rr, uu, yy_corr = diagonal_blocks(p, np.float64(fv), np.float64(fp), fpp, hv, hp, hpp)
             base = spec.derived_base(np.array(hv)) if spec.base_ricci is None else spec.base_ricci(r)
     base = np.asarray(base, dtype=float)
     if base.shape != (spec.n, spec.n):
@@ -487,24 +489,12 @@ AXIS_EPS = 1e-6  # the metric degenerates at r = 0; limits are taken here
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    f_zero_at_axis: bool
-    f_prime_one_at_axis: bool
-    f_second_zero_at_axis: bool
-    f_positive: bool
-    h_prime_zero_at_axis: tuple[bool, ...]
-    h_positive: tuple[bool, ...]
+    conditions: tuple[tuple[str, bool, float], ...]  # (name, holds, tolerance) rows in report order
     tol: float
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.f_zero_at_axis
-            and self.f_prime_one_at_axis
-            and self.f_second_zero_at_axis
-            and self.f_positive
-            and all(self.h_prime_zero_at_axis)
-            and all(self.h_positive)
-        )
+        return all(ok for _, ok, _ in self.conditions)
 
 
 # positivity of f and h_i is sampled at this many radii on [AXIS_EPS, SMOOTHNESS_R_MAX]
@@ -514,26 +504,23 @@ SMOOTHNESS_R_MAX = 10.0
 
 def smoothness_check(spec: WarpedFamilySpec, tol: float) -> SmoothnessReport:
     """Check the smooth-extension conditions at the degenerate axis r = 0:
-    f(0) = 0, f'(0) = 1, f''(0) = 0, f > 0 away from the axis, and
-    h_i'(0) = 0, each within tol, with axis values read at r = 1e-6."""
-    eps = AXIS_EPS
+    f(0) = 0, f'(0) = 1, f''(0) = 0 and each h_i'(0) = 0 within tol, read
+    at r = 1e-6, and f > 0 and each h_i > 0 on a grid, with tolerance 0.0.
+    The rows run f's four, then each h_i's evenness, then each positivity."""
     f_at, *hs = spec.compiled
-    f0, f1, f2 = f_at(eps)
-    grid = np.linspace(eps, SMOOTHNESS_R_MAX, SMOOTHNESS_GRID_POINTS)
-    fgrid = exprs.evaluate_grid(spec.f, grid)
-    hprimes, hpos = [], []
-    for e, h_at in zip(spec.h, hs):
-        hprimes.append(bool(abs(h_at(eps)[1]) <= tol))
-        hpos.append(bool(np.all(exprs.evaluate_grid(e, grid) > 0.0)))
-    return SmoothnessReport(
-        f_zero_at_axis=bool(abs(f0) <= tol),
-        f_prime_one_at_axis=bool(abs(f1 - 1.0) <= tol),
-        f_second_zero_at_axis=bool(abs(f2) <= tol),
-        f_positive=bool(np.all(fgrid > 0.0)),
-        h_prime_zero_at_axis=tuple(hprimes),
-        h_positive=tuple(hpos),
-        tol=tol,
-    )
+    f0, f1, f2 = f_at(AXIS_EPS)
+    grid = np.linspace(AXIS_EPS, SMOOTHNESS_R_MAX, SMOOTHNESS_GRID_POINTS)
+    rows = [
+        ("f-vanishes-at-axis", abs(f0) <= tol, tol),
+        ("f-slope-one-at-axis", abs(f1 - 1.0) <= tol, tol),
+        ("f-second-derivative-zero-at-axis", abs(f2) <= tol, tol),
+        ("f-positive", np.all(exprs.evaluate_grid(spec.f, grid) > 0.0), 0.0),
+    ]
+    positive = []
+    for i, (e, h_at) in enumerate(zip(spec.h, hs)):
+        rows.append((f"h[{i}]-even-at-axis", abs(h_at(AXIS_EPS)[1]) <= tol, tol))
+        positive.append((f"h[{i}]-positive", np.all(exprs.evaluate_grid(e, grid) > 0.0), 0.0))
+    return SmoothnessReport(tuple((name, bool(ok), t) for name, ok, t in rows + positive), tol)
 
 
 # --- JSON schema ----------------------------------------------------------

@@ -359,13 +359,15 @@ def _nested_plan(depth):
         ("plan", {"kind": "nilmanifold", "dim": 10001}, "node plan: dimension must be in 0..10000\n"),
         ("plan", {"kind": "vectorBundle", "base": _RIC2, "rank": 10**9}, "node plan: dimension must be in 0..10000\n"),
         ("plan", _nested_plan(1) | {"fiber": {"kind": "ricNonneg", "dim": 10**4}}, "node plan: dimension must be in 0..10000\n"),
+        ("plan", [_RIC2], "node plan: expected an object with a 'kind' field\n"),
+        ("plan", {"kind": "vectorBundle", "base": {"dim": 2}, "rank": 1}, "node plan.base: expected an object with a 'kind' field\n"),
     ],
     ids=[
         "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "spec-list",
         "f-deep-parentheses", "f-long-sum", "h-long-sum", "dim-null", "curvature-list", "q-float",
         "q-exponent-past-1000", "no-base", "n-float", "n-bool", "n-string", "n-infinity", "structure-index-float",
         "dim-float", "dim-string", "rank-float", "plan-700-deep", "dim-1e300", "nilmanifold-dim-past-bound",
-        "rank-past-bound", "bundle-dim-past-bound",
+        "rank-past-bound", "bundle-dim-past-bound", "plan-list", "child-without-kind",
     ],
 )
 def test_malformed_files_are_spec_errors(capsys, tmp_path, kind, data, err):
@@ -518,6 +520,56 @@ def test_a_block_dividing_by_an_underflowed_f_squared_is_a_numeric_error(capsys,
         warnings.simplefilter("error")
         assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "3", *fmt]) == 4
     assert capsys.readouterr() == ("", "numeric error: closed-form block uu is inf at r=1.0, p=3\n")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_a_block_squaring_a_slope_past_float_range_is_a_numeric_error(capsys, tmp_path, fmt):
+    # f'(1)^2 = 1e400: Python's float ** raises OverflowError where * returns inf
+    path = tmp_path / "steep-f.json"
+    path.write_text(json.dumps({"n": 1, "f": "1e200*r", "h": ["1"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["warped-eval", "--spec", str(path), "--r", "1", "--p", "3", *fmt]) == 4
+    assert capsys.readouterr() == ("", "numeric error: closed-form block uu is nan at r=1.0, p=3\n")
+
+
+@pytest.mark.parametrize("argv", [["error-bounds", "--ts", "1e-200"], ["variation-eval", "--t", "1e-200"]])
+def test_a_scale_whose_square_underflows_is_a_spec_error_naming_t(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(argv + ["--json"]) == 3
+    assert capsys.readouterr() == ("", "spec error: t squared must be a positive normal float, got 1e-200\n")
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["--n", "1", "--c", "0", "--m", "1e200"], "k_bound is inf at n=1, c=0.0, m=1e+200"),
+        (["--n", "1", "--c", "1e308", "--m", "1e-300"], "k_bound is inf at n=1, c=1e+308, m=1e-300"),
+    ],
+)
+def test_kbound_past_float_range_is_a_numeric_error_naming_its_inputs(capsys, argv, err):
+    assert cli.run(["kbound", *argv, "--json"]) == 4
+    assert capsys.readouterr() == ("", f"numeric error: {err}\n")
+
+
+def test_minp_exponent_past_float_range_is_a_usage_error(capsys):
+    # min_p decides 1e400 exactly; the report's certificate echoes exponents as floats
+    assert cli.run(["minp", "--n", "1", "--c", "0", "--m", "1e400", "--json"]) == 3
+    assert capsys.readouterr() == ("", "usage error: --m 1e400: an exponent is past float range\n")
+
+
+def test_plan_bound_past_the_int_text_limit_names_the_node(capsys, tmp_path):
+    # at q = 2 pBound has 4,300 digits at dim 7135, Python's default limit, and more from 7136 on
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"kind": "nilmanifold", "dim": 7135, "q": 2}))
+    code, report = run_json(capsys, ["plan", "--file", str(path)])
+    assert code == 0 and len(str(report["results"]["pBound"])) == 4300
+    path.write_text(json.dumps({"kind": "nilmanifold", "dim": 7136, "q": 2}))
+    assert cli.run(["plan", "--file", str(path), "--json"]) == 3
+    assert capsys.readouterr() == (
+        "", "spec error: node normalize: pBound has more than 4300 digits, Python's limit for int text\n"
+    )
 
 
 def test_plan_json_prints_curvature_rate_and_a_bound(capsys, tmp_path):

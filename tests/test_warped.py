@@ -427,14 +427,17 @@ def test_smoothness_reference_profiles():
 def test_smoothness_rejects_quadratic_profile():
     spec = WarpedFamilySpec(n=0, f=exprs.parse("r^2"), h=())
     rep = smoothness_check(spec, 1e-4)
-    assert not rep.f_prime_one_at_axis
+    holds = {name: ok for name, ok, _ in rep.conditions}
+    assert not holds["f-slope-one-at-axis"]
     assert not rep.all_ok
 
 
 def test_smoothness_sine_profile():
     spec = WarpedFamilySpec(n=0, f=exprs.parse("sin(r)"), h=(), base_ricci=None)
     rep = smoothness_check(spec, 1e-4)
-    assert rep.f_zero_at_axis and rep.f_prime_one_at_axis and rep.f_second_zero_at_axis
+    holds = {name: ok for name, ok, _ in rep.conditions}
+    assert holds["f-vanishes-at-axis"] and holds["f-slope-one-at-axis"]
+    assert holds["f-second-derivative-zero-at-axis"]
 
 
 def test_pd_round_sphere_margin():
