@@ -112,7 +112,7 @@ class FamilyParams:
     is guaranteed. c is a real bound; values the theory only asserts to
     exist are concrete conservative picks listed in `derived`. dim is at
     most MAX_CERTIFICATE_DIM: a plan's replay lists one exponent per
-    dimension, about 200 bytes each, and a nilmanifold builds 2^(dim-2).
+    dimension, about 140 bytes each, and a nilmanifold builds 2^(dim-2).
     """
 
     q: Optional[Fraction]

@@ -164,13 +164,16 @@ def frac(x: Union[Fraction, int, str, float]) -> Fraction:
     """The exact-rational coercion: a Fraction, an int, a string such as
     "3/4" or "1.5e-3", or a float with an integral value. Any other float
     raises TypeError, since its binary value is rarely the rational meant;
-    a string whose decimal exponent is past +-1000 raises ValueError."""
+    a string with a zero denominator or exponent past +-1000 raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) and (m := _DECIMAL_EXPONENT.search(x)) and abs(int(m[1])) > _MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent of {x!r} is past +-{_MAX_DECIMAL_EXPONENT}")
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, float) and x.is_integer():
         return Fraction(int(x))
     raise TypeError(f"exponents must be exact rationals, got {x!r}")

@@ -54,8 +54,7 @@ def reference_profiles() -> tuple[Expr, Expr]:
 @dataclass(frozen=True)
 class DirectionCoefficients:
     """One direction's bound u^2 Ric >= h^2 (r^2 (pK - L) + pR - S), in
-    the scaled form of _quadruples with unit u: integers in min_p and
-    p_bound, floats with u = 1 in k_bound."""
+    the scaled form of _quadruples with unit u."""
 
     K: float
     L: float
@@ -65,11 +64,12 @@ class DirectionCoefficients:
 
 def _quadruples(c, mi, half) -> dict:
     """Coefficient quadruples for the reference profiles with exponents
-    mi, keyed 'r', 'u', 'y0' .. 'y(n-1)', in the scaled form with unit
-    u = 2 half: c and mi given as c u and m_i u, and each row u^2 times
-    the true one. min_p and p_bound pass integers, with half a common
-    denominator D; k_bound passes floats with half = 1/2, where u = 1 and
-    each float operation is that of the true row.
+    mi, keyed 'r', 'u' and one 'y<i>' per distinct exponent, i the first
+    index holding it, in the scaled form with unit u = 2 half: c and mi
+    given as c u and m_i u, and each row u^2 times the true one. min_p
+    and p_bound pass integers, with half a common denominator D; k_bound
+    passes floats with half = 1/2, where u = 1 and each float operation
+    is that of the true row.
 
     Substituting h_i = h^(m_i) and the closed-form identities
 
@@ -94,38 +94,33 @@ def _quadruples(c, mi, half) -> dict:
     """
     s1 = sum(mi)
     unit, quarter = 2 * half, half * half
-    directions = {
+    radial, ys = {}, {}  # per distinct exponent: its radial L term and its Y row
+    for i, m in enumerate(mi):
+        if m not in radial:
+            radial[m] = 2 * unit * m + 4 * m * m
+            ys[f"y{i}"] = DirectionCoefficients(
+                K=unit * m, L=3 * unit * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * unit * m, S=unit * c
+            )
+    return {
         "r": DirectionCoefficients(
-            K=quarter,
-            L=quarter + sum(2 * unit * m + 4 * m * m for m in mi),
-            R=6 * quarter,
-            S=6 * quarter - 2 * unit * s1,
+            K=quarter, L=quarter + sum(radial[m] for m in mi), R=6 * quarter, S=6 * quarter - 2 * unit * s1
         ),
         "u": DirectionCoefficients(
             K=4 * quarter, L=7 * quarter - unit * s1, R=6 * quarter, S=6 * quarter - 2 * unit * s1
         ),
+        **ys,
     }
-    y_rows = {m: _y_row(c, m, s1, unit) for m in set(mi)}  # one row per distinct exponent
-    directions.update((f"y{i}", y_rows[m]) for i, m in enumerate(mi))
-    return directions
-
-
-def _y_row(c, m, s1, unit) -> DirectionCoefficients:
-    """_quadruples' Y_i row for m_i = m and sum(m_k) = s1, at unit u."""
-    return DirectionCoefficients(
-        K=unit * m, L=3 * unit * m + 4 * m * (s1 - m) + 4 * m * m, R=2 * unit * m, S=unit * c
-    )
 
 
 def _box_rows(n: int, c, m, m_lower, half) -> dict:
     """Each row's worst case over the exponent profiles with all m_i in
-    [m_lower, m], keyed 'r', 'u' and (n > 0) 'y', in the scaled form of
-    _quadruples.
+    [m_lower, m], keyed 'r', 'u' and (n > 0) 'y0' and 'y-lower', in the
+    scaled form of _quadruples.
 
     r and u are _quadruples' rows at every m_i = m, where r's L/K peaks
     (its S/R <= 1 never binds; u never binds, see min_p). A y_i row's
     L/K = 3 + 4 sum(m_k) peaks at every m_k = m and its S/R = n c / (2 m_i)
-    at m_i = m_lower, so the y row has two corners: 'y' at every m_k = m,
+    at m_i = m_lower, so the y row has two corners: 'y0' at every m_k = m,
     and 'y-lower' at m_i = m_lower with the others at m. Each has
     S = n c: the diagonal's c plus the Gershgorin sum (n-1) c of the
     off-diagonal bound.
@@ -135,11 +130,9 @@ def _box_rows(n: int, c, m, m_lower, half) -> dict:
     if not 0 < m_lower <= m:
         raise ValueError("m_lower must lie in (0, m]")
     c_row = c + (n - 1) * c
-    r, u, *ys = _quadruples(c_row, [m] * n, half).values()
-    rows = {"r": r, "u": u}
-    if ys:  # the y_i rows are equal at every m_i = m
-        rows["y"] = ys[0]
-        rows["y-lower"] = _y_row(c_row, m_lower, sum([m_lower] + [m] * (n - 1)), 2 * half)
+    rows = _quadruples(c_row, [m] * n, half)
+    if n:
+        rows["y-lower"] = _quadruples(c_row, [m_lower] + [m] * (n - 1), half)["y0"]
     return rows
 
 
@@ -197,9 +190,7 @@ def p_bound(n: int, c: float, m, m_lower) -> int:
 class MinPResult:
     """p_star and the direction that binds at it ("radial" or "y<i>"),
     with that direction's t^2 coefficient pK - L and value at t = 1,
-    pR - S, at p_star, as exact rationals; all None when no p works.
-    p_star is decided in integers; only these two reported values and
-    the coefficients a failing reason names are built as Fractions. mi
+    pR - S, at p_star, as exact rationals; all None when no p works. mi
     echoes the exponents exactly: a plan's replay can exceed float range."""
 
     p_star: Optional[int]

@@ -550,19 +550,25 @@ def spec_from_json(data) -> WarpedFamilySpec:
 
 
 def _spec_field(data: dict, key: str, read, default=None):
-    """read(data[key]), or read(default) for an absent key. A missing
-    required field or a value of the wrong type is a ValueError naming it."""
+    """read(data[key]), or read(default) for an absent key; a list default
+    asks for a list. A missing or wrong-typed field is a ValueError naming it."""
     if key not in data and default is None:
         raise ValueError(f"spec file missing field {key!r}")
+    value = data.get(key, default)
+    if isinstance(default, list) and not isinstance(value, list):
+        raise ValueError(f"spec field {key!r}: expected a list, got {value!r}")
     try:
-        return read(data.get(key, default))
+        return read(value)
     except (TypeError, AttributeError, LookupError, RecursionError) as err:
         raise ValueError(f"spec field {key!r}: {err}") from None
 
 
 def _structure(rows) -> dict:
     structure = {}
-    for i, j, k, v in rows:
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 4:
+            raise TypeError(f"row {row!r} is not a list of four entries [i, j, k, value]")
+        i, j, k, v = row
         structure[(exprs.integer(i), exprs.integer(j), exprs.integer(k))] = float(v)
     return structure
 

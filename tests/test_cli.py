@@ -332,7 +332,7 @@ def _nested_plan(depth):
         ("spec", {**TORUS_SPEC, "f": 5}, "spec field 'f': expected string or bytes-like object"),
         ("spec", {**TORUS_SPEC, "h": [1]}, "spec field 'h': expected string or bytes-like object"),
         ("spec", {**TORUS_SPEC, "n": None}, "spec field 'n': int() argument must be"),
-        ("spec", {**TORUS_SPEC, "structure": [5]}, "spec field 'structure': cannot unpack"),
+        ("spec", {**TORUS_SPEC, "structure": [5]}, "spec field 'structure': row 5 is not a list of four entries [i, j, k, value]\n"),
         ("spec", {**TORUS_SPEC, "baseRicci": 3}, "spec field 'baseRicci': 'int' object has no"),
         ("spec", [TORUS_SPEC], "a spec is a JSON object, not list"),
         ("spec", {**TORUS_SPEC, "f": "(" * 1500 + "r" + ")" * 1500}, "spec field 'f': maximum recursion"),
@@ -361,13 +361,24 @@ def _nested_plan(depth):
         ("plan", _nested_plan(1) | {"fiber": {"kind": "ricNonneg", "dim": 10**4}}, "node plan: dimension must be in 0..10000\n"),
         ("plan", [_RIC2], "node plan: expected an object with a 'kind' field\n"),
         ("plan", {"kind": "vectorBundle", "base": {"dim": 2}, "rank": 1}, "node plan.base: expected an object with a 'kind' field\n"),
+        # a string is not a list of profiles, nor a short row a structure constant
+        ("spec", {**TORUS_SPEC, "h": "11"}, "spec field 'h': expected a list, got '11'\n"),
+        ("spec", {**TORUS_SPEC, "structure": [[0, 1]]}, "spec field 'structure': row [0, 1] is not a list of four entries [i, j, k, value]\n"),
+        # a zero denominator is a malformed exponent, not a numeric failure
+        ("plan", _custom(m="1/0"), "node plan: '1/0' has a zero denominator\n"),
+        ("plan", _custom(q="1/0"), "node plan: '1/0' has a zero denominator\n"),
+        ("plan", _custom(m=1, mLower="0/0"), "node plan: '0/0' has a zero denominator\n"),
+        ("plan", _custom(curvature={"L": 1, "e": "1/0"}), "node plan: '1/0' has a zero denominator\n"),
+        ("plan", {"kind": "nilmanifold", "dim": 3, "q": "1/0"}, "node plan: '1/0' has a zero denominator\n"),
     ],
     ids=[
         "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "spec-list",
         "f-deep-parentheses", "f-long-sum", "h-long-sum", "dim-null", "curvature-list", "q-float",
         "q-exponent-past-1000", "no-base", "n-float", "n-bool", "n-string", "n-infinity", "structure-index-float",
         "dim-float", "dim-string", "rank-float", "plan-700-deep", "dim-1e300", "nilmanifold-dim-past-bound",
-        "rank-past-bound", "bundle-dim-past-bound", "plan-list", "child-without-kind",
+        "rank-past-bound", "bundle-dim-past-bound", "plan-list", "child-without-kind", "h-string",
+        "structure-short-row", "m-zero-denominator", "q-zero-denominator", "mLower-zero-denominator",
+        "e-zero-denominator", "nilmanifold-q-zero-denominator",
     ],
 )
 def test_malformed_files_are_spec_errors(capsys, tmp_path, kind, data, err):
@@ -557,6 +568,11 @@ def test_minp_exponent_past_float_range_is_a_usage_error(capsys):
     # min_p decides 1e400 exactly; the report's certificate echoes exponents as floats
     assert cli.run(["minp", "--n", "1", "--c", "0", "--m", "1e400", "--json"]) == 3
     assert capsys.readouterr() == ("", "usage error: --m 1e400: an exponent is past float range\n")
+
+
+def test_minp_zero_denominator_is_a_spec_error(capsys):
+    assert cli.run(["minp", "--n", "1", "--c", "1", "--m", "1/0", "--json"]) == 3
+    assert capsys.readouterr() == ("", "spec error: '1/0' has a zero denominator\n")
 
 
 def test_plan_bound_past_the_int_text_limit_names_the_node(capsys, tmp_path):

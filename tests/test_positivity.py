@@ -55,21 +55,42 @@ def _rows(c, mi):
     }
 
 
+def _y(rows, mi, i):
+    """Direction i's row: _quadruples keys each distinct exponent's row
+    by the first index holding it."""
+    mi = [Fraction(m) for m in mi]
+    return rows[f"y{mi.index(mi[i])}"]
+
+
 def test_coefficients_positive_and_validated():
     coeffs = _rows(1, [1, 1])
     for cf in coeffs.values():
         assert cf.K > 0 and cf.R > 0
-    assert set(coeffs) == {"r", "u", "y0", "y1"}
-    assert coeffs["y0"] == positivity.DirectionCoefficients(K=1, L=11, R=2, S=1)
+    assert set(coeffs) == {"r", "u", "y0"}
+    assert set(_rows(1, [1, 2])) == {"r", "u", "y0", "y1"}
+    for i in (0, 1):
+        assert _y(coeffs, [1, 1], i) == positivity.DirectionCoefficients(K=1, L=11, R=2, S=1)
 
 
 def test_equal_exponents_share_one_y_row():
-    _, rows = _scaled_rows("1/2", [1, "3/4", 1])
-    assert list(rows) == ["r", "u", "y0", "y1", "y2"]
-    assert rows["y0"] is rows["y2"] and rows["y1"] is not rows["y0"]
-    # at unit 1 the row is the true one
-    y1 = positivity._y_row(Fraction(1, 2), Fraction(3, 4), Fraction(11, 4), 1)
-    assert _rows("1/2", [1, "3/4", 1])["y1"] == y1
+    mi = [1, "3/4", 1]
+    _, rows = _scaled_rows("1/2", mi)
+    assert list(rows) == ["r", "u", "y0", "y1"]
+    assert _y(rows, mi, 2) is rows["y0"] and rows["y1"] != rows["y0"]
+    # at unit 1 each direction's row is the true one
+    true = _rows("1/2", mi)
+    want = _ref_quadruples(Fraction(1, 2), [Fraction(m) for m in mi])
+    assert [_y(true, mi, i) for i in range(3)] == [want[f"y{i}"] for i in range(3)]
+
+
+def test_min_p_decides_each_distinct_row_once(monkeypatch):
+    # a uniform profile of any length has one radial and one y row
+    calls = []
+    least_p = positivity._least_p
+    monkeypatch.setattr(positivity, "_least_p", lambda cf: calls.append(cf) or least_p(cf))
+    res = min_p(1000, 0.5, ["3/4"] * 1000)
+    assert len(calls) == 2 and res.binding in ("radial", "y0")
+    assert list(positivity._box_rows(10**5, 1, 3, 2, 1)) == ["r", "u", "y0", "y-lower"]
 
 
 def test_coefficients_reject_degenerate_exponents():
@@ -147,7 +168,7 @@ def test_bound_soundness_sampled():
         assert np.all(rr >= bound(coeffs["r"]) - 1e-12)
         assert np.all(uu >= bound(coeffs["u"]) - 1e-12)
         for i in range(n):
-            assert np.all(yy[i] >= bound(coeffs[f"y{i}"]) - 1e-12)
+            assert np.all(yy[i] >= bound(_y(coeffs, mi, i)) - 1e-12)
 
 
 def test_sweep_agrees_with_blockwise_pd_check():
@@ -354,7 +375,7 @@ def _polynomial_margins(n, c, mi, rs, p):
     s = float(sum(Fraction(m) for m in mi))
     sphere = ((p + 3 + 4 * s) * (1 + t) + (3 * p - 5 + 4 * s) * (t2 + t2 * t) + (4 * p - 8) * t2**2)
     sphere = h2 * sphere / (4 * (1 + t))
-    yy = np.array([row(rows[f"y{i}"]) for i in range(n)]).reshape(n, rs.size)
+    yy = np.array([row(_y(rows, mi, i)) for i in range(n)]).reshape(n, rs.size)
     return row(rows["r"]), sphere, yy
 
 
@@ -566,8 +587,9 @@ def test_integer_rows_are_the_true_rows_scaled():
         for half in (lcm, 3 * lcm):
             u = 2 * half
             rows = positivity._quadruples(int(c * u), [int(m * u) for m in mi], half)
-            assert list(rows) == list(want)
-            for name, cf in rows.items():
+            assert list(rows) == ["r", "u"] + [f"y{i}" for i, m in enumerate(mi) if mi.index(m) == i]
+            directions = [("r", rows["r"]), ("u", rows["u"])] + [(f"y{i}", _y(rows, mi, i)) for i in range(n)]
+            for name, cf in directions:
                 values = (cf.K, cf.L, cf.R, cf.S)
                 assert all(type(v) is int for v in values)
                 assert values == tuple(u * u * v for v in (want[name].K, want[name].L, want[name].R, want[name].S))
