@@ -342,6 +342,9 @@ def cmd_minp(args) -> tuple:
 
 
 def cmd_kbound(args) -> tuple:
+    cap = bundlecalc.MAX_CERTIFICATE_DIM  # k_bound lists one exponent per dimension
+    if args.n > cap:
+        raise UsageError(f"--n {args.n}: above the certificate dimension cap {cap}")
     k = positivity.k_bound(args.n, args.c, args.m)
     if not math.isfinite(k):  # k_bound's float rows overflow where n, c or m is near float range
         raise FloatingPointError(f"k_bound is {k} at n={args.n}, c={args.c!r}, m={args.m!r}")

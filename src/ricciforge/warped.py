@@ -68,7 +68,8 @@ class WarpedFamilySpec:
     per-process cache keyed by the profile tree (see _profile), so specs
     with equal profiles share these functions. It also sets ``derived_base
     = lie_ricci(structure, n)``, the base Ricci as a function of the h_i(r),
-    and ``jet = lie_jet(structure, n)``, the E-block of the oracle chart.
+    and ``jet = lie_jet(structure, n)``, the E-block of the oracle chart;
+    specs with equal structure items in one order share both (see _lie).
     """
 
     n: int
@@ -101,8 +102,9 @@ class WarpedFamilySpec:
             full[(i, j, k)] = v
             full[(j, i, k)] = -v
         object.__setattr__(self, "structure", full)
-        object.__setattr__(self, "derived_base", lie_ricci(full, self.n))
-        object.__setattr__(self, "jet", lie_jet(full, self.n))
+        derived_base, jet = _lie(tuple(full.items()), self.n)
+        object.__setattr__(self, "derived_base", derived_base)
+        object.__setattr__(self, "jet", jet)
         compiled = []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
@@ -127,7 +129,7 @@ class WarpedFamilySpec:
         return fv, fp, fpp, hv, hp, hpp
 
 
-# _profile keeps at most this many profiles, dropping the least recently used
+# _profile and _lie each keep at most this many entries, dropping the least recently used
 PROFILE_CACHE_SIZE = 256
 
 
@@ -146,26 +148,26 @@ def _profile(e: Expr) -> Callable[[float], tuple]:
 
 
 def lie_ricci(structure: Mapping[tuple[int, int, int], float], n: int):
-    """h -> the Ricci tensor, in the frame Y_i = X_i/h_i, of the metric with
-    g(X_i, X_i) = h_i^2 on the Lie algebra [X_a, X_b] = sum_k b_abk X_k, b the
-    structure in the antisymmetric form a spec stores. The frame convention
-    makes the algebra unimodular, so with C_abk = b_abk h_k/(h_a h_b) (Milnor,
-    Adv. Math. 21 (1976); Besse, Einstein Manifolds, 7.38)
+    """h -> the Ricci tensor, as n rows of n floats in the frame Y_i = X_i/h_i,
+    of the metric with g(X_i, X_i) = h_i^2 on the Lie algebra [X_a, X_b] =
+    sum_k b_abk X_k, b the structure in the antisymmetric form a spec stores.
+    The frame convention makes the algebra unimodular, so with C_abk = b_abk
+    h_k/(h_a h_b) (Milnor, Adv. Math. 21 (1976); Besse, Einstein Manifolds, 7.38)
     Ric(Y_i, Y_j) = -1/2 sum_ab C_iab C_jab + 1/4 sum_ab C_abi C_abj - 1/2 B_ij,
     with B_ij = sum_ab C_iba C_jab the Killing form. The products are listed
     once, from the nonzero entries, which must satisfy the Jacobi identity:
     a triple whose cyclic sum has a component past roundoff is a ValueError."""
     entries = [(a, b, k, v) for (a, b, k), v in structure.items() if v != 0.0]
-    terms: list = []  # (i n + j, weight, p, q): a term weight C_p C_q of Ric(Y_i, Y_j)
+    terms: list = []  # (i, j, weight, p, q): a term weight C_p C_q of Ric(Y_i, Y_j)
     sums: dict = {}  # (triple rotated to its least index, q) -> (sum, sum of |terms|)
     for p, (a, b, k, v) in enumerate(entries):
         for q, (c, d, l, w) in enumerate(entries):
             if b == d and k == l:  # C_iab C_jab
-                terms.append((a * n + c, -0.5, p, q))
+                terms.append((a, c, -0.5, p, q))
             if a == c and b == d:  # C_abi C_abj
-                terms.append((k * n + l, 0.25, p, q))
+                terms.append((k, l, 0.25, p, q))
             if b == l and k == d:  # C_iba C_jab, the Killing form
-                terms.append((a * n + c, -0.5, p, q))
+                terms.append((a, c, -0.5, p, q))
             if c == k and d not in (a, b):  # [[X_a, X_b], X_d] has v w along X_l
                 key = (min((a, b, d), (b, d, a), (d, a, b)), l)
                 total, size = sums.get(key, (0.0, 0.0))
@@ -173,16 +175,16 @@ def lie_ricci(structure: Mapping[tuple[int, int, int], float], n: int):
     for (ijl, q), (total, size) in sums.items():
         if abs(total) > 1e-12 * size:
             raise ValueError(f"structure fails the Jacobi identity on {ijl}: cyclic sum has {total:g} X_{q}")
-    zero = np.zeros((n, n))
+    zero = ((0.0,) * n,) * n
 
-    def ricci(h) -> np.ndarray:
-        if not terms:  # a vanishing structure: one shared zero matrix
+    def ricci(h) -> list:
+        if not terms:  # a vanishing structure: one shared, immutable zero matrix
             return zero
         cs = [v * h[k] / (h[a] * h[b]) for a, b, k, v in entries]
-        flat = [0.0] * (n * n)
-        for ij, weight, p, q in terms:
-            flat[ij] += weight * cs[p] * cs[q]
-        return np.array(flat).reshape(n, n)
+        rows = [[0.0] * n for _ in range(n)]
+        for i, j, weight, p, q in terms:
+            rows[i][j] += weight * cs[p] * cs[q]
+        return rows
 
     return ricci
 
@@ -214,6 +216,13 @@ def lie_jet(structure: Mapping[tuple[int, int, int], float], n: int) -> dict:
         if c != 0.0:
             jet.setdefault((i, j), {}).setdefault(k, []).append((c, m))
     return jet
+
+
+@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _lie(items: tuple, n: int) -> tuple:
+    """lie_ricci and lie_jet of the structure with these items in this order,
+    which fixes the order of every sum, built once; callers only read them."""
+    return lie_ricci(dict(items), n), lie_jet(dict(items), n)
 
 
 @dataclass(frozen=True)
@@ -274,6 +283,7 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     if r <= 0.0:
         raise ValueError("r must be positive (the metric degenerates at r = 0)")
     fv, fp, fpp, hv, hp, hpp = spec.profile_values(r)
+    n = spec.n
     try:
         rr, uu, yy_corr = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
         base = spec.derived_base(hv) if spec.base_ricci is None else spec.base_ricci(r)
@@ -283,19 +293,28 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
         with np.errstate(all="ignore"):
             rr, uu, yy_corr = diagonal_blocks(p, np.float64(fv), np.float64(fp), fpp, hv, hp, hpp)
             base = spec.derived_base(np.array(hv)) if spec.base_ricci is None else spec.base_ricci(r)
-    base = np.asarray(base, dtype=float)
-    if base.shape != (spec.n, spec.n):
-        raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({spec.n}, {spec.n})")
-    # adding the diagonal matrix also turns -0.0 off-diagonals into 0.0
-    yy = 0.5 * (base + base.T) + np.diag(yy_corr) if spec.n else np.zeros((0, 0))
+    if spec.base_ricci is not None:
+        base = np.asarray(base, dtype=float)
+        if base.shape != (n, n):
+            raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({n}, {n})")
+        base = base.tolist()
+    # the operations of 0.5 (base + base^T) + diag(yy_corr), entry by entry;
+    # adding 0.0 off the diagonal turns -0.0 into 0.0
+    values = [rr, uu] + [
+        0.5 * (base[i][j] + base[j][i]) + (yy_corr[i] if i == j else 0.0) for i in range(n) for j in range(n)
+    ]
     # a quotient such as 1/f^2 can leave float range from finite profile
     # values, and Python floats overflow to inf silently
-    values = (rr, uu, *yy.ravel().tolist())
     if not all(map(math.isfinite, values)):
-        names = ["rr", "uu"] + [f"yy[{i},{j}]" for i in range(spec.n) for j in range(spec.n)]
+        names = ["rr", "uu"] + [f"yy[{i},{j}]" for i in range(n) for j in range(n)]
         name, v = next((name, v) for name, v in zip(names, values) if not math.isfinite(v))
         raise FloatingPointError(f"closed-form block {name} is {v} at r={r}, p={p}")
-    return RicciBlocks(rr=rr, uu=uu, yy=yy, p=int(p), r=float(r))
+    return RicciBlocks(rr=rr, uu=uu, yy=np.array(values[2:], dtype=float).reshape(n, n), p=int(p), r=float(r))
+
+
+# LAPACK ?syevd scales a matrix whose largest |entry| is outside this band
+SYEVD_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)  # sqrt(safmin/eps)
+SYEVD_RMAX = 1.0 / SYEVD_RMIN
 
 
 @dataclass(frozen=True)
@@ -314,16 +333,23 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
     Gershgorin row-sum certificate (sufficient, not sharp); with slack 0
     the reduced block is checked exactly by its eigenvalues.
     """
-    if off_diag_slack < 0.0:
-        raise ValueError("off_diag_slack must be nonnegative")
-    n = len(blocks.yy)
+    if not 0.0 <= off_diag_slack < math.inf:  # a nan slack would drop every yy row from min()
+        raise ValueError("off_diag_slack must be a finite nonnegative number")
+    yy = blocks.yy.tolist()
+    n = len(yy)
     if off_diag_slack == 0.0:
-        reduced = np.zeros((n + 1, n + 1))
-        reduced[0, 0], reduced[1:, 1:] = blocks.rr, blocks.yy
-        lowers = np.linalg.eigvalsh(reduced).tolist()
+        lowers = [blocks.rr] + [row[i] for i, row in enumerate(yy)]
+        # eigvalsh reads the lower triangle; when it is zero and ?syevd need
+        # not scale, ?sterf gets the diagonal unchanged and returns its entries
+        if any(v for i, row in enumerate(yy) for v in row[:i]) or not (
+            all(abs(v) <= SYEVD_RMAX for v in lowers) and max(map(abs, lowers)) >= SYEVD_RMIN
+        ):
+            reduced = np.zeros((n + 1, n + 1))
+            reduced[0, 0], reduced[1:, 1:] = blocks.rr, blocks.yy
+            lowers = np.linalg.eigvalsh(reduced).tolist()
     else:
         lowers = [blocks.rr]
-        for i, row in enumerate(blocks.yy.tolist()):
+        for i, row in enumerate(yy):
             total = 0.0
             for v in row:
                 total += abs(v)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ricciforge import __version__, cli, oracle
+from ricciforge import __version__, bundlecalc, cli, oracle
 
 TORUS_SPEC = {
     "n": 1,
@@ -562,6 +562,16 @@ def test_a_scale_whose_square_underflows_is_a_spec_error_naming_t(capsys, argv):
 def test_kbound_past_float_range_is_a_numeric_error_naming_its_inputs(capsys, argv, err):
     assert cli.run(["kbound", *argv, "--json"]) == 4
     assert capsys.readouterr() == ("", f"numeric error: {err}\n")
+
+
+def test_kbound_dimension_above_the_certificate_cap_is_a_usage_error(capsys):
+    # k_bound lists one exponent per dimension, so a huge --n would ask for gigabytes
+    cap = bundlecalc.MAX_CERTIFICATE_DIM
+    for n in (cap + 1, 10**9):
+        assert cli.run(["kbound", "--n", str(n), "--c", "1", "--m", "1", "--json"]) == 3
+        assert capsys.readouterr() == ("", f"usage error: --n {n}: above the certificate dimension cap {cap}\n")
+    code, report = run_json(capsys, ["kbound", "--n", str(cap), "--c", "1", "--m", "1"])
+    assert code == 0 and math.isfinite(report["results"]["k"])
 
 
 def test_minp_exponent_past_float_range_is_a_usage_error(capsys):

@@ -85,7 +85,7 @@ def test_structure_coefficient_invariants():
         WarpedFamilySpec(n=3, f=f, h=h, structure={(0, 1, 5): 1.0})
     spec = WarpedFamilySpec(n=3, f=f, h=h, structure={(0, 1, 2): 2.0})
     assert spec.structure[(1, 0, 2)] == -2.0
-    assert spec.derived_base([1.0, 1.0, 1.0]).any()  # a nonvanishing structure has a nonzero base
+    assert np.any(spec.derived_base([1.0, 1.0, 1.0]))  # a nonvanishing structure has a nonzero base
 
 
 def test_a_structure_that_is_not_a_lie_algebra_is_rejected():
@@ -165,7 +165,7 @@ def test_relabelling_the_frame_permutes_the_derived_base(n, rows):
         want = base(scales.tolist())
         moved_scales = np.empty(n)
         moved_scales[perm] = scales
-        got = spec.derived_base(moved_scales.tolist())[np.ix_(perm, perm)]
+        got = np.array(spec.derived_base(moved_scales.tolist()))[np.ix_(perm, perm)]
         tol = 1e-14 * np.max(np.abs(want))
         assert np.allclose(got, want, rtol=0.0, atol=tol) and np.allclose(got, got.T, rtol=0.0, atol=tol)
 
@@ -179,7 +179,24 @@ def test_a_spec_without_base_ricci_derives_it_and_a_given_one_is_kept():
     # a vanishing structure derives the zero matrix, shared by every radius
     torus = reference_torus_spec()
     assert torus.derived_base([0.5]) is torus.derived_base([2.0])
-    assert not torus.derived_base([0.5]).any()
+    assert not np.any(torus.derived_base([0.5]))
+
+
+def test_specs_with_one_structure_share_its_base_and_jet():
+    # built once per structure, as a profile is compiled once per tree
+    rows = [[0, 1, 2, 1.0], [0, 2, 3, 1.0]]
+    data = {"n": 4, "f": "r", "h": ["1", "2", "1/2", "3"], "structure": rows}
+    first, second = spec_from_json(data), spec_from_json({**data, "h": ["1"] * 4})
+    assert first.derived_base is second.derived_base and first.jet is second.jet
+    fresh = warped.lie_ricci(first.structure, 4), warped.lie_jet(first.structure, 4)
+    for scales in ([1.0, 2.0, 0.5, 3.0], [0.3, 1.7, 2.2, 0.9]):
+        assert first.derived_base(scales) == fresh[0](scales)
+    assert first.jet == fresh[1]
+    other = spec_from_json({**data, "structure": rows[:1]})
+    assert other.derived_base is not first.derived_base and other.jet != first.jet
+    s3 = left_invariant_s3_spec()
+    assert s3.derived_base is left_invariant_s3_spec().derived_base and s3.jet is left_invariant_s3_spec().jet
+    assert warped._lie.cache_info().maxsize == warped.PROFILE_CACHE_SIZE
 
 
 def test_torus_spec_verifies_against_oracle():
@@ -468,8 +485,11 @@ def test_pd_gershgorin_slack():
     blocks = dataclasses.replace(blocks, rr=1.0, uu=1.0)
     assert check_positive_definite(blocks, off_diag_slack=0.4).positive_definite
     assert not check_positive_definite(blocks, off_diag_slack=1.1).positive_definite
-    with pytest.raises(ValueError):
-        check_positive_definite(blocks, off_diag_slack=-0.1)
+    # a nan slack makes every yy lower bound nan, which min() skips: it read
+    # positive_definite=True with min_eigen rr = 1.0 here
+    for slack in (-0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^off_diag_slack must be a finite nonnegative number$"):
+            check_positive_definite(blocks, off_diag_slack=slack)
 
 
 def test_spec_json_base_ricci_forms():
@@ -697,11 +717,19 @@ def test_scalar_overflow_in_an_h_profile_or_a_derivative_is_named():
     assert str(err.value) == "overflow in product in subexpression '-sin(r*r)*(r + r)*(r + r)'"
 
 
+def _eigvalsh_min(rr, yy, uu):
+    """The exact check's min_eigen by eigvalsh on the (n+1) x (n+1) reduced block."""
+    n = len(yy)
+    reduced = np.zeros((n + 1, n + 1))
+    reduced[0, 0], reduced[1:, 1:] = rr, yy
+    return float(min(np.linalg.eigvalsh(reduced).min(), uu)) + 0.0
+
+
 def _numpy_blocks(spec, r, p, slack):
     """rr, uu, yy and the min_eigen of both PD checks by the numpy formula
     the float code replaced, as the reference: profile arrays, sums by
-    ndarray.sum, the (n+1) x (n+1) reduced block for the exact check and
-    per-row np.sum for the Gershgorin one."""
+    ndarray.sum, the base as an array, eigvalsh on the reduced block for
+    the exact check and per-row np.sum for the Gershgorin one."""
     f_at, *hs = spec.compiled
     fv, fp, fpp = f_at(r)
     hv, hp, hpp = (np.array([h(r)[k] for h in hs]) for k in range(3))
@@ -710,29 +738,23 @@ def _numpy_blocks(spec, r, p, slack):
     uu = (p - 2) * (1.0 - fp**2) / fv**2 - (fp / fv) * s1 - fpp / fv
     rr = -(p - 1) * fpp / fv - lhh.sum(axis=0)
     corr = -(p - 1) * (fp / fv) * lh - lh * (s1 - lh) - lhh
-    base = np.asarray(spec.base_ricci(r), dtype=float)
+    base = np.asarray(spec.derived_base(hv.tolist()) if spec.base_ricci is None else spec.base_ricci(r), dtype=float)
     n = spec.n
     yy = 0.5 * (base + base.T) + np.diag(corr) if n else np.zeros((0, 0))
-    reduced = np.zeros((n + 1, n + 1))
-    reduced[0, 0], reduced[1:, 1:] = rr, yy
-    exact = float(min(np.linalg.eigvalsh(reduced).min(), uu)) + 0.0
     lowers = [rr]
     for i in range(n):
         known_off = float(np.sum(np.abs(yy[i]))) - abs(float(yy[i, i]))
         lowers.append(yy[i, i] - known_off - (n - 1) * slack)
-    return float(rr), float(uu), yy, exact, float(min(min(lowers), uu)) + 0.0
+    return float(rr), float(uu), yy, _eigvalsh_min(rr, yy, uu), float(min(min(lowers), uu)) + 0.0
 
 
 def _bits(*values):
     return [np.asarray(v, dtype=float).tobytes() for v in values]
 
 
-def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
-    """ricci_warped and both check_positive_definite branches equal the
-    numpy formula bit for bit on random specs with n = 0..7, where numpy
-    also sums left to right from 0.0. For n >= 8 numpy sums pairwise, so
-    the two may differ by roundoff."""
-    rng = np.random.default_rng(20261019)
+def _random_cases(rng):
+    """120 specs with n = 0..7 and a zero, scaled-identity or constant base,
+    each with a radius, p and a slack."""
     for trial in range(120):
         n = trial % 8
         scales = rng.integers(1, 9, size=n)
@@ -742,20 +764,117 @@ def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
             f"scaledIdentity:-{rng.integers(1, 5)}/3*(1+r^2)^(-1)",
             "constant:" + json.dumps(np.round(rng.normal(size=(n, n)), 3).tolist()),
         ]
-        spec = spec_from_json(
-            {
-                "n": n,
-                "f": f"r*(1+r^2/{rng.integers(1, 5)})^(-{rng.integers(1, 4)}/4)",
-                "h": [f"(1+{a}*r^2)^(-{b}/4)" for a, b in zip(scales, powers)],
-                "baseRicci": bases[trial % 3 if n else 0],
-            }
-        )
-        r, p, slack = float(rng.uniform(0.05, 6.0)), int(rng.integers(2, 64)), float(rng.uniform(0, 1))
+        data = {
+            "n": n,
+            "f": f"r*(1+r^2/{rng.integers(1, 5)})^(-{rng.integers(1, 4)}/4)",
+            "h": [f"(1+{a}*r^2)^(-{b}/4)" for a, b in zip(scales, powers)],
+            "baseRicci": bases[trial % 3 if n else 0],
+        }
+        yield data, float(rng.uniform(0.05, 6.0)), int(rng.integers(2, 64)), float(rng.uniform(0, 1))
+
+
+# S^3, the Heisenberg algebra and the 4-dimensional filiform algebra, as rows
+DERIVED_BASES = [
+    (3, [[0, 1, 2, 2.0], [1, 2, 0, 2.0], [2, 0, 1, 2.0]]),
+    (3, [[0, 1, 2, 1.0]]),
+    (4, [[0, 1, 2, 1.0], [0, 2, 3, 1.0]]),
+]
+
+
+def _structure_cases(rng):
+    """20 specs for each structure of DERIVED_BASES, with the base it derives."""
+    for n, rows in DERIVED_BASES:
+        for _ in range(20):
+            h = [f"(1+r^2)^(-{b}/4)" for b in rng.integers(1, 7, size=n)]
+            data = {"n": n, "f": "r*(1+r^2)^(-1/4)", "h": h, "structure": rows}
+            yield data, float(rng.uniform(0.05, 6.0)), int(rng.integers(2, 64)), float(rng.uniform(0, 1))
+
+
+CERTIFY_EXPONENTS = ("1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "3/2")
+
+
+def _certify_cases(seed):
+    """10 specs shaped as the certify workload draws them, n = 1..3 power
+    profiles and a scaled-identity base of scale c in {0, 1/4, 1/2, 1}, each
+    at 4 radii log-uniform on [0.25, 4] with p in 2..64 and slack c + 1/8."""
+    rng = np.random.default_rng(seed)
+    for k in range(10):
+        n, c = 1 + k % 3, (0.0, 0.25, 0.5, 1.0)[rng.integers(4)]
+        data = {
+            "n": n,
+            "f": f"r*(1+r^2)^(-{rng.integers(1, 4)}/4)",
+            "h": [f"(1+r^2)^(-{CERTIFY_EXPONENTS[i]})" for i in rng.integers(0, 8, size=n)],
+            "structure": [],
+            "baseRicci": f"scaledIdentity:-{c}*(1+r^2)^(-2)",
+        }
+        for _ in range(4):
+            yield data, float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))), int(rng.integers(2, 65)), c + 0.125
+
+
+def _diagonal_blocks_across_the_syevd_band():
+    """RicciBlocks with a diagonal yy whose largest |entry| sits on either
+    side of SYEVD_RMIN and of SYEVD_RMAX, with signed zeros, an all-zero
+    block, n = 0, -0.0 off the diagonal and non-finite entries."""
+    low, high = warped.SYEVD_RMIN, warped.SYEVD_RMAX
+    edges = [low, high, 7.3e-147, 1.006e146, 1.0, 1e-300, 1e300]
+    edges += [np.nextafter(x, toward) for x in (low, high) for toward in (0.0, np.inf)]
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for top in edges:
+        for n in range(5):
+            for sign in (1.0, -1.0):
+                rest = (rng.uniform(-1.0, 1.0, n) * top).tolist()
+                rr, *diag = rng.permutation([sign * top] + rest).tolist()
+                cases.append((rr, np.diag(diag), abs(top)))
+    for _ in range(300):  # random signs and magnitudes from 1e-300 to 1e300
+        n = int(rng.integers(0, 6))
+        rr, *diag = (rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-300, 300, n + 1)).tolist()
+        cases.append((rr, np.diag(diag), 1.0))
+    cases += [
+        (0.0, np.zeros((3, 3)), 1.0),
+        (-0.0, np.diag([0.0, -0.0]), -0.0),
+        (1.0, np.zeros((0, 0)), 2.0),
+        (-0.0, np.zeros((0, 0)), 1.0),
+        (1.0, np.array([[2.0, -0.0], [-0.0, 3.0]]), 4.0),
+        (1.0, np.array([[2.0, 1e-300], [1e-300, 3.0]]), 4.0),
+        (1.0, np.diag([np.nan, 2.0]), 3.0),
+        (1.0, np.diag([np.inf, 2.0]), 3.0),
+        (-np.inf, np.diag([1.0, 2.0]), 3.0),
+    ]
+    for rr, yy, uu in cases:
+        yield warped.RicciBlocks(rr=rr, uu=uu, yy=yy, p=3, r=1.0)
+
+
+def _exact_outcome(min_eigen):
+    """The exact check's min_eigen as bytes, "nan" (ndarray.min and min()
+    sign a nan apart) or the LinAlgError eigvalsh raises on a non-finite block."""
+    try:
+        value = min_eigen()
+    except np.linalg.LinAlgError as err:
+        return repr(err)
+    return "nan" if np.isnan(value) else _bits(value)
+
+
+def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
+    """ricci_warped and both check_positive_definite branches equal the
+    numpy formula bit for bit on random specs with n = 0..7, where numpy
+    also sums left to right from 0.0, on bases derived from structures
+    and on certify-shaped specs of seeds 0..5; the exact check equals
+    eigvalsh on diagonal blocks on both sides of the unscaled band. For
+    n >= 8 numpy sums pairwise, so the two may differ by roundoff."""
+    rng = np.random.default_rng(20261019)
+    cases = [*_random_cases(rng), *_structure_cases(rng)]
+    cases += [case for seed in range(6) for case in _certify_cases(seed)]
+    for trial, (data, r, p, slack) in enumerate(cases):
+        spec = spec_from_json(data)
         rr, uu, yy, exact, gersh = _numpy_blocks(spec, r, p, slack)
         blocks = ricci_warped(spec, r, p)
         got = (blocks.rr, blocks.uu, blocks.yy)
         got += tuple(check_positive_definite(blocks, s).min_eigen for s in (0.0, slack))
-        assert _bits(*got) == _bits(rr, uu, yy, exact, gersh), (trial, n)
+        assert _bits(*got) == _bits(rr, uu, yy, exact, gersh), (trial, data)
+    for blocks in _diagonal_blocks_across_the_syevd_band():
+        got = _exact_outcome(lambda: check_positive_definite(blocks).min_eigen)
+        assert got == _exact_outcome(lambda: _eigvalsh_min(blocks.rr, blocks.yy, blocks.uu)), blocks
 
 
 def test_a_verify_leaves_no_cyclic_garbage():
