@@ -395,7 +395,7 @@ def _build_parser() -> _Parser:
     spec_source(p)
     p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--slack", type=_finite_float, default=0.0)
+    p.add_argument("--slack", type=_tolerance, default=0.0)
     p.set_defaults(func=cmd_warped_eval)
 
     p = sub.add_parser("warped-verify", help="closed-form blocks vs the oracle over radii")
@@ -417,7 +417,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("error-bounds", help="scaled-Ricci inequality suite")
     p.add_argument("--ts", type=_float_list, default="1,0.5,0.1,0.01")
-    p.add_argument("--C", type=_finite_float, default=None)
+    p.add_argument("--C", type=_tolerance, default=None)
     p.set_defaults(func=cmd_error_bounds)
 
     p = sub.add_parser("minp", help="minimal sphere dimension, decided exactly")

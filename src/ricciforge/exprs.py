@@ -266,20 +266,8 @@ def pow_(base: Expr, exponent: Union[Fraction, int]) -> Expr:
     return Pow(base, q)
 
 
-def sin(a: Expr) -> Expr:
-    return Sin(a)
-
-
-def cos(a: Expr) -> Expr:
-    return Cos(a)
-
-
 def sqrt(a: Expr) -> Expr:
     return pow_(a, Fraction(1, 2))
-
-
-def exp(a: Expr) -> Expr:
-    return Exp(a)
 
 
 # --- grammar ------------------------------------------------------------
@@ -515,11 +503,11 @@ def _d(e: Expr) -> Expr:
         q = e.exponent
         return mul(mul(Const(q), pow_(e.base, q - 1)), _d(e.base))
     if isinstance(e, Sin):
-        return mul(cos(e.arg), _d(e.arg))
+        return mul(Cos(e.arg), _d(e.arg))
     if isinstance(e, Cos):
-        return mul(neg(sin(e.arg)), _d(e.arg))
+        return mul(neg(Sin(e.arg)), _d(e.arg))
     if isinstance(e, Exp):
-        return mul(exp(e.arg), _d(e.arg))
+        return mul(Exp(e.arg), _d(e.arg))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

@@ -231,7 +231,8 @@ class RicciBlocks:
 
     The sphere block is isotropic, so a single scalar ``uu`` stands for
     Ric(U_a, U_a). Every mixed entry other than the E-block
-    off-diagonals vanishes.
+    off-diagonals vanishes. An entry that is not finite raises
+    FloatingPointError naming the first one: rr, uu, then yy row by row.
     """
 
     rr: float
@@ -239,6 +240,15 @@ class RicciBlocks:
     yy: np.ndarray
     p: int
     r: float
+
+    def __post_init__(self):
+        # a quotient such as 1/f^2 can leave float range from finite profile
+        # values, and Python floats overflow to inf silently
+        values = [self.rr, self.uu, *self.yy.ravel().tolist()]
+        if not all(map(math.isfinite, values)):
+            names = ["rr", "uu"] + [f"yy[{i},{j}]" for i, j in np.ndindex(self.yy.shape)]
+            name, v = next((name, v) for name, v in zip(names, values) if not math.isfinite(v))
+            raise FloatingPointError(f"closed-form block {name} is {v} at r={self.r}, p={self.p}")
 
 
 def diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp):
@@ -276,8 +286,7 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
         Ric(d_r, d_r) = -(p-1) f''/f - sum_i h_i''/h_i
 
     off-diagonal E-entries equal the base Ricci, and all sphere-mixed
-    and radial/E entries vanish. A block that is not finite raises
-    FloatingPointError naming it.
+    and radial/E entries vanish. RicciBlocks refuses a non-finite block.
     """
     _sphere_dim(p)
     if r <= 0.0:
@@ -300,16 +309,8 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
         base = base.tolist()
     # the operations of 0.5 (base + base^T) + diag(yy_corr), entry by entry;
     # adding 0.0 off the diagonal turns -0.0 into 0.0
-    values = [rr, uu] + [
-        0.5 * (base[i][j] + base[j][i]) + (yy_corr[i] if i == j else 0.0) for i in range(n) for j in range(n)
-    ]
-    # a quotient such as 1/f^2 can leave float range from finite profile
-    # values, and Python floats overflow to inf silently
-    if not all(map(math.isfinite, values)):
-        names = ["rr", "uu"] + [f"yy[{i},{j}]" for i in range(n) for j in range(n)]
-        name, v = next((name, v) for name, v in zip(names, values) if not math.isfinite(v))
-        raise FloatingPointError(f"closed-form block {name} is {v} at r={r}, p={p}")
-    return RicciBlocks(rr=rr, uu=uu, yy=np.array(values[2:], dtype=float).reshape(n, n), p=int(p), r=float(r))
+    yy = [0.5 * (base[i][j] + base[j][i]) + (yy_corr[i] if i == j else 0.0) for i in range(n) for j in range(n)]
+    return RicciBlocks(rr=rr, uu=uu, yy=np.array(yy, dtype=float).reshape(n, n), p=int(p), r=float(r))
 
 
 # LAPACK ?syevd scales a matrix whose largest |entry| is outside this band

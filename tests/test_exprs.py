@@ -317,12 +317,12 @@ def _random_tree(rng: random.Random, depth: int):
         q = rng.choice([Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(-1, 4)])
         return exprs.pow_(a, q)
     if kind == "sin":
-        return exprs.sin(a)
+        return exprs.Sin(a)
     if kind == "cos":
-        return exprs.cos(a)
+        return exprs.Cos(a)
     if kind == "sqrt":
         return exprs.sqrt(a)
-    return exprs.exp(a)
+    return exprs.Exp(a)
 
 
 def test_print_parse_roundtrip_on_random_trees():

@@ -814,7 +814,7 @@ def _certify_cases(seed):
 def _diagonal_blocks_across_the_syevd_band():
     """RicciBlocks with a diagonal yy whose largest |entry| sits on either
     side of SYEVD_RMIN and of SYEVD_RMAX, with signed zeros, an all-zero
-    block, n = 0, -0.0 off the diagonal and non-finite entries."""
+    block, n = 0 and -0.0 off the diagonal."""
     low, high = warped.SYEVD_RMIN, warped.SYEVD_RMAX
     edges = [low, high, 7.3e-147, 1.006e146, 1.0, 1e-300, 1e300]
     edges += [np.nextafter(x, toward) for x in (low, high) for toward in (0.0, np.inf)]
@@ -837,22 +837,9 @@ def _diagonal_blocks_across_the_syevd_band():
         (-0.0, np.zeros((0, 0)), 1.0),
         (1.0, np.array([[2.0, -0.0], [-0.0, 3.0]]), 4.0),
         (1.0, np.array([[2.0, 1e-300], [1e-300, 3.0]]), 4.0),
-        (1.0, np.diag([np.nan, 2.0]), 3.0),
-        (1.0, np.diag([np.inf, 2.0]), 3.0),
-        (-np.inf, np.diag([1.0, 2.0]), 3.0),
     ]
     for rr, yy, uu in cases:
         yield warped.RicciBlocks(rr=rr, uu=uu, yy=yy, p=3, r=1.0)
-
-
-def _exact_outcome(min_eigen):
-    """The exact check's min_eigen as bytes, "nan" (ndarray.min and min()
-    sign a nan apart) or the LinAlgError eigvalsh raises on a non-finite block."""
-    try:
-        value = min_eigen()
-    except np.linalg.LinAlgError as err:
-        return repr(err)
-    return "nan" if np.isnan(value) else _bits(value)
 
 
 def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
@@ -873,8 +860,30 @@ def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
         got += tuple(check_positive_definite(blocks, s).min_eigen for s in (0.0, slack))
         assert _bits(*got) == _bits(rr, uu, yy, exact, gersh), (trial, data)
     for blocks in _diagonal_blocks_across_the_syevd_band():
-        got = _exact_outcome(lambda: check_positive_definite(blocks).min_eigen)
-        assert got == _exact_outcome(lambda: _eigvalsh_min(blocks.rr, blocks.yy, blocks.uu)), blocks
+        got = check_positive_definite(blocks).min_eigen
+        assert _bits(got) == _bits(_eigvalsh_min(blocks.rr, blocks.yy, blocks.uu)), blocks
+
+
+@pytest.mark.parametrize(
+    "rr, uu, yy, err",
+    [
+        (1.0, 3.0, np.diag([np.nan, 2.0]), "yy[0,0] is nan"),
+        (1.0, 3.0, np.diag([np.inf, 2.0]), "yy[0,0] is inf"),
+        (-np.inf, 3.0, np.diag([1.0, 2.0]), "rr is -inf"),
+        (np.inf, 1.0, np.zeros((0, 0)), "rr is inf"),
+        (1.0, np.nan, np.array([[2.0]]), "uu is nan"),
+        (1.0, 1.0, np.diag([np.nan, 1.0]), "yy[0,0] is nan"),
+        (1.0, 1.0, np.diag([np.inf, 1.0]), "yy[0,0] is inf"),
+        (np.nan, np.inf, np.array([[1.0, np.inf], [np.nan, 1.0]]), "rr is nan"),
+        (1.0, 1.0, np.array([[1.0, np.inf], [np.nan, 1.0]]), "yy[0,1] is inf"),
+    ],
+)
+def test_a_non_finite_block_is_refused_naming_the_first(rr, uu, yy, err):
+    # so check_positive_definite never sees one: min() skips a nan that is
+    # not first, and eigvalsh raises LinAlgError on an inf
+    with pytest.raises(FloatingPointError) as raised:
+        warped.RicciBlocks(rr=rr, uu=uu, yy=yy, p=3, r=1.0)
+    assert str(raised.value) == f"closed-form block {err} at r=1.0, p=3"
 
 
 def test_a_verify_leaves_no_cyclic_garbage():
