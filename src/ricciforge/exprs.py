@@ -330,12 +330,14 @@ _SCALAR_STATEMENTS = {
 
 # the same over arrays, run under np.errstate(over="raise"), so that each
 # operation that can overflow, wrapped as _compile wraps it, raises
-# FloatingPointError; every check goes by the real part
+# FloatingPointError; every check goes by the real part. A power whose base
+# has a positive real part everywhere, vacuously on an empty grid, is
+# b ** q; _grid_pow decides the rest
 _GRID_STATEMENTS = {
     Var: "{v} = r",
     Neg: "{v} = -{a}",
     **{node: "{v} = {a}%s{b}" % sep for node, (_, sep) in _BINARY_BY_NODE.items()},
-    Pow: "{v} = _grid_pow({n}, {a})",
+    Pow: "{v} = {a} ** {q} if {a}.real.min(initial=_inf) > 0.0 else _grid_pow({n}, {a})",
     Exp: "{v} = _np.exp({a})",
     Sin: "{v} = _np.sin({a})",
     Cos: "{v} = _np.cos({a})",
@@ -382,7 +384,7 @@ def _compile(trees: tuple, grid: bool) -> Callable:
     statements = _GRID_STATEMENTS if grid else _SCALAR_STATEMENTS
     env = {"DomainError": DomainError, "_float": float, "_pow": math.pow, "_exp": math.exp, "_sin": math.sin,
            "_cos": math.cos, "_eval_pow": _eval_pow, "_np": np, "_FPE": FloatingPointError,
-           "_grid_pow": _grid_pow, "_check_grid": _check_grid}
+           "_grid_pow": _grid_pow, "_check_grid": _check_grid, "_inf": math.inf}
     names: dict[tuple, str] = {}  # (class, operands, exponent or value) -> name; (Div, b) -> check
 
     def bind(value) -> str:
@@ -413,7 +415,8 @@ def _compile(trees: tuple, grid: bool) -> Callable:
         if key not in names:
             names[key] = v = f"v{len(names)}"
             n = bind(e)
-            q = isinstance(e, Pow) and not grid and bind(float(e.exponent))
+            q = getattr(e, "exponent", None)  # a float; on a grid an int when integral: numpy's integer power
+            q = q is not None and bind(int(q) if grid and q.denominator == 1 else float(q))
             overflow = f"raise DomainError('overflow in {_OVERFLOW_OPERATION.get(type(e))}', {n})"
             text = statements[type(e)].format(**dict(zip("ab", operands), v=v, n=n, q=q, overflow=overflow))
             if grid and type(e) in _OVERFLOW_OPERATION:

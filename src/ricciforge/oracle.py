@@ -205,8 +205,8 @@ def _metric_derivatives(m: ChartMetric, xs: np.ndarray, step: float = DEFAULT_ST
 def _finite(what: str, xs: np.ndarray, *arrays: np.ndarray) -> None:
     """Raise OracleError naming the first point of the (R, d) array xs at
     which an entry of the (R, ...) arrays is not finite."""
-    ok = np.logical_and.reduce([np.isfinite(a).reshape(len(xs), -1).all(axis=1) for a in arrays])
-    if not ok.all():
+    if not all(np.isfinite(a).all() for a in arrays):  # then find the point
+        ok = np.logical_and.reduce([np.isfinite(a).reshape(len(xs), -1).all(axis=1) for a in arrays])
         raise OracleError(f"{what} not finite at {xs[np.argmin(ok)]}")
 
 
@@ -266,6 +266,8 @@ def _riemann(m: ChartMetric, xs, step: float = DEFAULT_STEP):
             riems.append(_curvature(*derivatives))
         _finite("curvature is", chunk, riems[-1])
         gs.append(derivatives[0])
+    if len(gs) == 1:  # one chunk, returned without a copy
+        return gs[0], riems[0]
     return np.concatenate(gs), np.concatenate(riems)
 
 

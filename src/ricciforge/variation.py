@@ -190,6 +190,9 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
     raised, so an undersized constant produces a readable report. The
     slack summary records, per tensor, the worst margin over the sweep.
     """
+    ts = list(ts)
+    if not ts:
+        raise ValueError("ts is empty: there is no t to check")
     rows: list = []
     slack = dict.fromkeys(("fiber-offdiag", "base-offdiag", "mixed", "fiber-diag", "base-diag"), np.inf)
     eps = 1e-12
@@ -258,4 +261,6 @@ def verify_hopf_against_oracle(ts: Sequence[float], tol: float) -> dict:
             abs(full[1, 2] - s.hh[0, 1]),
         )
         rows.append({"t": float(t), "deviation": float(dev), "pass": bool(dev <= tol)})
+    if not rows:
+        raise ValueError("ts is empty: there is no t to verify")
     return {"rows": rows, "passed": all(row["pass"] for row in rows), "tol": float(tol)}

@@ -472,6 +472,8 @@ def verify_against_oracle(
             oracle.frame_ricci_many(metric, frames_at(spec, p, radii))
             raise
         radii.append(float(r))
+    if not radii:
+        raise ValueError("rs is empty: there is no radius to verify")
     # a frame reads only profile values its closed form has read, and
     # divides only by f(r), which the closed form divides by too, so no
     # frame fails where its closed form passed

@@ -758,14 +758,56 @@ def test_generated_evaluator_equals_the_closure_reference():
                 assert grid == want, (to_text(tree), r)
             seen.add(want[0].split(" in subexpression")[0] if isinstance(want, tuple) else "value")
         # the grid function is each tree through the interpreter in turn, bit
-        # for bit, on one radius and on all, real and complex
-        for grid in [np.array([r]) for r in rs] + [np.array(rs)]:
+        # for bit, on one radius, on all, on none, and on a grid where a power
+        # of r meets positive, zero and negative bases, real and complex
+        for grid in [np.array([r]) for r in rs] + [np.array(rs), np.array([]), np.array([1.5, 0.0, -2.0])]:
             for rs_ in (grid, grid + 1e-30j):
                 want = _outcome(lambda rs_: [_reference_grid(e, rs_) for e in profile], rs_)
                 assert _outcome(on_grid, rs_) == want, (to_text(tree), rs_)
     for kind in ("value", "division by zero", "even root of a negative number", "overflow in exp"):
         assert kind in seen
     assert {"overflow in product", "zero raised to a negative power"} <= seen
+
+
+@pytest.fixture
+def grid_pow_calls(monkeypatch):
+    """The node text of each exprs._grid_pow call made by functions compiled in the test."""
+    calls, grid_pow = [], exprs._grid_pow
+    monkeypatch.setattr(exprs, "_grid_pow", lambda node, b: calls.append(to_text(node)) or grid_pow(node, b))
+    exprs._compile.cache_clear()  # compiled functions bind _grid_pow when compiled
+    yield calls
+    exprs._compile.cache_clear()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("rs", [[0.5, 1.0, 3.0], []], ids=["positive", "empty"])
+def test_a_power_of_positive_bases_is_computed_in_line(grid_pow_calls, rs, dtype):
+    tree = parse("r^2 + r^(1/2) + (r + 1)^(-3/2) + r^(-2) + exp(r)^(5/3)")
+    rs = np.array(rs, dtype=dtype)
+    assert _outcome(compile_grid((tree,)), rs) == _outcome(lambda rs: [_reference_grid(tree, rs)], rs)
+    assert grid_pow_calls == []
+
+
+@pytest.mark.parametrize(
+    "text, rs, error, called",
+    [
+        ("(r - 1)^(-1)", [2.0, 1.0], "zero raised to a negative power in subexpression '(r - 1)^(-1)'", ["(r - 1)^(-1)"]),
+        ("(r - 2)^(1/2)", [3.0, 1.0], "even root of a negative number in subexpression '(r - 2)^(1/2)'", ["(r - 2)^(1/2)"]),
+        ("r^(1/2) + (r - 2)^(1/3)", [3.0, 2.0, 1.0], None, ["(r - 2)^(1/3)"]),
+        ("(r - 2)^2*r^3", [0.5, 3.0], None, ["(r - 2)^2"]),
+    ],
+    ids=["zero-to-a-negative-power", "even-root-of-a-negative", "odd-root", "integral-power"],
+)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_zero_or_negative_base_reaches_grid_pow(grid_pow_calls, text, rs, error, called, dtype):
+    # only the power with such a base calls _grid_pow, which raises the
+    # interpreter's error naming that power, or returns its values
+    tree, rs = parse(text), np.array(rs, dtype=dtype)
+    got = _outcome(compile_grid((tree,)), rs)
+    assert got == _outcome(lambda rs: [_reference_grid(tree, rs)], rs)
+    if error is not None:
+        assert (got[0], to_text(got[1])) == (error, text)
+    assert grid_pow_calls == called
 
 
 @pytest.mark.parametrize(

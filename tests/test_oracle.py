@@ -174,6 +174,32 @@ def test_overflow_raises_oracle_error_naming_the_point():
             call(m, np.array(x))
 
 
+def test_finiteness_check_names_the_first_bad_point_of_any_array():
+    # the only non-finite entry is in the last array, at the third point;
+    # an inf at a later point of an earlier array does not come first
+    xs = np.arange(8.0).reshape(4, 2)
+    first, second = np.zeros((4, 2, 2)), np.zeros((4, 3))
+    oracle._finite("values are", xs, first, second)
+    second[2, 1] = np.nan
+    with pytest.raises(OracleError, match=r"^values are not finite at \[4. 5.\]$"):
+        oracle._finite("values are", xs, first, second)
+    first[3, 0, 1] = np.inf
+    with pytest.raises(OracleError, match=r"^values are not finite at \[4. 5.\]$"):
+        oracle._finite("values are", xs, first, second)
+
+
+def test_riemann_over_two_chunks_equals_each_chunk_alone():
+    # nine points at d = 8 are two chart calls, eight points and one; the
+    # joined result is each chunk's own, bit for bit
+    m = preset("sphere:8:1")
+    xs = 0.1 + 0.02 * np.arange(72.0).reshape(9, 8)
+    assert _points_per_call(8) == 8
+    g, riem = oracle._riemann(m, xs)
+    for part in (slice(0, 8), slice(8, 9)):
+        g_part, riem_part = oracle._riemann(m, xs[part])
+        assert g[part].tobytes() == g_part.tobytes() and riem[part].tobytes() == riem_part.tobytes()
+
+
 def test_frame_ricci_rejects_sloppy_frames():
     m = preset("sphere:2:1")
     x = np.array([0.1, 0.1])

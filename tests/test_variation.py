@@ -233,6 +233,21 @@ def test_error_bounds_flat_bundle_trivial():
     assert rep.passed
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda ts: verify_hopf_against_oracle(ts, 1e-5), "ts is empty: there is no t to verify"),
+        (lambda ts: error_bound_check(hopf_preset(), 2.0, ts), "ts is empty: there is no t to check"),
+    ],
+    ids=["hopf-oracle", "error-bounds"],
+)
+def test_a_sweep_without_t_is_refused(check, message):
+    # no t gives no row, and a verdict over no row would pass vacuously
+    for ts in ([], iter([])):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(ts)
+
+
 def test_error_bounds_flag_undersized_constant():
     d = SubmersionData(
         dim_b=1,

@@ -224,6 +224,13 @@ def test_verify_takes_radii_from_any_iterable():
     assert verify_against_oracle(reference_torus_spec(), 3, iter(RS), 1e-5).rows == rows
 
 
+def test_verify_without_radii_is_refused():
+    # no radius gives no row, and a verdict over no row would pass vacuously
+    for rs in ([], iter([])):
+        with pytest.raises(ValueError, match=r"^rs is empty: there is no radius to verify$"):
+            verify_against_oracle(reference_torus_spec(), 3, rs, 1e-5)
+
+
 @pytest.mark.parametrize("spec_fn", [reference_torus_spec, left_invariant_s3_spec, round_sphere_spec])
 def test_verify_rows_equal_single_radius_rows_bit_for_bit(spec_fn):
     # the frames of all radii come from one pass; each row is the one a
