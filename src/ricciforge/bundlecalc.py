@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -64,6 +64,20 @@ class PlanError(ValueError):
     """A bundle plan cannot be evaluated; the message names the node."""
 
 
+def _below(a: Fraction, b: Fraction) -> bool:
+    """a < b for exact rationals, decided on cross-multiplied integers as
+    positivity does: a Fraction comparison runs a numbers.Rational check."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
+def _max(a: Fraction, b: Fraction) -> Fraction:
+    return b if _below(a, b) else a
+
+
+def _min(a: Fraction, b: Fraction) -> Fraction:
+    return b if _below(b, a) else a
+
+
 def _check_constant(name: str, value) -> None:
     """Reject a certificate constant that is not a finite real number >= 0."""
     if not (isinstance(value, (int, float, Fraction)) and math.isfinite(value)):
@@ -82,7 +96,7 @@ class CurvatureBound:
     def __post_init__(self):
         object.__setattr__(self, "e", frac(self.e))
         _check_constant("curvature bound L", self.L)
-        if self.e < 0:
+        if self.e.numerator < 0:
             raise ValueError("curvature bound needs e >= 0")
 
 
@@ -129,15 +143,17 @@ class FamilyParams:
     def __post_init__(self):
         if self.q is not None:
             object.__setattr__(self, "q", frac(self.q))
-            if self.q <= 0:
+            if self.q.numerator <= 0:
                 raise ValueError("q must be positive")
         object.__setattr__(self, "m", frac(self.m))
         object.__setattr__(self, "m_lower", frac(self.m_lower))
         object.__setattr__(self, "q_ref", frac(self.q_ref))
+        if self.q_ref.numerator <= 0:
+            raise ValueError("q_ref must be positive")
         _check_constant("c", self.c)
         if self.a_bound is not None:
             _check_constant("a_bound", self.a_bound)
-        if self.m < 0 or self.m_lower < 0 or self.m_lower > max(self.m, 0):
+        if self.m.numerator < 0 or self.m_lower.numerator < 0 or _below(self.m, self.m_lower):
             raise ValueError("need 0 <= m_lower <= m")
         if not 0 <= self.dim <= MAX_CERTIFICATE_DIM:
             raise ValueError(f"dimension must be in 0..{MAX_CERTIFICATE_DIM}")
@@ -160,13 +176,25 @@ class FamilyParams:
             raise CertificateError(
                 f"certificate is fixed at q = {self.q}; cannot instantiate at {q}"
             )
-        reference = replace(self, q=self.q_ref, q_ref=Fraction(2), curvature_rate=None)
+        reference = _derive(self, q=self.q_ref, q_ref=Fraction(2), curvature_rate=None)
         return reparametrize_exact(reference, q / self.q_ref)
+
+
+def _derive(record, **changes):
+    """A validated FamilyParams or CurvatureBound with `changes`, built
+    without re-running __post_init__. Each transform's own argument check
+    keeps q > 0, 0 <= m_lower <= m and e >= 0 in Fractions: rho > 0 scales
+    them (instantiate reparametrizes at q_ref > 0, reparametrize clamps
+    m_lower to rho m), 0 < r < q/2 leaves q - 2r > 0 in rescale, and
+    0 < s <= q in weaken. c, dim and a_bound never change."""
+    out = object.__new__(type(record))
+    out.__dict__.update(record.__dict__, **changes)
+    return out
 
 
 def _scale_e(curv: Optional[CurvatureBound], rho: Fraction) -> Optional[CurvatureBound]:
     # substituting t -> t^rho (up to constants) scales a curvature exponent e to rho * e
-    return None if curv is None else CurvatureBound(L=curv.L, e=curv.e * rho)
+    return None if curv is None else _derive(curv, e=curv.e * rho)
 
 
 def reparametrize(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
@@ -178,7 +206,7 @@ def reparametrize(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
     bound. rho = 1 is the identity and composition multiplies the rhos.
     """
     rho = frac(rho)
-    if rho <= 0:
+    if rho.numerator <= 0:
         raise CertificateError("rho must be positive")
     if fp.for_all_q:
         if rho == 1:
@@ -187,14 +215,9 @@ def reparametrize(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
     # the exact substitution divides every exponent by rho; any smaller
     # value stays a valid lower bound, and the clamp keeps the record
     # consistent with the conservative upper bound rho * m
-    lower = min(fp.m_lower / rho, fp.m * rho)
-    return replace(
-        fp,
-        q=fp.q / rho,
-        m=fp.m * rho,
-        m_lower=lower,
-        curvature=_scale_e(fp.curvature, rho),
-    )
+    m = fp.m * rho
+    curv = _scale_e(fp.curvature, rho)
+    return _derive(fp, q=fp.q / rho, m=m, m_lower=_min(fp.m_lower / rho, m), curvature=curv)
 
 
 def reparametrize_exact(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
@@ -204,12 +227,12 @@ def reparametrize_exact(fp: FamilyParams, rho: FractionLike) -> FamilyParams:
     decay exponent before trading it for positive basis exponents.
     """
     rho = frac(rho)
-    if rho <= 0:
+    if rho.numerator <= 0:
         raise CertificateError("rho must be positive")
     if fp.for_all_q:
         raise CertificateError("instantiate an every-exponent certificate before reparametrizing")
     curv = _scale_e(fp.curvature, rho)
-    return replace(fp, q=fp.q * rho, m=fp.m * rho, m_lower=fp.m_lower * rho, curvature=curv)
+    return _derive(fp, q=fp.q * rho, m=fp.m * rho, m_lower=fp.m_lower * rho, curvature=curv)
 
 
 def rescale(fp: FamilyParams, r: FractionLike) -> FamilyParams:
@@ -221,25 +244,26 @@ def rescale(fp: FamilyParams, r: FractionLike) -> FamilyParams:
     r = frac(r)
     if fp.for_all_q:
         raise CertificateError("instantiate an every-exponent certificate before rescaling")
-    if not 0 < r < fp.q / 2:
+    two_r = 2 * r
+    if r.numerator <= 0 or not _below(two_r, fp.q):
         raise CertificateError(f"rescale exponent must lie in (0, q/2) = (0, {fp.q / 2}); got {r}")
     curv = fp.curvature
     if curv is not None:
-        curv = CurvatureBound(L=curv.L, e=curv.e + 2 * r)
-    return replace(fp, q=fp.q - 2 * r, m=fp.m + r, m_lower=fp.m_lower + r, curvature=curv)
+        curv = _derive(curv, e=curv.e + two_r)
+    return _derive(fp, q=fp.q - two_r, m=fp.m + r, m_lower=fp.m_lower + r, curvature=curv)
 
 
 def weaken(fp: FamilyParams, s: FractionLike) -> FamilyParams:
     """Cast down to a smaller decay exponent s <= q with no other change;
     idempotent at s = q."""
     s = frac(s)
-    if s <= 0:
+    if s.numerator <= 0:
         raise CertificateError("s must be positive")
     if fp.for_all_q:
         return fp.instantiate(s)
-    if s > fp.q:
+    if _below(fp.q, s):
         raise CertificateError(f"cannot weaken upward: {s} > {fp.q}")
-    return replace(fp, q=s)
+    return _derive(fp, q=s)
 
 
 # --- bundle constructions ---------------------------------------------------
@@ -295,21 +319,16 @@ def bundle_certificate(
 
     if variant == "general":
         m_hat, need = _general_need(base, f)
-        if fiber.q < need:
+        if _below(fiber.q, need):
             raise CertificateError(
                 "variant 'general' requires fiber.q >= 2*m_hat + 3*base.q: "
                 f"{fiber.q} < {need} "
                 f"(m_hat = {m_hat} = max(base e {b}, 2*base m {2 * base.m}, fiber e {f}))"
             )
         q3 = q2 * l_mix
-        return _total_space(
-            base,
-            fiber,
-            f"c from error constant {q3} = {q2} * (L_b + 4 dimB^2 L_a + L_f)",
-            q=base.q,
-            c=max(base.c + q3, fiber.c),
-            curvature=CurvatureBound(L=l_mix, e=2 * m_hat + 2 * base.q + f),
-        )
+        note = f"c from error constant {q3} = {q2} * (L_b + 4 dimB^2 L_a + L_f)"
+        curvature = CurvatureBound(L=l_mix, e=2 * m_hat + 2 * base.q + f)
+        return _total_space(base, fiber, note, q=base.q, c=max(base.c + q3, fiber.c), curvature=curvature)
 
     if variant == "flat-fiber":
         if l_f != 0.0:
@@ -320,36 +339,25 @@ def bundle_certificate(
             raise CertificateError(
                 f"variant 'flat-fiber' requires base curvature exponent 0: e = {b} != 0"
             )
-        return _total_space(
-            base,
-            fiber,
-            f"constant curvature bound {l_ba} derived",
-            q=None,
-            c=base.c + q2 * l_ba,
-            curvature=CurvatureBound(L=l_ba, e=Fraction(0)),
-            q_ref=min(Fraction(1), base.q),
-        )
+        note = f"constant curvature bound {l_ba} derived"
+        curvature, q_ref = CurvatureBound(L=l_ba, e=Fraction(0)), _min(Fraction(1), base.q)
+        return _total_space(base, fiber, note, q=None, c=base.c + q2 * l_ba, curvature=curvature, q_ref=q_ref)
 
     if a_bound != 0.0:
         raise CertificateError(
             f"variant 'flat-bundle' requires a vanishing integrability tensor: a_bound = {a_bound}"
         )
-    k = min(base.q, fiber.q)
-    return _total_space(
-        base,
-        fiber,
-        q=None,
-        c=max(base.c, fiber.c),
-        curvature=CurvatureBound(L=l_b + l_f, e=max(b, f)),
-        curvature_rate=CurvatureRate(l_b=l_b, b=b, l_f=l_f, f=f, k=k),
-        q_ref=k,
-    )
+    k = _min(base.q, fiber.q)
+    curvature = CurvatureBound(L=l_b + l_f, e=_max(b, f))
+    rate = CurvatureRate(l_b=l_b, b=b, l_f=l_f, f=f, k=k)
+    c = max(base.c, fiber.c)
+    return _total_space(base, fiber, q=None, c=c, curvature=curvature, curvature_rate=rate, q_ref=k)
 
 
 def _general_need(base: FamilyParams, fiber_e: Fraction) -> tuple:
     """(m_hat, least fiber decay exponent) of the general variant; see
     bundle_certificate."""
-    m_hat = max(base.curvature.e, 2 * base.m, fiber_e)
+    m_hat = _max(_max(base.curvature.e, 2 * base.m), fiber_e)
     return m_hat, 2 * m_hat + 3 * base.q
 
 
@@ -357,9 +365,9 @@ def _total_space(base: FamilyParams, fiber: FamilyParams, *notes: str, **fields)
     """Total-space certificate: the larger m, the smaller m_lower, the
     summed dimension and both inputs' provenance notes, then `notes`."""
     return FamilyParams(
-        m=max(base.m, fiber.m),
+        m=_max(base.m, fiber.m),
         dim=base.dim + fiber.dim,
-        m_lower=min(base.m_lower, fiber.m_lower),
+        m_lower=_min(base.m_lower, fiber.m_lower),
         derived=base.derived + fiber.derived + notes,
         **fields,
     )
@@ -390,14 +398,10 @@ def vector_bundle_certificate(
         raise CertificateError("instantiate the base certificate at a concrete q first")
     if base.curvature is None:
         raise CertificateError("base certificate lacks a curvature bound")
-    fiber = FamilyParams(
-        q=_general_need(base, Fraction(0))[1],
-        c=0.0,
-        m=Fraction(0),
-        dim=rank,
-        curvature=CurvatureBound(L=float(fiber_curv_bound), e=Fraction(0)),
-        derived=(f"fiber curvature bound {fiber_curv_bound} derived",),
-    )
+    curvature = CurvatureBound(L=float(fiber_curv_bound), e=Fraction(0))
+    note = f"fiber curvature bound {fiber_curv_bound} derived"
+    q = _general_need(base, Fraction(0))[1]
+    fiber = FamilyParams(q=q, c=0.0, m=Fraction(0), dim=rank, curvature=curvature, derived=(note,))
     return bundle_certificate(base, fiber, a_bound=a_bound, variant="general")
 
 
@@ -411,31 +415,19 @@ def nilmanifold_certificate(n: int, q: FractionLike, c: float = 1.0) -> FamilyPa
     if n > MAX_CERTIFICATE_DIM:  # checked before 2^(n-2) is built
         raise CertificateError(f"dimension must be in 0..{MAX_CERTIFICATE_DIM}")
     q = frac(q)
-    if q < 1:
+    if q.numerator < q.denominator:
         raise CertificateError("q must be at least 1")
     m = Fraction(2) ** (n - 2) * (q - 1) + 1
-    return FamilyParams(
-        q=q,
-        c=float(c),
-        m=m,
-        dim=n,
-        curvature=CurvatureBound(L=1.0, e=2 * m),
-        derived=("nilmanifold curvature bound (L=1, e=2m) derived",),
-    )
+    curvature, note = CurvatureBound(L=1.0, e=2 * m), "nilmanifold curvature bound (L=1, e=2m) derived"
+    return FamilyParams(q=q, c=float(c), m=m, dim=n, curvature=curvature, derived=(note,))
 
 
 def nonneg_ricci_certificate(dim: int) -> FamilyParams:
     """Certificate of a compact manifold with nonnegative Ricci curvature:
     the constant family works at every exponent with c = 0, m = 0, and a
     constant curvature bound."""
-    return FamilyParams(
-        q=None,
-        c=0.0,
-        m=Fraction(0),
-        dim=dim,
-        curvature=CurvatureBound(L=1.0, e=Fraction(0)),
-        derived=("compact curvature bound L=1 derived",),
-    )
+    curvature, note = CurvatureBound(L=1.0, e=Fraction(0)), "compact curvature bound L=1 derived"
+    return FamilyParams(q=None, c=0.0, m=Fraction(0), dim=dim, curvature=curvature, derived=(note,))
 
 
 # --- plan evaluation --------------------------------------------------------
@@ -538,10 +530,10 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
         variant, rule, fiber_q = "general", "general-bundle", need
         if fiber.for_all_q:
             fiber_q = _general_fiber_q(path, base, fiber_e, fiber.q_ref, need)
-        elif fiber.q < need:
+        elif _below(fiber.q, need):
             # a smaller base exponent lowers the requirement; spend budget
             new_q = (fiber.q - 2 * m_hat) / 3
-            if new_q <= 0:
+            if new_q.numerator <= 0:
                 raise PlanError(
                     f"node {path}: fiber decay budget {fiber.q} cannot meet the "
                     f"requirement 2*m_hat + 3*q = {need}; even q -> 0 needs more than "
@@ -560,12 +552,12 @@ def _general_fiber_q(path: str, base: FamilyParams, e: Fraction, q_ref: Fraction
     exponent to e*q/q_ref, which can raise the requirement past q. Once
     that term sets m_hat, the requirement is q = 2*e*q/q_ref + 3*base.q,
     met at its fixed point when 2e < q_ref and by no q otherwise."""
-    if 2 * e >= q_ref:
+    if not _below(2 * e, q_ref):
         raise PlanError(
             f"node {path}: no fiber exponent q meets the requirement 2*m_hat + 3*q_base: "
             f"instantiated at q, the fiber curvature exponent is {e / q_ref}*q >= q/2"
         )
-    if _general_need(base, e * need / q_ref)[1] <= need:
+    if not _below(need, _general_need(base, e * need / q_ref)[1]):
         return need
     return 3 * base.q * q_ref / (q_ref - 2 * e)
 
@@ -590,9 +582,9 @@ def normalize_for_positivity(fp: FamilyParams, trace: list) -> FamilyParams:
     step in trace."""
     if fp.for_all_q:
         fp = _step(trace, "instantiate", "normalize", fp.instantiate(WORK_Q))
-    if fp.q > WORK_Q:
+    if _below(WORK_Q, fp.q):
         fp = _step(trace, "weaken", "normalize", weaken(fp, WORK_Q))
-    elif fp.q < WORK_Q:
+    elif _below(fp.q, WORK_Q):
         fp = reparametrize_exact(fp, WORK_Q / fp.q)
         fp = _step(trace, "reparametrize-exact", "normalize", fp)
     return _step(trace, "rescale", "normalize", rescale(fp, Fraction(1, 2)))
@@ -644,13 +636,7 @@ def params_to_json(fp: FamilyParams) -> dict:
         out["curvatureBound"] = {"L": fp.curvature.L, "e": str(fp.curvature.e)}
     if fp.curvature_rate is not None:
         cr = fp.curvature_rate
-        out["curvatureRate"] = {
-            "Lb": cr.l_b,
-            "b": str(cr.b),
-            "Lf": cr.l_f,
-            "f": str(cr.f),
-            "k": str(cr.k),
-        }
+        out["curvatureRate"] = {"Lb": cr.l_b, "b": str(cr.b), "Lf": cr.l_f, "f": str(cr.f), "k": str(cr.k)}
     if fp.a_bound is not None:
         out["aBound"] = fp.a_bound
     if fp.derived:

@@ -625,7 +625,8 @@ def _parse_binary(tokens: list, level: int) -> Expr:
 
 
 def _parse_unary(tokens: list) -> Expr:
-    """Signs, then an atom with an optional ^ and a constant exponent."""
+    """Signs, then an atom with an optional ^ and a constant exponent
+    within float range."""
     value = tokens[-1][1]
     if value in ("-", "+"):
         tokens.pop()
@@ -635,9 +636,14 @@ def _parse_unary(tokens: list) -> Expr:
     if value != "^":
         return base
     tokens.pop()
+    start = tokens[-1][2]
     exponent = _parse_unary(tokens)
     if not isinstance(exponent, Const):
         raise ParseError("exponent must be a rational constant", offset)
+    try:  # evaluation reads the exponent as a float
+        float(exponent.value)
+    except OverflowError:
+        raise ParseError("exponent is past float range", start) from None
     return pow_(base, exponent.value)
 
 

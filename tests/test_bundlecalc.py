@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -485,3 +486,93 @@ def test_randomized_certificate_laws():
         rate = orbits[2].curvature_rate
         assert rate.k == min(q, fiber_q) and orbits[2].curvature.L == rate.l_b + rate.l_f
         assert orbits[2].instantiate(target).curvature.e == max(rate.b, rate.f) * target / rate.k
+
+
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        (lambda: reparametrize(cert(2), 0), "rho must be positive"),
+        (lambda: reparametrize(cert(2), "-1/2"), "rho must be positive"),
+        (lambda: reparametrize_exact(cert(2), 0), "rho must be positive"),
+        (lambda: nonneg_ricci_certificate(2).instantiate(-1), "rho must be positive"),
+        (lambda: rescale(cert(4), 0), "rescale exponent must lie in (0, q/2) = (0, 2); got 0"),
+        (lambda: rescale(cert(4), -1), "rescale exponent must lie in (0, q/2) = (0, 2); got -1"),
+        (lambda: rescale(cert(F(9, 2)), F(9, 4)), "rescale exponent must lie in (0, q/2) = (0, 9/4); got 9/4"),
+        (lambda: weaken(cert(4), 5), "cannot weaken upward: 5 > 4"),
+        (lambda: weaken(cert(4), 0), "s must be positive"),
+        (lambda: cert(3).instantiate(2), "certificate is fixed at q = 3; cannot instantiate at 2"),
+    ],
+)
+def test_transforms_refuse_bad_arguments(transform, message):
+    with pytest.raises(CertificateError) as err:
+        transform()
+    assert str(err.value) == message
+
+
+def test_every_exponent_certificate_needs_a_positive_reference_exponent():
+    # instantiate divides by q_ref, so the constructor refuses q_ref <= 0
+    for q_ref in (0, -1):
+        with pytest.raises(ValueError, match="q_ref must be positive"):
+            FamilyParams(q=None, c=0.0, m=0, dim=1, q_ref=q_ref)
+
+
+def _certify_leaf(rng):
+    if rng.random() < 0.5:
+        return {"kind": "ricNonneg", "dim": rng.choice([1, 2, 3])}
+    return {"kind": "nilmanifold", "dim": rng.choice([2, 3]), "c": rng.choice([0.5, 1.0, 2.0])}
+
+
+def _certify_tree(kind, rng):
+    """A tree as the certify benchmark draws it."""
+    if kind == "fiberBundle":
+        fiber = {"kind": "ricNonneg", "dim": rng.choice([1, 2, 3])}
+        return {"kind": kind, "base": _certify_leaf(rng), "fiber": fiber, "La": rng.choice([0.25, 0.5, 1.0])}
+    if kind == "flatBundle":
+        return {"kind": kind, "base": _certify_leaf(rng), "fiber": _certify_leaf(rng)}
+    return {"kind": kind, "base": _certify_leaf(rng), "rank": rng.choice([1, 2, 3]), "La": rng.choice([0.25, 0.5, 1.0])}
+
+
+def _revalidated(record):
+    """record rebuilt through its constructor, which re-runs every check."""
+    fields = {"curvature": _revalidated(record.curvature)} if getattr(record, "curvature", None) else {}
+    return dataclasses.replace(record, **fields)
+
+
+def test_derived_certificates_pass_the_constructor_checks(monkeypatch):
+    # the transforms build certificates without re-running __post_init__;
+    # each one the fold records must equal its re-validated rebuild, with
+    # every exponent still a Fraction
+    built = []
+
+    def recording_step(trace, rule, node, fp, tag=""):
+        built.append(fp)
+        return step(trace, rule, node, fp, tag)
+
+    step = bc._step
+    monkeypatch.setattr(bc, "_step", recording_step)
+    rng = random.Random(37)
+    plans = [_certify_tree(kind, rng) for _ in range(60) for kind in ("fiberBundle", "flatBundle", "vectorBundle")]
+    plans += [
+        {  # weaken-base: fiber q = 8 is below 2*2 + 3*2
+            "kind": "fiberBundle",
+            "base": {"kind": "custom", "q": 2, "m": 1, "dim": 2, "curvature": {"L": 1.0, "e": "1"}},
+            "fiber": {"kind": "custom", "q": 8, "dim": 1, "curvature": {"L": 1.0, "e": "0"}},
+        },
+        {  # flat fiber, instantiated at the base exponent
+            "kind": "fiberBundle",
+            "base": {"kind": "ricNonneg", "dim": 2},
+            "fiber": {"kind": "custom", "q": "any", "dim": 1, "curvature": {"L": 0.0, "e": "0"}},
+        },
+        every_exponent_fiber_plan("1/2"),  # the fixed point q = 18
+        {"kind": "nilmanifold", "dim": 1026, "q": 2},  # m past float range
+        {"kind": "custom", "q": "6", "c": 1.0, "m": "1", "mLower": "1/3", "dim": 2, "curvature": {"L": 2.0, "e": "1"}},
+        {"kind": "custom", "q": "1/3", "c": 0.5, "m": "1/2", "mLower": "1/4", "dim": 3},
+    ]
+    for plan in plans:
+        res = evaluate_plan(plan)
+        for fp in (*built, res.params, res.normalized):
+            exponents = [fp.m, fp.m_lower, fp.q_ref] + ([fp.curvature.e] if fp.curvature else [])
+            assert all(type(x) is F for x in exponents + ([] if fp.for_all_q else [fp.q]))
+            assert _revalidated(fp) == fp
+        assert len(built) == len(res.trace) - 1  # every step but the positivity threshold
+        built.clear()

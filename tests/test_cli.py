@@ -1,10 +1,13 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -364,6 +367,8 @@ def _nested_plan(depth):
         # a string is not a list of profiles, nor a short row a structure constant
         ("spec", {**TORUS_SPEC, "h": "11"}, "spec field 'h': expected a list, got '11'\n"),
         ("spec", {**TORUS_SPEC, "structure": [[0, 1]]}, "spec field 'structure': row [0, 1] is not a list of four entries [i, j, k, value]\n"),
+        # an exponent past float range is refused where it is read, not when it is evaluated
+        ("spec", {**TORUS_SPEC, "h": ["(1+r^2)^(1e400/3)"]}, "exponent is past float range (at offset 8)\n"),
         # a zero denominator is a malformed exponent, not a numeric failure
         ("plan", _custom(m="1/0"), "node plan: '1/0' has a zero denominator\n"),
         ("plan", _custom(q="1/0"), "node plan: '1/0' has a zero denominator\n"),
@@ -377,7 +382,7 @@ def _nested_plan(depth):
         "q-exponent-past-1000", "no-base", "n-float", "n-bool", "n-string", "n-infinity", "structure-index-float",
         "dim-float", "dim-string", "rank-float", "plan-700-deep", "dim-1e300", "nilmanifold-dim-past-bound",
         "rank-past-bound", "bundle-dim-past-bound", "plan-list", "child-without-kind", "h-string",
-        "structure-short-row", "m-zero-denominator", "q-zero-denominator", "mLower-zero-denominator",
+        "structure-short-row", "h-exponent-past-float-range", "m-zero-denominator", "q-zero-denominator", "mLower-zero-denominator",
         "e-zero-denominator", "nilmanifold-q-zero-denominator",
     ],
 )
@@ -1125,8 +1130,11 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 # captured at commit fcb2ae9, before su2_metric became the sum of three
 # broadcast outer products. Captured at commit eca89e2: kbound at n = 1 and
 # at the float nearest 1/3, and minp at c = 5e-324 (denominator 2^1074) and
-# with the coprime denominators of 1/4, 100/3 and 5/7. Input files are
-# written under the names the argvs give.
+# with the coprime denominators of 1/4, 100/3 and 5/7. Captured at commit
+# da523ad, before derived certificates skipped re-validation: a plan over a
+# flat fiber and one whose normalization weakens q = 6 to 3, the two trace
+# rules no earlier plan case reached. Input files are written under the
+# names the argvs give.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
 
 
@@ -1139,3 +1147,30 @@ def test_reports_are_byte_identical_to_the_golden_capture(capsys, tmp_path, monk
     assert cli.run(want["argv"]) == want["code"]
     got = capsys.readouterr()
     assert (got.out, got.err) == (want["stdout"], want["stderr"])
+
+
+def _recordable_rules(function) -> set:
+    """The rule names a fold function can record: each literal rule of a
+    _step call, and each string bound to `rule` in a tuple assignment."""
+    rules = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_step":
+            if isinstance(node.args[1], ast.Constant):
+                rules.add(node.args[1].value)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+            names = [getattr(t, "id", None) for t in node.targets[0].elts]
+            if "rule" in names:
+                rules.add(node.value.elts[names.index("rule")].value)
+    return rules
+
+
+def test_golden_plan_cases_emit_every_fold_rule():
+    recordable = _recordable_rules(bundlecalc._fold_node) | _recordable_rules(bundlecalc.normalize_for_positivity)
+    assert {"flat-fiber-bundle", "weaken", "general-bundle", "rescale"} <= recordable
+    emitted = {
+        step["rule"]
+        for case in GOLDEN["cases"].values()
+        if case["argv"][0] == "plan" and case["argv"][-1] == "--json"
+        for step in json.loads(case["stdout"])["results"]["trace"]
+    }
+    assert recordable <= emitted

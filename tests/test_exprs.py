@@ -438,6 +438,11 @@ def test_a_long_power_of_ten_multiple_prints_in_e_form(text, printed):
         ("(r))", "unexpected token ')'", 3),
         ("2 3", "unexpected token '3'", 2),
         ("r + 1e1001", "decimal exponent of '1e1001' is past +-1000", 4),
+        # an exponent float() cannot hold is refused at its own offset
+        ("r^(1e400)", "exponent is past float range", 2),
+        ("(1+r^2)^(1e400/3)", "exponent is past float range", 8),
+        ("r^-2e308", "exponent is past float range", 2),
+        ("r^2^1e400", "exponent is past float range", 4),
     ],
 )
 def test_parse_errors_give_message_and_offset(text, message, offset):
@@ -477,6 +482,16 @@ def test_constant_powers_past_float_range_stay_unfolded():
     assert parse("2^-2000") == Pow(Const(2), Fraction(-2000))
     assert parse("2^1023") == Const(2**1023)
     assert parse("(-1)^(10^12)") == Const(1)
+
+
+def test_an_exponent_inside_float_range_overflows_at_its_node():
+    # 1e308 is a float, so the parser keeps it; evaluating r^1e308 names the power on both paths
+    tree = parse("r^(1e308)")
+    assert tree == Pow(Var(), Fraction(10**308))
+    with pytest.raises(DomainError, match="overflow in power"):
+        evaluate(tree, 2.0)
+    with pytest.raises(DomainError, match="overflow in power"):
+        evaluate_grid(tree, np.array([2.0]))
 
 
 @pytest.mark.parametrize("text", ["1e10000000", "1e100000000", "1E-1001"])
