@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -68,12 +68,32 @@ class DomainError(ExprError):
         self.node = node
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node that stores its hash, hash(tuple of its fields),
+    when first hashed. As with the generated hash, a first hash takes one
+    frame per tree level, and a failure stores nothing."""
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(tuple([getattr(self, n) for n in names]))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Expr:
     """Base node. Trees are immutable and safe to share between workers."""
 
+    _hash = None  # not a field: the stored hash, set on first use
 
-@dataclass(frozen=True)
+
+@_node
 class Const(Expr):
     """An exact rational constant; the value is coerced by frac."""
 
@@ -83,41 +103,41 @@ class Const(Expr):
         object.__setattr__(self, "value", frac(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     """Power with an exact rational exponent."""
 
@@ -125,17 +145,17 @@ class Pow(Expr):
     exponent: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 

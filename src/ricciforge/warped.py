@@ -129,7 +129,7 @@ class WarpedFamilySpec:
         return fv, fp, fpp, hv, hp, hpp
 
 
-# _profile and _lie each keep at most this many entries, dropping the least recently used
+# _profile, _positive and _lie each keep at most this many entries, dropping the least recently used
 PROFILE_CACHE_SIZE = 256
 
 
@@ -529,6 +529,14 @@ class SmoothnessReport:
 # positivity of f and h_i is sampled at this many radii on [AXIS_EPS, SMOOTHNESS_R_MAX]
 SMOOTHNESS_GRID_POINTS = 200
 SMOOTHNESS_R_MAX = 10.0
+_SMOOTHNESS_GRID = np.linspace(AXIS_EPS, SMOOTHNESS_R_MAX, SMOOTHNESS_GRID_POINTS)
+_SMOOTHNESS_GRID.flags.writeable = False  # shared by every call
+
+
+@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _positive(e: Expr) -> bool:
+    """Whether e > 0 on the smoothness grid, once per tree; failures are not cached."""
+    return bool(np.all(exprs.evaluate_grid(e, _SMOOTHNESS_GRID) > 0.0))
 
 
 def smoothness_check(spec: WarpedFamilySpec, tol: float) -> SmoothnessReport:
@@ -538,17 +546,16 @@ def smoothness_check(spec: WarpedFamilySpec, tol: float) -> SmoothnessReport:
     The rows run f's four, then each h_i's evenness, then each positivity."""
     f_at, *hs = spec.compiled
     f0, f1, f2 = f_at(AXIS_EPS)
-    grid = np.linspace(AXIS_EPS, SMOOTHNESS_R_MAX, SMOOTHNESS_GRID_POINTS)
     rows = [
         ("f-vanishes-at-axis", abs(f0) <= tol, tol),
         ("f-slope-one-at-axis", abs(f1 - 1.0) <= tol, tol),
         ("f-second-derivative-zero-at-axis", abs(f2) <= tol, tol),
-        ("f-positive", np.all(exprs.evaluate_grid(spec.f, grid) > 0.0), 0.0),
+        ("f-positive", _positive(spec.f), 0.0),
     ]
     positive = []
     for i, (e, h_at) in enumerate(zip(spec.h, hs)):
         rows.append((f"h[{i}]-even-at-axis", abs(h_at(AXIS_EPS)[1]) <= tol, tol))
-        positive.append((f"h[{i}]-positive", np.all(exprs.evaluate_grid(e, grid) > 0.0), 0.0))
+        positive.append((f"h[{i}]-positive", _positive(e), 0.0))
     return SmoothnessReport(tuple((name, bool(ok), t) for name, ok, t in rows + positive), tol)
 
 

@@ -136,6 +136,21 @@ def test_smoothness_pass_and_fail(capsys, tmp_path):
     assert "f-slope-one-at-axis" in failing
 
 
+def test_smoothness_failures_are_reported_on_every_call(capsys, tmp_path):
+    # a grid failure is not cached, and neither hides nor changes a verdict
+    path = tmp_path / "pow400.json"
+    path.write_text(json.dumps({"n": 1, "f": "r + r^400", "h": ["(1+r^2)^(-1)"]}))
+    for _ in range(2):
+        assert cli.run(["smoothness", "--spec", str(path), "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric error: overflow in power in subexpression 'r^400'\n"
+    for _ in range(2):
+        code, report = run_json(capsys, ["smoothness", "--preset", "round-sphere"])
+        assert code == 2
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["f-positive"]
+
+
 def test_variation_eval(capsys):
     code, report = run_json(capsys, ["variation-eval", "--t", "1,0.5,0.25", "--tol", "1e-5"])
     assert code == 0

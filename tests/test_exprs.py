@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import math
 import operator
 import re
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -838,3 +840,99 @@ def test_grid_constants_take_the_grid_dtype(trees, dtype):
     got = _outcome(compile_grid(trees), rs)
     assert got == _outcome(lambda rs: [_reference_grid(e, rs) for e in trees], rs)
     assert isinstance(got, tuple) or all(v[:2] == (rs.dtype, rs.shape) for v in got)
+
+
+# --- the hash each node computes once -------------------------------------
+
+
+class _Hashed:
+    """Stands in a field tuple for a child whose hash is already known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _structural_hash(e):
+    # the dataclass-generated hash, hash(tuple of the fields), computed
+    # bottom-up without asking any node for its own hash
+    return hash(tuple(
+        _Hashed(_structural_hash(v)) if isinstance(v, exprs.Expr) else v
+        for v in (getattr(e, f.name) for f in dataclasses.fields(e))
+    ))
+
+
+def _nodes(e):
+    yield e
+    for f in dataclasses.fields(e):
+        if isinstance(getattr(e, f.name), exprs.Expr):
+            yield from _nodes(getattr(e, f.name))
+
+
+def test_a_node_hashes_as_the_tuple_of_its_fields_on_every_hash():
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(120):
+        # a fresh parse, uncached, so each tree is hashed here first
+        tree = exprs._parse(to_text(_random_tree(rng, 6)))
+        for e in (tree, diff(tree, 1), diff(tree, 2)):
+            want = [_structural_hash(node) for node in _nodes(e)]
+            for _ in range(2):  # the first hash, then the stored one
+                assert [hash(node) for node in _nodes(e)] == want
+                assert all(
+                    hash(node) == hash(tuple(getattr(node, f.name) for f in dataclasses.fields(node)))
+                    for node in _nodes(e)
+                )
+            seen.update(type(node) for node in _nodes(e))
+    assert seen == {Const, Var, exprs.Add, exprs.Sub, exprs.Neg, Mul, exprs.Div, Pow, exprs.Sin, exprs.Cos, exprs.Exp}
+    assert hash(exprs.Expr()) == hash(())
+
+
+def test_equal_trees_built_apart_hash_and_compare_equal():
+    rng = random.Random(20261022)
+    for _ in range(60):
+        text = to_text(_random_tree(rng, 5))
+        a, b = exprs._parse(text), exprs._parse(text)
+        hash(a)  # one hashed, the other not yet
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1 and to_text(a) == to_text(b) == text
+
+
+def _hashes_a_chain(make, depth):
+    e = Var()
+    for _ in range(depth):  # built fresh, so no node has hashed yet
+        e = make(e, Var())
+    try:
+        hash(e)
+    except RecursionError:
+        return False
+    return True
+
+
+def test_a_first_hash_takes_the_stack_of_the_dataclass_hash():
+    @dataclasses.dataclass(frozen=True)
+    class GeneratedAdd:
+        left: object
+        right: object
+
+    def deepest(make):
+        lo, hi = 0, 2000
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _hashes_a_chain(make, mid) else (lo, mid)
+        return lo
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(500)
+    try:
+        assert deepest(exprs.Add) == deepest(GeneratedAdd) > 100
+    finally:
+        sys.setrecursionlimit(limit)
+    # a hash that fails stores nothing, so it fails again
+    assert not _hashes_a_chain(exprs.Add, 3000)
+    deep = exprs._parse("+".join(["r"] * 3000))
+    for _ in range(2):
+        with pytest.raises(RecursionError):
+            hash(deep)

@@ -624,6 +624,7 @@ def test_profile_values_are_bit_identical_after_the_caches_are_cleared():
 def test_the_profile_cache_has_a_finite_bound():
     info = warped._profile.cache_info()
     assert info.maxsize == warped.PROFILE_CACHE_SIZE and 0 < info.maxsize < 10_000
+    assert warped._positive.cache_info().maxsize == warped.PROFILE_CACHE_SIZE
     for k in range(info.maxsize + 10):
         WarpedFamilySpec(n=0, f=exprs.parse(f"r + {k}*r^3"), h=())
     assert warped._profile.cache_info().currsize == info.maxsize
@@ -636,6 +637,76 @@ def test_a_profile_too_deep_to_hash_fails_on_every_build(key, name):
     for _ in range(2):
         with pytest.raises(ValueError, match=rf"^profile {re.escape(name)}: maximum recursion depth"):
             spec_from_json(data)
+
+
+# the certify draw: 3 sphere-profile exponents, 8 fiber exponents, 4 base scales
+CERTIFY_F = ("-1/4", "-1/2", "-3/4")
+CERTIFY_H = ("1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "3/2")
+CERTIFY_SCALES = ("0", "1/4", "1/2", "1")
+
+
+def _certify_specs():
+    rng = np.random.default_rng(20261021)
+    for a in CERTIFY_F:
+        for c in CERTIFY_SCALES:
+            for n in (1, 2, 3):
+                for _ in range(len(CERTIFY_H) if n == 1 else 3):
+                    ms = [CERTIFY_H[k] for k in rng.integers(len(CERTIFY_H), size=n)]
+                    yield spec_from_json({
+                        "n": n, "f": f"r*(1+r^2)^({a})", "h": [f"(1+r^2)^(-{m})" for m in ms],
+                        "baseRicci": f"scaledIdentity:-{c}*(1+r^2)^(-2)",
+                    })
+
+
+def _reference_conditions(spec, tol):
+    eps = warped.AXIS_EPS
+    grid = np.linspace(eps, warped.SMOOTHNESS_R_MAX, warped.SMOOTHNESS_GRID_POINTS)
+    f0, f1, f2 = (exprs.evaluate(e, eps) for e in (spec.f, exprs.diff(spec.f, 1), exprs.diff(spec.f, 2)))
+    return (
+        ("f-vanishes-at-axis", abs(f0) <= tol, tol),
+        ("f-slope-one-at-axis", abs(f1 - 1.0) <= tol, tol),
+        ("f-second-derivative-zero-at-axis", abs(f2) <= tol, tol),
+        ("f-positive", bool(np.all(exprs.evaluate_grid(spec.f, grid) > 0.0)), 0.0),
+        *((f"h[{i}]-even-at-axis", abs(exprs.evaluate(exprs.diff(h, 1), eps)) <= tol, tol) for i, h in enumerate(spec.h)),
+        *((f"h[{i}]-positive", bool(np.all(exprs.evaluate_grid(h, grid) > 0.0)), 0.0) for i, h in enumerate(spec.h)),
+    )
+
+
+def test_smoothness_rows_equal_a_direct_grid_evaluation_cold_and_warm(monkeypatch):
+    specs = list(_certify_specs())
+    want = [_reference_conditions(spec, 1e-4) for spec in specs]
+    grid = np.linspace(warped.AXIS_EPS, warped.SMOOTHNESS_R_MAX, warped.SMOOTHNESS_GRID_POINTS)
+    calls, evaluate_grid = [], exprs.evaluate_grid
+
+    def recording(e, rs):
+        calls.append(e)
+        assert np.array_equal(rs, grid)
+        return evaluate_grid(e, rs)
+
+    monkeypatch.setattr(exprs, "evaluate_grid", recording)
+    warped._positive.cache_clear()
+    assert [smoothness_check(spec, 1e-4).conditions for spec in specs] == want
+    # cold, each distinct tree is evaluated on the grid once; warm, none is
+    assert sorted(map(exprs.to_text, calls)) == sorted({exprs.to_text(e) for spec in specs for e in (spec.f, *spec.h)})
+    assert len(calls) == len(CERTIFY_F) + len(CERTIFY_H)
+    calls.clear()
+    assert [smoothness_check(spec, 1e-4).conditions for spec in specs] == want
+    assert calls == []
+
+
+def test_a_grid_failure_is_raised_on_every_call_and_in_row_order():
+    spec = spec_from_json({"n": 2, "f": "r", "h": ["1", "1 + r^400"]})
+    warped._positive.cache_clear()
+    for _ in range(2):
+        with pytest.raises(exprs.DomainError, match=r"^overflow in power in subexpression 'r\^400'$"):
+            smoothness_check(spec, 1e-4)
+    assert warped._positive.cache_info().currsize == 2  # r and 1, not the failing h[1]
+    # f's grid fails before an h_i's, and h[0]'s before h[1]'s
+    both = spec_from_json({"n": 2, "f": "r + r^310", "h": ["1 + r^400", "1 + r^500"]})
+    with pytest.raises(exprs.DomainError, match=r"'r\^310'$"):
+        smoothness_check(both, 1e-4)
+    with pytest.raises(exprs.DomainError, match=r"'r\^400'$"):
+        smoothness_check(dataclasses.replace(both, f=exprs.parse("r")), 1e-4)
 
 
 def test_a_closed_form_block_past_float_range_is_named():
