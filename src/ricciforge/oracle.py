@@ -240,35 +240,25 @@ def _curvature(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
     return term1 - term1.swapaxes(-1, -2) + term3 - term3.swapaxes(-1, -2)
 
 
-# Bytes of metric components (rows x d^2 x 16, complex) one chart call may
-# build: 8 points' stencils at d = 8 (8 x 153 x 64 x 16 bytes), 13 at d = 7 and
-# 23 at d = 6, so a verify of up to 8 radii at d = 8 is one call. Minor page
-# faults and tracemalloc peaks per verify against the number of radii, at this
-# cap and at 600 KiB, are in BENCH_10.json.
+# Bytes of metric components one chart call of frame_ricci_many may build, each
+# chunk contracted before the next: 8 points' stencils at d = 8 (see ChartMetric),
+# so a verify of up to 8 radii at d = 8 is one call. Page faults and tracemalloc
+# peaks per verify, at this cap and at 600 KiB, are in BENCH_10.json.
 CHART_CALL_BYTES = 1224 * 1024
 
 
 def _riemann(m: ChartMetric, xs, step: float = DEFAULT_STEP):
     """(g, Riemann) at the points of the (R, d) array xs, as (R, d, d) and
-    (R, d, d, d, d) arrays. The points go to the chart in chunks of at most
-    CHART_CALL_BYTES, one call per chunk, and each chunk is contracted in
-    one pass over a leading point axis. No step mixes points, so every
-    result is the same for any R. step is the real step delta; the public
-    routines all use DEFAULT_STEP."""
+    (R, d, d, d, d) arrays, from one chart call contracted in one pass over
+    a leading point axis. No step mixes points, so every result is the
+    same for any R. step is the real step delta; the public routines all
+    use DEFAULT_STEP."""
     xs = np.asarray(xs, dtype=float)
-    d = m.dim
-    per_call = max(1, CHART_CALL_BYTES // (16 * d * d * len(_stencil(d)[0])))
-    gs, riems = [], []
-    for start in range(0, len(xs), per_call):
-        chunk = xs[start : start + per_call]
-        derivatives = _metric_derivatives(m, chunk, step)
-        with np.errstate(over="ignore", invalid="ignore"):
-            riems.append(_curvature(*derivatives))
-        _finite("curvature is", chunk, riems[-1])
-        gs.append(derivatives[0])
-    if len(gs) == 1:  # one chunk, returned without a copy
-        return gs[0], riems[0]
-    return np.concatenate(gs), np.concatenate(riems)
+    g0, dg, d2g = _metric_derivatives(m, xs, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        riem = _curvature(g0, dg, d2g)
+    _finite("curvature is", xs, riem)
+    return g0, riem
 
 
 def _ricci_of(riem: np.ndarray) -> np.ndarray:
@@ -299,12 +289,15 @@ def frame_ricci(m: ChartMetric, fr: FrameAtPoint) -> np.ndarray:
 
 
 def frame_ricci_many(m: ChartMetric, frames: Sequence[FrameAtPoint]) -> list:
-    """frame_ricci at each frame, with the points batched into one chart
-    call per chunk of CHART_CALL_BYTES. Each result equals frame_ricci's
-    bit for bit, and a failure raises what the first failing frame raises
-    on its own."""
+    """frame_ricci at each frame. The frames go to the chart in chunks of
+    at most CHART_CALL_BYTES, one call per chunk, and each chunk is
+    contracted to its frame Ricci before the next is built. Each result
+    equals frame_ricci's bit for bit, and a failure raises what the first
+    failing frame raises on its own."""
+    per_call = max(1, CHART_CALL_BYTES // (16 * m.dim**2 * len(_stencil(m.dim)[0])))
+    chunks = [frames[start : start + per_call] for start in range(0, len(frames), per_call)]
     try:
-        return _in_frame(frames, *_riemann(m, [fr.x for fr in frames])) if frames else []
+        return [ric for chunk in chunks for ric in _in_frame(chunk, *_riemann(m, [fr.x for fr in chunk]))]
     except Exception:
         for fr in frames:
             frame_ricci(m, fr)

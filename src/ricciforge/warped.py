@@ -60,8 +60,9 @@ class WarpedFamilySpec:
         [X_i, X_j] = sum_k b_ijk X_k (0-based indices, r-independent).
         Entries antisymmetric in (i, j), with the Jacobi identity; the frame
         convention requires every (i, j, i) entry to vanish.
-    base_ricci : r -> symmetric (n, n) matrix, a modelled Ricci tensor of g_r
-        in the frame Y_i = X_i / h_i; None derives it from the structure.
+    base_ricci : a modelled Ricci tensor of g_r in the frame Y_i = X_i / h_i,
+        as the schema's baseRicci text: "zero", "constant:<json matrix>" or
+        "scaledIdentity:<expression>"; None derives it from the structure.
 
     Construction sets, outside the fields, ``compiled``: for f and for each
     h_i, one function r -> (e, e', e'') of that profile e. Each comes from a
@@ -70,13 +71,14 @@ class WarpedFamilySpec:
     = lie_ricci(structure, n)``, the base Ricci as a function of the h_i(r),
     and ``jet = lie_jet(structure, n)``, the E-block of the oracle chart;
     specs with equal structure items in one order share both (see _lie).
+    A given base_ricci is read once, into ``modelled_base``: r -> n rows of n floats.
     """
 
     n: int
     f: Expr
     h: tuple[Expr, ...]
     structure: Mapping[tuple[int, int, int], float] = field(default_factory=dict)
-    base_ricci: Optional[Callable[[float], np.ndarray]] = None
+    base_ricci: Optional[str] = None
     label: str = ""
 
     def __post_init__(self):
@@ -105,6 +107,9 @@ class WarpedFamilySpec:
         derived_base, jet = _lie(tuple(full.items()), self.n)
         object.__setattr__(self, "derived_base", derived_base)
         object.__setattr__(self, "jet", jet)
+        read = functools.partial(_base_ricci, self.n)
+        base = None if self.base_ricci is None else _spec_field({"baseRicci": self.base_ricci}, "baseRicci", read)
+        object.__setattr__(self, "modelled_base", base)
         compiled = []
         for name, e in [("f", self.f)] + [(f"h[{i}]", h) for i, h in enumerate(self.h)]:
             try:
@@ -295,18 +300,13 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     n = spec.n
     try:
         rr, uu, yy_corr = diagonal_blocks(p, fv, fp, fpp, hv, hp, hpp)
-        base = spec.derived_base(hv) if spec.base_ricci is None else spec.base_ricci(r)
+        base = spec.derived_base(hv) if spec.modelled_base is None else spec.modelled_base(r)
     # f, f^2 or some h_a h_b is 0.0, or f'^2 or f^2 overflows, which Python's
     # float ** raises; the check below names numpy's inf or nan
     except (ZeroDivisionError, OverflowError):
         with np.errstate(all="ignore"):
             rr, uu, yy_corr = diagonal_blocks(p, np.float64(fv), np.float64(fp), fpp, hv, hp, hpp)
-            base = spec.derived_base(np.array(hv)) if spec.base_ricci is None else spec.base_ricci(r)
-    if spec.base_ricci is not None:
-        base = np.asarray(base, dtype=float)
-        if base.shape != (n, n):
-            raise ValueError(f"base_ricci(r) has shape {base.shape}, expected ({n}, {n})")
-        base = base.tolist()
+            base = spec.derived_base(np.array(hv)) if spec.modelled_base is None else spec.modelled_base(r)
     # the operations of 0.5 (base + base^T) + diag(yy_corr), entry by entry;
     # adding 0.0 off the diagonal turns -0.0 into 0.0
     yy = [0.5 * (base[i][j] + base[j][i]) + (yy_corr[i] if i == j else 0.0) for i in range(n) for j in range(n)]
@@ -568,8 +568,8 @@ def spec_from_json(data) -> WarpedFamilySpec:
 
     Structure rows are [i, j, k, value] with 0-based indices. An absent
     baseRicci derives the base Ricci from the structure (lie_ricci); a
-    given one is a modelled base: "zero", "constant:<json matrix>", or
-    "scaledIdentity:<expression>".
+    given one is a modelled base, the text WarpedFamilySpec.base_ricci takes:
+    "zero", "constant:<json matrix of finite numbers>", or "scaledIdentity:<expression>".
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -579,7 +579,8 @@ def spec_from_json(data) -> WarpedFamilySpec:
     f = _spec_field(data, "f", exprs.parse)
     h = _spec_field(data, "h", lambda texts: tuple(exprs.parse(t) for t in texts), [])
     structure = _spec_field(data, "structure", _structure, [])
-    base = _spec_field(data, "baseRicci", lambda text: _base_ricci(n, text)) if "baseRicci" in data else None
+    # null is not an absent baseRicci: like a number, it has no startswith
+    base = _spec_field(data, "baseRicci", lambda text: text.startswith("") and text) if "baseRicci" in data else None
     return WarpedFamilySpec(
         n=n, f=f, h=h, structure=structure, base_ricci=base, label=data.get("label", "")
     )
@@ -609,18 +610,23 @@ def _structure(rows) -> dict:
     return structure
 
 
-def _base_ricci(n: int, text: str) -> Callable[[float], np.ndarray]:
+def _base_ricci(n: int, text: str) -> Callable[[float], list]:
     if text == "zero":
-        zero = np.zeros((n, n))
+        zero = ((0.0,) * n,) * n
         return lambda r: zero
     if text.startswith("constant:"):
-        matrix = np.asarray(json.loads(text[len("constant:") :]), dtype=float)
+        entries = json.loads(text[len("constant:") :])
+        matrix = np.asarray(entries, dtype=float)
         if matrix.shape != (n, n):
             raise ValueError(f"constant base Ricci has shape {matrix.shape}, expected ({n},{n})")
-        return lambda r: matrix
+        for i, j in np.ndindex(n, n):  # NaN and 1e400 load as floats; numpy would take true as 1.0
+            if type(entries[i][j]) not in (int, float) or not math.isfinite(entries[i][j]):
+                raise ValueError(f"baseRicci entry [{i}][{j}] is {entries[i][j]!r}, not a finite number")
+        rows = matrix.tolist()
+        return lambda r: rows
     if text.startswith("scaledIdentity:"):
         scale = exprs.compile_scalar((exprs.parse(text[len("scaledIdentity:") :]),))
-        return lambda r: np.diag([scale(r)[0]] * n)
+        return lambda r: [[s if i == j else 0.0 for j in range(n)] for i, s in enumerate([scale(r)[0]] * n)]
     raise ValueError(f"unknown baseRicci form {text!r}")
 
 

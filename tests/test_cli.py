@@ -352,6 +352,12 @@ def _nested_plan(depth):
         ("spec", {**TORUS_SPEC, "n": None}, "spec field 'n': int() argument must be"),
         ("spec", {**TORUS_SPEC, "structure": [5]}, "spec field 'structure': row 5 is not a list of four entries [i, j, k, value]\n"),
         ("spec", {**TORUS_SPEC, "baseRicci": 3}, "spec field 'baseRicci': 'int' object has no"),
+        # null is not an absent baseRicci, which would derive the base
+        ("spec", {**TORUS_SPEC, "baseRicci": None}, "spec field 'baseRicci': 'NoneType' object has no attribute 'startswith'\n"),
+        # a constant entry is a finite JSON number: JSON reads 1e400 as inf, and numpy read true as 1.0
+        ("spec", {**TORUS_SPEC, "baseRicci": "constant:[[NaN]]"}, "baseRicci entry [0][0] is nan, not a finite number\n"),
+        ("spec", {**TORUS_SPEC, "baseRicci": "constant:[[1e400]]"}, "baseRicci entry [0][0] is inf, not a finite number\n"),
+        ("spec", {**TORUS_SPEC, "baseRicci": "constant:[[true]]"}, "baseRicci entry [0][0] is True, not a finite number\n"),
         ("spec", [TORUS_SPEC], "a spec is a JSON object, not list"),
         ("spec", {**TORUS_SPEC, "f": "(" * 1500 + "r" + ")" * 1500}, "spec field 'f': maximum recursion"),
         ("spec", {**TORUS_SPEC, "f": "+".join(["r"] * 3000)}, "profile f: maximum recursion depth"),
@@ -392,7 +398,8 @@ def _nested_plan(depth):
         ("plan", {"kind": "nilmanifold", "dim": 3, "q": "1/0"}, "node plan: '1/0' has a zero denominator\n"),
     ],
     ids=[
-        "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "spec-list",
+        "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "baseRicci-null",
+        "constant-nan", "constant-1e400", "constant-true", "spec-list",
         "f-deep-parentheses", "f-long-sum", "h-long-sum", "dim-null", "curvature-list", "q-float",
         "q-exponent-past-1000", "no-base", "n-float", "n-bool", "n-string", "n-infinity", "structure-index-float",
         "dim-float", "dim-string", "rank-float", "plan-700-deep", "dim-1e300", "nilmanifold-dim-past-bound",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,16 +189,36 @@ def test_finiteness_check_names_the_first_bad_point_of_any_array():
         oracle._finite("values are", xs, first, second)
 
 
-def test_riemann_over_two_chunks_equals_each_chunk_alone():
-    # nine points at d = 8 are two chart calls, eight points and one; the
+def test_frame_ricci_many_over_two_chunks_equals_each_chunk_alone():
+    # nine frames at d = 8 are two chart calls, eight points and one; the
     # joined result is each chunk's own, bit for bit
     m = preset("sphere:8:1")
-    xs = 0.1 + 0.02 * np.arange(72.0).reshape(9, 8)
+    frames = oracle.orthonormal_frames(m, 0.1 + 0.02 * np.arange(72.0).reshape(9, 8))
     assert _points_per_call(8) == 8
-    g, riem = oracle._riemann(m, xs)
-    for part in (slice(0, 8), slice(8, 9)):
-        g_part, riem_part = oracle._riemann(m, xs[part])
-        assert g[part].tobytes() == g_part.tobytes() and riem[part].tobytes() == riem_part.tobytes()
+    joined = frame_ricci_many(m, frames)
+    alone = frame_ricci_many(m, frames[:8]) + frame_ricci_many(m, frames[8:])
+    assert [a.tobytes() for a in joined] == [a.tobytes() for a in alone]
+
+
+def test_frame_ricci_many_holds_one_chunk_at_a_time():
+    # each chunk is contracted to d x d results before the next is built, so
+    # 100 chunks at d = 8 peak near one chunk: 1.28 times, where holding every
+    # chunk's Riemann tensor until the end peaked at 27 times
+    m = preset("sphere:8:1")
+    frames = oracle.orthonormal_frames(m, np.random.default_rng(5).uniform(-0.5, 0.5, (800, 8)))
+    frame_ricci_many(m, frames[:8])  # warm the stencil cache outside the trace
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (8, 800):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = frame_ricci_many(m, frames[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            del result
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_frame_ricci_rejects_sloppy_frames():
@@ -543,6 +564,29 @@ def test_frame_ricci_many_raises_like_the_point_loop():
             assert want is not None and want[1].startswith(f"{message} at {first.x}")
             assert _first_error(lambda: frame_ricci_many(m, frames)) == want
             assert _first_error(lambda: oracle._riemann(m, [fr.x for fr in frames])) == want
+
+
+def test_frame_ricci_many_raises_like_the_point_loop_across_chunks():
+    # at d = 8 a chart call takes 8 points: the first failing frame may sit
+    # after a good first chunk, or a sloppy frame in chunk 1 may come before
+    # a domain failure in chunk 2; the batch raises what the loop raises
+    m = dataclasses.replace(preset("sphere:8:1"), domain=lambda x: x[-1] > 0.0)
+    good = oracle.orthonormal_frames(m, 0.1 + 0.01 * np.arange(96.0).reshape(12, 8))
+    outside = FrameAtPoint(np.full(8, -0.1), np.eye(8))
+    sloppy = FrameAtPoint(np.full(8, 0.1), np.eye(8))  # not g-orthonormal (conformal factor 3.4)
+    domain, frame = "point [-0.1 -0.1", "frame is not orthonormal"
+    batches = [
+        (good[:8] + [outside] + good[8:], domain),
+        (good[:8] + [sloppy, outside] + good[8:], frame),
+        (good[:8] + [good[8], outside, sloppy], domain),
+        (good[:3] + [sloppy] + good[3:7] + [outside] + good[7:], frame),
+        (good[:3] + [sloppy] + good[3:8] + [outside], frame),
+    ]
+    assert _points_per_call(8) == 8
+    for frames, message in batches:
+        want = _first_error(lambda: [frame_ricci(m, fr) for fr in frames])
+        assert want is not None and want[1].startswith(message)
+        assert _first_error(lambda: frame_ricci_many(m, frames)) == want
 
 
 def test_verify_reports_the_first_failing_radius_like_the_loop():

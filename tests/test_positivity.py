@@ -184,7 +184,7 @@ def test_sweep_agrees_with_blockwise_pd_check():
         n=n,
         f=f,
         h=(h, h),
-        base_ricci=lambda r: -c * exprs.evaluate(h, r) ** 2 * np.eye(n),
+        base_ricci=f"scaledIdentity:-{c}*(1+r^2)^(-2)",  # -c h^2 times the identity
     )
     radii = [1e-3, 0.3, 1.0, 7.0, 20.0, 45.0]
     for r in radii:

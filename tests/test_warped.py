@@ -53,7 +53,7 @@ def test_product_with_flat_factor_degenerates():
         n=2,
         f=exprs.parse("r"),
         h=(exprs.parse("2"), exprs.parse("1/2")),
-        base_ricci=lambda r: base,
+        base_ricci=f"constant:{base.tolist()}",
     )
     for r in (0.5, 1.0, 7.0):
         blocks = ricci_warped(spec, r, 4)
@@ -485,7 +485,7 @@ def test_pd_gershgorin_slack():
         n=2,
         f=exprs.parse("r"),
         h=(exprs.parse("1"), exprs.parse("1")),
-        base_ricci=lambda r: np.eye(2),
+        base_ricci="constant:[[1, 0], [0, 1]]",
     )
     blocks = ricci_warped(spec, 1.0, 3)
     # uu = 0 for the flat product, so fudge a strictly positive copy
@@ -502,15 +502,27 @@ def test_pd_gershgorin_slack():
 def test_spec_json_base_ricci_forms():
     base = {"n": 1, "f": "r", "h": ["1"], "structure": []}
     zero = spec_from_json({**base, "baseRicci": "zero"})
-    assert np.array_equal(zero.base_ricci(1.0), np.zeros((1, 1)))
+    assert zero.modelled_base(1.0) == ((0.0,),)
     const = spec_from_json({**base, "baseRicci": "constant:[[2.5]]"})
-    assert const.base_ricci(3.0)[0, 0] == 2.5
+    assert const.modelled_base(3.0) == [[2.5]]
     scaled = spec_from_json({**base, "baseRicci": "scaledIdentity:(1+r^2)^(-1)"})
-    assert scaled.base_ricci(1.0)[0, 0] == 0.5
+    assert scaled.modelled_base(1.0) == [[0.5]]
     with pytest.raises(ValueError):
         spec_from_json({**base, "baseRicci": "mystery:1"})
     with pytest.raises(ValueError):
         spec_from_json({**base, "baseRicci": "constant:[[1, 2]]"})
+    # the base is text, read once at construction: specs compare equal,
+    # and replacing the text re-reads it
+    base = {"n": 2, "f": "r", "h": ["1", "2"]}
+    for text in ["zero", "constant:[[1, 0.5], [0.5, -2]]", "scaledIdentity:(1+r^2)^(-1)"]:
+        assert spec_from_json({**base, "baseRicci": text}) == spec_from_json({**base, "baseRicci": text})
+    spec = spec_from_json({**base, "baseRicci": "constant:[[1, 0.5], [0.5, -2]]"})
+    assert spec.modelled_base(3.0) == [[1.0, 0.5], [0.5, -2.0]]
+    zero = dataclasses.replace(spec, base_ricci="zero")
+    assert zero.modelled_base(3.0) == ((0.0, 0.0), (0.0, 0.0))
+    assert dataclasses.replace(zero, base_ricci=None).modelled_base is None
+    with pytest.raises(ValueError, match="^unknown baseRicci form 'mystery:1'$"):
+        WarpedFamilySpec(n=0, f=exprs.parse("r"), h=(), base_ricci="mystery:1")
     with pytest.raises(ValueError):
         spec_from_json({"n": 1, "f": "r"})
     with pytest.raises(exprs.ParseError):
@@ -816,7 +828,7 @@ def _numpy_blocks(spec, r, p, slack):
     uu = (p - 2) * (1.0 - fp**2) / fv**2 - (fp / fv) * s1 - fpp / fv
     rr = -(p - 1) * fpp / fv - lhh.sum(axis=0)
     corr = -(p - 1) * (fp / fv) * lh - lh * (s1 - lh) - lhh
-    base = np.asarray(spec.derived_base(hv.tolist()) if spec.base_ricci is None else spec.base_ricci(r), dtype=float)
+    base = np.asarray(spec.derived_base(hv.tolist()) if spec.base_ricci is None else spec.modelled_base(r), dtype=float)
     n = spec.n
     yy = 0.5 * (base + base.T) + np.diag(corr) if n else np.zeros((0, 0))
     lowers = [rr]
