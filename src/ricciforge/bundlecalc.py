@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import positivity
-from .exprs import frac, integer
+from .exprs import frac, integer, real
 
 __all__ = [
     "CurvatureBound",
@@ -80,7 +80,7 @@ def _min(a: Fraction, b: Fraction) -> Fraction:
 
 def _check_constant(name: str, value) -> None:
     """Reject a certificate constant that is not a finite real number >= 0."""
-    if not (isinstance(value, (int, float, Fraction)) and math.isfinite(value)):
+    if isinstance(value, bool) or not (isinstance(value, (int, float, Fraction)) and math.isfinite(value)):
         raise CertificateError(f"{name} must be a finite number, got {value!r}")
     if value < 0:
         raise CertificateError(f"{name} must be nonnegative")
@@ -486,15 +486,15 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
         fp = nonneg_ricci_certificate(integer(node["dim"]))
         return _step(trace, "nonneg-ricci-leaf", path, fp, tag)
     if kind == "nilmanifold":
-        fp = nilmanifold_certificate(integer(node["dim"]), node.get("q", WORK_Q), float(node.get("c", 1.0)))
+        fp = nilmanifold_certificate(integer(node["dim"]), node.get("q", WORK_Q), real(node.get("c", 1.0)))
         return _step(trace, "nilmanifold-leaf", path, fp, tag)
     if kind == "custom":
         curv = None
         if "curvature" in node:
-            curv = CurvatureBound(L=float(node["curvature"]["L"]), e=frac(node["curvature"]["e"]))
+            curv = CurvatureBound(L=real(node["curvature"]["L"]), e=frac(node["curvature"]["e"]))
         fp = FamilyParams(
             q=None if node.get("q") in (None, "any") else frac(node["q"]),
-            c=float(node.get("c", 0.0)),
+            c=real(node.get("c", 0.0)),
             m=frac(node.get("m", 0)),
             dim=integer(node["dim"]),
             curvature=curv,
@@ -511,15 +511,15 @@ def _fold_node(node, path: str, trace: list) -> FamilyParams:
         fp = vector_bundle_certificate(
             base,
             integer(node["rank"]),
-            a_bound=float(node.get("La", 1.0)),
-            fiber_curv_bound=float(node.get("fiberCurvBound", DEFAULT_FIBER_CURV)),
+            a_bound=real(node.get("La", 1.0)),
+            fiber_curv_bound=real(node.get("fiberCurvBound", DEFAULT_FIBER_CURV)),
         )
         return _step(trace, "vector-bundle-lift", path, fp, tag)
     fiber = _fold(node["fiber"], path + ".fiber", trace)
     if base.curvature is None:  # variant selection reads base.curvature.e
         raise PlanError(f"node {path}: base certificate lacks a curvature bound")
     # each branch picks the variant, its trace rule and where an every-exponent fiber is instantiated
-    a_bound = 0.0 if kind == "flatBundle" else float(node.get("La", 1.0))
+    a_bound = 0.0 if kind == "flatBundle" else real(node.get("La", 1.0))
     if kind == "flatBundle":
         variant, rule, fiber_q = "flat-bundle", "flat-bundle", base.q
     elif fiber.curvature is not None and fiber.curvature.L == 0.0 and base.curvature.e == 0:

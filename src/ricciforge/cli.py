@@ -46,8 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def render_json(value) -> str:
-    """JSON text with each float at 17 significant digits; numpy scalars and
-    arrays render as the Python values they hold, and nan or inf raises."""
+    """JSON text with each float at 17 significant digits; nan or inf raises."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError("cannot serialize a non-finite float")
@@ -65,8 +64,6 @@ def render_json(value) -> str:
         return "{" + ", ".join([f"{quote(str(k))}: {render_json(v)}" for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join([render_json(v) for v in value]) + "]"
-    if isinstance(value, (np.ndarray, np.number)):
-        return render_json(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -48,6 +48,11 @@ __all__ = [
     "to_text",
 ]
 
+# every per-process cache (parse, _compile, and warped's _profile, _lie and
+# _positive) keeps at most this many entries, dropping the least recently used
+CACHE_SIZE = 256
+
+
 class ExprError(Exception):
     """Base class for expression errors."""
 
@@ -201,18 +206,23 @@ def frac(x: Union[Fraction, int, str, float]) -> Fraction:
 
 def integer(x) -> int:
     """The integer coercion of spec and plan fields: an int, or a float with
-    an integral value, as frac allows. Anything else raises TypeError: a
-    bool, a string or another float names itself, and a value int() refuses,
-    such as null or infinity, keeps int()'s own text."""
+    an integral value, as frac allows. Anything else, such as a bool, a
+    string, null or another float, raises TypeError naming itself."""
     if type(x) is int:
         return x
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    try:
-        int(x)
-    except (ValueError, OverflowError) as err:
-        raise TypeError(err) from None
     raise TypeError(f"expected an integer, got {x!r}")
+
+
+def real(x) -> float:
+    """The real coercion of spec and plan numbers: an int or a float, as JSON
+    reads a number, returned as a float. Any other type, such as a bool or a
+    string, raises TypeError naming itself; an int past float range raises
+    OverflowError, and nan and infinity pass for the caller to refuse."""
+    if type(x) in (int, float):
+        return float(x)
+    raise TypeError(f"expected a number, got {x!r}")
 
 
 _ZERO = Const(Fraction(0))
@@ -364,13 +374,9 @@ _GRID_STATEMENTS = {
     "zero": "if _np.any({b}.real == 0.0): raise DomainError('division by zero', {n})",
 }
 
-# _compile keeps at most this many functions, dropping the least recently used
-COMPILE_CACHE_SIZE = 256
-
-
 def compile_scalar(trees: tuple) -> Callable[[float], tuple]:
     """Compile a tuple of trees into one function r -> tuple of their
-    values in IEEE double precision, cached for the last COMPILE_CACHE_SIZE
+    values in IEEE double precision, cached for the last CACHE_SIZE
     tuples: straight-line code computing each structurally distinct subtree
     once, where a recursive evaluation of the trees in turn first reaches
     it (children left to right, a quotient's denominator and its zero check
@@ -399,7 +405,7 @@ def compile_grid(trees: tuple) -> Callable[[np.ndarray], tuple]:
     return _compile(tuple(trees), True)
 
 
-@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _compile(trees: tuple, grid: bool) -> Callable:
     statements = _GRID_STATEMENTS if grid else _SCALAR_STATEMENTS
     env = {"DomainError": DomainError, "_float": float, "_pow": math.pow, "_exp": math.exp, "_sin": math.sin,
@@ -594,17 +600,13 @@ def to_text(e: Expr) -> str:
 # --- parsing ------------------------------------------------------------
 
 
-# parse keeps the trees of at most this many texts, dropping the least recently used
-PARSE_CACHE_SIZE = 256
-
-
 def parse(text: str) -> Expr:
     """Parse an expression in the variable r.
 
     Precedence is ^ above unary minus above * and / above + and -, with
     ^ right-associative. Exponents must fold to exact rational constants.
     Trees are immutable, so the tree of a str is cached by its text, for
-    the last PARSE_CACHE_SIZE texts, and equal texts give the same tree
+    the last CACHE_SIZE texts, and equal texts give the same tree
     object. A failed parse is not cached; any other argument goes to the
     parser uncached and raises what it raises there.
     """
@@ -629,7 +631,7 @@ def _parse(text: str) -> Expr:
     return tree
 
 
-_parse_cached = functools.lru_cache(maxsize=PARSE_CACHE_SIZE)(_parse)
+_parse_cached = functools.lru_cache(maxsize=CACHE_SIZE)(_parse)
 
 
 def _parse_binary(tokens: list, level: int) -> Expr:

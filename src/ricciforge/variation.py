@@ -139,8 +139,6 @@ def bounded_error_constant(d: SubmersionData) -> float:
     SubmersionData allows, adds e / t^2 to vv and breaks |vv| <= C t as
     t -> 0."""
     def off_max(a: np.ndarray) -> float:
-        if a.size <= 1:
-            return 0.0
         return float(np.max(np.abs(a - np.diag(np.diag(a))), initial=0.0))
 
     return max(
@@ -153,7 +151,6 @@ def bounded_error_constant(d: SubmersionData) -> float:
 @dataclass(frozen=True)
 class ErrorBoundReport:
     passed: bool
-    c: float
     rows: list
     violations: list
     per_tensor_slack: dict
@@ -205,7 +202,7 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
             slack[tensor] = min(slack[tensor], margin)
     violations = [row for row in rows if not row["pass"]]
     slack = {k: (None if not np.isfinite(v) else float(v)) for k, v in slack.items()}
-    return ErrorBoundReport(not violations, float(c), rows, violations, slack)
+    return ErrorBoundReport(not violations, rows, violations, slack)
 
 
 # --- Hopf preset ------------------------------------------------------------
@@ -263,4 +260,4 @@ def verify_hopf_against_oracle(ts: Sequence[float], tol: float) -> dict:
         rows.append({"t": float(t), "deviation": float(dev), "pass": bool(dev <= tol)})
     if not rows:
         raise ValueError("ts is empty: there is no t to verify")
-    return {"rows": rows, "passed": all(row["pass"] for row in rows), "tol": float(tol)}
+    return {"rows": rows, "passed": all(row["pass"] for row in rows)}

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import exprs, oracle
 from .exprs import Expr
+from .positivity import reference_profiles
 
 __all__ = [
     "WarpedFamilySpec",
@@ -134,11 +135,7 @@ class WarpedFamilySpec:
         return fv, fp, fpp, hv, hp, hpp
 
 
-# _profile, _positive and _lie each keep at most this many entries, dropping the least recently used
-PROFILE_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+@functools.lru_cache(maxsize=exprs.CACHE_SIZE)
 def _profile(e: Expr) -> Callable[[float], tuple]:
     """The compiled function r -> (e, e', e'') of one profile e.
 
@@ -223,7 +220,7 @@ def lie_jet(structure: Mapping[tuple[int, int, int], float], n: int) -> dict:
     return jet
 
 
-@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+@functools.lru_cache(maxsize=exprs.CACHE_SIZE)
 def _lie(items: tuple, n: int) -> tuple:
     """lie_ricci and lie_jet of the structure with these items in this order,
     which fixes the order of every sum, built once; callers only read them."""
@@ -313,11 +310,6 @@ def ricci_warped(spec: WarpedFamilySpec, r: float, p: int) -> RicciBlocks:
     return RicciBlocks(rr=rr, uu=uu, yy=np.array(yy, dtype=float).reshape(n, n), p=int(p), r=float(r))
 
 
-# LAPACK ?syevd scales a matrix whose largest |entry| is outside this band
-SYEVD_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)  # sqrt(safmin/eps)
-SYEVD_RMAX = 1.0 / SYEVD_RMIN
-
-
 @dataclass(frozen=True)
 class PdResult:
     positive_definite: bool
@@ -327,12 +319,13 @@ class PdResult:
 def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) -> PdResult:
     """Positive definiteness of the assembled Ricci matrix.
 
-    The sphere block is uu times the identity and decouples, so the test
-    reduces to uu > 0 plus the (n+1) x (n+1) block on {d_r, Y_i}. With
+    The frame decouples rr and the sphere block, uu times the identity, so
+    the test reduces to rr > 0, uu > 0 and the n x n E-block. With
     off_diag_slack > 0 the E-block off-diagonals are treated as
     adversarial entries of at most that magnitude and absorbed by a
     Gershgorin row-sum certificate (sufficient, not sharp); with slack 0
-    the reduced block is checked exactly by its eigenvalues.
+    an E-block with a zero lower triangle is checked by its diagonal
+    entries, exactly at every magnitude, and any other by its eigenvalues.
     """
     if not 0.0 <= off_diag_slack < math.inf:  # a nan slack would drop every yy row from min()
         raise ValueError("off_diag_slack must be a finite nonnegative number")
@@ -340,14 +333,8 @@ def check_positive_definite(blocks: RicciBlocks, off_diag_slack: float = 0.0) ->
     n = len(yy)
     if off_diag_slack == 0.0:
         lowers = [blocks.rr] + [row[i] for i, row in enumerate(yy)]
-        # eigvalsh reads the lower triangle; when it is zero and ?syevd need
-        # not scale, ?sterf gets the diagonal unchanged and returns its entries
-        if any(v for i, row in enumerate(yy) for v in row[:i]) or not (
-            all(abs(v) <= SYEVD_RMAX for v in lowers) and max(map(abs, lowers)) >= SYEVD_RMIN
-        ):
-            reduced = np.zeros((n + 1, n + 1))
-            reduced[0, 0], reduced[1:, 1:] = blocks.rr, blocks.yy
-            lowers = np.linalg.eigvalsh(reduced).tolist()
+        if any(v for i, row in enumerate(yy) for v in row[:i]):  # eigvalsh reads the lower triangle
+            lowers[1:] = np.linalg.eigvalsh(blocks.yy).tolist()
     else:
         lowers = [blocks.rr]
         for i, row in enumerate(yy):
@@ -439,7 +426,6 @@ def frames_at(spec: WarpedFamilySpec, p: int, rs: Iterable[float]) -> list:
 class WarpedVerifyReport:
     passed: bool
     rows: list
-    tol: float
 
     def max_gating_deviation(self) -> float:
         return max((row["deviation"] for row in self.rows), default=0.0)
@@ -508,7 +494,7 @@ def verify_against_oracle(
         for i in range(n):
             for j in range(i, n):
                 row(f"yy[{i},{j}]", yy[i][j], ric[1 + ps + i][1 + ps + j])
-    return WarpedVerifyReport(passed=all(row["pass"] for row in rows), rows=rows, tol=tol)
+    return WarpedVerifyReport(passed=all(row["pass"] for row in rows), rows=rows)
 
 
 # --- smoothness at the axis ------------------------------------------------
@@ -519,7 +505,6 @@ AXIS_EPS = 1e-6  # the metric degenerates at r = 0; limits are taken here
 @dataclass(frozen=True)
 class SmoothnessReport:
     conditions: tuple[tuple[str, bool, float], ...]  # (name, holds, tolerance) rows in report order
-    tol: float
 
     @property
     def all_ok(self) -> bool:
@@ -533,7 +518,7 @@ _SMOOTHNESS_GRID = np.linspace(AXIS_EPS, SMOOTHNESS_R_MAX, SMOOTHNESS_GRID_POINT
 _SMOOTHNESS_GRID.flags.writeable = False  # shared by every call
 
 
-@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+@functools.lru_cache(maxsize=exprs.CACHE_SIZE)
 def _positive(e: Expr) -> bool:
     """Whether e > 0 on the smoothness grid, once per tree; failures are not cached."""
     return bool(np.all(exprs.evaluate_grid(e, _SMOOTHNESS_GRID) > 0.0))
@@ -556,7 +541,7 @@ def smoothness_check(spec: WarpedFamilySpec, tol: float) -> SmoothnessReport:
     for i, (e, h_at) in enumerate(zip(spec.h, hs)):
         rows.append((f"h[{i}]-even-at-axis", abs(h_at(AXIS_EPS)[1]) <= tol, tol))
         positive.append((f"h[{i}]-positive", _positive(e), 0.0))
-    return SmoothnessReport(tuple((name, bool(ok), t) for name, ok, t in rows + positive), tol)
+    return SmoothnessReport(tuple((name, bool(ok), t) for name, ok, t in rows + positive))
 
 
 # --- JSON schema ----------------------------------------------------------
@@ -596,7 +581,7 @@ def _spec_field(data: dict, key: str, read, default=None):
         raise ValueError(f"spec field {key!r}: expected a list, got {value!r}")
     try:
         return read(value)
-    except (TypeError, AttributeError, LookupError, RecursionError) as err:
+    except (TypeError, AttributeError, LookupError, RecursionError, OverflowError) as err:
         raise ValueError(f"spec field {key!r}: {err}") from None
 
 
@@ -606,7 +591,10 @@ def _structure(rows) -> dict:
         if not isinstance(row, list) or len(row) != 4:
             raise TypeError(f"row {row!r} is not a list of four entries [i, j, k, value]")
         i, j, k, v = row
-        structure[(exprs.integer(i), exprs.integer(j), exprs.integer(k))] = float(v)
+        v = exprs.real(v)
+        if not math.isfinite(v):  # JSON reads 1e400 as inf
+            raise TypeError(f"row {row!r} has a value that is not a finite number")
+        structure[(exprs.integer(i), exprs.integer(j), exprs.integer(k))] = v
     return structure
 
 
@@ -636,8 +624,6 @@ def _base_ricci(n: int, text: str) -> Callable[[float], list]:
 def reference_torus_spec() -> WarpedFamilySpec:
     """Flat circle factor with the reference profiles: n = 1,
     h_1 = (1+r^2)^(-1), f = r (1+r^2)^(-1/4), zero base Ricci."""
-    from .positivity import reference_profiles
-
     f, h = reference_profiles()
     return WarpedFamilySpec(n=1, f=f, h=(h,), label="torus-reference")
 
@@ -646,8 +632,6 @@ def left_invariant_s3_spec() -> WarpedFamilySpec:
     """E = 3-sphere with a left-invariant family: three unequal scales
     h_i(r) = (1+r^2)^(-1), (1+r^2)^(-3/4), (1+r^2)^(-1/2) on the
     quaternionic frame, with the base Ricci derived from its structure."""
-    from .positivity import reference_profiles
-
     f, _ = reference_profiles()
     h = tuple(exprs.parse(t) for t in ("(1+r^2)^(-1)", "(1+r^2)^(-3/4)", "(1+r^2)^(-1/2)"))
     return WarpedFamilySpec(n=3, f=f, h=h, structure=S3_STRUCTURE, label="s3-left-invariant")

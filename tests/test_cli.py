@@ -303,6 +303,7 @@ def _custom(**fields):
             "node plan: a_bound must be a finite number, got nan",
         ),
         (_custom(c=math.inf), "node plan: c must be a finite number, got inf"),
+        (_custom(aBound=True), "node plan: a_bound must be a finite number, got True"),
         (
             {"kind": "vectorBundle", "base": _custom(curvature={"L": math.inf, "e": 0}), "rank": 2},
             "node plan.base: curvature bound L must be a finite number, got inf",
@@ -312,7 +313,7 @@ def _custom(**fields):
             "node plan.base: curvature bound L must be a finite number, got nan",
         ),
     ],
-    ids=["aBound-text", "c-nan", "La-nan", "c-infinity", "L-infinity", "L-nan"],
+    ids=["aBound-text", "c-nan", "La-nan", "c-infinity", "aBound-true", "L-infinity", "L-nan"],
 )
 def test_plan_rejects_non_finite_constants(capsys, tmp_path, plan, err):
     # json writes these as NaN and Infinity, which json.load reads back
@@ -325,7 +326,7 @@ def test_plan_rejects_non_finite_constants(capsys, tmp_path, plan, err):
 @pytest.mark.parametrize(
     "text, err",
     [
-        ('{"kind": "ricNonneg", "dim": Infinity}', "cannot convert float infinity to integer"),
+        ('{"kind": "ricNonneg", "dim": Infinity}', "expected an integer, got inf"),
         ('{"kind": "nilmanifold", "dim": 3, "c": 1' + "0" * 400 + "}", "int too large to convert to float"),
     ],
     ids=["dim-infinity", "c-past-float-range"],
@@ -335,6 +336,11 @@ def test_plan_leaf_numbers_past_range_name_the_node(capsys, tmp_path, text, err)
     path.write_text(text)
     assert cli.run(["plan", "--file", str(path), "--json"]) == 3
     assert capsys.readouterr() == ("", f"spec error: node plan: {err}\n")
+
+
+def _heisenberg(value):
+    """A spec on the 3-dimensional Heisenberg algebra, [X_0, X_1] = value X_2."""
+    return {**TORUS_SPEC, "n": 3, "h": ["1"] * 3, "structure": [[0, 1, 2, value]]}
 
 
 def _nested_plan(depth):
@@ -349,7 +355,7 @@ def _nested_plan(depth):
     [
         ("spec", {**TORUS_SPEC, "f": 5}, "spec field 'f': expected string or bytes-like object"),
         ("spec", {**TORUS_SPEC, "h": [1]}, "spec field 'h': expected string or bytes-like object"),
-        ("spec", {**TORUS_SPEC, "n": None}, "spec field 'n': int() argument must be"),
+        ("spec", {**TORUS_SPEC, "n": None}, "spec field 'n': expected an integer, got None\n"),
         ("spec", {**TORUS_SPEC, "structure": [5]}, "spec field 'structure': row 5 is not a list of four entries [i, j, k, value]\n"),
         ("spec", {**TORUS_SPEC, "baseRicci": 3}, "spec field 'baseRicci': 'int' object has no"),
         # null is not an absent baseRicci, which would derive the base
@@ -362,7 +368,7 @@ def _nested_plan(depth):
         ("spec", {**TORUS_SPEC, "f": "(" * 1500 + "r" + ")" * 1500}, "spec field 'f': maximum recursion"),
         ("spec", {**TORUS_SPEC, "f": "+".join(["r"] * 3000)}, "profile f: maximum recursion depth"),
         ("spec", {**TORUS_SPEC, "h": ["+".join(["r"] * 3000)]}, "profile h[0]: maximum recursion"),
-        ("plan", {"kind": "ricNonneg", "dim": None}, "node plan: int() argument must be"),
+        ("plan", {"kind": "ricNonneg", "dim": None}, "node plan: expected an integer, got None\n"),
         ("plan", _custom(curvature=[1, 0]), "node plan: list indices must be integers"),
         ("plan", _custom(q=0.5), "node plan: exponents must be exact rationals, got 0.5"),
         ("plan", _custom(q="1e1001"), "node plan: decimal exponent of '1e1001' is past +-1000"),
@@ -371,7 +377,7 @@ def _nested_plan(depth):
         ("spec", {**TORUS_SPEC, "n": 1.9}, "spec field 'n': expected an integer, got 1.9\n"),
         ("spec", {**TORUS_SPEC, "n": True}, "spec field 'n': expected an integer, got True\n"),
         ("spec", {**TORUS_SPEC, "n": "1"}, "spec field 'n': expected an integer, got '1'\n"),
-        ("spec", {**TORUS_SPEC, "n": math.inf}, "spec field 'n': cannot convert float infinity to integer\n"),
+        ("spec", {**TORUS_SPEC, "n": math.inf}, "spec field 'n': expected an integer, got inf\n"),
         ("spec", {**TORUS_SPEC, "structure": [[0.7, 1, 2, 1]]}, "spec field 'structure': expected an integer, got 0.7\n"),
         ("plan", {"kind": "ricNonneg", "dim": 2.7}, "node plan: expected an integer, got 2.7\n"),
         ("plan", {"kind": "ricNonneg", "dim": "3"}, "node plan: expected an integer, got '3'\n"),
@@ -396,6 +402,18 @@ def _nested_plan(depth):
         ("plan", _custom(m=1, mLower="0/0"), "node plan: '0/0' has a zero denominator\n"),
         ("plan", _custom(curvature={"L": 1, "e": "1/0"}), "node plan: '1/0' has a zero denominator\n"),
         ("plan", {"kind": "nilmanifold", "dim": 3, "q": "1/0"}, "node plan: '1/0' has a zero denominator\n"),
+        # a number field is a JSON number: a bool or a string is not read as one
+        ("spec", _heisenberg(True), "spec field 'structure': expected a number, got True\n"),
+        ("spec", _heisenberg("2"), "spec field 'structure': expected a number, got '2'\n"),
+        # json writes inf as Infinity, which reads back as 1e400 does
+        ("spec", _heisenberg(math.inf), "spec field 'structure': row [0, 1, 2, inf] has a value that is not a finite number\n"),
+        ("spec", _heisenberg(10**400), "spec field 'structure': int too large to convert to float\n"),
+        ("spec", {**TORUS_SPEC, "baseRicci": f"constant:[[{10**400}]]"}, "spec field 'baseRicci': int too large to convert to float\n"),
+        ("plan", _custom(c=True), "node plan: expected a number, got True\n"),
+        ("plan", _custom(c="2"), "node plan: expected a number, got '2'\n"),
+        ("plan", _custom(curvature={"L": "1", "e": 0}), "node plan: expected a number, got '1'\n"),
+        ("plan", {"kind": "vectorBundle", "base": _RIC2, "rank": 2, "La": "0.5"}, "node plan: expected a number, got '0.5'\n"),
+        ("plan", {"kind": "vectorBundle", "base": _RIC2, "rank": 2, "fiberCurvBound": True}, "node plan: expected a number, got True\n"),
     ],
     ids=[
         "f-number", "h-number", "n-null", "structure-number", "baseRicci-number", "baseRicci-null",
@@ -405,7 +423,9 @@ def _nested_plan(depth):
         "dim-float", "dim-string", "rank-float", "plan-700-deep", "dim-1e300", "nilmanifold-dim-past-bound",
         "rank-past-bound", "bundle-dim-past-bound", "plan-list", "child-without-kind", "h-string",
         "structure-short-row", "h-exponent-past-float-range", "m-zero-denominator", "q-zero-denominator", "mLower-zero-denominator",
-        "e-zero-denominator", "nilmanifold-q-zero-denominator",
+        "e-zero-denominator", "nilmanifold-q-zero-denominator", "structure-true", "structure-string",
+        "structure-infinity", "structure-401-digits", "constant-401-digits", "c-true", "c-string", "L-string",
+        "La-string", "fiberCurvBound-true",
     ],
 )
 def test_malformed_files_are_spec_errors(capsys, tmp_path, kind, data, err):

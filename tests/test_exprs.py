@@ -515,20 +515,20 @@ def test_decimal_exponents_up_to_1000_parse_exactly():
 def test_parse_caches_trees_by_text_within_a_finite_bound():
     assert parse("r*(1+r^2)^(-1/4)") is parse("r*(1+r^2)^(-1/4)")
     info = exprs._parse_cached.cache_info()
-    assert info.maxsize == exprs.PARSE_CACHE_SIZE and 0 < exprs.PARSE_CACHE_SIZE < 10_000
-    for k in range(exprs.PARSE_CACHE_SIZE + 10):
+    assert info.maxsize == exprs.CACHE_SIZE and 0 < exprs.CACHE_SIZE < 10_000
+    for k in range(exprs.CACHE_SIZE + 10):
         parse(f"r + {k}")
-    assert exprs._parse_cached.cache_info().currsize == exprs.PARSE_CACHE_SIZE
+    assert exprs._parse_cached.cache_info().currsize == exprs.CACHE_SIZE
 
 
 def test_compiled_functions_are_cached_within_a_finite_bound():
     trees = (parse("r*(1+r^2)^(-1/4)"), parse("sin(r)"))
     assert compile_scalar(trees) is compile_scalar(list(trees))
     info = exprs._compile.cache_info()
-    assert info.maxsize == exprs.COMPILE_CACHE_SIZE and 0 < exprs.COMPILE_CACHE_SIZE < 10_000
-    for k in range(exprs.COMPILE_CACHE_SIZE + 10):
+    assert info.maxsize == exprs.CACHE_SIZE and 0 < exprs.CACHE_SIZE < 10_000
+    for k in range(exprs.CACHE_SIZE + 10):
         evaluate(parse(f"r + {k}"), 1.0)
-    assert exprs._compile.cache_info().currsize == exprs.COMPILE_CACHE_SIZE
+    assert exprs._compile.cache_info().currsize == exprs.CACHE_SIZE
 
 
 @pytest.mark.parametrize("compile_", [compile_scalar, compile_grid])

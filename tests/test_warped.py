@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -196,7 +197,7 @@ def test_specs_with_one_structure_share_its_base_and_jet():
     assert other.derived_base is not first.derived_base and other.jet != first.jet
     s3 = left_invariant_s3_spec()
     assert s3.derived_base is left_invariant_s3_spec().derived_base and s3.jet is left_invariant_s3_spec().jet
-    assert warped._lie.cache_info().maxsize == warped.PROFILE_CACHE_SIZE
+    assert warped._lie.cache_info().maxsize == exprs.CACHE_SIZE
 
 
 def test_torus_spec_verifies_against_oracle():
@@ -635,8 +636,8 @@ def test_profile_values_are_bit_identical_after_the_caches_are_cleared():
 
 def test_the_profile_cache_has_a_finite_bound():
     info = warped._profile.cache_info()
-    assert info.maxsize == warped.PROFILE_CACHE_SIZE and 0 < info.maxsize < 10_000
-    assert warped._positive.cache_info().maxsize == warped.PROFILE_CACHE_SIZE
+    assert info.maxsize == exprs.CACHE_SIZE and 0 < info.maxsize < 10_000
+    assert warped._positive.cache_info().maxsize == exprs.CACHE_SIZE
     for k in range(info.maxsize + 10):
         WarpedFamilySpec(n=0, f=exprs.parse(f"r + {k}*r^3"), h=())
     assert warped._profile.cache_info().currsize == info.maxsize
@@ -901,11 +902,16 @@ def _certify_cases(seed):
             yield data, float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))), int(rng.integers(2, 65)), c + 0.125
 
 
+# LAPACK ?syevd scales a matrix whose largest |entry| is outside [SYEVD_RMIN, SYEVD_RMAX]
+SYEVD_RMIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)  # sqrt(safmin/eps)
+SYEVD_RMAX = 1.0 / SYEVD_RMIN
+
+
 def _diagonal_blocks_across_the_syevd_band():
     """RicciBlocks with a diagonal yy whose largest |entry| sits on either
     side of SYEVD_RMIN and of SYEVD_RMAX, with signed zeros, an all-zero
     block, n = 0 and -0.0 off the diagonal."""
-    low, high = warped.SYEVD_RMIN, warped.SYEVD_RMAX
+    low, high = SYEVD_RMIN, SYEVD_RMAX
     edges = [low, high, 7.3e-147, 1.006e146, 1.0, 1e-300, 1e300]
     edges += [np.nextafter(x, toward) for x in (low, high) for toward in (0.0, np.inf)]
     rng = np.random.default_rng(20261020)
@@ -936,9 +942,8 @@ def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
     """ricci_warped and both check_positive_definite branches equal the
     numpy formula bit for bit on random specs with n = 0..7, where numpy
     also sums left to right from 0.0, on bases derived from structures
-    and on certify-shaped specs of seeds 0..5; the exact check equals
-    eigvalsh on diagonal blocks on both sides of the unscaled band. For
-    n >= 8 numpy sums pairwise, so the two may differ by roundoff."""
+    and on certify-shaped specs of seeds 0..5. For n >= 8 numpy sums
+    pairwise, so the two may differ by roundoff."""
     rng = np.random.default_rng(20261019)
     cases = [*_random_cases(rng), *_structure_cases(rng)]
     cases += [case for seed in range(6) for case in _certify_cases(seed)]
@@ -949,9 +954,39 @@ def test_float_blocks_equal_the_numpy_formula_bit_for_bit():
         got = (blocks.rr, blocks.uu, blocks.yy)
         got += tuple(check_positive_definite(blocks, s).min_eigen for s in (0.0, slack))
         assert _bits(*got) == _bits(rr, uu, yy, exact, gersh), (trial, data)
+
+
+def test_diagonal_blocks_read_their_least_entry_at_every_magnitude():
+    """The exact check's min_eigen of a block with a diagonal yy is its
+    least entry among rr, uu and the diagonal, on both sides of the band
+    where eigvalsh would rescale the (n+1) x (n+1) block first."""
     for blocks in _diagonal_blocks_across_the_syevd_band():
         got = check_positive_definite(blocks).min_eigen
-        assert _bits(got) == _bits(_eigvalsh_min(blocks.rr, blocks.yy, blocks.uu)), blocks
+        assert _bits(got) == _bits(min(blocks.rr, blocks.uu, *np.diag(blocks.yy).tolist()) + 0.0), blocks
+
+
+def test_a_diagonal_block_past_the_band_reads_its_entry():
+    # eigvalsh on the 3 x 3 block with rr read -6.8799999999999984e+154 here
+    data = {"n": 2, "f": "r", "h": ["1", "1"], "baseRicci": "constant:[[2.28e154, 0], [0, -6.88e154]]"}
+    blocks = ricci_warped(spec_from_json(data), 1.0, 3)
+    pd = check_positive_definite(blocks)
+    assert pd.min_eigen == blocks.yy[1, 1] == -6.88e154
+    assert format(pd.min_eigen, ".17g") == "-6.8799999999999996e+154"  # as --json prints it
+
+
+def test_blocks_with_off_diagonal_entries_equal_eigvalsh_on_the_reduced_block():
+    """Inside the band, eigvalsh on yy alone gives the min_eigen of eigvalsh
+    on the (n+1) x (n+1) block with rr bit for bit, for n = 2..7."""
+    rng = np.random.default_rng(20261022)
+    for trial in range(600):
+        n = 2 + trial % 6
+        scale = 10.0 ** rng.uniform(-100, 100)
+        a = rng.normal(size=(n, n)) * scale
+        yy = a + a.T
+        rr, uu = rng.normal(size=2) * scale
+        blocks = warped.RicciBlocks(rr=rr, uu=uu, yy=yy, p=3, r=1.0)
+        got = check_positive_definite(blocks).min_eigen
+        assert _bits(got) == _bits(_eigvalsh_min(rr, yy, uu)), (trial, blocks)
 
 
 @pytest.mark.parametrize(
