@@ -187,14 +187,14 @@ _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 def frac(x: Union[Fraction, int, str, float]) -> Fraction:
     """The exact-rational coercion: a Fraction, an int, a string such as
-    "3/4" or "1.5e-3", or a float with an integral value. Any other float
-    raises TypeError, since its binary value is rarely the rational meant;
+    "3/4" or "1.5e-3", or a float with an integral value. A bool or any other
+    float raises TypeError, since its value is rarely the rational meant;
     a string with a zero denominator or exponent past +-1000 raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) and (m := _DECIMAL_EXPONENT.search(x)) and abs(int(m[1])) > _MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent of {x!r} is past +-{_MAX_DECIMAL_EXPONENT}")
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except ZeroDivisionError:

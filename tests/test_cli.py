@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -47,8 +48,13 @@ def test_oracle_check_sphere(capsys):
 
 
 def test_oracle_check_failing_tolerance(capsys):
-    code, _ = run_json(capsys, ["oracle-check", "--preset", "sphere:2:1", "--tol", "1e-12"])
-    assert code == 2
+    # a tolerance below the oracle's own error fails, and its error itself passes
+    argv = ["oracle-check", "--preset", "sphere:2:1"]
+    code, report = run_json(capsys, argv)
+    worst = report["results"]["worst_deviation"]
+    assert code == 0 and worst > 0
+    assert run_json(capsys, argv + ["--tol", repr(worst / 2)])[0] == 2
+    assert run_json(capsys, argv + ["--tol", repr(worst)])[0] == 0
 
 
 def test_warped_verify_torus(capsys, torus_file):
@@ -312,8 +318,25 @@ def _custom(**fields):
             {"kind": "vectorBundle", "base": _custom(curvature={"L": math.nan, "e": 0}), "rank": 2},
             "node plan.base: curvature bound L must be a finite number, got nan",
         ),
+        (
+            {"kind": "custom", "q": True, "dim": 2, "m": True, "curvature": {"L": 1, "e": True}},
+            "node plan: exponents must be exact rationals, got True",
+        ),
+        ({"kind": "nilmanifold", "dim": 3, "q": True}, "node plan: exponents must be exact rationals, got True"),
+        (_custom(mLower=False), "node plan: exponents must be exact rationals, got False"),
     ],
-    ids=["aBound-text", "c-nan", "La-nan", "c-infinity", "aBound-true", "L-infinity", "L-nan"],
+    ids=[
+        "aBound-text",
+        "c-nan",
+        "La-nan",
+        "c-infinity",
+        "aBound-true",
+        "L-infinity",
+        "L-nan",
+        "custom-bools",
+        "nilmanifold-q-true",
+        "mLower-false",
+    ],
 )
 def test_plan_rejects_non_finite_constants(capsys, tmp_path, plan, err):
     # json writes these as NaN and Infinity, which json.load reads back
@@ -879,47 +902,42 @@ def test_oracle_check_point_count(capsys):
         assert capsys.readouterr().out == ""
 
 
-# the four preset kinds, and seeds of one to five 32-bit words (SeedSequence's pool holds four)
+# the four preset kinds, and seeds of one to five 32-bit words (random.Random
+# keys the Mersenne Twister with every 32-bit word of a seed)
 ORACLE_PRESETS = ["sphere:3:1", "hyperbolic2", "s3-left-invariant:0.8:1:1.2", "euclidean:4"]
 WIDE_SEEDS = [0, 2**32, 2**64 + 3, 2**130 + 11]
 
 
-@pytest.mark.parametrize("seeds", [range(1000), WIDE_SEEDS[1:]], ids=["0-999", "wide"])
-def test_seeded_uniform_is_numpys_default_rng_stream(seeds):
-    for seed in seeds:
-        rng, uniform = np.random.default_rng(seed), cli._seeded_uniform(seed)
-        want = [rng.random(), rng.uniform(0.4, 2.7), rng.uniform(0, 2), *rng.uniform(-0.8, 0.8, size=6)]
-        got = [uniform(0.0, 1.0), uniform(0.4, 2.7), uniform(0, 2), *(uniform(-0.8, 0.8) for _ in range(6))]
-        assert [float(w).hex() for w in want] == [g.hex() for g in got], seed
+def _reference_fixture_points(name, count, seed):
+    """The points oracle-check draws, each lo + (hi - lo) * random(), as
+    random.Random documents uniform: the reference for the fixture."""
+    rng = random.Random(seed)
 
+    def draw(lo, hi, size):
+        return [lo + (hi - lo) * rng.random() for _ in range(size)]
 
-def _numpy_fixture_points(name, count, seed):
-    """The points oracle-check drew through numpy.random, as it did before
-    it computed the stream itself: the reference for the fixture."""
-    rng = np.random.default_rng(seed)
     kind, *params = name.split(":")
     if kind == "s3-left-invariant":
-        drawn = [[rng.uniform(0.4, 2.7), rng.uniform(0, 2), rng.uniform(0, 2)] for _ in range(count - 1)]
-        return [[1.1, 0.4, 0.8]] + drawn
+        return [[1.1, 0.4, 0.8]] + [draw(0.4, 2.7, 1) + draw(0, 2, 2) for _ in range(count - 1)]
     if kind == "hyperbolic2":
-        return [[0.0, 1.0]] + [[rng.uniform(-1, 1), rng.uniform(0.5, 2.0)] for _ in range(count - 1)]
+        return [[0.0, 1.0]] + [draw(-1, 1, 1) + draw(0.5, 2.0, 1) for _ in range(count - 1)]
     d = int(params[0])
-    return [[0.3] * d] + [rng.uniform(-0.8, 0.8, size=d).tolist() for _ in range(count - 1)]
+    return [[0.3] * d] + [draw(-0.8, 0.8, d) for _ in range(count - 1)]
 
 
 @pytest.mark.parametrize("name", ORACLE_PRESETS)
-def test_preset_fixture_draws_the_points_numpy_drew(name):
+def test_preset_fixture_draws_as_random_random(name):
     for count in range(1, 9):
         for seed in WIDE_SEEDS:
             _, frames, _ = cli._preset_fixture(name, count, seed)
             got = [[float(v).hex() for v in frame.x] for frame in frames]
-            want = [[float(v).hex() for v in x] for x in _numpy_fixture_points(name, count, seed)]
+            want = [[float(v).hex() for v in x] for x in _reference_fixture_points(name, count, seed)]
             assert got == want, (count, seed)
 
 
 def test_oracle_check_leaves_numpy_random_unloaded():
-    # a fresh interpreter: this one has numpy.random loaded by the reference
-    # tests; the widest seed mixes a fifth 32-bit word into SeedSequence's pool
+    # a fresh interpreter: this one has numpy.random loaded by other tests;
+    # the widest seed keys the generator with five 32-bit words
     script = (
         "import sys\n"
         "from ricciforge import cli\n"
@@ -1165,7 +1183,9 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 # exit code and stderr of two usage errors and a numeric error. Captured at
 # commit abd1e66, before the chart's profiles moved to one generated grid
 # function: warped-verify on s3-unequal at p = 5 and on the torus near its
-# axis, and oracle-check on sphere:3:1 and a left-invariant S^3. The s3-unequal
+# axis, and oracle-check on sphere:3:1 and a left-invariant S^3; both
+# oracle-check reports were re-captured when --seed began to draw through
+# random.Random, which moved their point 1 and 2 rows. The s3-unequal
 # verify was re-captured when the warped chart's E-block became the group
 # metric's 2-jet at the identity, which moved its oracle values (largest
 # deviation 1.36e-9 -> 4.26e-11). The variation-eval Hopf report was

@@ -512,6 +512,13 @@ def test_decimal_exponents_up_to_1000_parse_exactly():
     assert exprs.frac("2.5e-1000") == Fraction(25, 10**1001)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_frac_refuses_a_bool(value):
+    # a JSON true is not the rational 1
+    with pytest.raises(TypeError, match=f"exponents must be exact rationals, got {value}"):
+        exprs.frac(value)
+
+
 def test_parse_caches_trees_by_text_within_a_finite_bound():
     assert parse("r*(1+r^2)^(-1/4)") is parse("r*(1+r^2)^(-1/4)")
     info = exprs._parse_cached.cache_info()
