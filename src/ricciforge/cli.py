@@ -229,9 +229,8 @@ def cmd_warped_verify(args) -> tuple:
 
 
 def cmd_smoothness(args) -> tuple:
-    spec = _load_spec(args)
-    rep = warped.smoothness_check(spec, args.tol)
-    checks = [_check(name, ok, 0.0 if ok else 1.0, tol) for name, ok, tol in rep.conditions]
+    rep = warped.smoothness_check(_load_spec(args), args.tol)
+    checks = [_check(*row) for row in rep.conditions]
     return {"spec": args.spec or args.preset, "tol": args.tol}, {"all_ok": rep.all_ok}, checks
 
 

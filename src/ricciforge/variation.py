@@ -20,8 +20,9 @@ base Ricci tensors; everything is stored in the t-orthonormal frame
 
 The Hopf preset (circle fibers of the round 3-sphere over the half
 radius 2-sphere) is stated exactly from O'Neill's formulas, and its
-scaled family is exactly the squashed-sphere family, so the oracle checks
-the closed form on that family without supplying any of its data.
+scaled family is exactly the squashed-sphere family. The oracle checks
+the closed form on that family, read on the chart warped-verify uses for
+a Lie base (the 2-jet at the identity), without supplying any of its data.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import oracle
+from . import oracle, warped
 
 __all__ = [
     "SubmersionData",
@@ -207,14 +208,6 @@ def error_bound_check(d: SubmersionData, c: float, ts: Sequence[float]) -> Error
 
 # --- Hopf preset ------------------------------------------------------------
 
-_S3_POINT = np.array([1.1, 0.4, 0.8])
-
-
-def _hopf_frame(t: float) -> oracle.FrameAtPoint:
-    """Orthonormal frame [vertical, horizontal, horizontal] at _S3_POINT of
-    the left-invariant chart with scales (1, 1, t)."""
-    return oracle.FrameAtPoint(_S3_POINT, oracle.su2_frame(_S3_POINT, (1.0, 1.0, t))[:, [2, 0, 1]])
-
 
 def hopf_preset() -> SubmersionData:
     """Exact submersion data of the circle fibration of the round unit
@@ -240,24 +233,20 @@ def hopf_preset() -> SubmersionData:
 
 
 def verify_hopf_against_oracle(ts: Sequence[float], tol: float) -> dict:
-    """Compare the closed-form scaled blocks of the Hopf preset with the
-    oracle on the squashed-sphere chart for each t; scaling the circle
-    fibers of the round sphere is exactly that family."""
-    data = hopf_preset()
+    """Compare the closed-form scaled blocks of the Hopf preset with the oracle
+    for each t, on the metric with squares (1, 1, t^2) by warped.lie_metric, at
+    x = 0 in the orthonormal frame [vertical, horizontal, horizontal]."""
+    data, jet = hopf_preset(), warped.lie_jet(warped.S3_STRUCTURE, 3)
     rows = []
-    for t in ts:
-        s = canonical_variation_ricci(data, float(t))
-        chart = oracle.s3_left_invariant_chart(1.0, 1.0, float(t))
-        full = oracle.frame_ricci(chart, _hopf_frame(float(t)))
-        dev = max(
-            abs(full[0, 0] - s.vv[0, 0]),
-            abs(full[1, 1] - s.hh[0, 0]),
-            abs(full[2, 2] - s.hh[1, 1]),
-            abs(full[0, 1] - s.hv[0, 0]),
-            abs(full[0, 2] - s.hv[1, 0]),
-            abs(full[1, 2] - s.hh[0, 1]),
+    for t in map(float, ts):
+        s, squares = canonical_variation_ricci(data, t), (1.0, 1.0, t * t)
+        chart = oracle.ChartMetric(
+            3, lambda x: warped.lie_metric(jet, x.T, squares, np.zeros((len(x), 3, 3), x.dtype)),
+            domain=lambda x: not x.any(), label=f"hopf:{t}",
         )
-        rows.append({"t": float(t), "deviation": float(dev), "pass": bool(dev <= tol)})
+        frame = oracle.FrameAtPoint(np.zeros(3), np.diag([1.0, 1.0, 1.0 / t])[:, [2, 0, 1]])
+        dev = float(np.max(np.abs(oracle.frame_ricci(chart, frame) - np.block([[s.vv, s.hv.T], [s.hv, s.hh]]))))
+        rows.append({"t": t, "deviation": dev, "pass": dev <= tol})
     if not rows:
         raise ValueError("ts is empty: there is no t to verify")
     return {"rows": rows, "passed": all(row["pass"] for row in rows)}

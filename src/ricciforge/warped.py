@@ -41,6 +41,7 @@ __all__ = [
     "frames_at",
     "lie_ricci",
     "lie_jet",
+    "lie_metric",
     "spec_from_json",
     "reference_torus_spec",
     "left_invariant_s3_spec",
@@ -220,6 +221,26 @@ def lie_jet(structure: Mapping[tuple[int, int, int], float], n: int) -> dict:
     return jet
 
 
+def lie_metric(jet: dict, xe: np.ndarray, squares, g: np.ndarray) -> np.ndarray:
+    """g, with lie_jet's 2-jet written into both triangles of g[:, :n, :n] at
+    the points whose coordinates are the columns of the (n, N) xe, squares[k]
+    = h_k^2 a float or an (N,) column; each monomial once, no product with 1.0."""
+    monomials: dict = {}
+    for (i, j), polys in jet.items():
+        total = None
+        for k, poly in polys.items():
+            q = None
+            for c, m in poly:
+                if m and m not in monomials:
+                    monomials[m] = xe[m[0]] if len(m) == 1 else xe[m[0]] * xe[m[1]]
+                term = c if not m else monomials[m] if c == 1.0 else c * monomials[m]
+                q = term if q is None else q + term
+            term = squares[k] if poly == [(1.0, ())] else squares[k] * q
+            total = term if total is None else total + term
+        g[:, i, j] = g[:, j, i] = total
+    return g
+
+
 @functools.lru_cache(maxsize=exprs.CACHE_SIZE)
 def _lie(items: tuple, n: int) -> tuple:
     """lie_ricci and lie_jet of the structure with these items in this order,
@@ -362,7 +383,7 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     """Chart of the warped metric: exponential coordinates x_E with the 2-jet
     spec.jet, exact only at x_E = 0, the domain with r > 1e-3; then the unit
     (p-1)-sphere's stereographic chart scaled by f(r); then r. Entries are
-    built elementwise from (N,) columns, so no row depends on another."""
+    built elementwise from (N,) columns by lie_metric, so no row depends on another."""
     n, ps = spec.n, _sphere_dim(p)
     d = n + ps + 1
     profiles = exprs.compile_grid((spec.f, *spec.h))
@@ -370,21 +391,9 @@ def chart_metric(spec: WarpedFamilySpec, p: int) -> oracle.ChartMetric:
     def comps(x: np.ndarray) -> np.ndarray:
         y = x[:, n : n + ps]
         fv, *hv = profiles(x[:, -1])
-        s, xe, monomials = np.square(hv).reshape(n, len(x)), x[:, :n].T, {}
+        s, xe = np.square(hv).reshape(n, len(x)), x[:, :n].T
         conf = 4.0 * fv**2 / (1.0 + np.sum(y * y, axis=1)) ** 2
-        g = np.zeros((len(x), d, d), dtype=x.dtype)
-        for (i, j), polys in spec.jet.items():
-            total = None
-            for k, poly in polys.items():
-                q = None
-                for c, m in poly:
-                    if m and m not in monomials:
-                        monomials[m] = xe[m[0]] if len(m) == 1 else xe[m[0]] * xe[m[1]]
-                    term = c if not m else monomials[m] if c == 1.0 else c * monomials[m]
-                    q = term if q is None else q + term
-                term = s[k] if poly == [(1.0, ())] else s[k] * q
-                total = term if total is None else total + term
-            g[:, i, j] = g[:, j, i] = total
+        g = lie_metric(spec.jet, xe, s, np.zeros((len(x), d, d), dtype=x.dtype))
         g[:, np.arange(n, n + ps), np.arange(n, n + ps)] = conf[:, None]
         g[:, -1, -1] = 1.0
         return g
@@ -504,11 +513,11 @@ AXIS_EPS = 1e-6  # the metric degenerates at r = 0; limits are taken here
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    conditions: tuple[tuple[str, bool, float], ...]  # (name, holds, tolerance) rows in report order
+    conditions: tuple[tuple[str, bool, float, float], ...]  # (name, holds, value, tolerance) rows
 
     @property
     def all_ok(self) -> bool:
-        return all(ok for _, ok, _ in self.conditions)
+        return all(ok for _, ok, _, _ in self.conditions)
 
 
 # positivity of f and h_i is sampled at this many radii on [AXIS_EPS, SMOOTHNESS_R_MAX]
@@ -519,29 +528,30 @@ _SMOOTHNESS_GRID.flags.writeable = False  # shared by every call
 
 
 @functools.lru_cache(maxsize=exprs.CACHE_SIZE)
-def _positive(e: Expr) -> bool:
-    """Whether e > 0 on the smoothness grid, once per tree; failures are not cached."""
-    return bool(np.all(exprs.evaluate_grid(e, _SMOOTHNESS_GRID) > 0.0))
+def _grid_min(e: Expr) -> float:
+    """The least value of e on the smoothness grid, once per tree; failures are not cached."""
+    return float(exprs.evaluate_grid(e, _SMOOTHNESS_GRID).min())
 
 
 def smoothness_check(spec: WarpedFamilySpec, tol: float) -> SmoothnessReport:
-    """Check the smooth-extension conditions at the degenerate axis r = 0:
-    f(0) = 0, f'(0) = 1, f''(0) = 0 and each h_i'(0) = 0 within tol, read
-    at r = 1e-6, and f > 0 and each h_i > 0 on a grid, with tolerance 0.0.
-    The rows run f's four, then each h_i's evenness, then each positivity."""
+    """Check the smooth-extension conditions at the degenerate axis r = 0: each
+    row reads |f|, |f' - 1|, |f''| or |h_i'| at r = 1e-6 (holds within tol), or
+    the least f or h_i on a grid (holds above 0.0). The rows run f's four, then
+    each h_i's evenness, then each positivity."""
     f_at, *hs = spec.compiled
     f0, f1, f2 = f_at(AXIS_EPS)
+    f0, f1, f2 = abs(f0), abs(f1 - 1.0), abs(f2)
     rows = [
-        ("f-vanishes-at-axis", abs(f0) <= tol, tol),
-        ("f-slope-one-at-axis", abs(f1 - 1.0) <= tol, tol),
-        ("f-second-derivative-zero-at-axis", abs(f2) <= tol, tol),
-        ("f-positive", _positive(spec.f), 0.0),
+        ("f-vanishes-at-axis", f0 <= tol, f0, tol),
+        ("f-slope-one-at-axis", f1 <= tol, f1, tol),
+        ("f-second-derivative-zero-at-axis", f2 <= tol, f2, tol),
+        ("f-positive", (least := _grid_min(spec.f)) > 0.0, least, 0.0),
     ]
     positive = []
     for i, (e, h_at) in enumerate(zip(spec.h, hs)):
-        rows.append((f"h[{i}]-even-at-axis", abs(h_at(AXIS_EPS)[1]) <= tol, tol))
-        positive.append((f"h[{i}]-positive", _positive(e), 0.0))
-    return SmoothnessReport(tuple((name, bool(ok), t) for name, ok, t in rows + positive))
+        rows.append((f"h[{i}]-even-at-axis", (slope := abs(h_at(AXIS_EPS)[1])) <= tol, slope, tol))
+        positive.append((f"h[{i}]-positive", (least := _grid_min(e)) > 0.0, least, 0.0))
+    return SmoothnessReport(tuple(rows + positive))
 
 
 # --- JSON schema ----------------------------------------------------------

@@ -157,12 +157,38 @@ def test_smoothness_failures_are_reported_on_every_call(capsys, tmp_path):
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["f-positive"]
 
 
+def test_smoothness_rows_report_what_they_measured(capsys, tmp_path):
+    # f''(0) = 2e-5 passes the default tolerance, and the row says how close it came
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps({"n": 1, "f": "r + r^2/100000", "h": ["(1+r^2)^(-1)"]}))
+    code, report = run_json(capsys, ["smoothness", "--spec", str(path)])
+    assert code == 0
+    rows = {c["name"]: c for c in report["checks"]}
+    assert rows["f-second-derivative-zero-at-axis"]["pass"]
+    assert rows["f-second-derivative-zero-at-axis"]["value"] == pytest.approx(2e-5, rel=1e-6)
+    assert rows["f-vanishes-at-axis"]["value"] == pytest.approx(1e-6, rel=1e-6)
+    assert rows["h[0]-even-at-axis"]["value"] == pytest.approx(2e-6, rel=1e-6)
+    assert rows["h[0]-positive"]["value"] == pytest.approx(1 / 101, rel=1e-12)  # h at r = 10
+    # f = sin r is negative on the grid past pi, and its row prints the minimum
+    code, report = run_json(capsys, ["smoothness", "--preset", "round-sphere"])
+    assert code == 2
+    (f_positive,) = [c for c in report["checks"] if c["name"] == "f-positive"]
+    assert not f_positive["pass"] and -1.0 <= f_positive["value"] < -0.99
+
+
 def test_variation_eval(capsys):
     code, report = run_json(capsys, ["variation-eval", "--t", "1,0.5,0.25", "--tol", "1e-5"])
     assert code == 0
     (at_one,) = [c for c in report["checks"] if c["name"] == "scaled-blocks-vs-oracle@t=1"]
     # the oracle's round S^3 against the exact blocks, not against itself
     assert at_one["pass"] and 0.0 < at_one["value"] <= 1e-10
+
+
+def test_variation_eval_passes_where_the_fibers_are_small(capsys):
+    code, report = run_json(capsys, ["variation-eval", "--t", "1e-4"])
+    assert code == 0
+    (check,) = report["checks"]
+    assert check["pass"] and check["value"] <= 1e-7
 
 
 @pytest.mark.parametrize("argv", [["variation-eval"], ["error-bounds"]])
@@ -1185,18 +1211,23 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 # function: warped-verify on s3-unequal at p = 5 and on the torus near its
 # axis, and oracle-check on sphere:3:1 and a left-invariant S^3; both
 # oracle-check reports were re-captured when --seed began to draw through
-# random.Random, which moved their point 1 and 2 rows. The s3-unequal
-# verify was re-captured when the warped chart's E-block became the group
-# metric's 2-jet at the identity, which moved its oracle values (largest
-# deviation 1.36e-9 -> 4.26e-11). The variation-eval Hopf report was
-# captured at commit fcb2ae9, before su2_metric became the sum of three
-# broadcast outer products. Captured at commit eca89e2: kbound at n = 1 and
-# at the float nearest 1/3, and minp at c = 5e-324 (denominator 2^1074) and
-# with the coprime denominators of 1/4, 100/3 and 5/7. Captured at commit
-# da523ad, before derived certificates skipped re-validation: a plan over a
-# flat fiber and one whose normalization weakens q = 6 to 3, the two trace
-# rules no earlier plan case reached. Input files are written under the
-# names the argvs give.
+# random.Random, which moved their point 1 and 2 rows. The s3-unequal verify
+# was re-captured when the warped chart's E-block became the group metric's
+# 2-jet at the identity, which moved its oracle values (largest deviation
+# 1.36e-9 -> 4.26e-11). The variation-eval Hopf report was captured at
+# commit fcb2ae9, before su2_metric became the sum of three broadcast outer
+# products, and re-captured when the Hopf check moved to the 2-jet chart at
+# the identity, which moved only its three deviations (2.7e-12, 7.0e-12,
+# 2.8e-11 -> 4.4e-16, 1.3e-15, 1.8e-15). The four smoothness reports were
+# re-captured when each row's value became what it measured (|f|, |f' - 1|,
+# |f''|, |h_i'| or the grid minimum) in place of a copy of its verdict; no
+# pass flag or exit code moved. Captured at commit eca89e2: kbound at n = 1
+# and at the float nearest 1/3, and minp at c = 5e-324 (denominator 2^1074)
+# and with the coprime denominators of 1/4, 100/3 and 5/7. Captured at
+# commit da523ad, before derived certificates skipped re-validation: a plan
+# over a flat fiber and one whose normalization weakens q = 6 to 3, the two
+# trace rules no earlier plan case reached. Input files are written under
+# the names the argvs give.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text())
 
 

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from ricciforge import oracle, variation
+from ricciforge import oracle
 from ricciforge.variation import (
     SubmersionData,
     a_invariants_from_ricci,
@@ -134,8 +134,11 @@ def test_hopf_invariants():
 
 def test_hopf_preset_agrees_with_the_oracle_derivation():
     # the preset's former derivation, kept as a reference: oracle Ricci of the
-    # round S^3 in the Hopf frame and of S^2(1/2) at one point
-    ric_e = oracle.frame_ricci(oracle.preset("s3-left-invariant:1:1:1"), variation._hopf_frame(1.0))
+    # round S^3 in the Hopf frame [vertical, horizontal, horizontal] of the
+    # Euler-angle chart, built without structure constants, and of S^2(1/2)
+    point = np.array([1.1, 0.4, 0.8])
+    frame = oracle.FrameAtPoint(point, oracle.su2_frame(point, (1.0, 1.0, 1.0))[:, [2, 0, 1]])
+    ric_e = oracle.frame_ricci(oracle.preset("s3-left-invariant:1:1:1"), frame)
     s2 = oracle.preset("sphere:2:0.5")
     (frame,) = oracle.orthonormal_frames(s2, [[0.3, -0.2]])
     want = hopf_invariants_from(ric_e, oracle.frame_ricci(s2, frame), np.zeros((1, 1)))
@@ -164,9 +167,26 @@ def test_hopf_round_sphere_at_t_one():
 
 
 def test_hopf_blocks_match_oracle_along_the_family():
-    rep = verify_hopf_against_oracle([1.0, 0.5, 0.25], 1e-5)
+    # on the 2-jet chart at the identity the blocks agree to roundoff
+    rep = verify_hopf_against_oracle([1.0, 0.5, 0.25], 1e-13)
     assert rep["passed"]
-    assert all(row["deviation"] <= 1e-5 for row in rep["rows"])
+    assert all(row["deviation"] <= 1e-14 for row in rep["rows"])
+
+
+def test_hopf_blocks_match_oracle_as_the_fibers_shrink():
+    # the deviation grows like roundoff / t^2: 9.3e-11 at t = 1e-3, 4.2e-8 at 1e-4
+    rep = verify_hopf_against_oracle([1e-3, 1e-4], 1e-5)
+    assert rep["passed"]
+    assert [row["deviation"] <= bound for row, bound in zip(rep["rows"], (1e-9, 1e-7))] == [True, True]
+
+
+def test_the_hopf_check_reads_no_euler_angle_chart(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Euler-angle chart was read")
+
+    for name in ("su2_frame", "su2_frame_matrix", "su2_metric", "s3_left_invariant_chart", "preset"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert verify_hopf_against_oracle([1.0, 0.5], 1e-13)["passed"]
 
 
 def test_fiber_block_limits():

@@ -452,7 +452,7 @@ def test_smoothness_reference_profiles():
 def test_smoothness_rejects_quadratic_profile():
     spec = WarpedFamilySpec(n=0, f=exprs.parse("r^2"), h=())
     rep = smoothness_check(spec, 1e-4)
-    holds = {name: ok for name, ok, _ in rep.conditions}
+    holds = {name: ok for name, ok, _, _ in rep.conditions}
     assert not holds["f-slope-one-at-axis"]
     assert not rep.all_ok
 
@@ -460,7 +460,7 @@ def test_smoothness_rejects_quadratic_profile():
 def test_smoothness_sine_profile():
     spec = WarpedFamilySpec(n=0, f=exprs.parse("sin(r)"), h=(), base_ricci=None)
     rep = smoothness_check(spec, 1e-4)
-    holds = {name: ok for name, ok, _ in rep.conditions}
+    holds = {name: ok for name, ok, _, _ in rep.conditions}
     assert holds["f-vanishes-at-axis"] and holds["f-slope-one-at-axis"]
     assert holds["f-second-derivative-zero-at-axis"]
 
@@ -637,7 +637,7 @@ def test_profile_values_are_bit_identical_after_the_caches_are_cleared():
 def test_the_profile_cache_has_a_finite_bound():
     info = warped._profile.cache_info()
     assert info.maxsize == exprs.CACHE_SIZE and 0 < info.maxsize < 10_000
-    assert warped._positive.cache_info().maxsize == exprs.CACHE_SIZE
+    assert warped._grid_min.cache_info().maxsize == exprs.CACHE_SIZE
     for k in range(info.maxsize + 10):
         WarpedFamilySpec(n=0, f=exprs.parse(f"r + {k}*r^3"), h=())
     assert warped._profile.cache_info().currsize == info.maxsize
@@ -675,13 +675,16 @@ def _reference_conditions(spec, tol):
     eps = warped.AXIS_EPS
     grid = np.linspace(eps, warped.SMOOTHNESS_R_MAX, warped.SMOOTHNESS_GRID_POINTS)
     f0, f1, f2 = (exprs.evaluate(e, eps) for e in (spec.f, exprs.diff(spec.f, 1), exprs.diff(spec.f, 2)))
+    slopes = [abs(exprs.evaluate(exprs.diff(h, 1), eps)) for h in spec.h]
+    least = [float(exprs.evaluate_grid(e, grid).min()) for e in (spec.f, *spec.h)]
     return (
-        ("f-vanishes-at-axis", abs(f0) <= tol, tol),
-        ("f-slope-one-at-axis", abs(f1 - 1.0) <= tol, tol),
-        ("f-second-derivative-zero-at-axis", abs(f2) <= tol, tol),
-        ("f-positive", bool(np.all(exprs.evaluate_grid(spec.f, grid) > 0.0)), 0.0),
-        *((f"h[{i}]-even-at-axis", abs(exprs.evaluate(exprs.diff(h, 1), eps)) <= tol, tol) for i, h in enumerate(spec.h)),
-        *((f"h[{i}]-positive", bool(np.all(exprs.evaluate_grid(h, grid) > 0.0)), 0.0) for i, h in enumerate(spec.h)),
+        ("f-vanishes-at-axis", abs(f0) <= tol, abs(f0), tol),
+        ("f-slope-one-at-axis", abs(f1 - 1.0) <= tol, abs(f1 - 1.0), tol),
+        ("f-second-derivative-zero-at-axis", abs(f2) <= tol, abs(f2), tol),
+        ("f-positive", bool(np.all(exprs.evaluate_grid(spec.f, grid) > 0.0)), least[0], 0.0),
+        *((f"h[{i}]-even-at-axis", v <= tol, v, tol) for i, v in enumerate(slopes)),
+        *((f"h[{i}]-positive", bool(np.all(exprs.evaluate_grid(h, grid) > 0.0)), v, 0.0)
+          for i, (h, v) in enumerate(zip(spec.h, least[1:]))),
     )
 
 
@@ -697,7 +700,7 @@ def test_smoothness_rows_equal_a_direct_grid_evaluation_cold_and_warm(monkeypatc
         return evaluate_grid(e, rs)
 
     monkeypatch.setattr(exprs, "evaluate_grid", recording)
-    warped._positive.cache_clear()
+    warped._grid_min.cache_clear()
     assert [smoothness_check(spec, 1e-4).conditions for spec in specs] == want
     # cold, each distinct tree is evaluated on the grid once; warm, none is
     assert sorted(map(exprs.to_text, calls)) == sorted({exprs.to_text(e) for spec in specs for e in (spec.f, *spec.h)})
@@ -709,11 +712,11 @@ def test_smoothness_rows_equal_a_direct_grid_evaluation_cold_and_warm(monkeypatc
 
 def test_a_grid_failure_is_raised_on_every_call_and_in_row_order():
     spec = spec_from_json({"n": 2, "f": "r", "h": ["1", "1 + r^400"]})
-    warped._positive.cache_clear()
+    warped._grid_min.cache_clear()
     for _ in range(2):
         with pytest.raises(exprs.DomainError, match=r"^overflow in power in subexpression 'r\^400'$"):
             smoothness_check(spec, 1e-4)
-    assert warped._positive.cache_info().currsize == 2  # r and 1, not the failing h[1]
+    assert warped._grid_min.cache_info().currsize == 2  # r and 1, not the failing h[1]
     # f's grid fails before an h_i's, and h[0]'s before h[1]'s
     both = spec_from_json({"n": 2, "f": "r + r^310", "h": ["1 + r^400", "1 + r^500"]})
     with pytest.raises(exprs.DomainError, match=r"'r\^310'$"):
